@@ -282,6 +282,29 @@ class Algebra:
 # ---- radical criteria -------------------------------------------------------
 
 
+def _chain_gram(field, prods, j):
+    """Gram matrix of one chain layer over GF(p), prods of shape (c, c, n, n).
+
+    Entry (s, t) is the coefficient of x^(n-j) in the characteristic
+    polynomial of prods[s, t], as charpoly_coefficient computes it.
+    """
+    p = field.char
+    if j == 1:
+        return (-np.trace(prods, axis1=2, axis2=3)) % p
+    if j == 2:
+        t1 = np.trace(prods, axis1=2, axis2=3)
+        # the halving needs tr M^2 over the integers, not mod p; unreduced
+        # entries stay below n * p^2, so int64 is exact
+        t2 = np.trace(np.matmul(prods, prods), axis1=2, axis2=3)
+        return ((t1 * t1 - t2) // 2) % p
+    c = prods.shape[0]
+    gram = field.zeros((c, c))
+    for s in range(c):
+        for t in range(c):
+            gram[s, t] = charpoly_coefficient(field, prods[s, t], j)
+    return gram
+
+
 def matrix_algebra_radical(field, mats):
     """Radical of the span of faithful-representation matrices.
 
@@ -307,22 +330,9 @@ def matrix_algebra_radical(field, mats):
         if current.shape[0] == 0:
             break
         layer = field.canon(np.tensordot(current, mats, axes=([1], [0])))  # (c, n, n)
-        c = layer.shape[0]
-        j = p ** (k - 1)
         prods = np.matmul(layer[:, None, :, :], layer[None, :, :, :]) % p
-        if j == 1:
-            gram = (-np.trace(prods, axis1=2, axis2=3)) % p
-        elif j == 2:
-            t1 = np.trace(prods, axis1=2, axis2=3)
-            sq = np.matmul(prods, prods) % p  # entries stay small, int64 exact
-            t2 = np.trace(sq, axis1=2, axis2=3)
-            gram = ((t1 * t1 - t2) // 2) % p
-        else:
-            gram = field.zeros((c, c))
-            for s in range(c):
-                for t in range(c):
-                    gram[s, t] = charpoly_coefficient(field, prods[s, t], j)
-        _, ker = linalg.rank_nullspace(field, field.canon(gram))
+        gram = _chain_gram(field, prods, p ** (k - 1))
+        _, ker = linalg.rank_nullspace(field, gram)
         current = linalg.row_basis(field, field.matmul(ker.T, current))
     coeffs = current
     # the chain's output must be nilpotent; verify before trusting it
@@ -593,14 +603,16 @@ def algebra_from_quiver(pres: QuiverPresentation, field, label=None):
                     row = field.zeros((len(candidates),))
                     for coeff, term in rel:
                         whole = concat_paths(quiver, f, term)
-                        assert whole is not None
+                        if whole is None:
+                            raise AssertionError("relation term does not compose with its lead path")
                         prefix = Path(whole.source, quiver.arrows[whole.arrows[-2]].target, whole.arrows[:-1])
                         pv = reduce_path(prefix)
                         for fi in range(pv.shape[0]):
                             if pv[fi] == field.zero:
                                 continue
                             ci = cand_index.get((fi, whole.arrows[-1]))
-                            assert ci is not None
+                            if ci is None:
+                                raise AssertionError("reduced prefix has no candidate column")
                             row[ci] = field.scalar(row[ci] + field.scalar(pv[fi] * coeff))
                     rows.append(field.canon(row))
         if rows:

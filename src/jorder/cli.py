@@ -113,10 +113,10 @@ def _bimodule_from_file(path, field=None):
     if doc.get("format") != "bimodule":
         raise InvalidInput(f"{path}: not a bimodule document")
     resolver = _algebra_resolver(field=field, base_dir=Path(path).parent)
-    left_ref = doc.get("left_ref")
-    right_ref = doc.get("right_ref")
+    left_ref = doc.get("left_algebra_ref")
+    right_ref = doc.get("right_algebra_ref")
     if not left_ref or not right_ref:
-        raise InvalidInput(f"{path}: bimodule document needs left_ref and right_ref")
+        raise InvalidInput(f"{path}: bimodule document needs left_algebra_ref and right_algebra_ref")
     left = resolver(left_ref)
     right = resolver(right_ref)
     return serialize.bimodule_from_doc(doc, left, right), text

@@ -5,6 +5,9 @@ the rationals are object arrays of Fraction. Both expose one small interface
 so every elimination kernel in linalg is written once and runs exactly on
 either field. np.dot is used throughout because it supports object dtype,
 which np.matmul and einsum do not.
+
+canon always returns a fresh array that shares no memory with its argument;
+linalg.rref relies on this to eliminate in place without a copy.
 """
 
 from __future__ import annotations

@@ -3,6 +3,21 @@
 All routines are deterministic: pivoting always selects the first nonzero
 entry in scan order, so reduced forms, nullspace bases, and solutions are
 canonical for a given input. No floating point anywhere.
+
+rref is the one elimination kernel, written once against the field
+interface. At the pivot in column col it updates only the rows with a
+nonzero entry in that column, and only their columns col onward: every
+other row is unchanged by the update, and left of col the pivot row is
+zero. The pivot row is among those rows, so the update zeroes it and the
+normalised row is written back afterwards. Each update is one field.sub of
+the unreduced outer product of the pivot column with the normalised pivot
+row. Over GF(p) the entries are canonical, so that product is below
+p^2 < 2^40 and exact in int64; sub's single reduction mod p then leaves
+every entry canonical again, with no further canon pass. Over Q the same
+code runs on Fraction object arrays, where every operation is exact and
+already canonical. The matrix is
+canonicalised once on entry; canon returns a fresh array, so the input is
+never written to.
 """
 
 from __future__ import annotations
@@ -19,29 +34,34 @@ def rref(field, a):
     """
     # canonicalize first: raw products (e.g. unreduced tensordot output) may
     # hold representatives like 2 over GF(2) that compare nonzero but are not
-    r = field.copy(field.canon(np.atleast_2d(a)))
+    r = field.canon(np.atleast_2d(a))
     nrows, ncols = r.shape
     pivots = []
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        pivot_row = None
-        for i in range(row, nrows):
-            if r[i, col] != field.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        below = r[row:, col].nonzero()[0]
+        if not below.size:
             continue
+        pivot_row = row + below[0]
         if pivot_row != row:
             r[[row, pivot_row]] = r[[pivot_row, row]]
-        r[row] = field.canon(field.smul(field.inv_scalar(r[row, col]), r[row]))
-        col_vals = field.copy(r[:, col].reshape(-1, 1))
-        col_vals[row, 0] = field.zero
-        r = field.canon(field.sub(r, col_vals * r[row].reshape(1, -1)))
+        pivot = field.smul(field.inv_scalar(r[row, col]), r[row, col:])
+        hit = r[:, col].nonzero()[0]
+        block = r[hit, col:]
+        r[hit, col:] = field.sub(block, block[:, :1] * pivot)
+        r[row, col:] = pivot
         pivots.append(col)
         row += 1
     return r, pivots
+
+
+def free_columns(ncols, pivots):
+    """Indices of the non-pivot columns, in order."""
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    return free.nonzero()[0]
 
 
 def rank(field, a):
@@ -69,13 +89,11 @@ def rank_nullspace(field, a):
     a = np.atleast_2d(a)
     r, pivots = rref(field, a)
     ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    ns = field.zeros((ncols, len(free)))
-    for k, f in enumerate(free):
-        ns[f, k] = field.one
-        for i, p in enumerate(pivots):
-            ns[p, k] = field.neg(r[i, f])
-    return len(pivots), field.canon(ns)
+    free = free_columns(ncols, pivots)
+    ns = field.zeros((ncols, free.size))
+    ns[free, np.arange(free.size)] = field.one
+    ns[pivots] = field.neg(r[: len(pivots), free])
+    return len(pivots), ns
 
 
 def nullspace(field, a):
@@ -95,14 +113,12 @@ def solve(field, a, b):
     if bm.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} vs {bm.shape}")
     ncols = a.shape[1]
-    aug = np.concatenate([field.canon(a), field.canon(bm)], axis=1)
+    aug = np.concatenate([a, bm], axis=1)
     r, pivots = rref(field, aug)
     if any(p >= ncols for p in pivots):
         return None
     x = field.zeros((ncols, bm.shape[1]))
-    for i, p in enumerate(pivots):
-        x[p] = r[i, ncols:]
-    x = field.canon(x)
+    x[pivots] = r[: len(pivots), ncols:]
     return x.reshape(-1) if vector_rhs else x
 
 

@@ -215,16 +215,13 @@ def _complement_projection(field, rows, dim):
         reduced, pivots = linalg.rref(field, rows)
     else:
         reduced, pivots = rows, []
-    free = [c for c in range(dim) if c not in pivots]
-    proj = field.zeros((len(free), dim))
-    sect = field.zeros((dim, len(free)))
-    for k, c in enumerate(free):
-        proj[k, c] = field.one
-        sect[c, k] = field.one
-    for i, p in enumerate(pivots):
-        for k, c in enumerate(free):
-            proj[k, p] = field.scalar(-reduced[i, c])
-    return field.canon(proj), sect
+    free = linalg.free_columns(dim, pivots)
+    proj = field.zeros((free.size, dim))
+    sect = field.zeros((dim, free.size))
+    proj[np.arange(free.size), free] = field.one
+    sect[free, np.arange(free.size)] = field.one
+    proj[:, pivots] = field.neg(reduced[: len(pivots), free]).T
+    return proj, sect
 
 
 def _assert_stable(field, rows, mats, what):
@@ -260,7 +257,8 @@ def submodule(m, rows, label=None):
         out = field.zeros((algebra.dim, s, s))
         for i in range(algebra.dim):
             coords = linalg.coords_in_row_basis(field, basis, field.matmul(basis, mats[i].T))
-            assert coords is not None
+            if coords is None:
+                raise AssertionError("submodule basis is not action-stable")
             out[i] = coords.T
         return out
 
@@ -625,11 +623,13 @@ def projective_cover(m):
         lhs = field.matmul(m.left_action(g), phi)
         if not field.eq(lhs, field.matmul(phi, cover.left_action(g))):
             raise AssertionError("cover surjection is not a module map")
-    assert linalg.rank(field, phi) == m.dim, "cover surjection lost rank"
+    if linalg.rank(field, phi) != m.dim:
+        raise AssertionError("cover surjection lost rank")
     _, ker = linalg.rank_nullspace(field, phi)
     rad_rows = radical_sub_rows(cover)
     for t in range(ker.shape[1]):
-        assert linalg.in_row_span(field, rad_rows, ker[:, t]), "cover kernel escapes the radical"
+        if not linalg.in_row_span(field, rad_rows, ker[:, t]):
+            raise AssertionError("cover kernel escapes the radical")
     return ProjectiveCover(cover, phi, mults)
 
 
@@ -680,7 +680,8 @@ def hom_to_regular(m):
     def coords(mat_list):
         target = field.canon(np.stack([x.reshape(-1) for x in mat_list]))
         c = linalg.coords_in_row_basis(field, flat, target)
-        assert c is not None
+        if c is None:
+            raise AssertionError("action escapes the span of the Hom basis")
         return c
 
     lm = None

@@ -271,8 +271,10 @@ def crt_split_poly(field, f):
     for _ in range(m1 - 1):
         big_f = poly_mul(field, big_f, f1)
     big_g, rem = poly_divmod(field, f, big_f)
-    assert not rem
+    if rem:
+        raise AssertionError("irreducible power does not divide f")
     g, u, v = poly_xgcd(field, big_f, big_g)
-    assert g == [field.one]
+    if g != [field.one]:
+        raise AssertionError("block factors are not coprime")
     e = poly_mod(field, poly_mul(field, v, big_g), f)
     return e

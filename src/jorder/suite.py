@@ -534,13 +534,6 @@ def check_krull_schmidt_oracle(seed=0):
 # ---- 8: left-right projective bimodules are products of projectives -----------
 
 
-def _random_invertible(field, gen, n):
-    while True:
-        t = field.rand_mat(gen, n, n)
-        if linalg.rank(field, t) == n:
-            return t
-
-
 def check_lrproj_family(seed=0):
     """Random left-right projective bimodules decompose into P_i (x) Q_j."""
     from .witnesses import lrproj_projectivity_check
@@ -565,7 +558,7 @@ def check_lrproj_family(seed=0):
         for p, mult in zip(left_projs, mults):
             pieces.extend(outer_tensor(p, right_proj) for _ in range(int(mult)))
         big, _, _ = direct_sum(pieces)
-        t = _random_invertible(f, gen, big.dim)
+        t = linalg.random_invertible(f, gen, big.dim)
         ti = linalg.invert(f, t)
         lm = f.canon(
             np.stack([f.matmul(t, f.matmul(big.left_mats[j], ti)) for j in range(a3.dim)])

@@ -13,11 +13,13 @@ import pytest
 from jorder import linalg
 from jorder.algebras import (
     Algebra,
+    _chain_gram,
     algebra_from_quiver,
     center,
     criterion_radical_rows,
     enveloping_algebra,
     linear_quiver_algebra,
+    matrix_algebra_radical,
     quotient_algebra,
     subalgebra_from_rows,
     tensor_algebra,
@@ -25,6 +27,7 @@ from jorder.algebras import (
 )
 from jorder.errors import IdealIsWholeAlgebra, NotFiniteDimensional
 from jorder.fields import GF
+from jorder.polynomials import charpoly_coefficient
 from jorder.quivers import parse_presentation
 
 
@@ -451,3 +454,48 @@ class TestDeterminism:
         assert a1.labels == a2.labels
         assert a1.field.eq(a1.radical_rows(), a2.radical_rows())
         assert criterion_radical_rows(a1).shape == criterion_radical_rows(a2).shape
+
+
+class TestCoefficientChainGF2:
+    """The p = 2 chain takes the x^(n-2) coefficient through exact traces."""
+
+    X = np.array([[0, 1, 1], [1, 1, 0], [1, 0, 1]])
+
+    def test_power_algebra_reproducer(self):
+        # span of 1, X, X^2 over GF(2); X + X^2 squares to zero and spans the radical
+        field = GF(2)
+        mats = np.stack([np.eye(3, dtype=np.int64), self.X, self.X @ self.X % 2])
+        rad = matrix_algebra_radical(field, mats)
+        assert field.eq(rad, field.mat([[0, 1, 1]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_j2_gram_matches_charpoly_coefficient(self, seed):
+        field = GF(2)
+        gen = np.random.default_rng(8000 + seed)
+        for n in range(1, 7):
+            prods = gen.integers(0, 2, size=(5, 5, n, n), dtype=np.int64)
+            gram = _chain_gram(field, prods, 2)
+            want = [[charpoly_coefficient(field, prods[s, t], 2) for t in range(5)] for s in range(5)]
+            assert field.eq(gram, field.mat(want))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_polynomial_algebras_match_nilpotent_elements(self, p):
+        # k[X] is commutative, so its radical is the set of its nilpotent elements
+        field = GF(p)
+        gen = np.random.default_rng(8100 + p)
+        for _ in range(40):
+            n = int(gen.integers(2, 5))
+            x = gen.integers(0, p, size=(n, n), dtype=np.int64)
+            powers = [np.eye(n, dtype=np.int64)]
+            for _ in range(n - 1):
+                powers.append(powers[-1] @ x % p)
+            basis = linalg.row_basis(field, np.stack(powers).reshape(n, -1)).reshape(-1, n, n)
+            nilpotent = []
+            for coeffs in itertools.product(range(p), repeat=basis.shape[0]):
+                power = elt = np.tensordot(np.array(coeffs), basis, axes=1) % p
+                for _ in range(n - 1):
+                    power = power @ elt % p
+                if not power.any():
+                    nilpotent.append(coeffs)
+            rad = matrix_algebra_radical(field, basis)
+            assert field.eq(rad, linalg.row_basis(field, field.mat(nilpotent)))

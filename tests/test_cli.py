@@ -1,0 +1,93 @@
+"""The command line contract: exit codes 0/2/3/4 and document round trips.
+
+0 every asserted check passed; 2 a check failed; 3 a bounded search gave up;
+4 malformed input. Commands run in-process through cli.main.
+"""
+
+import json
+
+import pytest
+
+from jorder import catalog, cli, serialize
+
+A_REF = "catalog:trunc_poly?k=2"
+B_REF = "catalog:kronecker"
+
+
+def _run(capsys, *argv):
+    code = cli.main([*argv, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.fixture
+def witness_files(tmp_path):
+    """The Kronecker witness bimodules, written by the library with algebra refs."""
+    w = catalog.resolve("catalog:kronecker_witness")
+    m_path, n_path = tmp_path / "m.json", tmp_path / "n.json"
+    m_path.write_text(serialize.canon_json(serialize.bimodule_doc(w.m, A_REF, B_REF)))
+    n_path.write_text(serialize.canon_json(serialize.bimodule_doc(w.n, B_REF, A_REF)))
+    return m_path, n_path
+
+
+def test_decompose_reads_a_written_bimodule(capsys, witness_files):
+    code, report = _run(capsys, "decompose", str(witness_files[0]))
+    assert code == 0
+    assert report["results"]["module_dim"] == 4
+    assert sum(report["results"]["summand_dims"]) == 4
+
+
+def test_tensor_reads_written_bimodules(capsys, witness_files):
+    code, report = _run(capsys, "tensor", *map(str, witness_files))
+    assert code == 0
+    assert report["results"]["tensor_dim"] == 2
+
+
+def test_bimodule_without_algebra_refs_is_malformed_input(capsys, tmp_path):
+    w = catalog.resolve("catalog:kronecker_witness")
+    path = tmp_path / "m.json"
+    path.write_text(serialize.canon_json(serialize.bimodule_doc(w.m)))
+    code, out = _run(capsys, "decompose", str(path))
+    assert code == 4
+    assert out["error"]["type"] == "InvalidInput"
+
+
+def test_verify_jgeq_on_catalog_witness_exits_0(capsys):
+    code, report = _run(capsys, "verify-jgeq", "catalog:kronecker_witness")
+    assert code == 0
+    assert report["results"]["verified"] is True
+
+
+def test_tampered_certificate_exits_2(capsys, tmp_path):
+    code, report = _run(capsys, "verify-jgeq", "catalog:kronecker_witness", "--no-quality")
+    assert code == 0
+    cert = report["certificates"][0]["certificate"]
+    path = tmp_path / "cert.json"
+    path.write_text(serialize.canon_json(cert))
+    assert _run(capsys, "verify-cert", str(path))[0] == 0
+    cert["section"][0][0] = (cert["section"][0][0] + 1) % 101  # GF(101) entries are ints
+    path.write_text(serialize.canon_json(cert))
+    code, report = _run(capsys, "verify-cert", str(path))
+    assert code == 2
+    assert report["results"]["replays"] is False
+
+
+def test_witness_search_that_gives_up_exits_3(capsys):
+    code, report = _run(
+        capsys, "witness-search", A_REF, B_REF, "--budget", "20", "--seed", "0"
+    )
+    assert code == 3
+    assert report["results"]["found"] is False
+
+
+def test_missing_file_exits_4(capsys, tmp_path):
+    code, out = _run(capsys, "decompose", str(tmp_path / "absent.json"))
+    assert code == 4
+    assert out["error"]["type"] == "InvalidInput"
+
+
+def test_malformed_json_exits_4(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"format": "bimodule", ')
+    code, out = _run(capsys, "decompose", str(path))
+    assert code == 4
+    assert out["error"]["type"] == "InvalidInput"

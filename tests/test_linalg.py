@@ -182,3 +182,193 @@ def test_gf_scalar_embeds_rationals_when_denominator_invertible():
     assert field.scalar(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
     with pytest.raises(ZeroDivisionError):
         field.scalar(Fraction(1, 7))
+
+
+# ---- differential test of the elimination kernel ----------------------------
+#
+# The oracle is the original per-pivot full-matrix Gauss-Jordan elimination,
+# kept verbatim: it subtracts from and re-canonicalises the whole matrix at
+# every pivot. Reduced row echelon form is unique, so the row-restricted
+# kernel must agree with it bit for bit, and so must everything read off it.
+
+
+def _oracle_rref(field, a):
+    r = field.copy(field.canon(np.atleast_2d(a)))
+    nrows, ncols = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        pivot_row = None
+        for i in range(row, nrows):
+            if r[i, col] != field.zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != row:
+            r[[row, pivot_row]] = r[[pivot_row, row]]
+        r[row] = field.canon(field.smul(field.inv_scalar(r[row, col]), r[row]))
+        col_vals = field.copy(r[:, col].reshape(-1, 1))
+        col_vals[row, 0] = field.zero
+        r = field.canon(field.sub(r, col_vals * r[row].reshape(1, -1)))
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def _oracle_rank_nullspace(field, a):
+    a = np.atleast_2d(a)
+    r, pivots = _oracle_rref(field, a)
+    ncols = a.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    ns = field.zeros((ncols, len(free)))
+    for k, f in enumerate(free):
+        ns[f, k] = field.one
+        for i, p in enumerate(pivots):
+            ns[p, k] = field.neg(r[i, f])
+    return len(pivots), field.canon(ns)
+
+
+def _oracle_solve(field, a, b):
+    a = np.atleast_2d(a)
+    vector_rhs = np.asarray(b).ndim == 1
+    bm = np.asarray(b).reshape(-1, 1) if vector_rhs else np.asarray(b)
+    ncols = a.shape[1]
+    aug = np.concatenate([field.canon(a), field.canon(bm)], axis=1)
+    r, pivots = _oracle_rref(field, aug)
+    if any(p >= ncols for p in pivots):
+        return None
+    x = field.zeros((ncols, bm.shape[1]))
+    for i, p in enumerate(pivots):
+        x[p] = r[i, ncols:]
+    x = field.canon(x)
+    return x.reshape(-1) if vector_rhs else x
+
+
+def _oracle_complement_projection(field, rows, dim):
+    if rows.shape[0]:
+        reduced, pivots = _oracle_rref(field, rows)
+    else:
+        reduced, pivots = rows, []
+    free = [c for c in range(dim) if c not in pivots]
+    proj = field.zeros((len(free), dim))
+    sect = field.zeros((dim, len(free)))
+    for k, c in enumerate(free):
+        proj[k, c] = field.one
+        sect[c, k] = field.one
+    for i, p in enumerate(pivots):
+        for k, c in enumerate(free):
+            proj[k, p] = field.scalar(-reduced[i, c])
+    return field.canon(proj), sect
+
+
+def _random_entries(field, gen, rows, cols):
+    """Canonical random entries, with about half the cells zero."""
+    m = field.rand_mat(gen, rows, cols)
+    keep = gen.random((rows, cols)) < 0.5
+    if field.char == 0:
+        m[~keep] = field.zero
+        return m
+    return m * keep
+
+
+def _kernel_inputs(field, gen, count, max_side):
+    """Seeded inputs: the edge shapes first, then random shapes and kinds."""
+    for shape in [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1)]:
+        yield _random_entries(field, gen, *shape)
+    yield field.zeros((2, 2))
+    for _ in range(count):
+        rows, cols = (int(x) for x in gen.integers(1, max_side + 1, size=2))
+        kind = int(gen.integers(0, 6))
+        if kind == 0:  # dense, tall or wide as drawn
+            yield field.rand_mat(gen, rows, cols)
+        elif kind == 1:  # rank-deficient: a product through a narrow middle
+            k = int(gen.integers(0, min(rows, cols) + 1))
+            left = _random_entries(field, gen, rows, k)
+            right = _random_entries(field, gen, k, cols)
+            yield field.matmul(left, right) if k else field.zeros((rows, cols))
+        elif kind == 2:  # most columns zero
+            m = _random_entries(field, gen, rows, cols)
+            m[:, gen.random(cols) < 0.7] = field.zero
+            yield m
+        elif kind == 3:  # repeated rows
+            m = _random_entries(field, gen, rows, cols)
+            yield np.concatenate([m, m[::-1]], axis=0)
+        elif field.char == 0:
+            # non-canonical: python ints, negative ones included
+            yield gen.integers(-4, 5, size=(rows, cols)).tolist()
+        elif kind == 4:
+            # non-canonical: negative representatives and values >= p, int64
+            m = _random_entries(field, gen, rows, cols)
+            yield m + field.p * gen.integers(-3, 4, size=(rows, cols))
+        else:
+            # non-canonical python ints in an object array
+            m = _random_entries(field, gen, rows, cols)
+            shifted = m + field.p * gen.integers(-3, 4, size=(rows, cols))
+            yield np.array(shifted.tolist(), dtype=object)
+
+
+def _assert_same(field, got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    if field.char == 0:
+        assert all(type(x) is Fraction for x in got.flat)
+    else:
+        assert ((got >= 0) & (got < field.p)).all()
+
+
+def _snapshot(a):
+    return np.array(a, dtype=object, copy=True)
+
+
+@pytest.mark.parametrize(
+    "field, count, max_side",
+    [(GF(2), 700, 9), (GF(3), 700, 9), (GF(101), 700, 9), (QQ, 250, 6)],
+    ids=["GF2", "GF3", "GF101", "Q"],
+)
+def test_kernel_matches_full_matrix_oracle(field, count, max_side):
+    from jorder.modules import _complement_projection
+
+    gen = np.random.default_rng(7000 + field.char)
+    cases = 0
+    for a in _kernel_inputs(field, gen, count, max_side):
+        before = _snapshot(a)
+        arr = np.atleast_2d(np.asarray(a))
+        ncols = arr.shape[1]
+
+        r, pivots = linalg.rref(field, a)
+        r0, pivots0 = _oracle_rref(field, a)
+        assert pivots == pivots0
+        _assert_same(field, r, r0)
+
+        rk, ns = linalg.rank_nullspace(field, a)
+        rk0, ns0 = _oracle_rank_nullspace(field, a)
+        assert rk == rk0 == len(pivots0)
+        _assert_same(field, ns, ns0)
+
+        # one consistent and one random right-hand side, as vector and matrix
+        x_true = _random_entries(field, gen, ncols, 2)
+        rhs = [field.matmul(field.canon(arr), x_true), _random_entries(field, gen, arr.shape[0], 2)]
+        for b in rhs + [b[:, 0] for b in rhs]:
+            b_before = _snapshot(b)
+            x, x0 = linalg.solve(field, a, b), _oracle_solve(field, a, b)
+            assert (x is None) == (x0 is None)
+            if x0 is not None:
+                _assert_same(field, x, x0)
+            assert np.array_equal(_snapshot(b), b_before)
+
+        echelon = r0[: len(pivots0)]
+        for rows in (echelon, field.canon(arr)):
+            rows_before = _snapshot(rows)
+            proj, sect = _complement_projection(field, rows, ncols)
+            proj0, sect0 = _oracle_complement_projection(field, rows, ncols)
+            _assert_same(field, proj, proj0)
+            _assert_same(field, sect, sect0)
+            assert np.array_equal(_snapshot(rows), rows_before)
+
+        assert np.array_equal(_snapshot(a), before)
+        cases += 1
+    assert cases == count + 7
