@@ -5,9 +5,9 @@ Reports are deterministic for fixed inputs and seed: the timing field is
 always null and wall-clock time goes to stderr, never into the report.
 
 Exit codes: 0 every asserted check passed; 2 a check failed and the report
-carries the evidence; 3 a bounded search or decomposition gave up without
-an answer; 4 malformed input. Errors are emitted as machine-readable JSON
-objects on stdout.
+carries the evidence, or an internal invariant check failed; 3 a bounded
+search or decomposition gave up without an answer; 4 malformed input.
+Errors are emitted as machine-readable JSON objects on stdout.
 """
 
 import argparse
@@ -109,6 +109,7 @@ def _algebra_resolver(field=None, base_dir=None):
 
 
 def _bimodule_from_file(path, field=None):
+    """(module, file text, (left_ref, right_ref)) for a bimodule document."""
     doc, text = _load_json(path)
     if doc.get("format") != "bimodule":
         raise InvalidInput(f"{path}: not a bimodule document")
@@ -119,7 +120,7 @@ def _bimodule_from_file(path, field=None):
         raise InvalidInput(f"{path}: bimodule document needs left_algebra_ref and right_algebra_ref")
     left = resolver(left_ref)
     right = resolver(right_ref)
-    return serialize.bimodule_from_doc(doc, left, right), text
+    return serialize.bimodule_from_doc(doc, left, right), text, (left_ref, right_ref)
 
 
 def _input_entry(ref, content):
@@ -254,14 +255,14 @@ def _cmd_algebra_info(args):
 
 def _cmd_tensor(args):
     field = field_from_name(args.field) if args.field else None
-    m, m_text = _bimodule_from_file(args.m_file, field=field)
-    n, n_text = _bimodule_from_file(args.n_file, field=field)
+    m, m_text, (left_ref, _) = _bimodule_from_file(args.m_file, field=field)
+    n, n_text, (_, right_ref) = _bimodule_from_file(args.n_file, field=field)
     t = tensor_over(m, n)
     results = {
         "m": {"label": m.label, "dim": m.dim},
         "n": {"label": n.label, "dim": n.dim},
         "tensor_dim": t.module.dim,
-        "tensor": serialize.bimodule_doc(t.module),
+        "tensor": serialize.bimodule_doc(t.module, left_ref, right_ref),
     }
     inputs = [_input_entry(args.m_file, m_text), _input_entry(args.n_file, n_text)]
     return _finish(_report("tensor", inputs, results), args)
@@ -269,7 +270,7 @@ def _cmd_tensor(args):
 
 def _cmd_decompose(args):
     field = field_from_name(args.field) if args.field else None
-    m, text = _bimodule_from_file(args.module_file, field=field)
+    m, text, _ = _bimodule_from_file(args.module_file, field=field)
     dec = decompose(m, seed=args.seed)
     results = {
         "module_dim": m.dim,
@@ -544,7 +545,7 @@ def main(argv=None):
         if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2**64:
             raise InvalidInput(f"seed must fit in an unsigned 64-bit word, got {args.seed}")
         code = args.fn(args)
-    except (JorderError, ValueError, OSError) as exc:
+    except (JorderError, ValueError, OSError, AssertionError) as exc:
         error = {
             "error": {
                 "type": type(exc).__name__,

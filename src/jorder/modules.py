@@ -10,6 +10,13 @@ is enough for bimodule compatibility because each commutant is a subalgebra.
 
 Enveloping algebras are never materialized; every bimodule operation works
 directly on the two families of action matrices.
+
+Hom spaces are solved blocked by idempotents, as in the quiver-representation
+view: a module map commutes with the complete orthogonal idempotent families
+of the acting algebras, so Hom(M, N) lies in the sum over pieces of
+Hom_k(e.M.f, e.N.f). hom_space parametrises that block space directly and
+imposes only the remaining generators, each through the residual F a - a F
+over all basis maps at once rather than a (dM dN)^2 Kronecker matrix.
 """
 
 from __future__ import annotations
@@ -345,12 +352,55 @@ def socle_rows(m):
 # ---- hom spaces ---------------------------------------------------------------
 
 
+def _other_generators(algebra, family):
+    """The algebra's generators that are not members of the family."""
+    if not family:
+        return algebra.generators
+    gens = np.array(algebra.generators)
+    member = (gens[:, None, :] == np.array(family)[None, :, :]).all(axis=2).any(axis=1)
+    return [g for g, skip in zip(algebra.generators, member) if not skip]
+
+
+def _pieces(m, left_family, right_family):
+    """(B, C) for every piece e.M.f of the grading by the two families.
+
+    P = L(e) R(f) projects onto e.M.f. B is the canonical column basis of
+    its image (from one rref of P^T) and C = P[pivots] the coordinates:
+    B[pivots] is the identity, so C B = I and C vanishes on the other pieces.
+    """
+    field = m.field
+    projs = [m.left_action(e) for e in left_family]
+    if right_family:
+        rights = [m.right_action(f) for f in right_family]
+        projs = [field.matmul(l, r) for l in projs for r in rights] if projs else rights
+    pieces = []
+    for p in projs:
+        r, piv = linalg.rref(field, p.T)
+        pieces.append((r[: len(piv)].T, p[piv]))
+    return pieces
+
+
 def hom_space(m, n):
     """Canonical basis of module maps M -> N (matrices dN x dM).
 
     Maps commute with the actions on every side both modules carry.
     Checking generators is enough: maps commuting with two elements
     commute with their product.
+
+    The solve starts from the block space. A module map commutes with
+    L(e) and R(f) for the members of the acting algebras' complete
+    orthogonal idempotent families, so it lies in the direct sum over
+    pieces of Hom_k(e.M.f, e.N.f), spanned by the maps B_N X C_M. n's
+    algebras have the same tables as m's (_compatible), so m's families
+    serve for both. On that space a generator in a family already holds
+    (L(e) is the sum of the piece projections L(e) R(f)); a one-member
+    family is {1}, which holds on every map and splits nothing. So only
+    the other generators are imposed, each on all basis maps F at once
+    through the residual F am - an F: it is the Kronecker constraint
+    (I (x) am^T - an (x) I) applied to vec_r(F), without building it.
+    Without a family the first generator is solved from that Kronecker
+    matrix. The final row basis is canonical, so the result does not
+    depend on the order or the start basis.
     """
     if not _compatible(m, n):
         raise ValueError("hom_space needs modules with identical sidedness and algebras")
@@ -358,28 +408,40 @@ def hom_space(m, n):
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
+    left_family = (m.left_algebra.idempotents or []) if m.left_mats is not None else []
+    right_family = (m.right_algebra.idempotents or []) if m.right_mats is not None else []
     constraints = []
     if m.left_mats is not None:
-        for g in m.left_algebra.generators:
+        for g in _other_generators(m.left_algebra, left_family):
             constraints.append((m.left_action(g), n.left_action(g)))
     if m.right_mats is not None:
-        for g in m.right_algebra.generators:
+        for g in _other_generators(m.right_algebra, right_family):
             constraints.append((m.right_action(g), n.right_action(g)))
-    basis = None  # columns over vec_r(F), row-major
-    eye_m, eye_n = field.eye(dm), field.eye(dn)
+    # a one-member family is {1}: it splits nothing
+    left_family = left_family if len(left_family) > 1 else []
+    right_family = right_family if len(right_family) > 1 else []
+    basis = None  # rows vec_r(F), row-major
+    if left_family or right_family:
+        pieces_m = _pieces(m, left_family, right_family)
+        pieces_n = pieces_m if n is m else _pieces(n, left_family, right_family)
+        basis = np.concatenate(
+            [field.kron(bn.T, cm) for (_, cm), (bn, _) in zip(pieces_m, pieces_n)]
+        )
     for am, an in constraints:
-        # F am = an F as (I (x) am^T - an (x) I) vec_r(F) = 0
-        c = field.sub(field.kron(eye_n, am.T), field.kron(an, eye_m))
         if basis is None:
-            _, basis = linalg.rank_nullspace(field, c)
+            # F am = an F as (I (x) am^T - an (x) I) vec_r(F) = 0
+            c = field.sub(field.kron(field.eye(dn), am.T), field.kron(an, field.eye(dm)))
+            basis = linalg.nullspace(field, c).T
         else:
-            _, small = linalg.rank_nullspace(field, field.matmul(c, basis))
-            basis = field.matmul(basis, small)
-        if basis.shape[1] == 0:
+            f = basis.reshape(basis.shape[0], dn, dm)
+            res = field.sub(field.matmul(f, am), field.matmul(an, f).transpose(1, 0, 2))
+            small = linalg.nullspace(field, res.reshape(basis.shape[0], dn * dm).T)
+            basis = field.matmul(small.T, basis)
+        if basis.shape[0] == 0:
             return []
     if basis is None:
         basis = field.eye(dm * dn)
-    rows = linalg.row_basis(field, basis.T)
+    rows = linalg.row_basis(field, basis)
     return [rows[k].reshape(dn, dm) for k in range(rows.shape[0])]
 
 

@@ -91,3 +91,28 @@ def test_malformed_json_exits_4(capsys, tmp_path):
     code, out = _run(capsys, "decompose", str(path))
     assert code == 4
     assert out["error"]["type"] == "InvalidInput"
+
+
+def test_decompose_reads_the_tensor_output(capsys, witness_files, tmp_path):
+    code, report = _run(capsys, "tensor", *map(str, witness_files))
+    assert code == 0
+    tensor_doc = report["results"]["tensor"]
+    assert (tensor_doc["left_algebra_ref"], tensor_doc["right_algebra_ref"]) == (A_REF, A_REF)
+    path = tmp_path / "tensor.json"
+    path.write_text(serialize.canon_json(tensor_doc))
+    code, report = _run(capsys, "decompose", str(path))
+    assert code == 0
+    assert report["results"]["module_dim"] == 2
+
+
+def test_internal_invariant_failure_exits_2(capsys, witness_files, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("summand family does not resolve the identity")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    code, out = _run(capsys, "decompose", str(witness_files[0]))
+    assert code == 2
+    assert out["error"] == {
+        "type": "AssertionError",
+        "message": "summand family does not resolve the identity",
+    }

@@ -5,6 +5,8 @@ quiver algebras used as fixtures; every derived number is stated next to its
 assertion.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from jorder.algebras import Algebra, linear_quiver_algebra
 from jorder.errors import NonSplitResidueField, NotAutomorphism
 from jorder.fields import GF
 from jorder.modules import (
+    _compatible,
     Module,
     direct_sum,
     dual_module,
@@ -377,3 +380,129 @@ class TestDirectSum:
             assert f.eq(f.matmul(proj, incl), f.eye(incl.shape[1]))
             acc = f.add(acc, f.matmul(incl, proj))
         assert f.eq(f.canon(acc), f.eye(5))
+
+
+# ---- the blocked Hom solver against the Kronecker one ---------------------------
+
+
+def kronecker_hom_space(m, n):
+    """The Kronecker-system Hom solver that hom_space replaced, kept as an oracle."""
+    if not _compatible(m, n):
+        raise ValueError("hom_space needs modules with identical sidedness and algebras")
+    field = m.field
+    dm, dn = m.dim, n.dim
+    if dm == 0 or dn == 0:
+        return []
+    constraints = []
+    if m.left_mats is not None:
+        for g in m.left_algebra.generators:
+            constraints.append((m.left_action(g), n.left_action(g)))
+    if m.right_mats is not None:
+        for g in m.right_algebra.generators:
+            constraints.append((m.right_action(g), n.right_action(g)))
+    basis = None  # columns over vec_r(F), row-major
+    eye_m, eye_n = field.eye(dm), field.eye(dn)
+    for am, an in constraints:
+        # F am = an F as (I (x) am^T - an (x) I) vec_r(F) = 0
+        c = field.sub(field.kron(eye_n, am.T), field.kron(an, eye_m))
+        if basis is None:
+            _, basis = linalg.rank_nullspace(field, c)
+        else:
+            _, small = linalg.rank_nullspace(field, field.matmul(c, basis))
+            basis = field.matmul(basis, small)
+        if basis.shape[1] == 0:
+            return []
+    if basis is None:
+        basis = field.eye(dm * dn)
+    rows = linalg.row_basis(field, basis.T)
+    return [rows[k].reshape(dn, dm) for k in range(rows.shape[0])]
+
+
+def without_family(a):
+    """The same table with no idempotent family and every basis vector a generator."""
+    return Algebra(a.field, a.table, a.unit, a.labels, label=f"{a.label}-plain")
+
+
+def conjugate(m, gen, left_algebra=None, right_algebra=None):
+    """m in a random basis, optionally read over equal-table algebras."""
+    field = m.field
+    # unitriangular factors with small integer entries: invertible over every
+    # field, and over Q the entries stay small enough for the Kronecker oracle
+    low = np.tril(gen.integers(-2, 3, size=(m.dim, m.dim)), -1) + np.eye(m.dim, dtype=np.int64)
+    up = np.tril(gen.integers(-2, 3, size=(m.dim, m.dim)), -1).T + np.eye(m.dim, dtype=np.int64)
+    s = field.matmul(field.canon(low), field.canon(up))
+    s_inv = linalg.invert(field, s)
+
+    def move(mats):
+        if mats is None:
+            return None
+        return field.canon(np.stack([field.matmul(field.matmul(s_inv, x), s) for x in mats]))
+
+    return Module(
+        left_algebra or m.left_algebra, right_algebra or m.right_algebra,
+        move(m.left_mats), move(m.right_mats), label=f"{m.label}^s", check=False,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def hom_algebras(field_name):
+    """A_3, zigzag, dual numbers (a one-member family), and the first two without family."""
+    a3 = qa(f"field {field_name}\nvertex 1\nvertex 2\nvertex 3\narrow a: 1 -> 2\narrow b: 2 -> 3\n")
+    zz = zigzag(field_name)
+    return a3, zz, dual_numbers(field_name), without_family(a3), without_family(zz)
+
+
+def hom_cases(field_name, seed):
+    """(m, n) pairs: one-sided and two-sided, conjugated, m is n and m != n."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    a3, zz, dn, a3_plain, zz_plain = hom_algebras(field_name)
+    cases = []
+    for a, plain in ((a3, a3_plain), (zz, zz_plain)):
+        reg = left_regular_module(a)
+        projs = [p for p, _, _ in projective_indecomposables(a)]
+        simples = [s for s, _ in simple_modules(a)]
+        rand = random_left_module(a, gen)
+        rand_s = conjugate(rand, gen)
+        cases += [(reg, reg), (rand_s, rand_s), (rand_s, conjugate(rand, gen))]
+        cases += [(p, q) for p in projs for q in projs]
+        cases += [(s, t) for s in simples for t in simples]  # empty pieces, zero Homs
+        cases += [(simples[0], rand_s), (rand_s, projs[-1])]
+        # equal tables, the family on one side only
+        plain_s = conjugate(rand, gen, left_algebra=plain)
+        cases += [(rand_s, plain_s), (plain_s, rand_s), (plain_s, plain_s)]
+        rr = conjugate(right_regular_module(a), gen)
+        cases += [(rr, rr), (rr, conjugate(right_regular_module(a), gen, right_algebra=plain))]
+        bim = conjugate(regular_bimodule(a), gen)
+        cases += [(bim, bim), (bim, conjugate(regular_bimodule(a), gen))]
+    left_reg_dn = left_regular_module(dn)
+    cases += [(left_reg_dn, left_reg_dn)]
+    p1 = projective_indecomposables(a3)[0][0]
+    out1 = conjugate(outer_tensor(p1, right_regular_module(dn)), gen)
+    out2 = conjugate(outer_tensor(left_regular_module(a3), right_regular_module(dn)), gen)
+    out3 = conjugate(outer_tensor(p1, right_regular_module(zz)), gen)
+    cases += [(out1, out1), (out1, out2), (out2, out1), (out3, out3)]
+    return cases
+
+
+class TestBlockedHomAgainstKronecker:
+    # Over Q the Kronecker oracle's Fraction eliminations take seconds beyond
+    # 24 unknowns, so the Q pairs stop there; the GF(p) pairs go up to 144.
+    @pytest.mark.parametrize("field_name,seeds,max_unknowns", [
+        ("GF(2)", range(4), None), ("GF(3)", range(4), None), ("GF(101)", range(4), None),
+        ("Q", range(2), 24),
+    ], ids=["GF2", "GF3", "GF101", "Q"])
+    def test_same_basis_shapes_and_dtypes(self, field_name, seeds, max_unknowns):
+        zero_homs = 0
+        for seed in seeds:
+            for m, n in hom_cases(field_name, seed):
+                if max_unknowns is not None and m.dim * n.dim > max_unknowns:
+                    continue
+                got, want = hom_space(m, n), kronecker_hom_space(m, n)
+                assert len(got) == len(want)
+                zero_homs += not want
+                for f, g in zip(got, want):
+                    assert f.shape == g.shape == (n.dim, m.dim)
+                    assert f.dtype == g.dtype
+                    assert np.array_equal(f, g)
+                    assert [type(x) for x in f.flat] == [type(x) for x in g.flat]
+        assert zero_homs
