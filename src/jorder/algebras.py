@@ -2,11 +2,16 @@
 
 The multiplication table T is indexed so T[i, j] holds the coordinates of
 basis_i * basis_j, where the product applies the right factor first (maps
-compose right to left). Construction is validating: the unit laws always, the
-full associativity sweep up to a dimension cap (seeded spot checks above it,
-where every constructor is associative by construction anyway), plus ideal,
-nilpotency, and semisimple-quotient checks for whatever radical description
-the constructor supplies.
+compose right to left).
+
+Algebras are validated where they enter the library (a user's Algebra(...),
+algebra_from_quiver, skew_group_algebra, deserialised documents): unit laws,
+associativity (the full sweep up to a dimension cap, seeded spot checks
+above it), generation, the idempotent family, and the ideal, nilpotency and
+semisimple-quotient conditions on a supplied radical. Algebras built from
+algebras the library already holds are correct by construction and pass
+check=False. No J-order certificate rests on these checks: it replays by
+multiplication.
 
 Radical criteria: the trace bilinear form (valid in characteristic zero and
 whenever p exceeds the size of the faithful representation), and for small p
@@ -44,7 +49,10 @@ class Provenance:
 
 
 class Algebra:
-    """Structure-constant algebra over GF(p) or the rationals."""
+    """Structure-constant algebra over GF(p) or the rationals.
+
+    check=False skips every validation, the lazy one in radical_rows() too.
+    """
 
     def __init__(
         self,
@@ -59,8 +67,7 @@ class Algebra:
         radical_rows=None,
         provenance=None,
         label="A",
-        check_associativity="auto",
-        verify_radical=True,
+        check=True,
     ):
         self.field = field
         self.table = field.canon(table)
@@ -82,14 +89,16 @@ class Algebra:
         self._opposite = None
         self._radical_rows = None
         self._radical_powers = None
-        self._check_unit()
-        self._check_associativity(check_associativity)
-        self._check_generators()
-        if self.idempotents is not None:
-            self._check_idempotent_family()
+        self._check = check
+        if check:
+            self._check_unit()
+            self._check_associativity()
+            self._check_generators()
+            if self.idempotents is not None:
+                self._check_idempotent_family()
         if radical_rows is not None:
             rows = linalg.row_basis(field, field.canon(np.atleast_2d(radical_rows)))
-            if verify_radical:
+            if check:
                 self._verify_radical(rows)
             self._radical_rows = rows
 
@@ -147,11 +156,9 @@ class Algebra:
         if not (self.field.eq(self.field.canon(lu), eye) and self.field.eq(self.field.canon(ru), eye)):
             raise ValueError("unit element fails the unit laws")
 
-    def _check_associativity(self, mode):
+    def _check_associativity(self):
         cap = _FULL_ASSOC_CAP_GF if isinstance(self.field, GFField) else _FULL_ASSOC_CAP_EXACT
-        if mode == "skip":
-            return
-        if mode == "full" or (mode == "auto" and self.dim <= cap):
+        if self.dim <= cap:
             t = self.table
             left = np.tensordot(t, t, axes=([2], [0]))  # (i,j,k,l)
             right = np.tensordot(t, t, axes=([2], [1])).transpose(2, 0, 1, 3)
@@ -229,7 +236,7 @@ class Algebra:
         """Canonical row basis of the Jacobson radical."""
         if self._radical_rows is None:
             rows = criterion_radical_rows(self)
-            if rows.shape[0]:
+            if rows.shape[0] and self._check:
                 self._verify_radical(rows)
             self._radical_rows = rows
         return self._radical_rows
@@ -268,8 +275,7 @@ class Algebra:
                 radical_rows=self._radical_rows,
                 provenance=Provenance("opposite", {"parent": self}),
                 label=f"{self.label}^op",
-                check_associativity="skip",
-                verify_radical=False,
+                check=False,
             )
             opp._opposite = self
             self._opposite = opp
@@ -427,11 +433,11 @@ def quotient_algebra(algebra, ideal_rows, label=None):
         radical_rows=linalg.row_basis(field, rad_images),
         provenance=Provenance("quotient", {"parent": algebra, "ideal_rows": rows}),
         label=label or f"{algebra.label}/I",
-        check_associativity="skip",
+        check=False,
     )
 
 
-def subalgebra_from_rows(algebra, rows, *, label=None, radical_rows=None, provenance=None):
+def subalgebra_from_rows(algebra, rows, *, label=None, provenance=None):
     """Unital subalgebra spanned by the given rows (must be closed)."""
     field = algebra.field
     basis = linalg.row_basis(field, field.canon(np.atleast_2d(rows)))
@@ -451,23 +457,15 @@ def subalgebra_from_rows(algebra, rows, *, label=None, radical_rows=None, proven
     for i in range(m):
         table[i] = coords[i * m : (i + 1) * m]
     unit_coords = linalg.coords_in_row_basis(field, basis, algebra.unit.reshape(1, -1))[0]
-    rad = None
-    if radical_rows is not None:
-        rad_c = linalg.coords_in_row_basis(field, basis, np.atleast_2d(radical_rows)) \
-            if np.atleast_2d(radical_rows).shape[0] else field.zeros((0, m))
-        if rad_c is None:
-            raise ValueError("radical rows must lie inside the subalgebra")
-        rad = linalg.row_basis(field, rad_c)
     sub = Algebra(
         field,
         table,
         unit_coords,
         [f"s{i}" for i in range(m)],
         generators=[field.canon(np.eye(m, dtype=np.int64 if field.char else object))[i] for i in range(m)],
-        radical_rows=rad,
         provenance=provenance or Provenance("subalgebra", {"parent": algebra, "rows": basis}),
         label=label or f"{algebra.label}-sub",
-        check_associativity="skip",
+        check=False,
     )
     sub.inclusion_rows = basis
     return sub
@@ -511,8 +509,29 @@ def tensor_algebra(a, b, label=None):
         radical_rows=rad,
         provenance=Provenance("tensor", {"left": a, "right": b}),
         label=label or f"{a.label}(x){b.label}",
-        check_associativity="skip",
+        check=False,
     )
+
+
+def check_algebra_hom(source, target, phi):
+    """Canonical matrix of a unit-preserving algebra map source -> target.
+
+    Column i of phi is the image of basis vector i. The map is
+    multiplicative iff phi T_s[i, j] = T_t(phi e_i, phi e_j) for every pair
+    of basis vectors, compared for all pairs at once.
+    """
+    field = source.field
+    phi = field.canon(np.asarray(phi))
+    if phi.shape != (target.dim, source.dim):
+        raise ValueError("homomorphism matrix has the wrong shape")
+    if not field.eq(field.matmul(phi, source.unit), target.unit):
+        raise ValueError("the map does not preserve the unit")
+    images = np.tensordot(source.table, phi, axes=([2], [1]))  # (i, j, k)
+    half = field.canon(np.tensordot(phi, target.table, axes=([0], [0])))  # T_t(phi e_i, e_b)
+    products = np.tensordot(phi, half, axes=([0], [1])).transpose(1, 0, 2)
+    if not field.eq(images, products):
+        raise ValueError("the map is not an algebra homomorphism")
+    return phi
 
 
 def enveloping_algebra(a):
@@ -697,7 +716,6 @@ def algebra_from_quiver(pres: QuiverPresentation, field, label=None):
             },
         ),
         label=label or "kQ/I",
-        check_associativity="auto",
     )
     return algebra
 

@@ -12,6 +12,7 @@ Errors are emitted as machine-readable JSON objects on stdout.
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -121,6 +122,18 @@ def _bimodule_from_file(path, field=None):
     left = resolver(left_ref)
     right = resolver(right_ref)
     return serialize.bimodule_from_doc(doc, left, right), text, (left_ref, right_ref)
+
+
+def _rebase_ref(ref, doc_path, out):
+    """An algebra ref read beside doc_path, made relative to the report's directory.
+
+    The report's directory is the parent of out, or the working directory
+    when the report goes to stdout. Catalog and absolute refs are unchanged.
+    """
+    if ref.startswith(CATALOG_SCHEME) or Path(ref).is_absolute():
+        return ref
+    report_dir = Path(out).parent if out else Path.cwd()
+    return os.path.relpath(Path(doc_path).parent / ref, report_dir)
 
 
 def _input_entry(ref, content):
@@ -258,6 +271,8 @@ def _cmd_tensor(args):
     m, m_text, (left_ref, _) = _bimodule_from_file(args.m_file, field=field)
     n, n_text, (_, right_ref) = _bimodule_from_file(args.n_file, field=field)
     t = tensor_over(m, n)
+    left_ref = _rebase_ref(left_ref, args.m_file, args.out)
+    right_ref = _rebase_ref(right_ref, args.n_file, args.out)
     results = {
         "m": {"label": m.label, "dim": m.dim},
         "n": {"label": n.label, "dim": n.dim},

@@ -3,8 +3,8 @@
 Matrices over GF(p) are int64 arrays kept reduced into [0, p); matrices over
 the rationals are object arrays of Fraction. Both expose one small interface
 so every elimination kernel in linalg is written once and runs exactly on
-either field. np.dot is used throughout because it supports object dtype,
-which np.matmul and einsum do not.
+either field. Products go through np.dot, or np.matmul for stacks of
+matrices; both support object dtype.
 
 canon always returns a fresh array that shares no memory with its argument;
 linalg.rref relies on this to eliminate in place without a copy.

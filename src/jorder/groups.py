@@ -104,7 +104,7 @@ class FiniteGroup:
 class AlgebraAction:
     """A finite group acting on an algebra by verified automorphisms."""
 
-    def __init__(self, group, algebra, automorphisms, check=True):
+    def __init__(self, group, algebra, automorphisms):
         self.group = group
         self.algebra = algebra
         field = algebra.field
@@ -112,17 +112,16 @@ class AlgebraAction:
         if mats.shape != (group.order, algebra.dim, algebra.dim):
             raise ValueError("need one square matrix per group element")
         self.matrices = mats
-        if check:
-            e = group.identity_index
-            if not field.eq(mats[e], field.eye(algebra.dim)):
-                raise ValueError("identity element must act as the identity matrix")
-            for g in range(group.order):
-                _check_automorphism(algebra, mats[g])
-            for i in range(group.order):
-                for j in range(group.order):
-                    lhs = field.canon(field.matmul(mats[i], mats[j]))
-                    if not field.eq(lhs, mats[group.mul(i, j)]):
-                        raise ValueError("matrices do not compose along the group law")
+        e = group.identity_index
+        if not field.eq(mats[e], field.eye(algebra.dim)):
+            raise ValueError("identity element must act as the identity matrix")
+        for g in range(group.order):
+            _check_automorphism(algebra, mats[g])
+        for i in range(group.order):
+            for j in range(group.order):
+                lhs = field.canon(field.matmul(mats[i], mats[j]))
+                if not field.eq(lhs, mats[group.mul(i, j)]):
+                    raise ValueError("matrices do not compose along the group law")
 
     def matrix(self, g):
         return self.matrices[g]
@@ -191,7 +190,7 @@ def group_algebra(group, field):
         generators=[field.eye(n)[i] for i in range(n)],
         provenance=Provenance("group_algebra", {"group": group}),
         label=f"k[{group.label}]",
-        check_associativity="skip",  # inherited from the verified group law
+        check=False,  # a table of a verified group law
     )
 
 

@@ -8,6 +8,15 @@ generators only: multiplicativity against generators propagates to all
 products by linearity and induction, and a generator-pair commuting check
 is enough for bimodule compatibility because each commutant is a subalgebra.
 
+Modules are validated where they enter the library: a user's Module(...),
+the catalog's hand-entered modules and deserialised documents, with
+check=True. Every function that builds a module from library modules and
+checked algebra maps (sums, subquotients, tensor products, duals, twists, Hom
+into the regular module, re-readings over tensor algebras) passes
+check=False; its actions are modules by construction. quotient_module and
+twist_* still check what their caller hands them: the rows and the
+automorphism.
+
 Enveloping algebras are never materialized; every bimodule operation works
 directly on the two families of action matrices.
 
@@ -26,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NonSplitResidueField, NotAutomorphism
+from .algebras import check_algebra_hom
+from .errors import NonSplitResidueField, NotAutomorphism, SingularMatrix
 
 
 class Module:
@@ -68,33 +78,27 @@ class Module:
 
     def _validate(self):
         field, eye = self.field, self.field.eye(self.dim)
+        # column j of left_mult_matrix(g) is g x_j, so its tensordot with the
+        # action matrices is the stack of the actions of g x_j
         if self.left_mats is not None:
-            a = self.left_algebra
+            a, mats = self.left_algebra, self.left_mats
             if not field.eq(self.left_action(a.unit), eye):
                 raise ValueError("left action of the unit is not the identity")
-            for g in a.generators:
-                lg = self.left_action(g)
-                for j in range(a.dim):
-                    prod = a.mul(g, a.basis_vector(j))
-                    if not field.eq(self.left_action(prod), field.matmul(lg, self.left_mats[j])):
-                        raise ValueError("left action is not multiplicative")
+            for g, lg in zip(a.generators, _generator_actions(mats, a)):
+                if not field.eq(np.tensordot(a.left_mult_matrix(g), mats, axes=(0, 0)), np.matmul(lg, mats)):
+                    raise ValueError("left action is not multiplicative")
         if self.right_mats is not None:
-            b = self.right_algebra
+            b, mats = self.right_algebra, self.right_mats
             if not field.eq(self.right_action(b.unit), eye):
                 raise ValueError("right action of the unit is not the identity")
-            for g in b.generators:
-                rg = self.right_action(g)
-                for j in range(b.dim):
-                    prod = b.mul(g, b.basis_vector(j))
-                    if not field.eq(self.right_action(prod), field.matmul(self.right_mats[j], rg)):
-                        raise ValueError("right action is not anti-multiplicative")
+            for g, rg in zip(b.generators, _generator_actions(mats, b)):
+                if not field.eq(np.tensordot(b.left_mult_matrix(g), mats, axes=(0, 0)), np.matmul(mats, rg)):
+                    raise ValueError("right action is not anti-multiplicative")
         if self.left_mats is not None and self.right_mats is not None:
-            for g in self.left_algebra.generators:
-                lg = self.left_action(g)
-                for h in self.right_algebra.generators:
-                    rh = self.right_action(h)
-                    if not field.eq(field.matmul(lg, rh), field.matmul(rh, lg)):
-                        raise ValueError("left and right actions do not commute")
+            rights = _generator_actions(self.right_mats, self.right_algebra)
+            for lg in _generator_actions(self.left_mats, self.left_algebra):
+                if not intertwines(field, lg, rights, rights):
+                    raise ValueError("left and right actions do not commute")
 
     # ---- views --------------------------------------------------------------
 
@@ -120,6 +124,16 @@ class Module:
         if self.right_algebra is not None:
             sides.append(f"right {self.right_algebra.label}")
         return f"Module({self.label}, dim {self.dim}, {', '.join(sides)})"
+
+
+def intertwines(field, f, src_mats, dst_mats):
+    """Whether f src_mats[i] = dst_mats[i] f for every i, as one batched product."""
+    return field.eq(np.matmul(f, src_mats), np.matmul(dst_mats, f))
+
+
+def _generator_actions(mats, algebra):
+    """The action matrices of the algebra's generators, stacked."""
+    return algebra.field.canon(np.tensordot(np.array(algebra.generators), mats, axes=(1, 0)))
 
 
 def _same_algebra(a, b):
@@ -285,6 +299,12 @@ def quotient_module(m, rows, label=None):
     if m.right_mats is not None:
         gen_mats += [m.right_action(g) for g in m.right_algebra.generators]
     _assert_stable(field, basis, gen_mats, "quotient_module")
+    return _quotient(m, basis, label or f"{m.label}-quo")
+
+
+def _quotient(m, basis, label):
+    """quotient_module for a row basis that is action-stable by construction."""
+    field = m.field
     proj, sect = _complement_projection(field, basis, m.dim)
 
     def induced(mats, algebra):
@@ -295,7 +315,7 @@ def quotient_module(m, rows, label=None):
 
     lm = induced(m.left_mats, m.left_algebra) if m.left_mats is not None else None
     rm = induced(m.right_mats, m.right_algebra) if m.right_mats is not None else None
-    quo = Module(m.left_algebra, m.right_algebra, lm, rm, label or f"{m.label}-quo", check=False)
+    quo = Module(m.left_algebra, m.right_algebra, lm, rm, label, check=False)
     return quo, proj
 
 
@@ -318,7 +338,7 @@ def radical_sub_rows(m, rows=None):
 
 def top_of(m, label=None):
     """M modulo rad(A).M + M.rad(B); returns (top, projection)."""
-    return quotient_module(m, radical_sub_rows(m), label or f"top({m.label})")
+    return _quotient(m, radical_sub_rows(m), label or f"top({m.label})")
 
 
 def radical_series_dims(m):
@@ -479,7 +499,9 @@ def tensor_over(m, n, label=None):
     """M (x)_B N for a right-B (or (A,B)-bi) module M and left-B (or (B,C)-bi) N.
 
     The balancing subspace is generated by the rows for algebra generators:
-    products telescope into generator balancing elements.
+    products telescope into generator balancing elements. It is stable under
+    the outer actions, which commute with the inner ones, so the induced
+    actions need no check.
     """
     if m.right_algebra is None or n.left_algebra is None:
         raise ValueError("tensor_over needs a right action on the left factor and a left action on the right factor")
@@ -500,13 +522,6 @@ def tensor_over(m, n, label=None):
         balancing = field.zeros((0, dm * dn))
     proj, sect = _complement_projection(field, balancing, dm * dn)
 
-    big_mats = []
-    if m.left_mats is not None:
-        big_mats += [field.kron(m.left_action(g), eye_n) for g in m.left_algebra.generators]
-    if n.right_mats is not None:
-        big_mats += [field.kron(eye_m, n.right_action(g)) for g in n.right_algebra.generators]
-    _assert_stable(field, balancing, big_mats, "tensor_over")
-
     def induced(mats_builder, algebra):
         out = field.zeros((algebra.dim, proj.shape[0], proj.shape[0]))
         for i in range(algebra.dim):
@@ -522,7 +537,7 @@ def tensor_over(m, n, label=None):
     module = Module(
         m.left_algebra, n.right_algebra, lm, rm,
         label or f"{m.label} (x)_{b.label} {n.label}",
-        check=True,
+        check=False,
     )
     return TensorResult(module, proj, sect)
 
@@ -559,42 +574,31 @@ def dual_module(m, label=None):
 
 
 def _check_automorphism(algebra, g):
-    field = algebra.field
-    g = field.canon(np.asarray(g))
-    if g.shape != (algebra.dim, algebra.dim):
-        raise NotAutomorphism("automorphism matrix has the wrong shape")
+    """g as an invertible algebra map algebra -> algebra, else NotAutomorphism."""
     try:
-        linalg.invert(field, g)
-    except Exception as exc:
-        raise NotAutomorphism("matrix is not invertible") from exc
-    if not field.eq(field.matmul(g, algebra.unit), algebra.unit):
-        raise NotAutomorphism("unit is not fixed")
-    for i in range(algebra.dim):
-        gi = field.matmul(g, algebra.basis_vector(i))
-        for j in range(algebra.dim):
-            gj = field.matmul(g, algebra.basis_vector(j))
-            lhs = field.matmul(g, algebra.mul(algebra.basis_vector(i), algebra.basis_vector(j)))
-            if not field.eq(lhs, algebra.mul(gi, gj)):
-                raise NotAutomorphism("matrix does not respect multiplication")
+        g = check_algebra_hom(algebra, algebra, g)
+        linalg.invert(algebra.field, g)
+    except (ValueError, SingularMatrix) as exc:
+        raise NotAutomorphism(str(exc)) from exc
     return g
 
 
-def twist_left(m, g, label=None, validate=True):
+def twist_left(m, g, label=None):
     """Twist the left action through an algebra automorphism: a . x = g(a) x."""
     if m.left_mats is None:
         raise ValueError("no left action to twist")
-    g = _check_automorphism(m.left_algebra, g) if validate else m.field.canon(np.asarray(g))
+    g = _check_automorphism(m.left_algebra, g)
     lm = m.field.canon(np.tensordot(g, m.left_mats, axes=([0], [0])))
-    return Module(m.left_algebra, m.right_algebra, lm, m.right_mats, label or f"twist({m.label})", check=True)
+    return Module(m.left_algebra, m.right_algebra, lm, m.right_mats, label or f"twist({m.label})", check=False)
 
 
-def twist_right(m, g, label=None, validate=True):
+def twist_right(m, g, label=None):
     """Twist the right action through an algebra automorphism: x . a = x g(a)."""
     if m.right_mats is None:
         raise ValueError("no right action to twist")
-    g = _check_automorphism(m.right_algebra, g) if validate else m.field.canon(np.asarray(g))
+    g = _check_automorphism(m.right_algebra, g)
     rm = m.field.canon(np.tensordot(g, m.right_mats, axes=([0], [0])))
-    return Module(m.left_algebra, m.right_algebra, m.left_mats, rm, label or f"twist({m.label})", check=True)
+    return Module(m.left_algebra, m.right_algebra, m.left_mats, rm, label or f"twist({m.label})", check=False)
 
 
 # ---- projectives ---------------------------------------------------------------
@@ -681,10 +685,8 @@ def projective_cover(m):
         return ProjectiveCover(cover, field.zeros((m.dim, 0)), mults)
     cover, _, _ = direct_sum(pieces)
     phi = field.canon(np.concatenate(columns, axis=1))
-    for g in a.generators:
-        lhs = field.matmul(m.left_action(g), phi)
-        if not field.eq(lhs, field.matmul(phi, cover.left_action(g))):
-            raise AssertionError("cover surjection is not a module map")
+    if not intertwines(field, phi, _generator_actions(cover.left_mats, a), _generator_actions(m.left_mats, a)):
+        raise AssertionError("cover surjection is not a module map")
     if linalg.rank(field, phi) != m.dim:
         raise AssertionError("cover surjection lost rank")
     _, ker = linalg.rank_nullspace(field, phi)
@@ -756,7 +758,7 @@ def hom_to_regular(m):
     for i in range(a.dim):
         ra = a.right_mult_matrix(a.basis_vector(i))
         rm[i] = coords([field.matmul(ra, h) for h in homs]).T
-    out = Module(b, a, lm, rm, f"Hom({m.label},{a.label})", check=True)
+    out = Module(b, a, lm, rm, f"Hom({m.label},{a.label})", check=False)
     return out, homs
 
 
@@ -785,5 +787,5 @@ def random_left_module(a, gen, copies_cap=2):
     coeffs = field.rand_mat(gen, count, rad.shape[0])
     seeds = field.matmul(coeffs, rad)
     _, incl = submodule(big, seeds)
-    quo, _ = quotient_module(big, incl.T)
+    quo, _ = _quotient(big, incl.T, f"{big.label}-quo")
     return quo

@@ -184,7 +184,7 @@ def bimodule_doc(m, left_ref="", right_ref=""):
     }
 
 
-def bimodule_from_doc(doc, left_algebra, right_algebra, check=True):
+def bimodule_from_doc(doc, left_algebra, right_algebra):
     if doc.get("format") != "bimodule":
         raise InvalidInput("not a bimodule document")
     field = left_algebra.field
@@ -208,7 +208,6 @@ def bimodule_from_doc(doc, left_algebra, right_algebra, check=True):
         side_mats("left", left_algebra),
         side_mats("right", right_algebra),
         doc.get("label", "bimodule"),
-        check=check,
     )
 
 

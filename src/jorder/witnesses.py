@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .algebras import tensor_algebra
+from .algebras import check_algebra_hom, tensor_algebra
 from .decomp import (
     are_isomorphic,
     complete_primitive_idempotents,
@@ -39,6 +39,7 @@ from .modules import (
     direct_sum,
     dual_module,
     hom_to_regular,
+    intertwines,
     is_left_right_projective,
     is_projective,
     is_self_injective,
@@ -123,7 +124,7 @@ def bimodule_as_env_module(m, seed=0):
     for i in range(a.dim):
         for j in range(b.dim):
             mats[i * b.dim + j] = field.matmul(m.left_mats[i], m.right_mats[j])
-    return env, Module(env, None, mats, None, f"{m.label} over {env.label}", check=True)
+    return env, Module(env, None, mats, None, f"{m.label} over {env.label}", check=False)
 
 
 def env_module_as_bimodule(mod, a, b, label=None):
@@ -138,7 +139,7 @@ def env_module_as_bimodule(mod, a, b, label=None):
     for j in range(b.dim):
         vec = np.multiply.outer(a.unit, bop.basis_vector(j)).reshape(-1)
         rm[j] = mod.left_action(field.canon(vec))
-    return Module(a, b, lm, rm, label or f"{mod.label} as bimodule", check=True)
+    return Module(a, b, lm, rm, label or f"{mod.label} as bimodule", check=False)
 
 
 def _factor_restriction(mod, left_factor, right_factor, which):
@@ -170,7 +171,7 @@ def opposite_bimodule(m, label=None):
         m.right_mats,
         m.left_mats,
         label or f"{m.label}^op",
-        check=True,
+        check=False,
     )
 
 
@@ -182,23 +183,14 @@ def _verify_split(reg, t, section, retraction):
     field = reg.field
     if not field.eq(field.matmul(retraction, section), field.eye(reg.dim)):
         raise AssertionError("retraction does not split the section")
-    for i in range(reg.left_algebra.dim):
-        if not field.eq(
-            field.matmul(section, reg.left_mats[i]), field.matmul(t.left_mats[i], section)
-        ):
-            raise AssertionError("section is not a left module map")
-        if not field.eq(
-            field.matmul(section, reg.right_mats[i]), field.matmul(t.right_mats[i], section)
-        ):
-            raise AssertionError("section is not a right module map")
-        if not field.eq(
-            field.matmul(retraction, t.left_mats[i]), field.matmul(reg.left_mats[i], retraction)
-        ):
-            raise AssertionError("retraction is not a left module map")
-        if not field.eq(
-            field.matmul(retraction, t.right_mats[i]), field.matmul(reg.right_mats[i], retraction)
-        ):
-            raise AssertionError("retraction is not a right module map")
+    if not intertwines(field, section, reg.left_mats, t.left_mats):
+        raise AssertionError("section is not a left module map")
+    if not intertwines(field, section, reg.right_mats, t.right_mats):
+        raise AssertionError("section is not a right module map")
+    if not intertwines(field, retraction, t.left_mats, reg.left_mats):
+        raise AssertionError("retraction is not a left module map")
+    if not intertwines(field, retraction, t.right_mats, reg.right_mats):
+        raise AssertionError("retraction is not a right module map")
 
 
 def verify_j_geq(w, *, quality=True):
@@ -352,41 +344,24 @@ def verify_j_equiv(w1, w2, *, quality=True, package=True):
 # ---- witness constructors ------------------------------------------------------
 
 
-def check_algebra_hom(source, target, phi):
-    """Canonical matrix of a unit-preserving algebra map source -> target."""
-    field = source.field
-    phi = field.canon(np.asarray(phi))
-    if phi.shape != (target.dim, source.dim):
-        raise ValueError("homomorphism matrix has the wrong shape")
-    if not field.eq(field.matmul(phi, source.unit), target.unit):
-        raise ValueError("the map does not preserve the unit")
-    for i in range(source.dim):
-        imi = field.matmul(phi, source.basis_vector(i))
-        for j in range(source.dim):
-            imj = field.matmul(phi, source.basis_vector(j))
-            lhs = field.matmul(phi, source.mul(source.basis_vector(i), source.basis_vector(j)))
-            if not field.eq(lhs, target.mul(imi, imj)):
-                raise ValueError("the map is not an algebra homomorphism")
-    return phi
-
-
 def restriction_bimodules(source, target, phi):
     """The regular target-bimodule with one side pulled back along a map.
 
-    phi is an algebra homomorphism source -> target. Returns (m, n): target
-    as a (target, source)-bimodule and as a (source, target)-bimodule.
+    phi must be an algebra homomorphism source -> target; it is checked
+    here. Returns (m, n): target as a (target, source)-bimodule and as a
+    (source, target)-bimodule.
     """
     field = target.field
-    images = [field.matmul(phi, source.basis_vector(j)) for j in range(source.dim)]
-    right_via = field.canon(np.stack([target.right_mult_matrix(im) for im in images]))
-    left_via = field.canon(np.stack([target.left_mult_matrix(im) for im in images]))
+    phi = check_algebra_hom(source, target, phi)
+    right_via = field.canon(np.stack([target.right_mult_matrix(im) for im in phi.T]))
+    left_via = field.canon(np.stack([target.left_mult_matrix(im) for im in phi.T]))
     m = Module(
         target, source, target.left_regular_mats(), right_via,
-        f"{target.label} as ({target.label},{source.label})-bimodule", check=True,
+        f"{target.label} as ({target.label},{source.label})-bimodule", check=False,
     )
     n = Module(
         source, target, left_via, target.right_regular_mats(),
-        f"{target.label} as ({source.label},{target.label})-bimodule", check=True,
+        f"{target.label} as ({source.label},{target.label})-bimodule", check=False,
     )
     return m, n
 
@@ -398,10 +373,9 @@ def quotient_witness(source, target, phi, seed=0):
     a (source, target)-bimodule through phi on the left; the tensor product
     then splits off the regular target-bimodule through x -> x (x) 1.
     """
-    phi = check_algebra_hom(source, target, phi)
+    m, n = restriction_bimodules(source, target, phi)
     if linalg.rank(source.field, phi) != target.dim:
         raise NotSurjective(f"the homomorphism {source.label} -> {target.label} is not onto")
-    m, n = restriction_bimodules(source, target, phi)
     return JWitnessPair(target, source, m, n, seed=seed)
 
 
@@ -415,10 +389,10 @@ def embedding_witness_pairs(sub, big, rows=None, seed=0):
     """
     if rows is None:
         rows = big.field.canon(np.asarray(sub.inclusion_rows))
-    phi = check_algebra_hom(sub, big, np.asarray(rows).T)
+    phi = np.asarray(rows).T
+    m, n = restriction_bimodules(sub, big, phi)
     if linalg.rank(big.field, phi) != sub.dim:
         raise ValueError(f"the map {sub.label} -> {big.label} is not injective")
-    m, n = restriction_bimodules(sub, big, phi)
     return (
         JWitnessPair(sub, big, n, m, seed=seed),
         JWitnessPair(big, sub, m, n, seed=seed),
@@ -457,7 +431,7 @@ def _tensor_with_regular(m, left_env, right_env, c):
     for k in range(ra.dim):
         for l in range(c.dim):
             rm[k * c.dim + l] = field.kron(m.right_mats[k], creg_r[l])
-    return Module(left_env, right_env, lm, rm, f"{m.label}(x){c.label}", check=True)
+    return Module(left_env, right_env, lm, rm, f"{m.label}(x){c.label}", check=False)
 
 
 def transport_opposite(w):

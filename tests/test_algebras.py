@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from jorder import linalg
+from jorder import catalog, linalg
 from jorder.algebras import (
     Algebra,
     _chain_gram,
@@ -25,8 +25,10 @@ from jorder.algebras import (
     tensor_algebra,
     triangular_matrix_algebra,
 )
+from jorder.decomp import endomorphism_algebra
 from jorder.errors import IdealIsWholeAlgebra, NotFiniteDimensional
 from jorder.fields import GF
+from jorder.modules import random_left_module
 from jorder.polynomials import charpoly_coefficient
 from jorder.quivers import parse_presentation
 
@@ -499,3 +501,54 @@ class TestCoefficientChainGF2:
                     nilpotent.append(coeffs)
             rad = matrix_algebra_radical(field, basis)
             assert field.eq(rad, linalg.row_basis(field, field.mat(nilpotent)))
+
+
+def conjugated_basis(a, gen):
+    """a in the basis given by the columns of a random invertible g.
+
+    T'[i, j] = g^-1 T(g e_i, g e_j); unit, family and generators move by g^-1.
+    """
+    field = a.field
+    g = linalg.random_invertible(field, gen, a.dim)
+    g_inv = linalg.invert(field, g)
+    half = field.canon(np.tensordot(g, a.table, axes=([0], [0])))
+    prods = field.canon(np.tensordot(g, half, axes=([0], [1]))).transpose(1, 0, 2)
+    table = field.canon(np.tensordot(prods, g_inv, axes=([2], [1])))
+
+    def move(v):
+        return field.canon(field.matmul(g_inv, v))
+
+    return Algebra(
+        field, table, move(a.unit),
+        idempotents=[move(e) for e in a.idempotents], idempotents_primitive=True,
+        generators=[move(x) for x in a.generators], label=f"{a.label}^g",
+    )
+
+
+class TestRadicalOfEndomorphismStacks:
+    """matrix_algebra_radical on the hom stacks endomorphism_algebra passes it.
+
+    End of random modules over zigzag, kA_n / rad^k and their conjugated-basis
+    twins are mostly non-commutative, and the chain runs for every p <= dim M.
+    """
+
+    @pytest.mark.parametrize("p, max_dim", [(2, 6), (3, 4)])
+    def test_matches_exhaustive_radical(self, p, max_dim):
+        name = f"GF({p})"
+        gen = np.random.default_rng(9000 + p)
+        algs = [zigzag(name)] + [
+            catalog.build("kA_n_mod_Rk", n=n, k=k, field=name) for n, k in ((2, 2), (3, 2), (3, 3))
+        ]
+        algs += [conjugated_basis(a, gen) for a in algs]
+        checked = non_commutative = 0
+        for trial in range(240):
+            m = random_left_module(algs[trial % len(algs)], gen)
+            e_alg, homs = endomorphism_algebra(m)
+            if not 2 <= e_alg.dim <= max_dim:
+                continue
+            rad = matrix_algebra_radical(e_alg.field, np.stack(homs))
+            want = exhaustive_radical_rows(e_alg)
+            assert rad.shape == want.shape and e_alg.field.eq(rad, want)
+            checked += 1
+            non_commutative += not e_alg.is_commutative()
+        assert checked >= 80 and non_commutative >= 60

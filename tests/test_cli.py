@@ -116,3 +116,40 @@ def test_internal_invariant_failure_exits_2(capsys, witness_files, monkeypatch):
         "type": "AssertionError",
         "message": "summand family does not resolve the identity",
     }
+
+
+def test_decompose_refuses_non_commuting_bimodule(capsys, tmp_path):
+    from test_serialize import non_commuting_bimodule_doc
+
+    path = tmp_path / "skewed.json"
+    path.write_text(serialize.canon_json(non_commuting_bimodule_doc()))
+    code, out = _run(capsys, "decompose", str(path))
+    assert code == 4
+    assert out["error"]["type"] == "ValueError"
+    assert "commute" in out["error"]["message"]
+
+
+def test_tensor_output_in_another_directory_is_readable(capsys, tmp_path, monkeypatch):
+    # presentation files beside the bimodule documents in x/, the report in y/
+    w = catalog.resolve("catalog:kronecker_witness")
+    x, y = tmp_path / "x", tmp_path / "y"
+    x.mkdir()
+    y.mkdir()
+    (x / "a.txt").write_text(serialize.presentation_text(w.a))
+    (x / "b.txt").write_text(serialize.presentation_text(w.b))
+    (x / "m.json").write_text(serialize.canon_json(serialize.bimodule_doc(w.m, "a.txt", "b.txt")))
+    (x / "n.json").write_text(serialize.canon_json(serialize.bimodule_doc(w.n, "b.txt", "a.txt")))
+    out = y / "t.json"
+    code = cli.main(["tensor", str(x / "m.json"), str(x / "n.json"), "--out", str(out), "--format", "json"])
+    assert code == 0
+    tensor_doc = json.loads(out.read_text())["results"]["tensor"]
+    assert (tensor_doc["left_algebra_ref"], tensor_doc["right_algebra_ref"]) == ("../x/a.txt", "../x/a.txt")
+    (y / "tensor.json").write_text(serialize.canon_json(tensor_doc))
+    code, report = _run(capsys, "decompose", str(y / "tensor.json"))
+    assert code == 0
+    assert report["results"]["module_dim"] == 2
+    # to stdout, refs are relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    code, report = _run(capsys, "tensor", "x/m.json", "x/n.json")
+    assert code == 0
+    assert report["results"]["tensor"]["left_algebra_ref"] == "x/a.txt"

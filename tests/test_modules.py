@@ -270,6 +270,8 @@ class TestDualAndTwist:
             twist_left(left_regular_module(d), bad)
         with pytest.raises(NotAutomorphism):
             twist_left(left_regular_module(d), d.field.zeros((2, 2)))
+        with pytest.raises(NotAutomorphism):  # 1 -> 1, x -> 0: a unital endomorphism, not invertible
+            twist_left(left_regular_module(d), d.field.mat([[1, 0], [0, 0]]))
 
 
 class TestProjectives:

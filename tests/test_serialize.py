@@ -10,7 +10,7 @@ from jorder.algebras import Algebra, algebra_from_quiver
 from jorder.decomp import decompose
 from jorder.errors import InvalidInput
 from jorder.fields import GF, QQ
-from jorder.modules import regular_bimodule
+from jorder.modules import Module, regular_bimodule
 from jorder.quivers import parse_presentation
 from jorder.witnesses import replay_certificate, verify_j_geq
 
@@ -18,6 +18,21 @@ from jorder.witnesses import replay_certificate, verify_j_geq
 def qa(text):
     field, pres = parse_presentation(text)
     return algebra_from_quiver(pres, field)
+
+
+def non_commuting_bimodule_doc():
+    """Dual numbers acting regularly on the left and by a conjugate on the right.
+
+    Each action is a valid module structure; the two do not commute.
+    """
+    d = catalog.resolve("catalog:trunc_poly?k=2")
+    f = d.field
+    s = f.mat([[1, 1], [0, 1]])
+    s_inv = f.mat([[1, f.p - 1], [0, 1]])
+    right = f.canon(np.stack([f.matmul(f.matmul(s, r), s_inv) for r in d.right_regular_mats()]))
+    m = Module(d, d, d.left_regular_mats(), right, "skewed", check=False)
+    ref = "catalog:trunc_poly?k=2"
+    return json.loads(serialize.canon_json(serialize.bimodule_doc(m, ref, ref)))
 
 
 class TestCanonJson:
@@ -113,6 +128,15 @@ class TestAlgebraDocs:
         with pytest.raises(InvalidInput):
             serialize.algebra_from_doc({"format": "bimodule"})
 
+    def test_non_associative_table_refused(self):
+        # a1 * a1 = a1 keeps the unit laws but breaks associativity
+        alg = catalog.build("kA_n_mod_Rk", n=2, k=2, field="GF(5)")
+        doc = serialize.algebra_doc(alg)
+        i = alg.labels.index("a1")
+        doc["table"][i][i][i] = 1
+        with pytest.raises(ValueError, match="associative"):
+            serialize.algebra_from_doc(doc)
+
 
 class TestBimoduleDocs:
     def test_round_trip(self):
@@ -126,6 +150,12 @@ class TestBimoduleDocs:
         f = w.a.field
         assert f.eq(back.left_mats, w.m.left_mats)
         assert f.eq(back.right_mats, w.m.right_mats)
+
+    def test_non_commuting_actions_refused(self):
+        doc = non_commuting_bimodule_doc()
+        d = catalog.resolve(doc["left_algebra_ref"])
+        with pytest.raises(ValueError, match="commute"):
+            serialize.bimodule_from_doc(doc, d, d)
 
     def test_qualified_keys_cover_both_sides(self):
         w = catalog.build("kronecker_witness")
