@@ -111,7 +111,7 @@ class Algebra:
 
     def mul(self, x, y):
         """Product x*y (y acts first under the composition convention)."""
-        tmp = np.tensordot(x, self.table, axes=(0, 0))
+        tmp = self.field.canon(np.tensordot(x, self.table, axes=(0, 0)))
         return self.field.canon(np.tensordot(y, tmp, axes=(0, 0)))
 
     def left_mult_matrix(self, x):
@@ -219,7 +219,7 @@ class Algebra:
         for _ in range(self.dim + 1):
             if power.shape[0] == 0:
                 break
-            tmp = np.tensordot(power, self.table, axes=([1], [0]))  # (r, j, k)
+            tmp = self.field.canon(np.tensordot(power, self.table, axes=([1], [0])))  # (r, j, k)
             prods = np.tensordot(base, tmp, axes=([1], [1])).reshape(-1, self.dim)
             power = linalg.row_basis(self.field, self.field.canon(prods))
         else:
@@ -249,7 +249,7 @@ class Algebra:
             power = base
             while power.shape[0]:
                 powers.append(power)
-                tmp = np.tensordot(power, self.table, axes=([1], [0]))
+                tmp = self.field.canon(np.tensordot(power, self.table, axes=([1], [0])))
                 prods = np.tensordot(base, tmp, axes=([1], [1])).reshape(-1, self.dim)
                 power = linalg.row_basis(self.field, self.field.canon(prods))
             self._radical_powers = powers

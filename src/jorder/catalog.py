@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from urllib.parse import parse_qsl
 
 from .algebras import algebra_from_quiver
-from .decomp import are_isomorphic, decompose
+from .decomp import decompose
 from .errors import BadCharacteristic, BadParams, FingerprintMismatch, UnknownEntry
 from .fields import GF, field_from_name
 from .groups import AlgebraAction, FiniteGroup, skew_group_algebra
@@ -32,13 +32,9 @@ def fingerprint(algebra):
     if prov is not None and prov.kind == "quiver":
         n_simples = len(prov.data["vertex_index"])
     else:
-        # count isomorphism classes in the top of the left regular module
+        # decompose groups the top's summands into certified isomorphism classes
         top, _ = top_of(left_regular_module(algebra))
-        classes = []
-        for s in decompose(top, seed=0).summands:
-            if not any(are_isomorphic(s.module, c, seed=1) for c in classes):
-                classes.append(s.module)
-        n_simples = len(classes)
+        n_simples = len(decompose(top, seed=0).classes)
     return (algebra.dim, layers, n_simples, algebra.loewy_length())
 
 

@@ -19,7 +19,10 @@ import numpy as np
 from .errors import UnsupportedField
 
 # int64 dot products of canonical entries stay exact as long as
-# dim * (p-1)^2 < 2^63; the cap keeps that true with a huge margin.
+# dim * (p-1)^2 < 2^63; the cap keeps that true with a huge margin. A second
+# contraction of an unreduced product reaches dim^2 (p-1)^3, which overflows
+# near the cap once a table is dense, so every product is reduced by canon
+# before it is contracted again.
 _PRIME_CAP = 1 << 20
 
 _to_fraction = np.frompyfunc(Fraction, 1, 1)

@@ -127,8 +127,9 @@ def invert(field, a):
     n, m = a.shape
     if n != m:
         raise SingularMatrix(f"cannot invert a {n}x{m} matrix")
+    # a consistent a x = I proves a square a invertible
     x = solve(field, a, field.eye(n))
-    if x is None or rank(field, a) < n:
+    if x is None:
         raise SingularMatrix("matrix is singular")
     return x
 

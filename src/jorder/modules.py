@@ -26,6 +26,12 @@ of the acting algebras, so Hom(M, N) lies in the sum over pieces of
 Hom_k(e.M.f, e.N.f). hom_space parametrises that block space directly and
 imposes only the remaining generators, each through the residual F a - a F
 over all basis maps at once rather than a (dM dN)^2 Kronecker matrix.
+
+Tensor products go through the same solver. By the tensor-Hom adjunction
+D(M (x)_B N) = Hom_B(N, DM) (Anderson-Fuller, Rings and Categories of
+Modules, sections 19-20), the balancing subspace of M (x)_k N is the
+annihilator of hom_space(N, DM). Actions induced on subquotients and tensor
+products are batched products, with no Kronecker matrix.
 """
 
 from __future__ import annotations
@@ -245,76 +251,66 @@ def _complement_projection(field, rows, dim):
     return proj, sect
 
 
-def _assert_stable(field, rows, mats, what):
-    if rows.shape[0] == 0:
-        return
-    for mat in mats:
-        imaged = field.matmul(rows, mat.T)
-        if linalg.span_dim_after_adding(field, rows, imaged) != rows.shape[0]:
-            raise ValueError(f"{what}: subspace is not action-stable")
+def _all_generator_actions(m):
+    """The generators' action matrices on every side m carries, stacked."""
+    return np.concatenate([
+        _generator_actions(mats, alg)
+        for mats, alg in ((m.left_mats, m.left_algebra), (m.right_mats, m.right_algebra))
+        if mats is not None
+    ])
+
+
+def _moved_rows(rows, mats):
+    """The rows moved by every matrix of the stack, one block of rows per matrix."""
+    return np.matmul(rows, mats.transpose(0, 2, 1)).reshape(mats.shape[0] * rows.shape[0], rows.shape[1])
+
+
+def _assert_stable(m, rows):
+    moved = _moved_rows(rows, _all_generator_actions(m))
+    if rows.shape[0] and linalg.span_dim_after_adding(m.field, rows, moved) != rows.shape[0]:
+        raise ValueError("quotient_module: subspace is not action-stable")
 
 
 def submodule(m, rows, label=None):
     """Span the rows under all actions; returns (sub, inclusion columns)."""
     field = m.field
     basis = linalg.row_basis(field, field.canon(np.atleast_2d(rows)))
-    gen_mats = []
-    if m.left_mats is not None:
-        gen_mats += [m.left_action(g) for g in m.left_algebra.generators]
-    if m.right_mats is not None:
-        gen_mats += [m.right_action(g) for g in m.right_algebra.generators]
+    gens = _all_generator_actions(m)
     while True:
-        stacked = [basis]
-        for mat in gen_mats:
-            stacked.append(field.matmul(basis, mat.T))
-        new_basis = linalg.row_basis(field, np.concatenate(stacked, axis=0))
+        new_basis = linalg.row_basis(field, np.concatenate([basis, _moved_rows(basis, gens)]))
         if new_basis.shape[0] == basis.shape[0]:
             break
         basis = new_basis
     s = basis.shape[0]
-    incl = basis.T
 
-    def induced(mats, algebra):
-        out = field.zeros((algebra.dim, s, s))
-        for i in range(algebra.dim):
-            coords = linalg.coords_in_row_basis(field, basis, field.matmul(basis, mats[i].T))
-            if coords is None:
-                raise AssertionError("submodule basis is not action-stable")
-            out[i] = coords.T
-        return out
+    def induced(mats):
+        # the images of the basis rows under every basis element, solved at once
+        coords = linalg.coords_in_row_basis(field, basis, _moved_rows(basis, mats))
+        if coords is None:
+            raise AssertionError("submodule basis is not action-stable")
+        return coords.reshape(mats.shape[0], s, s).transpose(0, 2, 1)
 
-    lm = induced(m.left_mats, m.left_algebra) if m.left_mats is not None else None
-    rm = induced(m.right_mats, m.right_algebra) if m.right_mats is not None else None
+    lm = induced(m.left_mats) if m.left_mats is not None else None
+    rm = induced(m.right_mats) if m.right_mats is not None else None
     sub = Module(m.left_algebra, m.right_algebra, lm, rm, label or f"{m.label}-sub", check=False)
-    return sub, field.canon(incl)
+    return sub, field.canon(basis.T)
 
 
 def quotient_module(m, rows, label=None):
     """Quotient by an action-stable row span; returns (quotient, projection)."""
     field = m.field
     basis = linalg.row_basis(field, field.canon(np.atleast_2d(rows))) if np.atleast_2d(rows).size else field.zeros((0, m.dim))
-    gen_mats = []
-    if m.left_mats is not None:
-        gen_mats += [m.left_action(g) for g in m.left_algebra.generators]
-    if m.right_mats is not None:
-        gen_mats += [m.right_action(g) for g in m.right_algebra.generators]
-    _assert_stable(field, basis, gen_mats, "quotient_module")
+    _assert_stable(m, basis)
     return _quotient(m, basis, label or f"{m.label}-quo")
 
 
 def _quotient(m, basis, label):
     """quotient_module for a row basis that is action-stable by construction."""
-    field = m.field
-    proj, sect = _complement_projection(field, basis, m.dim)
-
-    def induced(mats, algebra):
-        out = field.zeros((algebra.dim, proj.shape[0], proj.shape[0]))
-        for i in range(algebra.dim):
-            out[i] = field.matmul(field.matmul(proj, mats[i]), sect)
-        return out
-
-    lm = induced(m.left_mats, m.left_algebra) if m.left_mats is not None else None
-    rm = induced(m.right_mats, m.right_algebra) if m.right_mats is not None else None
+    proj, sect = _complement_projection(m.field, basis, m.dim)
+    free = sect.nonzero()[0]  # the section's ones sit at the free columns: X sect = X[:, free]
+    # proj X sect for every action matrix X; Module reduces the products
+    lm = np.matmul(proj, m.left_mats[:, :, free]) if m.left_mats is not None else None
+    rm = np.matmul(proj, m.right_mats[:, :, free]) if m.right_mats is not None else None
     quo = Module(m.left_algebra, m.right_algebra, lm, rm, label, check=False)
     return quo, proj
 
@@ -498,45 +494,42 @@ class TensorResult:
 def tensor_over(m, n, label=None):
     """M (x)_B N for a right-B (or (A,B)-bi) module M and left-B (or (B,C)-bi) N.
 
-    The balancing subspace is generated by the rows for algebra generators:
-    products telescope into generator balancing elements. It is stable under
-    the outer actions, which commute with the inner ones, so the induced
-    actions need no check.
+    A functional on M (x)_k N, stored as the dm x dn matrix F with
+    f(u (x) v) = u^T F v, kills every balancing element x.b (x) y - x (x) b.y
+    exactly when F L_N(b) = R_M(b)^T F, that is when F lies in Hom_B(N, DM):
+    the tensor-Hom adjunction D(M (x)_B N) = Hom_B(N, DM). So the balancing
+    subspace is the annihilator of the Hom space that hom_space solves; with
+    no such map every element balances and the tensor product is zero. Its
+    canonical row basis does not depend on how it was found.
+
+    With the projection reshaped to P (t, dm, dn), L (x) 1 and 1 (x) R act on
+    vec_r(X) as L X and X R^T, so the rows of proj (L (x) 1) and proj (1 (x) R)
+    are vec_r(L^T P_k) and vec_r(P_k R); the section keeps their free columns.
+    The balancing subspace is stable under the outer actions, which commute
+    with the inner ones, so the induced actions need no check.
     """
     if m.right_algebra is None or n.left_algebra is None:
         raise ValueError("tensor_over needs a right action on the left factor and a left action on the right factor")
     if not _same_algebra(m.right_algebra, n.left_algebra):
         raise ValueError("tensor_over: the shared algebra differs between factors")
     field = m.field
-    b = m.right_algebra
     dm, dn = m.dim, n.dim
-    eye_m, eye_n = field.eye(dm), field.eye(dn)
-    blocks = []
-    for g in b.generators:
-        rg = m.right_action(g)
-        lg = n.left_action(g)
-        blocks.append(field.sub(field.kron(eye_m, lg.T), field.kron(rg.T, eye_n)))
-    if blocks:
-        balancing = linalg.row_basis(field, np.concatenate(blocks, axis=0))
-    else:
-        balancing = field.zeros((0, dm * dn))
+    homs = hom_space(n.restrict_left(), dual_module(m.restrict_right()))
+    flat = np.stack([h.reshape(-1) for h in homs]) if homs else field.zeros((0, dm * dn))
+    balancing = linalg.row_basis(field, linalg.nullspace(field, flat).T)
     proj, sect = _complement_projection(field, balancing, dm * dn)
+    t, free = proj.shape[0], sect.nonzero()[0]
+    p = proj.reshape(t, dm, dn)
 
-    def induced(mats_builder, algebra):
-        out = field.zeros((algebra.dim, proj.shape[0], proj.shape[0]))
-        for i in range(algebra.dim):
-            out[i] = field.matmul(field.matmul(proj, mats_builder(i)), sect)
-        return out
+    def induced(products):
+        # (algebra dim, t, dm, dn) -> proj X sect for each basis element; Module reduces
+        return products.reshape(products.shape[0], t, dm * dn)[:, :, free]
 
-    lm = None
-    if m.left_mats is not None:
-        lm = induced(lambda i: field.kron(m.left_mats[i], eye_n), m.left_algebra)
-    rm = None
-    if n.right_mats is not None:
-        rm = induced(lambda i: field.kron(eye_m, n.right_mats[i]), n.right_algebra)
+    lm = None if m.left_mats is None else induced(np.matmul(m.left_mats.transpose(0, 2, 1)[:, None], p))
+    rm = None if n.right_mats is None else induced(np.matmul(p, n.right_mats[:, None]))
     module = Module(
         m.left_algebra, n.right_algebra, lm, rm,
-        label or f"{m.label} (x)_{b.label} {n.label}",
+        label or f"{m.label} (x)_{m.right_algebra.label} {n.label}",
         check=False,
     )
     return TensorResult(module, proj, sect)

@@ -552,3 +552,32 @@ class TestRadicalOfEndomorphismStacks:
             checked += 1
             non_commutative += not e_alg.is_commutative()
         assert checked >= 80 and non_commutative >= 60
+
+
+class TestProductsNearThePrimeCap:
+    """Over GF(p) near the 2^20 cap a second contraction of an unreduced
+    product overflows int64 once the table is dense; every product reduces
+    in between."""
+
+    P = 1048573  # the largest prime below 2^20
+
+    def test_mul_matches_python_ints(self):
+        p = self.P
+        a = conjugated_basis(zigzag(f"GF({p})"), np.random.default_rng(1))
+        table = [[[int(v) for v in row] for row in plane] for plane in a.table]
+        gen = np.random.default_rng(2)
+        cases = [([p - 1, p - 3, p - 5, p - 7], [p - 2, p - 4, p - 6, p - 8])]
+        cases += [(gen.integers(0, p, 4).tolist(), gen.integers(0, p, 4).tolist()) for _ in range(20)]
+        for x, y in cases:
+            want = [
+                sum(x[i] * y[j] * table[i][j][k] for i in range(4) for j in range(4)) % p
+                for k in range(4)
+            ]
+            assert a.mul(np.array(x), np.array(y)).tolist() == want
+
+    @pytest.mark.parametrize("n, layers", [(3, [6, 3, 1, 0]), (4, [10, 6, 3, 1, 0])])
+    def test_conjugated_truncated_paths_validate(self, n, layers):
+        a = catalog.build("kA_n_mod_Rk", n=n, k=n, field=f"GF({self.P})")
+        for seed in range(1, 11):
+            b = conjugated_basis(a, np.random.default_rng(seed))
+            assert b.loewy_layer_dims() == layers

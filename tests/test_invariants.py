@@ -22,3 +22,23 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_tensor_and_subquotients_build_no_kronecker_matrix():
+    """tensor_over reads its balancing subspace off hom_space, and it,
+    submodule and _quotient induce actions by batched products: none of
+    them may fall back to a Kronecker matrix."""
+    tree = ast.parse((SRC / "modules.py").read_text())
+    functions = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("tensor_over", "submodule", "_quotient")
+    }
+    assert set(functions) == {"tensor_over", "submodule", "_quotient"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, fn in functions.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("kron", "kronecker_product")
+    ]
+    assert found == []

@@ -10,13 +10,17 @@ import functools
 import numpy as np
 import pytest
 
-from jorder import linalg
+from jorder import catalog, linalg
 from jorder.algebras import Algebra, linear_quiver_algebra
 from jorder.errors import NonSplitResidueField, NotAutomorphism
 from jorder.fields import GF
 from jorder.modules import (
+    _complement_projection,
     _compatible,
+    _quotient,
+    _same_algebra,
     Module,
+    TensorResult,
     direct_sum,
     dual_module,
     hom_space,
@@ -32,6 +36,7 @@ from jorder.modules import (
     projective_indecomposables,
     quotient_module,
     radical_series_dims,
+    radical_sub_rows,
     random_left_module,
     regular_bimodule,
     right_regular_module,
@@ -45,6 +50,7 @@ from jorder.modules import (
 )
 from jorder.quivers import parse_presentation
 from jorder.algebras import algebra_from_quiver, subalgebra_from_rows
+from jorder.witnesses import bimodule_as_env_module, env_module_as_bimodule, transport_opposite
 
 
 def qa(text):
@@ -508,3 +514,233 @@ class TestBlockedHomAgainstKronecker:
                     assert np.array_equal(f, g)
                     assert [type(x) for x in f.flat] == [type(x) for x in g.flat]
         assert zero_homs
+
+
+# ---- tensor, submodule and quotient against their Kronecker and loop versions ----
+
+
+def kronecker_tensor_over(m, n, label=None):
+    """The Kronecker-stack tensor_over that the Hom-solver one replaced, kept as an oracle.
+
+    The balancing subspace is generated by the rows for algebra generators:
+    products telescope into generator balancing elements. It is stable under
+    the outer actions, which commute with the inner ones, so the induced
+    actions need no check.
+    """
+    if m.right_algebra is None or n.left_algebra is None:
+        raise ValueError("tensor_over needs a right action on the left factor and a left action on the right factor")
+    if not _same_algebra(m.right_algebra, n.left_algebra):
+        raise ValueError("tensor_over: the shared algebra differs between factors")
+    field = m.field
+    b = m.right_algebra
+    dm, dn = m.dim, n.dim
+    eye_m, eye_n = field.eye(dm), field.eye(dn)
+    blocks = []
+    for g in b.generators:
+        rg = m.right_action(g)
+        lg = n.left_action(g)
+        blocks.append(field.sub(field.kron(eye_m, lg.T), field.kron(rg.T, eye_n)))
+    if blocks:
+        balancing = linalg.row_basis(field, np.concatenate(blocks, axis=0))
+    else:
+        balancing = field.zeros((0, dm * dn))
+    proj, sect = _complement_projection(field, balancing, dm * dn)
+
+    def induced(mats_builder, algebra):
+        out = field.zeros((algebra.dim, proj.shape[0], proj.shape[0]))
+        for i in range(algebra.dim):
+            out[i] = field.matmul(field.matmul(proj, mats_builder(i)), sect)
+        return out
+
+    lm = None
+    if m.left_mats is not None:
+        lm = induced(lambda i: field.kron(m.left_mats[i], eye_n), m.left_algebra)
+    rm = None
+    if n.right_mats is not None:
+        rm = induced(lambda i: field.kron(eye_m, n.right_mats[i]), n.right_algebra)
+    module = Module(
+        m.left_algebra, n.right_algebra, lm, rm,
+        label or f"{m.label} (x)_{b.label} {n.label}",
+        check=False,
+    )
+    return TensorResult(module, proj, sect)
+
+
+def loop_submodule(m, rows, label=None):
+    """submodule with one elimination per basis element, kept as an oracle."""
+    field = m.field
+    basis = linalg.row_basis(field, field.canon(np.atleast_2d(rows)))
+    gen_mats = []
+    if m.left_mats is not None:
+        gen_mats += [m.left_action(g) for g in m.left_algebra.generators]
+    if m.right_mats is not None:
+        gen_mats += [m.right_action(g) for g in m.right_algebra.generators]
+    while True:
+        stacked = [basis]
+        for mat in gen_mats:
+            stacked.append(field.matmul(basis, mat.T))
+        new_basis = linalg.row_basis(field, np.concatenate(stacked, axis=0))
+        if new_basis.shape[0] == basis.shape[0]:
+            break
+        basis = new_basis
+    s = basis.shape[0]
+    incl = basis.T
+
+    def induced(mats, algebra):
+        out = field.zeros((algebra.dim, s, s))
+        for i in range(algebra.dim):
+            coords = linalg.coords_in_row_basis(field, basis, field.matmul(basis, mats[i].T))
+            if coords is None:
+                raise AssertionError("submodule basis is not action-stable")
+            out[i] = coords.T
+        return out
+
+    lm = induced(m.left_mats, m.left_algebra) if m.left_mats is not None else None
+    rm = induced(m.right_mats, m.right_algebra) if m.right_mats is not None else None
+    sub = Module(m.left_algebra, m.right_algebra, lm, rm, label or f"{m.label}-sub", check=False)
+    return sub, field.canon(incl)
+
+
+def loop_quotient(m, basis, label):
+    """_quotient with two matmuls per basis element, kept as an oracle."""
+    field = m.field
+    proj, sect = _complement_projection(field, basis, m.dim)
+
+    def induced(mats, algebra):
+        out = field.zeros((algebra.dim, proj.shape[0], proj.shape[0]))
+        for i in range(algebra.dim):
+            out[i] = field.matmul(field.matmul(proj, mats[i]), sect)
+        return out
+
+    lm = induced(m.left_mats, m.left_algebra) if m.left_mats is not None else None
+    rm = induced(m.right_mats, m.right_algebra) if m.right_mats is not None else None
+    quo = Module(m.left_algebra, m.right_algebra, lm, rm, label, check=False)
+    return quo, proj
+
+
+def assert_same_arrays(got, want):
+    """Equal arrays, dtypes and entry types; None only against None."""
+    if want is None:
+        assert got is None
+        return
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
+
+
+def random_bimodule(a, gen, copies_cap):
+    """A random (a, a)-bimodule: a quotient of projectives over a (x) a^op."""
+    env, _ = bimodule_as_env_module(regular_bimodule(a))
+    return env_module_as_bimodule(random_left_module(env, gen, copies_cap=copies_cap), a, a)
+
+
+def tensor_cases(field_name, seed):
+    """(kind, m, n) pairs for tensor_over over B with and without a family.
+
+    B is the Kronecker algebra or dual numbers (the catalog witness and its
+    opposite), A_3 or zigzag (a family of 2-3 members), trunc_poly k=3 or
+    dual numbers (a one-member family), and A_3 without a family or a
+    subalgebra of A_2 (no family).
+    """
+    gen = np.random.Generator(np.random.PCG64(seed))
+    a3, zz, dn, a3_plain, _ = hom_algebras(field_name)
+    tp = catalog.build("trunc_poly", k=3, field=field_name)
+    w = catalog.build("kronecker_witness", field=field_name)
+    wop = transport_opposite(w)
+    cases = [("witness", x, y) for v in (w, wop) for x, y in ((v.m, v.n), (v.n, v.m))]
+    cases += [("witness", conjugate(w.m, gen), conjugate(w.n, gen))]
+    for a in (a3, zz, tp, dn, a3_plain):
+        reg = regular_bimodule(a)
+        cases += [
+            ("regular", reg, reg),
+            ("regular", conjugate(reg, gen), conjugate(reg, gen)),
+            ("regular", conjugate(right_regular_module(a), gen), reg),
+            ("regular", reg, conjugate(left_regular_module(a), gen)),
+        ]
+    # over Q the enveloping algebras' idempotent searches cost seconds at 2 copies
+    copies = 1 if field_name == "Q" else 2
+    for a in (dn, zz, tp):
+        x, y = random_bimodule(a, gen, copies), random_bimodule(a, gen, copies)
+        cases += [("random", x, y), ("random", conjugate(x, gen), conjugate(y, gen))]
+    # D(S_i) (x)_B S_j vanishes for i != j: Hom_B(S_j, S_i) = 0
+    simples = [s for s, _ in simple_modules(a3)]
+    outer = left_regular_module(dn)
+    for i, si in enumerate(simples):
+        for j, sj in enumerate(simples):
+            m = outer_tensor(outer, dual_module(si))
+            n = outer_tensor(sj, right_regular_module(dn))
+            cases.append(("simple" if i == j else "zero hom", m, n))
+    # the subalgebra span{1, a1} of A_2, which carries no family
+    a2 = linear_quiver_algebra(a3.field, 2)
+    s = subalgebra_from_rows(a2, a2.field.canon(np.stack([a2.unit, a2.basis_vector(a2.labels.index("a1"))])))
+    right = a2.field.canon(np.stack([a2.right_mult_matrix(r) for r in s.inclusion_rows]))
+    left = a2.field.canon(np.stack([a2.left_mult_matrix(r) for r in s.inclusion_rows]))
+    m = Module(a2, s, a2.left_regular_mats(), right, "A as (A,S)", check=False)
+    n = Module(s, a2, left, a2.right_regular_mats(), "A as (S,A)", check=False)
+    cases += [("no family", m, n), ("no family", conjugate(m, gen), conjugate(n, gen))]
+    zero = zero_module(zz, zz)
+    cases += [("zero factor", zero, regular_bimodule(zz)), ("zero factor", regular_bimodule(zz), zero)]
+    return cases
+
+
+class TestTensorAgainstKronecker:
+    # Over Q the Kronecker oracle takes about a second on each conjugated A_3
+    # pair (36 unknowns), so the Q pairs stop at 16 unknowns.
+    @pytest.mark.parametrize("field_name,seeds,max_unknowns", [
+        ("GF(2)", range(3), None), ("GF(3)", range(3), None), ("GF(101)", range(3), None),
+        ("Q", range(1), 16),
+    ], ids=["GF2", "GF3", "GF101", "Q"])
+    def test_same_projection_section_and_actions(self, field_name, seeds, max_unknowns):
+        kinds = {}
+        for seed in seeds:
+            for kind, m, n in tensor_cases(field_name, seed):
+                if max_unknowns is not None and m.dim * n.dim > max_unknowns:
+                    continue
+                got, want = tensor_over(m, n), kronecker_tensor_over(m, n)
+                assert_same_arrays(got.projection, want.projection)
+                assert_same_arrays(got.section, want.section)
+                assert_same_arrays(got.module.left_mats, want.module.left_mats)
+                assert_same_arrays(got.module.right_mats, want.module.right_mats)
+                assert got.module.label == want.module.label
+                if kind == "zero hom":
+                    assert got.module.dim == 0 < m.dim * n.dim
+                kinds[kind] = kinds.get(kind, 0) + 1
+        assert set(kinds) == {"witness", "regular", "random", "simple", "zero hom", "no family", "zero factor"}
+
+
+def subquotient_cases(field_name, seed):
+    """(module, rows) pairs: one-sided and two-sided, conjugated, zero rows."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    field = hom_algebras(field_name)[0].field
+    mods = {id(m): m for pair in hom_cases(field_name, seed) for m in pair}.values()
+    cases = []
+    for m in mods:
+        cases.append((m, field.zeros((1, m.dim))))
+        cases += [(m, field.rand_mat(gen, k, m.dim)) for k in (1, 2)]
+    return cases
+
+
+class TestSubquotientsAgainstLoops:
+    # Over Q the conjugated 12-dim bimodules take seconds, so Q stops at dim 6.
+    @pytest.mark.parametrize("field_name,max_dim", [
+        ("GF(2)", None), ("GF(3)", None), ("GF(101)", None), ("Q", 6),
+    ], ids=["GF2", "GF3", "GF101", "Q"])
+    def test_submodule_and_quotient(self, field_name, max_dim):
+        sizes = set()
+        for m, rows in subquotient_cases(field_name, 0):
+            if max_dim is not None and m.dim > max_dim:
+                continue
+            sub, incl = submodule(m, rows)
+            sub0, incl0 = loop_submodule(m, rows)
+            assert_same_arrays(incl, incl0)
+            assert_same_arrays(sub.left_mats, sub0.left_mats)
+            assert_same_arrays(sub.right_mats, sub0.right_mats)
+            for basis in (incl.T, radical_sub_rows(m)):
+                quo, proj = _quotient(m, basis, "q")
+                quo0, proj0 = loop_quotient(m, basis, "q")
+                assert_same_arrays(proj, proj0)
+                assert_same_arrays(quo.left_mats, quo0.left_mats)
+                assert_same_arrays(quo.right_mats, quo0.right_mats)
+                sizes.add((quo.dim == 0, quo.dim == m.dim))
+            sizes.add((sub.dim == 0, sub.dim == m.dim))
+        assert sizes == {(True, False), (False, True), (False, False)}
