@@ -213,7 +213,7 @@ class Algebra:
         base = linalg.row_basis(self.field, rows)
         left = np.tensordot(base, self.table, axes=([1], [0])).reshape(-1, self.dim)
         right = np.tensordot(base, self.table, axes=([1], [1])).reshape(-1, self.dim)
-        if linalg.span_dim_after_adding(self.field, base, np.concatenate([left, right])) != base.shape[0]:
+        if linalg.coords_in_row_basis(self.field, base, np.concatenate([left, right])) is None:
             raise ValueError("radical candidate is not a two-sided ideal")
         power = base
         for _ in range(self.dim + 1):
@@ -247,11 +247,15 @@ class Algebra:
             powers = []
             base = self.radical_rows()
             power = base
-            while power.shape[0]:
+            for _ in range(self.dim + 1):
+                if power.shape[0] == 0:
+                    break
                 powers.append(power)
                 tmp = self.field.canon(np.tensordot(power, self.table, axes=([1], [0])))
                 prods = np.tensordot(base, tmp, axes=([1], [1])).reshape(-1, self.dim)
                 power = linalg.row_basis(self.field, self.field.canon(prods))
+            else:
+                raise AssertionError("radical rows are not nilpotent")
             self._radical_powers = powers
         return self._radical_powers
 
@@ -370,30 +374,16 @@ def criterion_radical_rows(algebra):
 
 
 def _quotient_structure(algebra, ideal_rows):
-    """Structure constants of A / ideal plus the projection and section."""
+    """Structure constants and unit of A / ideal, plus the projection and section.
+
+    ideal_rows must be in reduced echelon form; the quotient's basis is the
+    images of the free (non-pivot) basis elements.
+    """
     field = algebra.field
-    n = algebra.dim
-    reduced, pivots = linalg.rref(field, ideal_rows) if ideal_rows.shape[0] else (ideal_rows, [])
-    free = [c for c in range(n) if c not in pivots]
-    m = len(free)
-
-    def project(v):
-        w = field.copy(np.asarray(v).reshape(-1))
-        for i, p in enumerate(pivots):
-            if w[p] != field.zero:
-                w = field.canon(field.sub(w, field.smul(w[p], reduced[i])))
-        return w[free]
-
-    section = field.zeros((n, m))
-    for k, f in enumerate(free):
-        section[f, k] = field.one
-    table = field.zeros((m, m, m))
-    for i, fi in enumerate(free):
-        tmp = algebra.table[fi]  # (j, k)
-        for j, fj in enumerate(free):
-            table[i, j] = project(tmp[fj])
-    unit = project(algebra.unit)
-    return field.canon(table), field.canon(unit), project, section
+    proj, section = linalg.complement_projection(field, ideal_rows, algebra.dim)
+    free = section.nonzero()[0]
+    table = field.matmul(algebra.table[free][:, free], proj.T)
+    return table, field.matmul(proj, algebra.unit), proj, section
 
 
 def quotient_algebra(algebra, ideal_rows, label=None):
@@ -405,22 +395,18 @@ def quotient_algebra(algebra, ideal_rows, label=None):
     if rows.shape[0]:
         left = np.tensordot(rows, algebra.table, axes=([1], [0])).reshape(-1, algebra.dim)
         right = np.tensordot(rows, algebra.table, axes=([1], [1])).reshape(-1, algebra.dim)
-        if linalg.span_dim_after_adding(field, rows, np.concatenate([left, right])) != rows.shape[0]:
+        if linalg.coords_in_row_basis(field, rows, np.concatenate([left, right])) is None:
             raise ValueError("rows do not span a two-sided ideal")
-        if linalg.in_row_span(field, rows, algebra.unit):
+        if linalg.coords_in_row_basis(field, rows, algebra.unit) is not None:
             raise IdealIsWholeAlgebra("the ideal contains the unit")
-    table, unit, project, _ = _quotient_structure(algebra, rows)
-    m = table.shape[0]
-    _, piv = linalg.rref(field, rows) if rows.shape[0] else (rows, [])
-    free = [c for c in range(algebra.dim) if c not in piv]
-    labels = [algebra.labels[f] for f in free]
+    table, unit, proj, section = _quotient_structure(algebra, rows)
+    labels = [algebra.labels[f] for f in section.nonzero()[0]]
     idempotents = None
     if algebra.idempotents is not None:
-        images = [project(e) for e in algebra.idempotents]
+        images = [field.matmul(proj, e) for e in algebra.idempotents]
         idempotents = [e for e in images if not field.is_zero(e)]
-    gen_images = [project(g) for g in algebra.generators]
-    rad_images = field.canon(np.array([project(r) for r in algebra.radical_rows()]).reshape(-1, m)) \
-        if algebra.radical_rows().shape[0] else field.zeros((0, m))
+    gen_images = [field.matmul(proj, g) for g in algebra.generators]
+    rad_images = field.matmul(algebra.radical_rows(), proj.T)
     # rad(A/I) is the image of rad(A) for any ideal I
     return Algebra(
         field,
@@ -442,7 +428,8 @@ def subalgebra_from_rows(algebra, rows, *, label=None, provenance=None):
     field = algebra.field
     basis = linalg.row_basis(field, field.canon(np.atleast_2d(rows)))
     m = basis.shape[0]
-    if not linalg.in_row_span(field, basis, algebra.unit):
+    unit_coords = linalg.coords_in_row_basis(field, basis, algebra.unit)
+    if unit_coords is None:
         raise ValueError("subalgebra must contain the unit")
     prods = []
     for i in range(m):
@@ -453,14 +440,11 @@ def subalgebra_from_rows(algebra, rows, *, label=None, provenance=None):
     if coords is None:
         raise ValueError("rows are not closed under multiplication")
     # block i of coords holds the products basis_i * basis_j for j = 0..m-1
-    table = field.zeros((m, m, m))
-    for i in range(m):
-        table[i] = coords[i * m : (i + 1) * m]
-    unit_coords = linalg.coords_in_row_basis(field, basis, algebra.unit.reshape(1, -1))[0]
+    table = coords.reshape(m, m, m)
     sub = Algebra(
         field,
         table,
-        unit_coords,
+        unit_coords[0],
         [f"s{i}" for i in range(m)],
         generators=[field.canon(np.eye(m, dtype=np.int64 if field.char else object))[i] for i in range(m)],
         provenance=provenance or Provenance("subalgebra", {"parent": algebra, "rows": basis}),
@@ -494,9 +478,9 @@ def tensor_algebra(a, b, label=None):
     rad_a, rad_b = a.radical_rows(), b.radical_rows()
     blocks = []
     if rad_a.shape[0]:
-        blocks.append(linalg.kronecker_product(field, rad_a, field.eye(b.dim)))
+        blocks.append(field.kron(rad_a, field.eye(b.dim)))
     if rad_b.shape[0]:
-        blocks.append(linalg.kronecker_product(field, field.eye(a.dim), rad_b))
+        blocks.append(field.kron(field.eye(a.dim), rad_b))
     rad = linalg.row_basis(field, np.concatenate(blocks, axis=0)) if blocks else field.zeros((0, a.dim * b.dim))
     return Algebra(
         field,
@@ -634,20 +618,11 @@ def algebra_from_quiver(pres: QuiverPresentation, field, label=None):
                                 raise AssertionError("reduced prefix has no candidate column")
                             row[ci] = field.scalar(row[ci] + field.scalar(pv[fi] * coeff))
                     rows.append(field.canon(row))
-        if rows:
-            reduced, pivots = linalg.rref(field, np.array(rows))
-        else:
-            reduced, pivots = field.zeros((0, len(candidates))), []
-        free_cols = [c for c in range(len(candidates)) if c not in pivots]
-        free_paths[degree] = [candidates[c] for c in free_cols]
-        # pivot candidate p reduces to -sum over the free columns of its row
-        to_free = field.zeros((len(free_cols), len(candidates)))
-        for k, c in enumerate(free_cols):
-            to_free[k, c] = field.one
-        for i, p in enumerate(pivots):
-            for k, c in enumerate(free_cols):
-                to_free[k, p] = field.scalar(-reduced[i, c])
-        cand_data[degree] = (cand_index, field.canon(to_free))
+        rows = linalg.row_basis(field, np.array(rows)) if rows else field.zeros((0, len(candidates)))
+        # a pivot candidate reduces to minus the free part of its row
+        to_free, sect = linalg.complement_projection(field, rows, len(candidates))
+        free_paths[degree] = [candidates[c] for c in sect.nonzero()[0]]
+        cand_data[degree] = (cand_index, to_free)
         reducers[degree] = {}
         total_dim += len(free_paths[degree])
         if total_dim > _DIM_CAP:

@@ -56,6 +56,8 @@ def endomorphism_algebra(m):
     convention matches Algebra.mul, so mul(f, g) is the composite applying g
     first. The radical is computed on the faithful matrix representation.
     E is built with check=False: composition is associative and unital.
+    The table is read one row block at a time, the composites f_i f_j for
+    one i, so only r of the r^2 composites are held at once.
     """
     field = m.field
     homs = hom_space(m, m)
@@ -64,14 +66,12 @@ def endomorphism_algebra(m):
         raise ValueError("the zero module has no unital endomorphism algebra")
     stack = field.canon(np.stack(homs))
     vec_rows = stack.reshape(r, -1)
-    comp_rows = field.zeros((r * r, m.dim * m.dim))
+    table = field.zeros((r, r, r))
     for i in range(r):
-        for j in range(r):
-            comp_rows[i * r + j] = field.matmul(stack[i], stack[j]).reshape(-1)
-    coords = linalg.coords_in_row_basis(field, vec_rows, field.canon(comp_rows))
-    if coords is None:
-        raise AssertionError("endomorphism space is not closed under composition")
-    table = coords.reshape(r, r, r)
+        coords = linalg.coords_in_row_basis(field, vec_rows, np.matmul(stack[i], stack).reshape(r, -1))
+        if coords is None:
+            raise AssertionError("endomorphism space is not closed under composition")
+        table[i] = coords
     unit = linalg.coords_in_row_basis(field, vec_rows, field.eye(m.dim).reshape(1, -1))
     if unit is None:
         raise AssertionError("identity map missing from endomorphism space")
@@ -102,7 +102,7 @@ def find_nontrivial_idempotent(e_alg, gen, budget=64):
     if e_alg.dim == 1:
         return None, "dim_one"
     rad = e_alg.radical_rows()
-    table_s, unit_s, project, section = _quotient_structure(e_alg, rad)
+    table_s, unit_s, proj, section = _quotient_structure(e_alg, rad)
     dim_s = table_s.shape[0]
     if dim_s == 1:
         return None, "field_quotient"
@@ -149,7 +149,7 @@ def find_nontrivial_idempotent(e_alg, gen, budget=64):
             x = field.canon(field.sub(field.smul(three, x2), field.smul(two, x3)))
         else:
             raise AssertionError("idempotent lift did not converge")
-        if not field.eq(project(x), e_s):
+        if not field.eq(field.matmul(proj, x), e_s):
             raise AssertionError("idempotent lift left its residue class")
         return x, None
     raise Inconclusive(
@@ -229,7 +229,7 @@ def summand_isomorphism(si, sj):
             coords = linalg.coords_in_row_basis(field, vec_rows, comp.reshape(1, -1))
             if coords is None:
                 raise AssertionError("composite escaped the endomorphism space")
-            if rad.shape[0] == 0 or not linalg.in_row_span(field, rad, coords[0]):
+            if linalg.coords_in_row_basis(field, rad, coords) is None:
                 return f
     return None
 

@@ -266,11 +266,10 @@ def isotypic_decomposition(act):
         raise AssertionError("trivial component differs from the invariant subalgebra")
     for _, rows in components:
         for u in inv_rows:
-            for r in rows:
-                if not linalg.in_row_span(field, rows, a.mul(u, r)):
-                    raise AssertionError("component is not stable under left A^G")
-                if not linalg.in_row_span(field, rows, a.mul(r, u)):
-                    raise AssertionError("component is not stable under right A^G")
+            if linalg.coords_in_row_basis(field, rows, [a.mul(u, r) for r in rows]) is None:
+                raise AssertionError("component is not stable under left A^G")
+            if linalg.coords_in_row_basis(field, rows, [a.mul(r, u) for r in rows]) is None:
+                raise AssertionError("component is not stable under right A^G")
     return components
 
 

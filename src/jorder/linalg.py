@@ -18,6 +18,17 @@ code runs on Fraction object arrays, where every operation is exact and
 already canonical. The matrix is
 canonicalised once on entry; canon returns a fresh array, so the input is
 never written to.
+
+Every basis the library builds (row_basis, hom_space, radical_rows) is in
+reduced echelon form, and vectors are read against it without a second
+elimination. Reduced echelon rows are independent, so coordinates in them
+are unique, and the pivot columns of the rows form an identity block: a
+vector c . rows has entry c_i at pivot i. So the coordinates of v are
+v[pivots], equal to what solve returns, and one product, v[pivots] . rows
+== v, decides whether v lies in the span. The complement of the span is
+read off the same rows: the free columns are its coordinates. echelon_pivots
+checks the form before anything is read, so an arbitrary basis raises
+instead of giving wrong coordinates.
 """
 
 from __future__ import annotations
@@ -134,29 +145,57 @@ def invert(field, a):
     return x
 
 
-def kronecker_product(field, a, b):
-    return field.kron(np.atleast_2d(a), np.atleast_2d(b))
+def echelon_pivots(field, rows):
+    """Pivot column of each row of a reduced echelon basis.
+
+    A row's pivot is its first nonzero column. Raises AssertionError unless
+    every row is nonzero, the pivots increase and rows[:, pivots] is the
+    identity: its diagonal is one and it has no other nonzero entry.
+    """
+    rows = np.atleast_2d(rows)
+    nonzero = rows.astype(bool)
+    r, ncols = rows.shape
+    # with no columns every row is zero, and no pivot is in range
+    pivots = nonzero.argmax(axis=1) if ncols else np.full(r, ncols)
+    if not ((pivots < ncols).all() and (np.diff(pivots) > 0).all()
+            and (rows[np.arange(r), pivots] == field.one).all()
+            and np.count_nonzero(nonzero[:, pivots]) == r):
+        raise AssertionError("basis rows are not in reduced echelon form")
+    return pivots
 
 
-def in_row_span(field, basis_rows, v):
-    """Whether vector v lies in the span of the given rows."""
-    basis_rows = np.atleast_2d(basis_rows)
-    if basis_rows.shape[0] == 0:
-        return field.is_zero(v)
-    return solve(field, basis_rows.T, np.asarray(v).reshape(-1)) is not None
+def coords_in_row_basis(field, rows, vectors):
+    """Coordinates of the row vectors in a reduced echelon row basis; None if outside.
+
+    The coordinates are the vectors' entries at the pivot columns; they are
+    correct exactly when they reproduce the vectors. Only the basis rows
+    with a nonzero coordinate enter that product.
+    """
+    rows = np.atleast_2d(rows)
+    vectors = field.canon(np.atleast_2d(vectors))
+    coords = vectors[:, echelon_pivots(field, rows)]
+    used = coords.astype(bool).any(axis=0)
+    if not (field.matmul(coords[:, used], rows[used]) == vectors).all():
+        return None
+    return coords
 
 
-def coords_in_row_basis(field, basis_rows, vectors):
-    """Coordinates of the given row vectors in a row basis; None if outside."""
-    basis_rows = np.atleast_2d(basis_rows)
-    vm = np.atleast_2d(vectors)
-    sol = solve(field, basis_rows.T, vm.T)
-    return None if sol is None else sol.T
+def complement_projection(field, rows, dim):
+    """Projection onto the complement of a reduced echelon row span, plus its section.
 
-
-def span_dim_after_adding(field, basis_rows, extra_rows):
-    stacked = np.concatenate([np.atleast_2d(basis_rows), np.atleast_2d(extra_rows)], axis=0)
-    return rank(field, stacked)
+    Returns (proj t x dim, section dim x t) with proj @ section = identity
+    and proj vanishing on the row span: the free columns are the
+    coordinates, and a pivot column carries minus the free entries of its row.
+    """
+    rows = np.atleast_2d(rows)
+    pivots = echelon_pivots(field, rows)
+    free = free_columns(dim, pivots)
+    proj = field.zeros((free.size, dim))
+    sect = field.zeros((dim, free.size))
+    proj[np.arange(free.size), free] = field.one
+    sect[free, np.arange(free.size)] = field.one
+    proj[:, pivots] = field.neg(rows[:, free]).T
+    return proj, sect
 
 
 def intersect_row_spaces(field, rows_a, rows_b):

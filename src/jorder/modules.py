@@ -231,26 +231,6 @@ def direct_sum(mods):
 # ---- subquotients -------------------------------------------------------------
 
 
-def _complement_projection(field, rows, dim):
-    """Projection onto the complement of a row span, plus its section.
-
-    rows must already be in reduced echelon form. Returns (proj t x dim,
-    section dim x t) with proj @ section = identity and proj vanishing on
-    the row span.
-    """
-    if rows.shape[0]:
-        reduced, pivots = linalg.rref(field, rows)
-    else:
-        reduced, pivots = rows, []
-    free = linalg.free_columns(dim, pivots)
-    proj = field.zeros((free.size, dim))
-    sect = field.zeros((dim, free.size))
-    proj[np.arange(free.size), free] = field.one
-    sect[free, np.arange(free.size)] = field.one
-    proj[:, pivots] = field.neg(reduced[: len(pivots), free]).T
-    return proj, sect
-
-
 def _all_generator_actions(m):
     """The generators' action matrices on every side m carries, stacked."""
     return np.concatenate([
@@ -267,7 +247,7 @@ def _moved_rows(rows, mats):
 
 def _assert_stable(m, rows):
     moved = _moved_rows(rows, _all_generator_actions(m))
-    if rows.shape[0] and linalg.span_dim_after_adding(m.field, rows, moved) != rows.shape[0]:
+    if linalg.coords_in_row_basis(m.field, rows, moved) is None:
         raise ValueError("quotient_module: subspace is not action-stable")
 
 
@@ -306,7 +286,7 @@ def quotient_module(m, rows, label=None):
 
 def _quotient(m, basis, label):
     """quotient_module for a row basis that is action-stable by construction."""
-    proj, sect = _complement_projection(m.field, basis, m.dim)
+    proj, sect = linalg.complement_projection(m.field, basis, m.dim)
     free = sect.nonzero()[0]  # the section's ones sit at the free columns: X sect = X[:, free]
     # proj X sect for every action matrix X; Module reduces the products
     lm = np.matmul(proj, m.left_mats[:, :, free]) if m.left_mats is not None else None
@@ -517,7 +497,7 @@ def tensor_over(m, n, label=None):
     homs = hom_space(n.restrict_left(), dual_module(m.restrict_right()))
     flat = np.stack([h.reshape(-1) for h in homs]) if homs else field.zeros((0, dm * dn))
     balancing = linalg.row_basis(field, linalg.nullspace(field, flat).T)
-    proj, sect = _complement_projection(field, balancing, dm * dn)
+    proj, sect = linalg.complement_projection(field, balancing, dm * dn)
     t, free = proj.shape[0], sect.nonzero()[0]
     p = proj.reshape(t, dm, dn)
 
@@ -647,7 +627,7 @@ def projective_cover(m):
     a = m.left_algebra
     field = m.field
     top, _ = top_of(m)
-    sect_top = _complement_projection(field, radical_sub_rows(m), m.dim)[1]
+    sect_top = linalg.complement_projection(field, radical_sub_rows(m), m.dim)[1]
     projs = projective_indecomposables(a)
     simples = simple_modules(a)
     for s, _ in simples:
@@ -680,13 +660,11 @@ def projective_cover(m):
     phi = field.canon(np.concatenate(columns, axis=1))
     if not intertwines(field, phi, _generator_actions(cover.left_mats, a), _generator_actions(m.left_mats, a)):
         raise AssertionError("cover surjection is not a module map")
-    if linalg.rank(field, phi) != m.dim:
+    rank, ker = linalg.rank_nullspace(field, phi)
+    if rank != m.dim:
         raise AssertionError("cover surjection lost rank")
-    _, ker = linalg.rank_nullspace(field, phi)
-    rad_rows = radical_sub_rows(cover)
-    for t in range(ker.shape[1]):
-        if not linalg.in_row_span(field, rad_rows, ker[:, t]):
-            raise AssertionError("cover kernel escapes the radical")
+    if linalg.coords_in_row_basis(field, radical_sub_rows(cover), ker.T) is None:
+        raise AssertionError("cover kernel escapes the radical")
     return ProjectiveCover(cover, phi, mults)
 
 

@@ -113,6 +113,13 @@ class TestDualNumbers:
         a = dual_numbers("GF(3)")
         assert a.field.eq(a.radical_rows(), exhaustive_radical_rows(a))
 
+    def test_radical_powers_stop_on_non_nilpotent_rows(self):
+        # the unit is idempotent, so its powers never vanish: the loop must raise, not hang
+        a = dual_numbers("GF(3)")
+        bad = Algebra(a.field, a.table, a.unit, radical_rows=a.unit.reshape(1, -1), check=False)
+        with pytest.raises(AssertionError, match="not nilpotent"):
+            bad.radical_powers()
+
 
 class TestLinearQuiver:
     def test_dimension_is_path_count(self):

@@ -12,6 +12,13 @@ import jorder
 SRC = Path(jorder.__file__).resolve().parent
 
 
+def _calls(node, names):
+    return [
+        n for n in ast.walk(node)
+        if isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", None)) in names
+    ]
+
+
 def test_library_has_no_assert_statements():
     sources = sorted(SRC.rglob("*.py"))
     assert sources, "no library sources found"
@@ -34,11 +41,38 @@ def test_tensor_and_subquotients_build_no_kronecker_matrix():
         if isinstance(node, ast.FunctionDef) and node.name in ("tensor_over", "submodule", "_quotient")
     }
     assert set(functions) == {"tensor_over", "submodule", "_quotient"}
-    found = [
-        f"{name}:{node.lineno}"
-        for name, fn in functions.items()
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("kron", "kronecker_product")
-    ]
+    found = [f"{name}:{node.lineno}" for name, fn in functions.items() for node in _calls(fn, ("kron",))]
+    assert found == []
+
+
+def test_echelon_bases_are_read_without_a_second_elimination():
+    """row_basis, radical_rows, radical_sub_rows and hom_space return reduced echelon bases:
+    vectors are read against them with linalg.coords_in_row_basis and
+    linalg.complement_projection, never by eliminating them again. The
+    solve-based span helpers stay deleted."""
+    echelon_sources = ("row_basis", "radical_rows", "radical_sub_rows", "hom_space")
+    removed = {"in_row_span", "span_dim_after_adding", "kronecker_product", "_complement_projection"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}: {name}"
+            for node in ast.walk(tree)
+            for name in [getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)]
+            if name in removed
+        ]
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            echelon = {
+                target.id
+                for assign in ast.walk(fn) if isinstance(assign, ast.Assign) and _calls(assign.value, echelon_sources)
+                for target in ast.walk(assign.targets[0]) if isinstance(target, ast.Name)
+            }
+            for call in _calls(fn, ("solve", "rref", "rank")):
+                for arg in call.args:
+                    if _calls(arg, echelon_sources) or any(
+                        isinstance(n, ast.Name) and n.id in echelon for n in ast.walk(arg)
+                    ):
+                        found.append(f"{path.name}:{call.lineno}: {fn.name} eliminates an echelon basis again")
     assert found == []

@@ -126,17 +126,15 @@ def test_kronecker_mixed_product_property(seed):
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(4000 + seed)))
     a, c = field.rand_mat(gen, 2, 3), field.rand_mat(gen, 3, 2)
     b, d = field.rand_mat(gen, 3, 2), field.rand_mat(gen, 2, 3)
-    lhs = linalg.kronecker_product(field, field.matmul(a, c), field.matmul(b, d))
-    rhs = field.matmul(
-        linalg.kronecker_product(field, a, b), linalg.kronecker_product(field, c, d)
-    )
+    lhs = field.kron(field.matmul(a, c), field.matmul(b, d))
+    rhs = field.matmul(field.kron(a, b), field.kron(c, d))
     assert field.eq(lhs, rhs)
 
 
 def test_kronecker_rationals():
     a = QQ.mat([[Fraction(1, 2), 1], [0, 2]])
     b = QQ.mat([[Fraction(1, 3)]])
-    k = linalg.kronecker_product(QQ, a, b)
+    k = QQ.kron(a, b)
     assert k[0, 0] == Fraction(1, 6) and k[0, 1] == Fraction(1, 3)
 
 
@@ -146,7 +144,8 @@ def test_intersect_row_spaces():
     b = field.mat([[0, 1, 0], [0, 0, 1]])
     inter = linalg.intersect_row_spaces(field, a, b)
     assert inter.shape[0] == 1
-    assert linalg.in_row_span(field, a, inter[0]) and linalg.in_row_span(field, b, inter[0])
+    assert linalg.coords_in_row_basis(field, a, inter[0]) is not None
+    assert linalg.coords_in_row_basis(field, b, inter[0]) is not None
 
 
 def test_row_and_column_bases_are_canonical():
@@ -161,11 +160,14 @@ def test_row_and_column_bases_are_canonical():
 
 def test_coords_in_row_basis_roundtrip():
     field = GF(7)
-    basis = field.mat([[1, 2, 0], [0, 1, 1]])
+    basis = field.mat([[1, 0, 5], [0, 1, 1]])  # reduced echelon form of [[1, 2, 0], [0, 1, 1]]
     v = field.matmul(field.mat([[3, 4]]), basis)
     coords = linalg.coords_in_row_basis(field, basis, v)
     assert field.eq(coords, field.mat([[3, 4]]))
     assert linalg.coords_in_row_basis(field, basis, field.mat([[0, 0, 1]])) is None
+    # coordinates are read off the pivot columns, so a basis not in reduced echelon form raises
+    with pytest.raises(AssertionError):
+        linalg.coords_in_row_basis(field, field.mat([[1, 2, 0], [0, 1, 1]]), v)
 
 
 def test_field_parsing_and_guards():
@@ -330,8 +332,6 @@ def _snapshot(a):
     ids=["GF2", "GF3", "GF101", "Q"],
 )
 def test_kernel_matches_full_matrix_oracle(field, count, max_side):
-    from jorder.modules import _complement_projection
-
     gen = np.random.default_rng(7000 + field.char)
     cases = 0
     for a in _kernel_inputs(field, gen, count, max_side):
@@ -361,14 +361,99 @@ def test_kernel_matches_full_matrix_oracle(field, count, max_side):
             assert np.array_equal(_snapshot(b), b_before)
 
         echelon = r0[: len(pivots0)]
-        for rows in (echelon, field.canon(arr)):
-            rows_before = _snapshot(rows)
-            proj, sect = _complement_projection(field, rows, ncols)
-            proj0, sect0 = _oracle_complement_projection(field, rows, ncols)
-            _assert_same(field, proj, proj0)
-            _assert_same(field, sect, sect0)
-            assert np.array_equal(_snapshot(rows), rows_before)
+        rows_before = _snapshot(echelon)
+        proj, sect = linalg.complement_projection(field, echelon, ncols)
+        proj0, sect0 = _oracle_complement_projection(field, echelon, ncols)
+        _assert_same(field, proj, proj0)
+        _assert_same(field, sect, sect0)
+        assert np.array_equal(_snapshot(echelon), rows_before)
+        # the raw matrix is accepted only when it is already its own reduced echelon form
+        raw = field.canon(arr)
+        if raw.shape != echelon.shape or not np.array_equal(raw, echelon):
+            with pytest.raises(AssertionError):
+                linalg.complement_projection(field, raw, ncols)
 
         assert np.array_equal(_snapshot(a), before)
         cases += 1
     assert cases == count + 7
+
+
+# ---- differential test of the echelon read ----------------------------------
+#
+# The oracle is the solve-based coordinate routine, kept verbatim: it runs a
+# fresh elimination of the augmented system [basis^T | vectors^T]. Reduced
+# echelon rows are independent, so the coordinates are unique and the
+# pivot-column read must agree with it exactly, None included.
+
+
+def _oracle_coords_in_row_basis(field, basis_rows, vectors):
+    """Coordinates of the given row vectors in a row basis; None if outside."""
+    basis_rows = np.atleast_2d(basis_rows)
+    vm = np.atleast_2d(vectors)
+    sol = linalg.solve(field, basis_rows.T, vm.T)
+    return None if sol is None else sol.T
+
+
+def _echelon_read_cases(field, gen, count, max_side):
+    """(basis, vectors) pairs: vectors inside the span (also unreduced), outside it, zero, or none."""
+    for ncols in (0, 3):
+        basis = field.zeros((0, ncols))
+        yield basis, field.zeros((2, ncols))
+        yield basis, field.zeros((0, ncols))
+        if ncols:
+            yield basis, _random_entries(field, gen, 2, ncols)
+    for a in _kernel_inputs(field, gen, count, max_side):
+        basis = linalg.row_basis(field, a)
+        r, ncols = basis.shape
+        k = int(gen.integers(1, 4))
+        inside = field.matmul(_random_entries(field, gen, k, r), basis) if r else field.zeros((k, ncols))
+        yield basis, inside
+        if field.char:  # unreduced representatives, as raw int64 products give
+            yield basis, inside + field.p * gen.integers(-3, 4, size=inside.shape)
+        yield basis, field.zeros((k, ncols))
+        # mostly outside the span unless the basis is full rank
+        yield basis, _random_entries(field, gen, k, ncols)
+        yield basis, np.concatenate([inside, _random_entries(field, gen, 1, ncols)])
+
+
+@pytest.mark.parametrize(
+    "field, count, max_side",
+    [(GF(2), 300, 9), (GF(3), 300, 9), (GF(101), 300, 9), (QQ, 120, 6)],
+    ids=["GF2", "GF3", "GF101", "Q"],
+)
+def test_echelon_read_matches_solve_oracle(field, count, max_side):
+    gen = np.random.default_rng(9000 + field.char)
+    outcomes = set()
+    for basis, vectors in _echelon_read_cases(field, gen, count, max_side):
+        before = _snapshot(vectors)
+        got = linalg.coords_in_row_basis(field, basis, vectors)
+        want = _oracle_coords_in_row_basis(field, basis, vectors)
+        assert (got is None) == (want is None)
+        if want is not None:
+            _assert_same(field, got, want)
+        assert np.array_equal(_snapshot(vectors), before)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), QQ], ids=["GF2", "GF7", "Q"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 1, 0], [0, 1, 1]],  # pivot column 1 not cleared in row 0
+        [[0, 1, 0], [1, 0, 0]],  # pivots out of order
+        [[1, 0, 0], [1, 0, 0]],  # repeated pivot
+        [[1, 0, 0], [0, 0, 0]],  # zero row
+        [[0, 0, 0]],  # lone zero row
+        [[1, 0, 1], [0, 0, 2]],  # pivot entry not one (over GF(2) a zero row)
+        [[], []],  # zero rows of width zero
+    ],
+)
+def test_echelon_read_rejects_non_echelon_basis(field, rows):
+    basis = field.mat(rows)
+    with pytest.raises(AssertionError):
+        linalg.echelon_pivots(field, basis)
+    with pytest.raises(AssertionError):
+        linalg.coords_in_row_basis(field, basis, field.zeros((1, 3)))
+    with pytest.raises(AssertionError):
+        linalg.complement_projection(field, basis, 3)

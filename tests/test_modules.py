@@ -15,7 +15,6 @@ from jorder.algebras import Algebra, linear_quiver_algebra
 from jorder.errors import NonSplitResidueField, NotAutomorphism
 from jorder.fields import GF
 from jorder.modules import (
-    _complement_projection,
     _compatible,
     _quotient,
     _same_algebra,
@@ -544,7 +543,7 @@ def kronecker_tensor_over(m, n, label=None):
         balancing = linalg.row_basis(field, np.concatenate(blocks, axis=0))
     else:
         balancing = field.zeros((0, dm * dn))
-    proj, sect = _complement_projection(field, balancing, dm * dn)
+    proj, sect = linalg.complement_projection(field, balancing, dm * dn)
 
     def induced(mats_builder, algebra):
         out = field.zeros((algebra.dim, proj.shape[0], proj.shape[0]))
@@ -604,7 +603,7 @@ def loop_submodule(m, rows, label=None):
 def loop_quotient(m, basis, label):
     """_quotient with two matmuls per basis element, kept as an oracle."""
     field = m.field
-    proj, sect = _complement_projection(field, basis, m.dim)
+    proj, sect = linalg.complement_projection(field, basis, m.dim)
 
     def induced(mats, algebra):
         out = field.zeros((algebra.dim, proj.shape[0], proj.shape[0]))
