@@ -111,14 +111,14 @@ class Algebra:
 
     def mul(self, x, y):
         """Product x*y (y acts first under the composition convention)."""
-        tmp = self.field.canon(np.tensordot(x, self.table, axes=(0, 0)))
-        return self.field.canon(np.tensordot(y, tmp, axes=(0, 0)))
+        tmp = self.field.tensordot(x, self.table, axes=(0, 0))
+        return self.field.tensordot(y, tmp, axes=(0, 0))
 
     def left_mult_matrix(self, x):
-        return self.field.canon(np.tensordot(x, self.table, axes=(0, 0)).T)
+        return self.field.tensordot(x, self.table, axes=(0, 0)).T
 
     def right_mult_matrix(self, y):
-        return self.field.canon(np.tensordot(y, self.table, axes=(0, 1)).T)
+        return self.field.tensordot(y, self.table, axes=(0, 1)).T
 
     def left_regular_mats(self):
         return self.field.canon(self.table.transpose(0, 2, 1))
@@ -150,19 +150,19 @@ class Algebra:
     # ---- validation -------------------------------------------------------
 
     def _check_unit(self):
-        lu = np.tensordot(self.unit, self.table, axes=(0, 0))
-        ru = np.tensordot(self.unit, self.table, axes=(0, 1))
+        lu = self.field.tensordot(self.unit, self.table, axes=(0, 0))
+        ru = self.field.tensordot(self.unit, self.table, axes=(0, 1))
         eye = self.field.eye(self.dim)
-        if not (self.field.eq(self.field.canon(lu), eye) and self.field.eq(self.field.canon(ru), eye)):
+        if not (self.field.eq(lu, eye) and self.field.eq(ru, eye)):
             raise ValueError("unit element fails the unit laws")
 
     def _check_associativity(self):
         cap = _FULL_ASSOC_CAP_GF if isinstance(self.field, GFField) else _FULL_ASSOC_CAP_EXACT
         if self.dim <= cap:
             t = self.table
-            left = np.tensordot(t, t, axes=([2], [0]))  # (i,j,k,l)
-            right = np.tensordot(t, t, axes=([2], [1])).transpose(2, 0, 1, 3)
-            if not self.field.eq(self.field.canon(left), self.field.canon(right)):
+            left = self.field.tensordot(t, t, axes=([2], [0]))  # (i,j,k,l)
+            right = self.field.tensordot(t, t, axes=([2], [1])).transpose(2, 0, 1, 3)
+            if not self.field.eq(left, right):
                 raise ValueError("multiplication table is not associative")
             return
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
@@ -211,17 +211,17 @@ class Algebra:
                 raise ValueError("claimed semisimple but the radical criterion disagrees")
             return
         base = linalg.row_basis(self.field, rows)
-        left = np.tensordot(base, self.table, axes=([1], [0])).reshape(-1, self.dim)
-        right = np.tensordot(base, self.table, axes=([1], [1])).reshape(-1, self.dim)
+        left = self.field.tensordot(base, self.table, axes=([1], [0])).reshape(-1, self.dim)
+        right = self.field.tensordot(base, self.table, axes=([1], [1])).reshape(-1, self.dim)
         if linalg.coords_in_row_basis(self.field, base, np.concatenate([left, right])) is None:
             raise ValueError("radical candidate is not a two-sided ideal")
         power = base
         for _ in range(self.dim + 1):
             if power.shape[0] == 0:
                 break
-            tmp = self.field.canon(np.tensordot(power, self.table, axes=([1], [0])))  # (r, j, k)
-            prods = np.tensordot(base, tmp, axes=([1], [1])).reshape(-1, self.dim)
-            power = linalg.row_basis(self.field, self.field.canon(prods))
+            tmp = self.field.tensordot(power, self.table, axes=([1], [0]))  # (r, j, k)
+            prods = self.field.tensordot(base, tmp, axes=([1], [1])).reshape(-1, self.dim)
+            power = linalg.row_basis(self.field, prods)
         else:
             raise ValueError("radical candidate is not nilpotent")
         # semisimple quotient: the criterion radical of A/J must vanish
@@ -251,9 +251,9 @@ class Algebra:
                 if power.shape[0] == 0:
                     break
                 powers.append(power)
-                tmp = self.field.canon(np.tensordot(power, self.table, axes=([1], [0])))
-                prods = np.tensordot(base, tmp, axes=([1], [1])).reshape(-1, self.dim)
-                power = linalg.row_basis(self.field, self.field.canon(prods))
+                tmp = self.field.tensordot(power, self.table, axes=([1], [0]))
+                prods = self.field.tensordot(base, tmp, axes=([1], [1])).reshape(-1, self.dim)
+                power = linalg.row_basis(self.field, prods)
             else:
                 raise AssertionError("radical rows are not nilpotent")
             self._radical_powers = powers
@@ -328,7 +328,7 @@ def matrix_algebra_radical(field, mats):
     if r == 0:
         return field.zeros((0, 0))
     if field.char == 0 or field.char > n:
-        gram = field.canon(np.tensordot(mats, mats, axes=([1, 2], [2, 1])))
+        gram = field.tensordot(mats, mats, axes=([1, 2], [2, 1]))
         _, ker = linalg.rank_nullspace(field, gram)
         return linalg.row_basis(field, ker.T)
     p = field.char
@@ -339,19 +339,19 @@ def matrix_algebra_radical(field, mats):
     for k in range(1, steps + 1):
         if current.shape[0] == 0:
             break
-        layer = field.canon(np.tensordot(current, mats, axes=([1], [0])))  # (c, n, n)
-        prods = np.matmul(layer[:, None, :, :], layer[None, :, :, :]) % p
+        layer = field.tensordot(current, mats, axes=([1], [0]))  # (c, n, n)
+        prods = field.tensordot(layer, layer, ([2], [1])).transpose(0, 2, 1, 3)  # layer[s] layer[t]
         gram = _chain_gram(field, prods, p ** (k - 1))
         _, ker = linalg.rank_nullspace(field, gram)
         current = linalg.row_basis(field, field.matmul(ker.T, current))
     coeffs = current
     # the chain's output must be nilpotent; verify before trusting it
-    span = field.canon(np.tensordot(coeffs, mats, axes=([1], [0])))
+    span = field.tensordot(coeffs, mats, axes=([1], [0]))
     power = span
     for _ in range(n + 1):
         if power.shape[0] == 0 or linalg.rank(field, power.reshape(power.shape[0], -1)) == 0:
             break
-        prods = np.matmul(span[:, None], power[None, :]).reshape(-1, n, n) % p
+        prods = field.tensordot(span, power, ([2], [1])).transpose(0, 2, 1, 3).reshape(-1, n, n)
         rows = linalg.row_basis(field, prods.reshape(-1, n * n))
         power = rows.reshape(-1, n, n)
     else:
@@ -393,8 +393,8 @@ def quotient_algebra(algebra, ideal_rows, label=None):
     if rows.shape[0] and rows.shape[1] != algebra.dim:
         raise ValueError("ideal rows have the wrong width")
     if rows.shape[0]:
-        left = np.tensordot(rows, algebra.table, axes=([1], [0])).reshape(-1, algebra.dim)
-        right = np.tensordot(rows, algebra.table, axes=([1], [1])).reshape(-1, algebra.dim)
+        left = field.tensordot(rows, algebra.table, axes=([1], [0])).reshape(-1, algebra.dim)
+        right = field.tensordot(rows, algebra.table, axes=([1], [1])).reshape(-1, algebra.dim)
         if linalg.coords_in_row_basis(field, rows, np.concatenate([left, right])) is None:
             raise ValueError("rows do not span a two-sided ideal")
         if linalg.coords_in_row_basis(field, rows, algebra.unit) is not None:
@@ -510,9 +510,9 @@ def check_algebra_hom(source, target, phi):
         raise ValueError("homomorphism matrix has the wrong shape")
     if not field.eq(field.matmul(phi, source.unit), target.unit):
         raise ValueError("the map does not preserve the unit")
-    images = np.tensordot(source.table, phi, axes=([2], [1]))  # (i, j, k)
-    half = field.canon(np.tensordot(phi, target.table, axes=([0], [0])))  # T_t(phi e_i, e_b)
-    products = np.tensordot(phi, half, axes=([0], [1])).transpose(1, 0, 2)
+    images = field.tensordot(source.table, phi, axes=([2], [1]))  # (i, j, k)
+    half = field.tensordot(phi, target.table, axes=([0], [0]))  # T_t(phi e_i, e_b)
+    products = field.tensordot(phi, half, axes=([0], [1])).transpose(1, 0, 2)
     if not field.eq(images, products):
         raise ValueError("the map is not an algebra homomorphism")
     return phi

@@ -66,13 +66,15 @@ def endomorphism_algebra(m):
         raise ValueError("the zero module has no unital endomorphism algebra")
     stack = field.canon(np.stack(homs))
     vec_rows = stack.reshape(r, -1)
+    pivots = linalg.echelon_pivots(field, vec_rows)
     table = field.zeros((r, r, r))
     for i in range(r):
-        coords = linalg.coords_in_row_basis(field, vec_rows, np.matmul(stack[i], stack).reshape(r, -1))
+        composites = linalg.stack_product(field, stack[i], stack)  # homs[i] homs[j] for every j
+        coords = linalg.coords_in_row_basis(field, vec_rows, composites.reshape(r, -1), pivots)
         if coords is None:
             raise AssertionError("endomorphism space is not closed under composition")
         table[i] = coords
-    unit = linalg.coords_in_row_basis(field, vec_rows, field.eye(m.dim).reshape(1, -1))
+    unit = linalg.coords_in_row_basis(field, vec_rows, field.eye(m.dim).reshape(1, -1), pivots)
     if unit is None:
         raise AssertionError("identity map missing from endomorphism space")
     rad = matrix_algebra_radical(field, stack)
@@ -139,7 +141,7 @@ def find_nontrivial_idempotent(e_alg, gen, budget=64):
             raise AssertionError("projector polynomial gave a trivial idempotent")
         if not field.eq(quo.mul(e_s, e_s), e_s):
             raise AssertionError("projector polynomial gave a non-idempotent")
-        x = field.canon(field.matmul(section, e_s))
+        x = field.matmul(section, e_s)
         three, two = field.scalar(3), field.scalar(2)
         for _ in range(64):
             x2 = e_alg.mul(x, x)
@@ -221,15 +223,16 @@ def summand_isomorphism(si, sj):
     e_alg, homs = si._end
     rad = e_alg.radical_rows()
     vec_rows = field.canon(np.stack(homs)).reshape(len(homs), -1)
+    pivots, rad_pivots = linalg.echelon_pivots(field, vec_rows), linalg.echelon_pivots(field, rad)
     for f in fs:
         for g in gs:
-            comp = field.canon(field.matmul(g, f))
+            comp = field.matmul(g, f)
             if field.is_zero(comp):
                 continue
-            coords = linalg.coords_in_row_basis(field, vec_rows, comp.reshape(1, -1))
+            coords = linalg.coords_in_row_basis(field, vec_rows, comp.reshape(1, -1), pivots)
             if coords is None:
                 raise AssertionError("composite escaped the endomorphism space")
-            if linalg.coords_in_row_basis(field, rad, coords) is None:
+            if linalg.coords_in_row_basis(field, rad, coords, rad_pivots) is None:
                 return f
     return None
 
@@ -258,7 +261,7 @@ def decompose(m, seed=0):
             leaves.append(Summand(mod, incl, proj, certificate, (e_alg, homs)))
             return
         stack = field.canon(np.stack(homs))
-        e_mat = field.canon(np.tensordot(e_vec, stack, axes=([0], [0])))
+        e_mat = field.tensordot(e_vec, stack, axes=([0], [0]))
         complement = field.canon(field.sub(field.eye(mod.dim), e_mat))
         children = seed_seq.spawn(2)
         for part, child_seed in zip((e_mat, complement), children):
@@ -338,9 +341,9 @@ def summand_split_maps(x, y):
         return None
     for f in fs:
         for g in gs:
-            u = field.canon(field.matmul(g, f))
+            u = field.matmul(g, f)
             if linalg.rank(field, u) == x.dim:
-                h = field.canon(field.matmul(linalg.invert(field, u), g))
+                h = field.matmul(linalg.invert(field, u), g)
                 return f, h
     return None
 
@@ -438,7 +441,7 @@ def complete_primitive_idempotents(a, seed=0):
     es = []
     for s in dec.summands:
         p = field.matmul(s.inclusion, s.projection)
-        es.append(field.canon(field.matmul(p, a.unit)))
+        es.append(field.matmul(p, a.unit))
     total = field.zeros(a.dim)
     for i, e in enumerate(es):
         if not field.eq(a.mul(e, e), e):

@@ -3,15 +3,30 @@
 Matrices over GF(p) are int64 arrays kept reduced into [0, p); matrices over
 the rationals are object arrays of Fraction. Both expose one small interface
 so every elimination kernel in linalg is written once and runs exactly on
-either field. Products go through np.dot, or np.matmul for stacks of
-matrices; both support object dtype.
+either field.
+
+Every product of field matrices goes through one of two methods: matmul,
+with np.dot's semantics (the last axis of a against the second-to-last axis
+of b, or b's only axis), and tensordot, with np.tensordot's. Over GF(p) each
+is the int64 product reduced once mod p. Over Q each multiplies integers:
+an operand a is N_a / d_a with d_a the lcm of its denominators and N_a an
+integer array, so a product is (N_a . N_b) / (d_a d_b), and every output
+entry is divided once, or not at all when d_a d_b = 1. Fraction normalises,
+so each entry equals the sum of Fraction products entry for entry. The
+integer product runs in int64 when max|N_a| max|N_b| K < 2^63, K the
+contracted extent: no term and no partial sum then leaves the int64 range.
+Otherwise it runs on Python ints in object arrays. Every entry of a product
+is a Fraction, empty contractions included.
 
 canon always returns a fresh array that shares no memory with its argument;
-linalg.rref relies on this to eliminate in place without a copy.
+linalg.rref relies on this to eliminate in place without a copy. Over Q it
+keeps the entries that already are Fraction: Fraction is immutable, so the
+fresh array may share them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +36,43 @@ from .errors import UnsupportedField
 # int64 dot products of canonical entries stay exact as long as
 # dim * (p-1)^2 < 2^63; the cap keeps that true with a huge margin. A second
 # contraction of an unreduced product reaches dim^2 (p-1)^3, which overflows
-# near the cap once a table is dense, so every product is reduced by canon
-# before it is contracted again.
+# near the cap once a table is dense, so matmul and tensordot reduce every
+# product before it can be contracted again.
 _PRIME_CAP = 1 << 20
 
-_to_fraction = np.frompyfunc(Fraction, 1, 1)
+_INT64_LIMIT = 1 << 63
+
+
+def _as_fraction(x):
+    return x if type(x) is Fraction else Fraction(x)
+
+
+_to_fraction = np.frompyfunc(_as_fraction, 1, 1)
+_over = np.frompyfunc(Fraction, 2, 1)  # entrywise Fraction(numerator, denominator)
+
+
+def _numerators(a):
+    """(N, d, top): a == N / d for the lcm d of a's denominators, N a flat list of ints, top = max |N|."""
+    # int() turns numpy integers, which a Fraction built from an np.int64 holds, into Python ints
+    pairs = [(x if type(x) is Fraction else Fraction(x)).as_integer_ratio() for x in a.ravel().tolist()]
+    d = math.lcm(*[den for _, den in pairs])
+    nums = [int(num) for num, _ in pairs] if d == 1 else [int(num) * (d // int(den)) for num, den in pairs]
+    return nums, d, max(map(abs, nums), default=0)
+
+
+def _rational_product(a, b, axes):
+    """np.tensordot(a, b, axes) over Q, through the integer numerators."""
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    na, da, top_a = _numerators(a)
+    nb, db, top_b = _numerators(b)
+    a_axes = range(a.ndim - axes, a.ndim) if isinstance(axes, int) else np.atleast_1d(axes[0])
+    bound = top_a * top_b * math.prod(a.shape[i] for i in a_axes)
+    if bound == 0:  # nothing is contracted, or an operand is zero
+        na, nb = [0] * len(na), [0] * len(nb)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    num = np.tensordot(np.array(na, dtype=dtype).reshape(a.shape), np.array(nb, dtype=dtype).reshape(b.shape), axes)
+    d = da * db
+    return _over(num, d) if d != 1 else _to_fraction(num)
 
 
 def _is_prime(n: int) -> bool:
@@ -116,6 +163,9 @@ class GFField:
 
     def matmul(self, a, b):
         return np.dot(a, b) % self.p
+
+    def tensordot(self, a, b, axes):
+        return np.tensordot(a, b, axes) % self.p
 
     def outer(self, u, v):
         return np.outer(u, v) % self.p
@@ -213,7 +263,11 @@ class RationalField:
         return Fraction(c) * a
 
     def matmul(self, a, b):
-        return np.dot(a, b)
+        a, b = np.asarray(a), np.asarray(b)
+        return _rational_product(a, b, ([a.ndim - 1], [max(b.ndim - 2, 0)]))
+
+    def tensordot(self, a, b, axes):
+        return _rational_product(a, b, axes)
 
     def outer(self, u, v):
         return np.outer(u, v)

@@ -287,8 +287,7 @@ def skew_group_algebra(act):
     for g in range(n):
         # C[i, j, k] = coords of a_i * (g . a_j) over the algebra basis
         image = act.matrices[g]  # columns are g(a_j)
-        c = np.tensordot(a.table, image, axes=([1], [0])).transpose(0, 2, 1)
-        c = field.canon(c)
+        c = field.tensordot(a.table, image, axes=([1], [0])).transpose(0, 2, 1)
         for h in range(n):
             gh = group.mul(g, h)
             # strided assignment fills [(i,g),(j,h),(k,gh)] = C[i,j,k]

@@ -164,20 +164,26 @@ def echelon_pivots(field, rows):
     return pivots
 
 
-def coords_in_row_basis(field, rows, vectors):
+def coords_in_row_basis(field, rows, vectors, pivots=None):
     """Coordinates of the row vectors in a reduced echelon row basis; None if outside.
 
     The coordinates are the vectors' entries at the pivot columns; they are
     correct exactly when they reproduce the vectors. Only the basis rows
-    with a nonzero coordinate enter that product.
+    with a nonzero coordinate enter that product. A caller that reads many
+    blocks against one basis checks it once and passes its echelon_pivots.
     """
     rows = np.atleast_2d(rows)
     vectors = field.canon(np.atleast_2d(vectors))
-    coords = vectors[:, echelon_pivots(field, rows)]
+    coords = vectors[:, echelon_pivots(field, rows) if pivots is None else pivots]
     used = coords.astype(bool).any(axis=0)
     if not (field.matmul(coords[:, used], rows[used]) == vectors).all():
         return None
     return coords
+
+
+def stack_product(field, f, mats):
+    """The stack of products f mats[i], as one field.matmul."""
+    return field.matmul(f, mats).transpose(1, 0, 2)
 
 
 def complement_projection(field, rows, dim):

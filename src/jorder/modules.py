@@ -77,10 +77,10 @@ class Module:
     # ---- actions ------------------------------------------------------------
 
     def left_action(self, a):
-        return self.field.canon(np.tensordot(np.asarray(a), self.left_mats, axes=(0, 0)))
+        return self.field.tensordot(a, self.left_mats, axes=(0, 0))
 
     def right_action(self, b):
-        return self.field.canon(np.tensordot(np.asarray(b), self.right_mats, axes=(0, 0)))
+        return self.field.tensordot(b, self.right_mats, axes=(0, 0))
 
     def _validate(self):
         field, eye = self.field, self.field.eye(self.dim)
@@ -91,14 +91,15 @@ class Module:
             if not field.eq(self.left_action(a.unit), eye):
                 raise ValueError("left action of the unit is not the identity")
             for g, lg in zip(a.generators, _generator_actions(mats, a)):
-                if not field.eq(np.tensordot(a.left_mult_matrix(g), mats, axes=(0, 0)), np.matmul(lg, mats)):
+                products = linalg.stack_product(field, lg, mats)
+                if not field.eq(field.tensordot(a.left_mult_matrix(g), mats, axes=(0, 0)), products):
                     raise ValueError("left action is not multiplicative")
         if self.right_mats is not None:
             b, mats = self.right_algebra, self.right_mats
             if not field.eq(self.right_action(b.unit), eye):
                 raise ValueError("right action of the unit is not the identity")
             for g, rg in zip(b.generators, _generator_actions(mats, b)):
-                if not field.eq(np.tensordot(b.left_mult_matrix(g), mats, axes=(0, 0)), np.matmul(mats, rg)):
+                if not field.eq(field.tensordot(b.left_mult_matrix(g), mats, axes=(0, 0)), field.matmul(mats, rg)):
                     raise ValueError("right action is not anti-multiplicative")
         if self.left_mats is not None and self.right_mats is not None:
             rights = _generator_actions(self.right_mats, self.right_algebra)
@@ -134,12 +135,12 @@ class Module:
 
 def intertwines(field, f, src_mats, dst_mats):
     """Whether f src_mats[i] = dst_mats[i] f for every i, as one batched product."""
-    return field.eq(np.matmul(f, src_mats), np.matmul(dst_mats, f))
+    return field.eq(linalg.stack_product(field, f, src_mats), field.matmul(dst_mats, f))
 
 
 def _generator_actions(mats, algebra):
     """The action matrices of the algebra's generators, stacked."""
-    return algebra.field.canon(np.tensordot(np.array(algebra.generators), mats, axes=(1, 0)))
+    return algebra.field.tensordot(np.array(algebra.generators), mats, axes=(1, 0))
 
 
 def _same_algebra(a, b):
@@ -240,13 +241,14 @@ def _all_generator_actions(m):
     ])
 
 
-def _moved_rows(rows, mats):
+def _moved_rows(field, rows, mats):
     """The rows moved by every matrix of the stack, one block of rows per matrix."""
-    return np.matmul(rows, mats.transpose(0, 2, 1)).reshape(mats.shape[0] * rows.shape[0], rows.shape[1])
+    moved = field.matmul(mats, rows.T).transpose(0, 2, 1)
+    return moved.reshape(mats.shape[0] * rows.shape[0], rows.shape[1])
 
 
 def _assert_stable(m, rows):
-    moved = _moved_rows(rows, _all_generator_actions(m))
+    moved = _moved_rows(m.field, rows, _all_generator_actions(m))
     if linalg.coords_in_row_basis(m.field, rows, moved) is None:
         raise ValueError("quotient_module: subspace is not action-stable")
 
@@ -257,7 +259,7 @@ def submodule(m, rows, label=None):
     basis = linalg.row_basis(field, field.canon(np.atleast_2d(rows)))
     gens = _all_generator_actions(m)
     while True:
-        new_basis = linalg.row_basis(field, np.concatenate([basis, _moved_rows(basis, gens)]))
+        new_basis = linalg.row_basis(field, np.concatenate([basis, _moved_rows(field, basis, gens)]))
         if new_basis.shape[0] == basis.shape[0]:
             break
         basis = new_basis
@@ -265,7 +267,7 @@ def submodule(m, rows, label=None):
 
     def induced(mats):
         # the images of the basis rows under every basis element, solved at once
-        coords = linalg.coords_in_row_basis(field, basis, _moved_rows(basis, mats))
+        coords = linalg.coords_in_row_basis(field, basis, _moved_rows(field, basis, mats))
         if coords is None:
             raise AssertionError("submodule basis is not action-stable")
         return coords.reshape(mats.shape[0], s, s).transpose(0, 2, 1)
@@ -288,9 +290,9 @@ def _quotient(m, basis, label):
     """quotient_module for a row basis that is action-stable by construction."""
     proj, sect = linalg.complement_projection(m.field, basis, m.dim)
     free = sect.nonzero()[0]  # the section's ones sit at the free columns: X sect = X[:, free]
-    # proj X sect for every action matrix X; Module reduces the products
-    lm = np.matmul(proj, m.left_mats[:, :, free]) if m.left_mats is not None else None
-    rm = np.matmul(proj, m.right_mats[:, :, free]) if m.right_mats is not None else None
+    # proj X sect for every action matrix X
+    lm = linalg.stack_product(m.field, proj, m.left_mats[:, :, free]) if m.left_mats is not None else None
+    rm = linalg.stack_product(m.field, proj, m.right_mats[:, :, free]) if m.right_mats is not None else None
     quo = Module(m.left_algebra, m.right_algebra, lm, rm, label, check=False)
     return quo, proj
 
@@ -468,7 +470,7 @@ class TensorResult:
     def pure_tensor(self, u, v):
         field = self.module.field
         big = np.multiply.outer(np.asarray(u), np.asarray(v)).reshape(-1)
-        return field.canon(np.dot(self.projection, big))
+        return field.matmul(self.projection, big)
 
 
 def tensor_over(m, n, label=None):
@@ -502,11 +504,12 @@ def tensor_over(m, n, label=None):
     p = proj.reshape(t, dm, dn)
 
     def induced(products):
-        # (algebra dim, t, dm, dn) -> proj X sect for each basis element; Module reduces
+        # (algebra dim, t, dm, dn) -> proj X sect for each basis element
         return products.reshape(products.shape[0], t, dm * dn)[:, :, free]
 
-    lm = None if m.left_mats is None else induced(np.matmul(m.left_mats.transpose(0, 2, 1)[:, None], p))
-    rm = None if n.right_mats is None else induced(np.matmul(p, n.right_mats[:, None]))
+    # L_i^T P_k and P_k R_j, stacked by (i, k) and (j, k)
+    lm = None if m.left_mats is None else induced(field.tensordot(m.left_mats, p, ([1], [1])).transpose(0, 2, 1, 3))
+    rm = None if n.right_mats is None else induced(field.matmul(p, n.right_mats).transpose(2, 0, 1, 3))
     module = Module(
         m.left_algebra, n.right_algebra, lm, rm,
         label or f"{m.label} (x)_{m.right_algebra.label} {n.label}",
@@ -561,7 +564,7 @@ def twist_left(m, g, label=None):
     if m.left_mats is None:
         raise ValueError("no left action to twist")
     g = _check_automorphism(m.left_algebra, g)
-    lm = m.field.canon(np.tensordot(g, m.left_mats, axes=([0], [0])))
+    lm = m.field.tensordot(g, m.left_mats, axes=([0], [0]))
     return Module(m.left_algebra, m.right_algebra, lm, m.right_mats, label or f"twist({m.label})", check=False)
 
 
@@ -570,7 +573,7 @@ def twist_right(m, g, label=None):
     if m.right_mats is None:
         raise ValueError("no right action to twist")
     g = _check_automorphism(m.right_algebra, g)
-    rm = m.field.canon(np.tensordot(g, m.right_mats, axes=([0], [0])))
+    rm = m.field.tensordot(g, m.right_mats, axes=([0], [0]))
     return Module(m.left_algebra, m.right_algebra, m.left_mats, rm, label or f"twist({m.label})", check=False)
 
 

@@ -298,8 +298,8 @@ def _packaged_certificate(wp, base_cert, left_maps, right_maps):
     (l_incl, l_proj), (r_incl, r_proj) = left_maps, right_maps
     block_incl = field.matmul(tr.projection, field.matmul(field.kron(l_incl, r_incl), base.section))
     block_proj = field.matmul(base.projection, field.matmul(field.kron(l_proj, r_proj), tr.section))
-    section = field.canon(field.matmul(block_incl, base_cert.section))
-    retraction = field.canon(field.matmul(base_cert.retraction, block_proj))
+    section = field.matmul(block_incl, base_cert.section)
+    retraction = field.matmul(base_cert.retraction, block_proj)
     _verify_split(regular_bimodule(wp.a), tr.module, section, retraction)
     return JCertificate(
         direction="equiv",

@@ -22,6 +22,7 @@ from jorder.decomp import (
     is_connected,
     is_direct_summand,
     is_symmetric,
+    summand_isomorphism,
 )
 from jorder.errors import Inconclusive
 from jorder.fields import GF, QQ
@@ -176,6 +177,24 @@ class TestEndomorphismAlgebra:
         e_alg, _ = endomorphism_algebra(total)
         assert e_alg.dim == 4  # End(P1 + P1) is a 2x2 matrix algebra over k
         assert e_alg.radical_rows().shape[0] == 0
+
+
+    def test_each_basis_is_checked_once(self, monkeypatch):
+        """End(M)'s table and unit, and every composite summand_isomorphism
+        reads, use pivots checked once per basis rather than once per read."""
+        checked = []
+        real = linalg.echelon_pivots
+        monkeypatch.setattr(linalg, "echelon_pivots", lambda field, rows: checked.append(rows.shape) or real(field, rows))
+        reg = left_regular_module(linear_quiver_algebra(GF(5), 3))
+        _, homs = endomorphism_algebra(reg)
+        assert len(homs) == 6 and checked.count((6, 36)) == 1
+        lam = truncated_cycle("GF(3)", 2, 5)
+        dec = decompose(left_regular_module(lam), seed=0)
+        si, sj = dec.summands
+        checked.clear()
+        # End(P) has a 3-dim basis with a 2-dim radical; three composites are nonzero
+        assert summand_isomorphism(si, sj) is None
+        assert checked == [(3, 25), (2, 3)]
 
 
 class TestIdempotentSearch:

@@ -76,3 +76,51 @@ def test_echelon_bases_are_read_without_a_second_elimination():
                     ):
                         found.append(f"{path.name}:{call.lineno}: {fn.name} eliminates an echelon basis again")
     assert found == []
+
+
+# GF(p)-only code that needs an unreduced integer product and reduces mod p
+# itself: the integer trace of a square in the chain radical's Gram matrix
+# and in charpoly_coefficient
+_RAW_PRODUCTS_ALLOWED = {
+    ("algebras.py", "_chain_gram"),
+    ("polynomials.py", "charpoly_coefficient"),
+}
+
+
+def _raw_products(tree):
+    """(enclosing function, line) of each np.dot/np.matmul/np.tensordot-like call, .dot call and @."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr == "dot"
+            or (node.func.attr in ("matmul", "tensordot", "einsum", "inner", "vdot")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy"))
+        ):
+            found.append((fn, node.lineno))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_product_goes_through_the_field():
+    """Products of field data go through field.matmul or field.tensordot, which
+    reduce mod p or multiply integer numerators over Q; fields.py alone holds
+    the raw numpy products, apart from the GF(p)-only functions above."""
+    found, used = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for fn, line in _raw_products(ast.parse(path.read_text(), filename=str(path))):
+            if (path.name, fn) in _RAW_PRODUCTS_ALLOWED:
+                used.add((path.name, fn))
+            else:
+                found.append(f"{path.name}:{line}: {fn}")
+    assert found == []
+    assert used == _RAW_PRODUCTS_ALLOWED  # no stale entries

@@ -457,3 +457,154 @@ def test_echelon_read_rejects_non_echelon_basis(field, rows):
         linalg.coords_in_row_basis(field, basis, field.zeros((1, 3)))
     with pytest.raises(AssertionError):
         linalg.complement_projection(field, basis, 3)
+
+
+# ---- differential test of the field products ----------------------------------
+#
+# The oracles are the products the library took before every product went
+# through the field, kept verbatim: np.dot, np.tensordot and np.matmul on
+# object arrays, where Fraction does the arithmetic. Over Q the field
+# multiplies integer numerators instead; Fraction normalises, so every entry
+# must equal the oracle's, and every entry must be a Fraction.
+
+_LARGE_PRIMES = [1000003, 1000033, 1000037, 1000039, 998244353, 2147483647]
+_KINDS = ["small", "coprime", "huge", "signed", "mixed"]
+
+
+def _entry(gen, kind):
+    if kind == "small":
+        return Fraction(int(gen.choice([0, 0, 0, 1, -1, 2])))
+    if kind == "coprime":  # the lcm of the denominators grows past int64
+        return Fraction(int(gen.integers(-50, 51)), int(gen.choice(_LARGE_PRIMES)))
+    if kind == "huge":  # numerators past the int64 switch
+        return Fraction(int(gen.integers(-(1 << 40), 1 << 40)) << int(gen.integers(0, 30)))
+    if kind == "signed":
+        return Fraction(int(gen.integers(-9, 10)), int(gen.integers(1, 6)))
+    value = int(gen.integers(-9, 10))  # mixed: the types raw products and literals leave
+    return [value, np.int64(value), Fraction(value, int(gen.integers(1, 4)))][int(gen.integers(0, 3))]
+
+
+def _rational_operand(gen, shape, kind):
+    out = np.empty(shape, dtype=object)
+    for index in np.ndindex(*shape):
+        out[index] = _entry(gen, kind)
+    return out
+
+
+def _assert_rational(got, want):
+    got = np.asarray(got)  # a full contraction gives a Fraction, not an array
+    assert got.dtype == object and got.shape == np.shape(want)
+    assert all(type(x) is Fraction for x in got.flat)
+    assert (got == want).all()
+
+
+# (shape of a, shape of b, axes): axes None is matmul against np.dot
+_PRODUCT_SHAPES = [
+    ((4,), (4,), None),
+    ((3, 4), (4,), None),
+    ((4,), (4, 2), None),
+    ((3, 4), (4, 2), None),
+    ((2, 3, 4), (4, 5), None),
+    ((3, 4), (2, 4, 5), None),
+    ((2, 3, 4), (2, 4, 3), None),
+    ((2, 3, 4), (4,), None),
+    ((2, 0), (0, 3), None),
+    ((0, 3), (3, 2), None),
+    ((2, 3), (3, 0), None),
+    ((0,), (0,), None),
+    ((3, 2, 0), (0, 4), None),
+    ((3, 4), (3, 2), (0, 0)),
+    ((3, 4), (4, 2), 1),
+    ((2, 3, 4), (5, 4, 3), ([1, 2], [2, 1])),
+    ((2, 3, 4), (3, 4), 2),
+    ((3, 3), (3, 3), ([0, 1], [1, 0])),
+    ((2, 0, 4), (5, 4, 0), ([1, 2], [2, 1])),
+    ((4, 2), (4, 0), ([0], [0])),
+]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_rational_products_match_object_dtype_oracle(kind):
+    gen = np.random.default_rng(7100 + _KINDS.index(kind))
+    for _ in range(3):
+        for shape_a, shape_b, axes in _PRODUCT_SHAPES:
+            a, b = _rational_operand(gen, shape_a, kind), _rational_operand(gen, shape_b, kind)
+            if axes is None:
+                _assert_rational(QQ.matmul(a, b), np.dot(a, b))
+            else:
+                _assert_rational(QQ.tensordot(a, b, axes), np.tensordot(a, b, axes))
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_stacked_rational_products_match_np_matmul(kind):
+    """The stacked np.matmul sites read as matmul against a stack."""
+    gen = np.random.default_rng(7200 + _KINDS.index(kind))
+    for k, n in [(3, 4), (2, 0), (0, 3)]:
+        f, mats = _rational_operand(gen, (n, n), kind), _rational_operand(gen, (k, n, n), kind)
+        _assert_rational(QQ.matmul(f, mats).transpose(1, 0, 2), np.matmul(f, mats))
+        _assert_rational(QQ.matmul(mats, f), np.matmul(mats, f))
+
+
+def test_rational_products_over_empty_axes_are_fractions():
+    empty = [
+        QQ.matmul(QQ.zeros((2, 0)), QQ.zeros((0, 3))),
+        QQ.matmul(QQ.zeros((4, 2, 0)), QQ.zeros((0, 3))),
+        QQ.matmul(QQ.zeros((2, 0)), QQ.zeros((4, 0, 3))).transpose(1, 0, 2),
+        QQ.tensordot(QQ.zeros((2, 0)), QQ.zeros((0, 3)), axes=1),
+    ]
+    for got in empty:
+        _assert_rational(got, np.zeros(got.shape, dtype=np.int64))
+
+
+def test_rational_canon_keeps_fractions_in_a_fresh_array():
+    a = np.array([Fraction(1, 3), 2, np.int64(-4)], dtype=object)
+    c = QQ.canon(a)
+    assert c[0] is a[0]  # Fraction is immutable, so it is kept, not rebuilt
+    assert all(type(x) is Fraction for x in c) and list(c) == [Fraction(1, 3), 2, -4]
+    assert not np.shares_memory(c, a)
+    c[0] = Fraction(5)
+    assert a[0] == Fraction(1, 3)
+
+
+_INT64_MAX = (1 << 63) - 1  # 7^2 * 73 * 127 * 337 * 92737 * 649657
+
+
+@pytest.mark.parametrize(
+    "a, b, axes, exact",
+    [
+        ([[21870289]], [[421730688463]], None, _INT64_MAX),  # the int64 path, at its edge
+        ([[-21870289]], [[421730688463]], None, -_INT64_MAX),
+        ([[1 << 32]], [[1 << 31]], None, 1 << 63),  # one past it: Python ints
+        ([[-(1 << 32)]], [[1 << 31]], None, -(1 << 63)),
+        ([[1 << 31, 1 << 31]], [[1 << 31], [1 << 31]], None, 1 << 63),  # the sum reaches 2^63
+        ([[1 << 31, -(1 << 31)]], [[1 << 31], [1 << 31]], None, 0),
+        # two contracted axes: the extent is 4, not the last axis's 2
+        (np.full((1, 2, 2), 1 << 31).tolist(), np.full((1, 2, 2), 1 << 30).tolist(), ([1, 2], [2, 1]), 1 << 63),
+        (np.full((2, 2, 1), 1 << 31).tolist(), np.full((2, 2, 1), 1 << 30).tolist(), ([0, 1], [1, 0]), 1 << 63),
+    ],
+)
+def test_rational_products_at_the_int64_switch(a, b, axes, exact):
+    a, b = QQ.canon(np.array(a, dtype=object)), QQ.canon(np.array(b, dtype=object))
+    want = np.dot(a, b) if axes is None else np.tensordot(a, b, axes)
+    got = QQ.matmul(a, b) if axes is None else QQ.tensordot(a, b, axes)
+    _assert_rational(got, want)
+    assert [int(x) for x in np.asarray(got).flat] == [exact]
+
+
+def test_rational_products_of_numpy_integer_fractions_are_exact():
+    """A Fraction built from np.int64 values holds numpy integers, whose products wrap at 2^63."""
+    a = np.array([[Fraction(np.int64(1 << 40)), Fraction(np.int64(3), np.int64(2))]], dtype=object)
+    _assert_rational(QQ.matmul(a, a.T), np.array([[Fraction((1 << 80) * 4 + 9, 4)]], dtype=object))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(101), GF(1048573)], ids=["GF2", "GF101", "GF1048573"])
+def test_prime_field_products_reduce_the_integer_products(field):
+    gen = np.random.default_rng(7300 + field.p % 1000)
+    for shape_a, shape_b, axes in _PRODUCT_SHAPES:
+        a = gen.integers(0, field.p, size=shape_a, dtype=np.int64)
+        b = gen.integers(0, field.p, size=shape_b, dtype=np.int64)
+        if axes is None:
+            got, want = field.matmul(a, b), field.canon(np.dot(a, b))
+        else:
+            got, want = field.tensordot(a, b, axes), field.canon(np.tensordot(a, b, axes))
+        assert got.dtype == np.int64 and got.shape == want.shape and (got == want).all()
