@@ -16,6 +16,17 @@ Indecomposability is only ever reported with a certificate:
 A local endomorphism algebra is exactly an indecomposable module, so these
 certificates are proofs. When the budgeted search neither splits nor
 certifies, Inconclusive is raised; the library never guesses.
+
+Every isomorphism, summand and split question goes through one leaf test:
+for Z with local End(Z), Z divides X exactly when some hom-basis composite
+g f (f: Z -> X, g: X -> Z) lies outside rad End(Z), and with equal dimensions
+Z is then isomorphic to X (Fitting's lemma; Anderson-Fuller, Rings and
+Categories of Modules, section 12). Two decompositions are compared by one
+class matcher: each class of the first takes the first class of the second
+whose representative is isomorphic to its own, and its k-th member the k-th
+member of that class. Greedy first fit is optimal because isomorphism is an
+equivalence relation, so at most one class fits; and it takes the same pairs
+as a greedy scan over the second decomposition's summands.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -32,6 +43,7 @@ from .algebras import (
 )
 from .errors import Inconclusive
 from .modules import (
+    _check_compatible,
     dual_module,
     hom_space,
     intertwines,
@@ -173,7 +185,10 @@ class Summand:
 
 @dataclass
 class Decomposition:
-    """Indecomposable summands plus their grouping into isomorphism classes."""
+    """Indecomposable summands plus their grouping into isomorphism classes.
+
+    Each class lists its summand indices in increasing order.
+    """
 
     module: object
     summands: list
@@ -201,26 +216,20 @@ def _split_by_endomorphism(mod, part):
     return sub, incl, proj
 
 
-def summand_isomorphism(si, sj):
-    """Explicit isomorphism between certified summands, or None.
+def _fitting_pair(x, end, n):
+    """First hom-basis pair (f, g), f: x -> n and g: n -> x, with g f outside rad End(x), or None.
 
-    Any composite g f lying outside rad End(M) is invertible there, which
-    splits M off N; with equal dimensions f itself is then an isomorphism.
-    If every basis composite lies in the radical, bilinearity puts all
-    composites there, so no isomorphism exists. Returns the matrix of f
-    (dim sj x dim si) when the modules are isomorphic.
+    end is (E, homs) for x, with E local. If every basis composite lies in
+    the radical, bilinearity puts every composite there.
     """
-    mi, mj = si.module, sj.module
-    if mi.dim != mj.dim:
-        return None
-    field = mi.field
-    fs = hom_space(mi, mj)
+    fs = hom_space(x, n)
     if not fs:
         return None
-    gs = hom_space(mj, mi)
+    gs = hom_space(n, x)
     if not gs:
         return None
-    e_alg, homs = si._end
+    field = x.field
+    e_alg, homs = end
     rad = e_alg.radical_rows()
     vec_rows = field.canon(np.stack(homs)).reshape(len(homs), -1)
     pivots, rad_pivots = linalg.echelon_pivots(field, vec_rows), linalg.echelon_pivots(field, rad)
@@ -233,12 +242,16 @@ def summand_isomorphism(si, sj):
             if coords is None:
                 raise AssertionError("composite escaped the endomorphism space")
             if linalg.coords_in_row_basis(field, rad, coords, rad_pivots) is None:
-                return f
+                return f, g
     return None
 
 
-def _summands_isomorphic(si, sj):
-    return summand_isomorphism(si, sj) is not None
+def summand_isomorphism(leaf, n):
+    """Isomorphism from a certified summand to a module n (dim n x dim leaf), or None."""
+    if leaf.module.dim != n.dim:
+        return None
+    pair = _fitting_pair(leaf.module, leaf._end, n)
+    return None if pair is None else pair[0]
 
 
 def decompose(m, seed=0):
@@ -284,7 +297,7 @@ def decompose(m, seed=0):
     classes = []
     for idx, s in enumerate(leaves):
         for cls in classes:
-            if _summands_isomorphic(leaves[cls[0]], s):
+            if summand_isomorphism(leaves[cls[0]], s.module) is not None:
                 cls.append(idx)
                 break
         else:
@@ -292,60 +305,79 @@ def decompose(m, seed=0):
     return Decomposition(m, leaves, classes)
 
 
+def _match_classes(dx, dy):
+    """Yield (cls, d, f) for the classes of dx in order: d the isomorphic class of dy
+    and f the isomorphism between their representatives, or d = f = None."""
+    free = list(range(len(dy.classes)))
+    for cls in dx.classes:
+        rep = dx.summands[cls[0]]
+        for d in free:
+            f = summand_isomorphism(rep, dy.summands[dy.classes[d][0]].module)
+            if f is not None:
+                free.remove(d)
+                yield cls, d, f
+                break
+        else:
+            yield cls, None, None
+
+
+def _pair_summands(dx, dy):
+    """Yield (r, s, f) for the summands r of dx in order, f: r -> s an isomorphism.
+
+    The k-th member of a class of dx takes the k-th member of its matched
+    class, the first one no earlier summand took; representatives reuse the
+    matcher's isomorphism. The first r without a partner yields
+    (r, None, None) and ends the pairing.
+    """
+    partner, rep_iso = {}, {}
+    for cls, d, f in _match_classes(dx, dy):
+        if d is not None:
+            partner.update(zip(cls, dy.classes[d]))
+            rep_iso[cls[0]] = f
+    for i, r in enumerate(dx.summands):
+        if i not in partner:
+            yield r, None, None
+            return
+        s = dy.summands[partner[i]]
+        f = rep_iso[i] if i in rep_iso else summand_isomorphism(r, s.module)
+        if f is None:
+            raise AssertionError("a class member is not isomorphic to its matched class")
+        yield r, s, f
+
+
 def are_isomorphic(m, n, seed=0):
     """Module isomorphism through matched Krull-Schmidt decompositions."""
-    if m.dim != n.dim or m.sidedness() != n.sidedness():
+    _check_compatible(m, n)
+    if m.dim != n.dim:
         return False
-    if m.dim == 0:
-        return True
     dm = decompose(m, seed=seed)
     dn = decompose(n, seed=seed + 1)
     if len(dm.summands) != len(dn.summands):
         return False
-    unmatched = list(range(len(dn.classes)))
-    for cls in dm.classes:
-        rep = dm.summands[cls[0]]
-        hit = None
-        for pos in unmatched:
-            other = dn.classes[pos]
-            if len(other) == len(cls) and _summands_isomorphic(rep, dn.summands[other[0]]):
-                hit = pos
-                break
-        if hit is None:
-            return False
-        unmatched.remove(hit)
-    return not unmatched
+    return all(d is not None and len(dn.classes[d]) == len(cls) for cls, d, _ in _match_classes(dm, dn))
 
 
 def summand_split_maps(x, y):
     """(section, retraction) splitting x off y, or None; x must be indecomposable.
 
-    End(x) is local for indecomposable x over a split field, so x divides y
-    exactly when some composite g f of hom-basis elements is invertible; if
-    every basis composite is singular, bilinearity keeps every composite in
-    rad End(x) and no splitting exists. Avoids decomposing y entirely.
+    End(x) must be local with E/J the ground field; the leaf test then finds
+    the first basis pair (f, g) with g f invertible, and the retraction is
+    (g f)^-1 g. Avoids decomposing y entirely.
     """
+    _check_compatible(x, y)
     field = x.field
     if x.dim == 0:
         return field.zeros((y.dim, 0)), field.zeros((0, y.dim))
     if x.dim > y.dim:
         return None
-    e_alg, _ = endomorphism_algebra(x)
+    e_alg, homs = endomorphism_algebra(x)
     if e_alg.radical_rows().shape[0] != e_alg.dim - 1:
         raise ValueError(f"{x.label} is not indecomposable with split endomorphisms")
-    fs = hom_space(x, y)
-    if not fs:
+    pair = _fitting_pair(x, (e_alg, homs), y)
+    if pair is None:
         return None
-    gs = hom_space(y, x)
-    if not gs:
-        return None
-    for f in fs:
-        for g in gs:
-            u = field.matmul(g, f)
-            if linalg.rank(field, u) == x.dim:
-                h = field.matmul(linalg.invert(field, u), g)
-                return f, h
-    return None
+    f, g = pair
+    return f, field.matmul(linalg.invert(field, field.matmul(g, f)), g)
 
 
 def divides_indecomposable(x, y):
@@ -356,35 +388,23 @@ def divides_indecomposable(x, y):
 def explicit_isomorphism(m, n, seed=0):
     """Matrix of a module isomorphism m -> n, or None.
 
-    Matches the indecomposable summands pairwise and sums
-    inclusion . iso . projection over the matching; the matching is
+    Pairs the indecomposable summands by the class matcher and sums
+    inclusion . iso . projection over the pairs; the pairing is
     block-bijective, so the sum is invertible whenever it is total.
     The result is re-verified exactly before it is returned.
     """
-    if m.dim != n.dim or m.sidedness() != n.sidedness():
+    _check_compatible(m, n)
+    if m.dim != n.dim:
         return None
     field = m.field
-    if m.dim == 0:
-        return field.zeros((0, 0))
     dm = decompose(m, seed=seed)
     dn = decompose(n, seed=seed + 1)
     if len(dm.summands) != len(dn.summands):
         return None
-    used = set()
     total = field.zeros((n.dim, m.dim))
-    for s in dm.summands:
-        hit = None
-        for j, t in enumerate(dn.summands):
-            if j in used or t.module.dim != s.module.dim:
-                continue
-            f = summand_isomorphism(s, t)
-            if f is not None:
-                hit = (j, t, f)
-                break
-        if hit is None:
+    for s, t, f in _pair_summands(dm, dn):
+        if t is None:
             return None
-        j, t, f = hit
-        used.add(j)
         total = field.add(total, field.matmul(t.inclusion, field.matmul(f, s.projection)))
     total = field.canon(total)
     if linalg.rank(field, total) != m.dim:
@@ -400,8 +420,10 @@ def is_direct_summand(x, y, seed=0):
 
     Krull-Schmidt uniqueness reduces the question to class multiplicities:
     every isomorphism class of x must appear in y at least as often. The
-    evidence lists both class summaries and the first missing class, if any.
+    evidence lists both class summaries and the first missing class, in
+    class order, if any.
     """
+    _check_compatible(x, y)
     evidence = {}
     if x.dim == 0:
         return True, evidence
@@ -409,21 +431,10 @@ def is_direct_summand(x, y, seed=0):
     dy = decompose(y, seed=seed + 1)
     evidence["left_classes"] = dx.class_summary()
     evidence["right_classes"] = dy.class_summary()
-    remaining = {pos: len(cls) for pos, cls in enumerate(dy.classes)}
-    for cls in dx.classes:
-        rep = dx.summands[cls[0]]
-        hit = None
-        for pos, cap in remaining.items():
-            if cap < len(cls):
-                continue
-            other = dy.classes[pos]
-            if _summands_isomorphic(rep, dy.summands[other[0]]):
-                hit = pos
-                break
-        if hit is None:
-            evidence["missing_class"] = {"dim": rep.module.dim, "multiplicity": len(cls)}
+    for cls, d, _ in _match_classes(dx, dy):
+        if d is None or len(dy.classes[d]) < len(cls):
+            evidence["missing_class"] = {"dim": dx.summands[cls[0]].module.dim, "multiplicity": len(cls)}
             return False, evidence
-        remaining[hit] -= len(cls)
     return True, evidence
 
 

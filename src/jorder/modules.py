@@ -161,6 +161,11 @@ def _compatible(m, n):
     return True
 
 
+def _check_compatible(m, n):
+    if not _compatible(m, n):
+        raise ValueError("the modules need identical sidedness and algebras")
+
+
 # ---- standard modules --------------------------------------------------------
 
 
@@ -400,8 +405,7 @@ def hom_space(m, n):
     matrix. The final row basis is canonical, so the result does not
     depend on the order or the start basis.
     """
-    if not _compatible(m, n):
-        raise ValueError("hom_space needs modules with identical sidedness and algebras")
+    _check_compatible(m, n)
     field = m.field
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import catalog, linalg
-from .decomp import are_isomorphic, complete_primitive_idempotents, decompose
+from .decomp import are_isomorphic, complete_primitive_idempotents, decompose, summand_isomorphism
 from .errors import Inconclusive
 from .fields import field_from_name
 from .groups import AlgebraAction, FiniteGroup, invariant_subalgebra, skew_group_algebra
@@ -209,9 +209,7 @@ def check_rotation_orbit(seed=0):
     twist_hits = []
     for g in range(g_order):
         tw = twist_left(reg, act.matrices[g])
-        hits = sum(
-            1 for s in dec.summands if are_isomorphic(s.module, tw, seed=seed)
-        )
+        hits = sum(1 for s in dec.summands if summand_isomorphism(s, tw) is not None)
         twist_hits.append(hits)
     every_summand_twisted = twist_hits == [1] * g_order
     one_regular = twist_hits[act.group.identity_index] == 1

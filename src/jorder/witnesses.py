@@ -24,12 +24,12 @@ import numpy as np
 from . import linalg
 from .algebras import check_algebra_hom, tensor_algebra
 from .decomp import (
+    _pair_summands,
     are_isomorphic,
     complete_primitive_idempotents,
     decompose,
     divides_indecomposable,
     explicit_isomorphism,
-    is_connected,
     summand_isomorphism,
 )
 from .errors import HypothesisViolated, Inconclusive, NotASummand, NotSurjective
@@ -200,41 +200,30 @@ def verify_j_geq(w, *, quality=True):
     both class summaries as evidence when it does not; Inconclusive from the
     decomposition layer propagates untouched.
     """
-    if not is_connected(w.a, seed=w.seed):
+    field = w.a.field
+    reg = regular_bimodule(w.a)
+    d_reg = decompose(reg, seed=w.seed)
+    if len(d_reg.summands) > 1:
         warnings.warn(
             f"{w.a.label} is disconnected; the summand criterion is used as-is",
             stacklevel=2,
         )
-    field = w.a.field
     tr = tensor_over(w.m, w.n)
     t = tr.module
-    reg = regular_bimodule(w.a)
-    d_reg = decompose(reg, seed=w.seed)
     d_t = decompose(t, seed=w.seed + 1)
     decomposition_ref = {
         "regular_classes": d_reg.class_summary(),
         "tensor_classes": d_t.class_summary(),
     }
-    used = set()
     section = field.zeros((t.dim, reg.dim))
     retraction = field.zeros((reg.dim, t.dim))
-    for r in d_reg.summands:
-        hit = None
-        for j, s in enumerate(d_t.summands):
-            if j in used or s.module.dim != r.module.dim:
-                continue
-            iso = summand_isomorphism(r, s)
-            if iso is not None:
-                hit = (j, s, iso)
-                break
-        if hit is None:
+    for r, s, iso in _pair_summands(d_reg, d_t):
+        if s is None:
             raise NotASummand(
                 f"the regular {w.a.label}-bimodule does not divide "
                 f"{w.m.label} (x)_{w.b.label} {w.n.label}",
                 evidence={**decomposition_ref, "missing_dim": r.module.dim},
             )
-        j, s, iso = hit
-        used.add(j)
         section = field.add(section, field.matmul(s.inclusion, field.matmul(iso, r.projection)))
         retraction = field.add(
             retraction,
@@ -596,18 +585,12 @@ def is_k_split(m, seed=0):
         zmod = z.module
         lefts = decompose(zmod.restrict_left(), seed=seed + 1)
         rights = decompose(module_over_opposite(zmod.restrict_right()), seed=seed + 2)
-        hit = False
-        for x in lefts.summands:
-            for y in rights.summands:
-                if x.module.dim * y.module.dim != zmod.dim:
-                    continue
-                cand = outer_tensor(x.module, _op_left_as_right(y.module, b))
-                if are_isomorphic(cand, zmod, seed=seed + 3):
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
+        if not any(
+            summand_isomorphism(z, outer_tensor(x.module, _op_left_as_right(y.module, b))) is not None
+            for x in lefts.summands
+            for y in rights.summands
+            if x.module.dim * y.module.dim == zmod.dim
+        ):
             return False
     return True
 

@@ -6,34 +6,48 @@ maximal orthogonal family; its size and image ranks must match the library's
 certified decomposition.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from jorder import linalg
+from jorder import catalog, decomp, linalg
 from jorder.algebras import Algebra, linear_quiver_algebra, quotient_algebra
 from jorder.decomp import (
+    Decomposition,
+    _pair_summands,
     are_isomorphic,
     block_count,
     complete_primitive_idempotents,
     decompose,
     endomorphism_algebra,
+    explicit_isomorphism,
     find_nontrivial_idempotent,
     fingerprint,
     is_connected,
     is_direct_summand,
     is_symmetric,
     summand_isomorphism,
+    summand_split_maps,
 )
-from jorder.errors import Inconclusive
+from jorder.errors import Inconclusive, NotASummand
 from jorder.fields import GF, QQ
 from jorder.modules import (
+    Module,
     direct_sum,
+    hom_space,
+    intertwines,
     left_regular_module,
+    module_over_opposite,
+    outer_tensor,
     projective_indecomposables,
     random_left_module,
     regular_bimodule,
     simple_modules,
+    tensor_over,
+    zero_module,
 )
+from jorder.witnesses import JWitnessPair, _op_left_as_right, embedding_witness_pairs, is_k_split, verify_j_geq
 from jorder.quivers import parse_presentation
 from jorder.algebras import algebra_from_quiver
 
@@ -193,7 +207,7 @@ class TestEndomorphismAlgebra:
         si, sj = dec.summands
         checked.clear()
         # End(P) has a 3-dim basis with a 2-dim radical; three composites are nonzero
-        assert summand_isomorphism(si, sj) is None
+        assert summand_isomorphism(si, sj.module) is None
         assert checked == [(3, 25), (2, 3)]
 
 
@@ -454,3 +468,463 @@ class TestAlgebraLevel:
     def test_fingerprint_deterministic(self):
         a = truncated_cycle("GF(7)", 3, 2)
         assert fingerprint(a) == fingerprint(truncated_cycle("GF(7)", 3, 2))
+
+
+# ---- the pairing loops before the class matcher, kept as oracles ----------------
+# Verbatim apart from the oracle names they call: the two-summand Fitting test,
+# the four class-matching loops, the rank-based split search and verify_j_geq's
+# greedy summand scan.
+
+
+def _old_summand_isomorphism(si, sj):
+    mi, mj = si.module, sj.module
+    if mi.dim != mj.dim:
+        return None
+    field = mi.field
+    fs = hom_space(mi, mj)
+    if not fs:
+        return None
+    gs = hom_space(mj, mi)
+    if not gs:
+        return None
+    e_alg, homs = si._end
+    rad = e_alg.radical_rows()
+    vec_rows = field.canon(np.stack(homs)).reshape(len(homs), -1)
+    pivots, rad_pivots = linalg.echelon_pivots(field, vec_rows), linalg.echelon_pivots(field, rad)
+    for f in fs:
+        for g in gs:
+            comp = field.matmul(g, f)
+            if field.is_zero(comp):
+                continue
+            coords = linalg.coords_in_row_basis(field, vec_rows, comp.reshape(1, -1), pivots)
+            if coords is None:
+                raise AssertionError("composite escaped the endomorphism space")
+            if linalg.coords_in_row_basis(field, rad, coords, rad_pivots) is None:
+                return f
+    return None
+
+
+def _old_summands_isomorphic(si, sj):
+    return _old_summand_isomorphism(si, sj) is not None
+
+
+def _old_are_isomorphic(m, n, seed=0):
+    if m.dim != n.dim or m.sidedness() != n.sidedness():
+        return False
+    if m.dim == 0:
+        return True
+    dm = decompose(m, seed=seed)
+    dn = decompose(n, seed=seed + 1)
+    if len(dm.summands) != len(dn.summands):
+        return False
+    unmatched = list(range(len(dn.classes)))
+    for cls in dm.classes:
+        rep = dm.summands[cls[0]]
+        hit = None
+        for pos in unmatched:
+            other = dn.classes[pos]
+            if len(other) == len(cls) and _old_summands_isomorphic(rep, dn.summands[other[0]]):
+                hit = pos
+                break
+        if hit is None:
+            return False
+        unmatched.remove(hit)
+    return not unmatched
+
+
+def _old_summand_split_maps(x, y):
+    field = x.field
+    if x.dim == 0:
+        return field.zeros((y.dim, 0)), field.zeros((0, y.dim))
+    if x.dim > y.dim:
+        return None
+    e_alg, _ = endomorphism_algebra(x)
+    if e_alg.radical_rows().shape[0] != e_alg.dim - 1:
+        raise ValueError(f"{x.label} is not indecomposable with split endomorphisms")
+    fs = hom_space(x, y)
+    if not fs:
+        return None
+    gs = hom_space(y, x)
+    if not gs:
+        return None
+    for f in fs:
+        for g in gs:
+            u = field.matmul(g, f)
+            if linalg.rank(field, u) == x.dim:
+                h = field.matmul(linalg.invert(field, u), g)
+                return f, h
+    return None
+
+
+def _old_explicit_isomorphism(m, n, seed=0):
+    if m.dim != n.dim or m.sidedness() != n.sidedness():
+        return None
+    field = m.field
+    if m.dim == 0:
+        return field.zeros((0, 0))
+    dm = decompose(m, seed=seed)
+    dn = decompose(n, seed=seed + 1)
+    if len(dm.summands) != len(dn.summands):
+        return None
+    used = set()
+    total = field.zeros((n.dim, m.dim))
+    for s in dm.summands:
+        hit = None
+        for j, t in enumerate(dn.summands):
+            if j in used or t.module.dim != s.module.dim:
+                continue
+            f = _old_summand_isomorphism(s, t)
+            if f is not None:
+                hit = (j, t, f)
+                break
+        if hit is None:
+            return None
+        j, t, f = hit
+        used.add(j)
+        total = field.add(total, field.matmul(t.inclusion, field.matmul(f, s.projection)))
+    total = field.canon(total)
+    if linalg.rank(field, total) != m.dim:
+        raise AssertionError("matched summand maps failed to assemble invertibly")
+    for mats_m, mats_n in ((m.left_mats, n.left_mats), (m.right_mats, n.right_mats)):
+        if mats_m is not None and not intertwines(field, total, mats_m, mats_n):
+            raise AssertionError("assembled isomorphism is not a module map")
+    return total
+
+
+def _old_is_direct_summand(x, y, seed=0):
+    evidence = {}
+    if x.dim == 0:
+        return True, evidence
+    dx = decompose(x, seed=seed)
+    dy = decompose(y, seed=seed + 1)
+    evidence["left_classes"] = dx.class_summary()
+    evidence["right_classes"] = dy.class_summary()
+    remaining = {pos: len(cls) for pos, cls in enumerate(dy.classes)}
+    for cls in dx.classes:
+        rep = dx.summands[cls[0]]
+        hit = None
+        for pos, cap in remaining.items():
+            if cap < len(cls):
+                continue
+            other = dy.classes[pos]
+            if _old_summands_isomorphic(rep, dy.summands[other[0]]):
+                hit = pos
+                break
+        if hit is None:
+            evidence["missing_class"] = {"dim": rep.module.dim, "multiplicity": len(cls)}
+            return False, evidence
+        remaining[hit] -= len(cls)
+    return True, evidence
+
+
+def _old_greedy_pairs(d_reg, d_t):
+    """verify_j_geq's scan: ([(i, j, iso)], index of the first unpaired summand or None)."""
+    pairs = []
+    used = set()
+    for i, r in enumerate(d_reg.summands):
+        hit = None
+        for j, s in enumerate(d_t.summands):
+            if j in used or s.module.dim != r.module.dim:
+                continue
+            iso = _old_summand_isomorphism(r, s)
+            if iso is not None:
+                hit = (j, s, iso)
+                break
+        if hit is None:
+            return pairs, i
+        j, s, iso = hit
+        used.add(j)
+        pairs.append((i, j, iso))
+    return pairs, None
+
+
+def _old_verify_split(w):
+    """verify_j_geq's section and retraction before the class matcher, or missing_dim."""
+    field = w.a.field
+    tr = tensor_over(w.m, w.n)
+    t = tr.module
+    reg = regular_bimodule(w.a)
+    d_reg = decompose(reg, seed=w.seed)
+    d_t = decompose(t, seed=w.seed + 1)
+    used = set()
+    section = field.zeros((t.dim, reg.dim))
+    retraction = field.zeros((reg.dim, t.dim))
+    for r in d_reg.summands:
+        hit = None
+        for j, s in enumerate(d_t.summands):
+            if j in used or s.module.dim != r.module.dim:
+                continue
+            iso = _old_summand_isomorphism(r, s)
+            if iso is not None:
+                hit = (j, s, iso)
+                break
+        if hit is None:
+            return r.module.dim
+        j, s, iso = hit
+        used.add(j)
+        section = field.add(section, field.matmul(s.inclusion, field.matmul(iso, r.projection)))
+        retraction = field.add(
+            retraction,
+            field.matmul(r.inclusion, field.matmul(linalg.invert(field, iso), s.projection)),
+        )
+    return section, retraction
+
+
+def assert_same_array(a, b):
+    """Equal shape, dtype, entries and entry types."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tolist() == b.tolist()
+    assert [type(x) for x in a.flat] == [type(x) for x in b.flat]
+
+
+def assert_same_maps(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_array(g, w)
+
+
+FIELDS = [GF(2), GF(3), GF(101), QQ]
+
+
+def conjugated(m, gen):
+    """m on the same space in a seeded random basis; over Q, m unchanged.
+
+    Over Q the idempotent search does not split End(P + P) = M_2(Q) in a
+    random basis within its budget (decompose raises Inconclusive), so the Q
+    inputs keep the direct-sum basis.
+    """
+    f = m.field
+    if f == QQ:
+        return m
+    t = f.canon(f.rand_mat(gen, m.dim, m.dim))
+    while linalg.rank(f, t) != m.dim:
+        t = f.canon(f.rand_mat(gen, m.dim, m.dim))
+    ti = linalg.invert(f, t)
+
+    def conj(mats):
+        return None if mats is None else f.canon(np.stack([f.matmul(t, f.matmul(x, ti)) for x in mats]))
+
+    return Module(m.left_algebra, m.right_algebra, conj(m.left_mats), conj(m.right_mats), f"{m.label}^t", check=False)
+
+
+def summand_fixtures(field):
+    """Indecomposables of A_3 (three projectives, a simple) and Nakayama projectives of one dimension."""
+    a = linear_quiver_algebra(field, 3)
+    p0, p1, p2 = (p for p, _, _ in projective_indecomposables(a))
+    s0 = simple_modules(a)[0][0]
+    lam = truncated_cycle(field.name, 2, 2)
+    q0, q1 = (p for p, _, _ in projective_indecomposables(lam))
+    assert (p0.dim, p1.dim, s0.dim, q0.dim, q1.dim) == (3, 2, 1, 2, 2)
+    return (p0, p1, p2, s0), (q0, q1)
+
+
+def summed(mods, gen):
+    return conjugated(direct_sum(list(mods))[0], gen)
+
+
+def reordered(dec, order):
+    """dec with its summands in the given order and classes rebuilt by first member."""
+    owner = {i: c for c, cls in enumerate(dec.classes) for i in cls}
+    summands = [dec.summands[i] for i in order]
+    classes, seen = [], {}
+    for pos, i in enumerate(order):
+        c = owner[i]
+        if c not in seen:
+            seen[c] = len(classes)
+            classes.append([])
+        classes[seen[c]].append(pos)
+    return Decomposition(dec.module, summands, classes)
+
+
+class TestMatcherAgainstGreedyLoops:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_isomorphism_and_summand_answers(self, field):
+        gen = np.random.default_rng(11)
+        (p0, p1, p2, s0), (q0, q1) = summand_fixtures(field)
+        pairs = [
+            (summed([p0, p0, p1], gen), summed([p1, p0, p0], gen)),  # a repeated class
+            (summed([q0, q1], gen), summed([q1, q0], gen)),
+            (summed([q0, q1], gen), summed([q1, q1], gen)),  # same dimensions, not isomorphic
+            (summed([s0, p0], gen), summed([p0, p1, p2], gen)),  # a missing class
+            (summed([p0, p0, p1], gen), summed([p0, p1, p2], gen)),  # a multiplicity shortfall
+            (summed([p1, p0], gen), summed([p0, p2, p0, p1], gen)),
+            (zero_module(p0.left_algebra, None), zero_module(p0.left_algebra, None)),
+        ]
+        answers = []
+        for seed, (x, y) in enumerate(pairs):
+            for a, b in ((x, y), (y, x)):
+                assert are_isomorphic(a, b, seed=seed) == _old_are_isomorphic(a, b, seed=seed)
+                summand = is_direct_summand(a, b, seed=seed)
+                assert summand == _old_is_direct_summand(a, b, seed=seed)
+                got, want = explicit_isomorphism(a, b, seed=seed), _old_explicit_isomorphism(a, b, seed=seed)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert_same_array(got, want)
+                answers.append((want is not None, summand[0]))
+        assert {(True, True), (False, True), (False, False)} <= set(answers)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_split_maps(self, field):
+        gen = np.random.default_rng(12)
+        (p0, p1, p2, s0), (q0, q1) = summand_fixtures(field)
+        targets = [summed([p0, p1], gen), summed([p2, p1, p0], gen), summed([s0, p1], gen),
+                   summed([p1, p0, p1], gen), summed([p0, p0], gen), summed([q1, q1], gen), summed([q0, q1], gen)]
+        found = []
+        for x in (conjugated(p0, gen), conjugated(p1, gen), s0, conjugated(q0, gen), q1):
+            for y in targets:
+                if x.left_algebra is not y.left_algebra:
+                    continue
+                want = _old_summand_split_maps(x, y)
+                assert_same_maps(summand_split_maps(x, y), want)
+                found.append(want is not None)
+        assert True in found and False in found
+        y = targets[0]
+        with pytest.raises(ValueError, match="not indecomposable") as new:
+            summand_split_maps(y, y)
+        with pytest.raises(ValueError, match="not indecomposable") as old:
+            _old_summand_split_maps(y, y)
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_pairs_follow_the_greedy_scan(self, field):
+        """Summand i takes the first unused member of its matched class, with the
+        same isomorphism the scan over the second decomposition's summands finds."""
+        gen = np.random.default_rng(13)
+        (p0, p1, p2, s0), (q0, q1) = summand_fixtures(field)
+        cases = [
+            (summed([p0, p1, p0, p1], gen), summed([p1, p1, p0, p0], gen)),
+            (summed([q1, q0, q1], gen), summed([q1, q1, q0], gen)),
+            (summed([p1, p0, p0], gen), summed([p0, p1], gen)),
+            (summed([q0, q0], gen), summed([q1, q0], gen)),
+        ]
+        for x, y in cases:
+            dx, dy = decompose(x, seed=1), decompose(y, seed=2)
+            want, missing = _old_greedy_pairs(dx, dy)
+            got = list(_pair_summands(dx, dy))
+            if missing is None:
+                assert all(s is not None for _, s, _ in got)
+            else:
+                assert got[-1][0] is dx.summands[missing] and got[-1][1] is None
+                got = got[:-1]
+            assert len(got) == len(want)
+            for (r, s, f), (i, j, iso) in zip(got, want):
+                assert r is dx.summands[i] and s is dy.summands[j]
+                assert_same_array(f, iso)
+
+    def test_class_order_decides_the_missing_class(self, monkeypatch):
+        """Class C1 = {0, 5} is short and class C2 = {1} is absent: summand order
+        meets C2 first, class order C1, and is_direct_summand reports C1."""
+        field = GF(3)
+        gen = np.random.default_rng(14)
+        (p0, p1, p2, s0), _ = summand_fixtures(field)
+        x = summed([p0, s0, p1, p1, p1, p0], gen)
+        y = summed([p1, p0, p1, p1], gen)
+        by_dim = {}
+        dx = decompose(x, seed=0)
+        for i, s in enumerate(dx.summands):
+            by_dim.setdefault(s.module.dim, []).append(i)
+        (a0, a1), (b,), (c0, c1, c2) = by_dim[3], by_dim[1], by_dim[2]
+        dx = reordered(dx, [a0, b, c0, c1, c2, a1])
+        assert dx.classes == [[0, 5], [1], [2, 3, 4]]
+        real = decompose
+        fake = lambda m, seed=0: dx if m is x else real(m, seed=seed)
+        monkeypatch.setattr(decomp, "decompose", fake)
+        monkeypatch.setitem(globals(), "decompose", fake)
+        ok, evidence = is_direct_summand(x, y)
+        assert (ok, evidence) == _old_is_direct_summand(x, y)
+        assert evidence["missing_class"] == {"dim": 3, "multiplicity": 2}
+        dy = real(y, seed=1)
+        want, missing = _old_greedy_pairs(dx, dy)
+        got = list(_pair_summands(dx, dy))
+        assert missing == 1 and got[-1][0] is dx.summands[1] and got[-1][1] is None
+        assert [(r, s) for r, s, _ in got[:-1]] == [(dx.summands[i], dy.summands[j]) for i, j, _ in want]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_verify_j_geq_split_is_unchanged(self, field):
+        d = truncated_cycle(field.name, 1, 3)
+        k = qa(f"field {field.name}\nvertex 1\n")
+        down, up = embedding_witness_pairs(k, d, rows=field.canon(np.asarray(d.unit)).reshape(1, -1), seed=2)
+        two = qa(f"field {field.name}\nvertex 1\nvertex 2\n")
+        witnesses = [down, up, JWitnessPair(two, two, regular_bimodule(two), regular_bimodule(two), seed=1)]
+        if field.name in ("GF(101)", "Q"):
+            witnesses.append(catalog.build("kronecker_witness", field=field.name))
+        outcomes = []
+        for w in witnesses:
+            want = _old_verify_split(w)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    cert = verify_j_geq(w, quality=False)
+                except NotASummand as exc:
+                    assert exc.evidence["missing_dim"] == want
+                    outcomes.append(False)
+                    continue
+            assert_same_maps([cert.section, cert.retraction], list(want))
+            outcomes.append(True)
+        assert outcomes[:3] == [True, False, True]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_leaf_test_on_k_split_candidates(self, field):
+        """is_k_split's leaf test answers as are_isomorphic did on every
+        candidate outer product, including same-dimensional non-isomorphic ones."""
+        lam = truncated_cycle(field.name, 2, 3)  # Q0 -> Q1 -> Q0 is a nonzero radical composite
+        d = truncated_cycle(field.name, 1, 2)
+        d_right = _op_left_as_right(left_regular_module(d), d)  # d is commutative
+        q0, q1 = (p for p, _, _ in projective_indecomposables(lam))
+        m = summed([outer_tensor(q0, d_right), outer_tensor(q1, d_right)], np.random.default_rng(15))
+        dec = decompose(m, seed=0)
+        cands = []
+        for z in dec.summands:
+            lefts = decompose(z.module.restrict_left(), seed=1)
+            rights = decompose(module_over_opposite(z.module.restrict_right()), seed=2)
+            cands += [outer_tensor(x.module, _op_left_as_right(y.module, d))
+                      for x in lefts.summands for y in rights.summands]
+        answers = []
+        for z in dec.summands:
+            for cand in cands:
+                leaf = summand_isomorphism(z, cand) is not None
+                assert leaf == _old_are_isomorphic(cand, z.module, seed=3)
+                answers.append((cand.dim == z.module.dim, leaf))
+        assert {(True, True), (True, False)} <= set(answers)
+        assert is_k_split(m)
+
+
+class TestMatcherPreconditions:
+    """Every matcher entry point rejects modules of different sidedness or
+    algebras with hom_space's ValueError, before decomposing anything."""
+
+    @pytest.fixture
+    def no_decompose(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposed before the precondition")
+
+        monkeypatch.setattr(decomp, "decompose", refuse)
+
+    def test_zero_left_module_against_bimodule(self, no_decompose):
+        a = linear_quiver_algebra(GF(5), 2)
+        with pytest.raises(ValueError, match="identical sidedness and algebras"):
+            is_direct_summand(zero_module(a, None), regular_bimodule(a))
+
+    def test_zero_bimodule_split_off_left_module(self, no_decompose):
+        a = linear_quiver_algebra(GF(5), 2)
+        with pytest.raises(ValueError, match="identical sidedness and algebras"):
+            summand_split_maps(zero_module(a, a), left_regular_module(a))
+
+    def test_different_algebras_of_different_dimension(self, no_decompose):
+        a2, a3 = linear_quiver_algebra(GF(5), 2), linear_quiver_algebra(GF(5), 3)
+        with pytest.raises(ValueError, match="identical sidedness and algebras"):
+            are_isomorphic(left_regular_module(a2), left_regular_module(a3))
+
+    def test_different_algebras_of_equal_module_dimension(self, no_decompose):
+        d, k2 = dual_numbers("GF(5)"), qa("field GF(5)\nvertex 1\nvertex 2\n")
+        with pytest.raises(ValueError, match="identical sidedness and algebras"):
+            are_isomorphic(left_regular_module(d), left_regular_module(k2))
+
+    def test_explicit_isomorphism_across_sidedness(self, no_decompose):
+        d = dual_numbers("GF(5)")
+        right = _op_left_as_right(left_regular_module(d), d)
+        with pytest.raises(ValueError, match="identical sidedness and algebras"):
+            explicit_isomorphism(left_regular_module(d), right)

@@ -124,3 +124,53 @@ def test_every_product_goes_through_the_field():
                 found.append(f"{path.name}:{line}: {fn}")
     assert found == []
     assert used == _RAW_PRODUCTS_ALLOWED  # no stale entries
+
+
+# Callers that compare two modules by decomposing both: the lrproj check waits
+# for the benchmark to stop counting are_isomorphic on lrproj-gf101, and the
+# others compare modules for which no certified leaf is held. Every other
+# isomorphism question goes through the leaf test summand_isomorphism.
+_ARE_ISOMORPHIC_CALLERS = {
+    ("witnesses.py", "lrproj_projectivity_check"),
+    ("suite.py", "check_kronecker_certificate"),
+    ("suite.py", "check_zigzag_duality"),
+    ("decomp.py", "is_symmetric"),
+}
+
+
+def _calls_by_function(tree, names):
+    """(innermost enclosing function, line) of each call to one of names."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if node in calls:
+            found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    calls = set(_calls(tree, names))
+    visit(tree, None)
+    return found
+
+
+def test_isomorphism_questions_go_through_the_leaf_test():
+    """are_isomorphic is called only from the allowlist above, and the
+    two-summand wrapper _summands_isomorphic stays deleted."""
+    found, used, removed = [], set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, line in _calls_by_function(tree, ("are_isomorphic",)):
+            if (path.name, fn) in _ARE_ISOMORPHIC_CALLERS:
+                used.add((path.name, fn))
+            else:
+                found.append(f"{path.name}:{line}: {fn}")
+        removed += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if "_summands_isomorphic" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        ]
+    assert found == []
+    assert removed == []
+    assert used == _ARE_ISOMORPHIC_CALLERS  # no stale entries
