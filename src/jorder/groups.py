@@ -12,8 +12,6 @@ which every group element acts by the character value. Missing roots of unity
 surface as a non-split block, reported as RootsOfUnityUnavailable.
 """
 
-import re
-
 import numpy as np
 
 from . import linalg
@@ -381,97 +379,14 @@ def verify_free_quiver_action(act, pres):
     return free
 
 
-_CLAUSE = re.compile(r"^\s*(\S+)\s*->\s*(.+?)\s*$")
-_TERM = re.compile(r"^(?:(\d+(?:/\d+)?)\s*\*?\s+)?(\S+)$")
+def generated_action(algebra, gens, order_cap=_ORDER_CAP):
+    """The action of the group the named generator matrices generate.
 
-
-def _parse_combo(field, labels, text, where):
-    """Signed linear combination of basis labels, as a coordinate vector."""
-    vec = field.zeros(len(labels))
-    chunks = re.findall(r"[+-]?[^+-]+", text.strip())
-    if not chunks:
-        raise InvalidInput(f"{where}: empty combination")
-    for chunk in chunks:
-        chunk = chunk.strip()
-        sign = field.one
-        if chunk.startswith("-"):
-            sign = field.scalar(-1)
-            chunk = chunk[1:].strip()
-        elif chunk.startswith("+"):
-            chunk = chunk[1:].strip()
-        m = _TERM.match(chunk)
-        if not m:
-            raise InvalidInput(f"{where}: cannot parse term {chunk!r}")
-        coeff = field.scalar_from_str(m.group(1)) if m.group(1) else field.one
-        label = m.group(2)
-        if label not in labels:
-            raise InvalidInput(f"{where}: unknown basis label {label!r}")
-        idx = labels.index(label)
-        vec[idx] = field.scalar(vec[idx] + sign * coeff)
-    return field.canon(vec)
-
-
-def action_algebra_ref(text):
-    """The algebra reference named on the first `algebra` line."""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("algebra "):
-            return line[len("algebra "):].strip()
-        raise InvalidInput("action file must start with an `algebra` line")
-    raise InvalidInput("action file has no `algebra` line")
-
-
-def parse_action(text, algebra, order_cap=_ORDER_CAP):
-    """Action file -> AlgebraAction, closing the generators into a group.
-
-    Format: an `algebra <ref>` line, then one `auto <name>: l -> combo, ...`
-    line per generator; basis labels not mentioned map to themselves. The
-    generated matrix group is closed by breadth-first products up to the cap.
+    gens is a list of (name, matrix). The group is closed by breadth-first
+    products up to order_cap; each element is labelled by the first word in
+    the generators that reaches it, and the identity by `e`.
     """
     field = algebra.field
-    gens = []
-    saw_ref = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"line {lineno}"
-        if line.startswith("algebra "):
-            if saw_ref:
-                raise InvalidInput(f"{where}: duplicate algebra line")
-            saw_ref = True
-            continue
-        if not line.startswith("auto "):
-            raise InvalidInput(f"{where}: expected an `auto` line")
-        body = line[len("auto "):]
-        if ":" not in body:
-            raise InvalidInput(f"{where}: missing `:` after the generator name")
-        name, rest = body.split(":", 1)
-        name = name.strip()
-        if not name:
-            raise InvalidInput(f"{where}: empty generator name")
-        mat = field.eye(algebra.dim)
-        seen = set()
-        for clause in rest.split(","):
-            m = _CLAUSE.match(clause)
-            if not m:
-                raise InvalidInput(f"{where}: cannot parse clause {clause.strip()!r}")
-            label = m.group(1)
-            if label not in algebra.labels:
-                raise InvalidInput(f"{where}: unknown basis label {label!r}")
-            if label in seen:
-                raise InvalidInput(f"{where}: duplicate image for {label!r}")
-            seen.add(label)
-            mat[:, algebra.labels.index(label)] = _parse_combo(
-                field, algebra.labels, m.group(2), where
-            )
-        gens.append((name, field.canon(mat)))
-    if not saw_ref:
-        raise InvalidInput("action file has no `algebra` line")
-    if not gens:
-        raise InvalidInput("action file defines no generators")
 
     def key(m):
         return tuple(field.scalar_to_str(x) for x in np.asarray(m).reshape(-1))
@@ -498,15 +413,12 @@ def parse_action(text, algebra, order_cap=_ORDER_CAP):
                     elements.append(prod)
                     nxt.append(index[k])
         frontier = nxt
+    # closed under right products by the generators, so under all products
     n = len(elements)
     table = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
-            prod = field.canon(field.matmul(elements[i], elements[j]))
-            k = key(prod)
-            if k not in index:
-                raise InvalidInput("generated set is not closed; cap too small?")
-            table[i, j] = index[k]
+            table[i, j] = index[key(field.canon(field.matmul(elements[i], elements[j])))]
     names = ",".join(name for name, _ in gens)
     group = FiniteGroup(table, labels, label=f"<{names}>")
     return AlgebraAction(group, algebra, elements)

@@ -88,13 +88,6 @@ def poly_monic(field, a):
     return poly_scale(field, field.inv_scalar(a[-1]), a)
 
 
-def poly_gcd(field, a, b):
-    a, b = poly_trim(field, a), poly_trim(field, b)
-    while b:
-        a, b = b, poly_mod(field, a, b)
-    return poly_monic(field, a)
-
-
 def poly_xgcd(field, a, b):
     """Monic g with u a + v b = g."""
     r0, r1 = poly_trim(field, a), poly_trim(field, b)
@@ -120,13 +113,6 @@ def poly_eval_matrix(field, coeffs, m):
         if c != field.zero:
             out = field.canon(field.add(out, field.smul(c, field.eye(n))))
     return field.canon(out)
-
-
-def poly_eval_scalar(field, coeffs, x):
-    acc = field.zero
-    for c in reversed(list(coeffs)):
-        acc = field.scalar(acc * x + c)
-    return acc
 
 
 def _hessenberg(field, m):

@@ -1,4 +1,4 @@
-"""Quivers, paths, presentations, and their text format.
+"""Quivers, paths, presentations, and the lexer shared by every text format.
 
 Paths are stored in traversal order: the first arrow of the tuple is walked
 first. The algebra product composes the other way around (right factor acts
@@ -7,13 +7,29 @@ mul(b, a). Relations must be homogeneous: every term a path of one common
 length >= 2 with one common source and target; that is the shape the
 degree-by-degree basis algorithm relies on, and every relation appearing in
 practice (monomial or commutativity style) has it.
+
+Every text format (presentations here, action files in serialize) is a list
+of directive lines, read by `directive_lines`: `#` starts a comment, blank
+lines are skipped, and the first word is the keyword. A linear combination,
+as in `relation a*b - 2 c*d` or `auto g: x -> -x + 1/2 y`, is read by
+`signed_terms` with the one grammar
+
+    combination := term (sign term)*
+    term        := [sign] [coefficient [*]] body
+    sign        := + | -
+    coefficient := digits [/ digits], followed by whitespace or `*`
+
+A sign starts each term after the first and may start the first. Every
+character belongs to exactly one term: a dangling sign, two signs in a row
+and an empty combination are InvalidInput naming the line. The body is the
+text up to the next sign; for a relation it is a path of arrow labels joined
+by `*`, for an action file a basis label.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import InvalidInput, NotAdmissible
 from .fields import field_from_name
@@ -153,20 +169,43 @@ class QuiverPresentation:
                 raise NotAdmissible("relation terms must share source and target")
 
 
+def directive_lines(text):
+    """(line number, keyword, rest) of each line that is not blank after its comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            keyword, _, rest = line.partition(" ")
+            yield lineno, keyword, rest.strip()
+
+
+_SIGNED_TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)(?:\s*\*\s*|\s+))?([^+-]*)")
+
+
+def signed_terms(field, text, where):
+    """[(coefficient, body)] of a signed combination; see the module docstring."""
+    terms, pos = [], 0
+    while pos < len(text) or not terms:
+        m = _SIGNED_TERM.match(text, pos)
+        sign, coeff_txt, body = m.groups()
+        pos, body = m.end(), body.strip()
+        if not body:
+            raise InvalidInput(f"{where}: missing term in {text.strip()!r}")
+        try:
+            coeff = field.scalar_from_str(coeff_txt) if coeff_txt else field.one
+        except ZeroDivisionError as exc:
+            raise InvalidInput(f"{where}: coefficient {coeff_txt} has no value in {field}") from exc
+        terms.append((field.scalar(-coeff) if sign == "-" else coeff, body))
+    return terms
+
+
 def parse_presentation(text):
     """Parse the text format; returns (field, QuiverPresentation).
 
-    Lines: `field GF(7)`, `vertex 1`, `arrow a: 1 -> 2`, `relation a*b - 2 b*c`,
-    comments from `#` to end of line, blank lines ignored.
+    Lines: `field GF(7)`, `vertex 1`, `arrow a: 1 -> 2`, `relation a*b - 2 b*c`.
     """
     field = None
     vertices, arrow_specs, relation_specs = [], [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, keyword, rest in directive_lines(text):
         if keyword == "field":
             field = field_from_name(rest)
         elif keyword == "vertex":
@@ -190,53 +229,7 @@ def parse_presentation(text):
 
 
 def _parse_relation(quiver, field, text, lineno):
-    # split into signed terms; each term: optional coefficient, then a path
-    chunks = re.findall(r"[+-]?[^+-]+", text)
-    terms = []
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:].strip()
-        m = re.match(r"^(?:(\d+(?:/\d+)?)\s*\*?\s+)?(.+)$", chunk)
-        coeff_txt, path_txt = m.group(1), m.group(2).strip()
-        coeff = field.scalar_from_str(coeff_txt) if coeff_txt else field.one
-        if sign < 0:
-            coeff = field.scalar(-coeff)
-        labels = [t.strip() for t in path_txt.split("*") if t.strip()]
-        if not labels:
-            raise InvalidInput(f"line {lineno}: empty path in relation")
-        terms.append((coeff, path_from_arrow_labels(quiver, labels)))
-    if not terms:
-        raise InvalidInput(f"line {lineno}: empty relation")
-    return terms
-
-
-def emit_presentation(field, pres):
-    lines = [f"field {field.name}"]
-    for v in pres.quiver.vertices:
-        lines.append(f"vertex {v}")
-    for a in pres.quiver.arrows:
-        lines.append(f"arrow {a.label}: {a.source} -> {a.target}")
-    for rel in pres.relations:
-        parts = []
-        for k, (coeff, path) in enumerate(rel):
-            txt = path.label(pres.quiver)
-            c = field.scalar(coeff)
-            neg = False
-            if hasattr(field, "p"):
-                if 2 * int(c) > field.p:  # print small negatives readably
-                    c, neg = field.scalar(-c), True
-            else:
-                if c < 0:
-                    c, neg = -c, True
-            coeff_txt = "" if c == field.one else f"{field.scalar_to_str(c)} "
-            if k == 0:
-                parts.append(("-" if neg else "") + coeff_txt + txt)
-            else:
-                parts.append(("- " if neg else "+ ") + coeff_txt + txt)
-        lines.append("relation " + " ".join(parts))
-    return "\n".join(lines) + "\n"
+    return [
+        (coeff, path_from_arrow_labels(quiver, [t.strip() for t in body.split("*")]))
+        for coeff, body in signed_terms(field, text, f"line {lineno}")
+    ]

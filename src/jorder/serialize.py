@@ -7,19 +7,32 @@ certificates can be diffed and hashed.
 
 Scalars serialize as plain integers over GF(p) and as strings over the
 rationals ("4", "1/3").  Matrices are row-major nested lists.
+
+Each text format has one reader and one writer, and both read lines and
+linear combinations through the lexer in quivers (directive_lines,
+signed_terms):
+
+- presentation text: read by quivers.parse_presentation, written by
+  presentation_text;
+- action files: read by parse_action_text, written by action_text.
+
+Combinations are written by _combination_text: coefficients in least
+residue over GF(p), so every term after the first follows ` + `; over Q a
+negative coefficient is written as a sign and a magnitude, `x*y - 1/2 y*x`.
 """
 
 import hashlib
 import json
-import re
 
 import numpy as np
 
+from . import linalg
 from .algebras import Algebra
 from .errors import InvalidInput
 from .fields import field_from_name
-from .groups import AlgebraAction, FiniteGroup
-from .modules import Module
+from .groups import _ORDER_CAP, generated_action
+from .modules import Module, _all_generator_actions, intertwines
+from .quivers import directive_lines, signed_terms
 from .witnesses import JCertificate, JWitnessPair
 
 FORMAT_VERSION = 1
@@ -86,6 +99,17 @@ def vector_in(field, values):
 # ---- algebras ---------------------------------------------------------------
 
 
+def _combination_text(field, terms):
+    """Writer of a signed combination of (coefficient, body) terms."""
+    parts = []
+    for k, (coeff, body) in enumerate(terms):
+        neg = field.char == 0 and coeff < 0
+        magnitude = field.scalar_to_str(-coeff if neg else coeff)
+        sign = ("-" if neg else "") if k == 0 else ("- " if neg else "+ ")
+        parts.append(sign + (body if magnitude == "1" else f"{magnitude} {body}"))
+    return " ".join(parts)
+
+
 def presentation_text(algebra):
     """Reconstruct the quiver presentation text of a quiver-built algebra."""
     prov = algebra.provenance
@@ -96,13 +120,10 @@ def presentation_text(algebra):
     lines = [f"field {field}"]
     lines += [f"vertex {v}" for v in quiver.vertices]
     lines += [f"arrow {a.label}: {a.source} -> {a.target}" for a in quiver.arrows]
-    for rel in pres.relations:
-        terms = []
-        for coeff, path in rel:
-            path_txt = "*".join(quiver.arrows[i].label for i in path.arrows)
-            coeff_txt = field.scalar_to_str(coeff)
-            terms.append(path_txt if coeff_txt == "1" else f"{coeff_txt} {path_txt}")
-        lines.append("relation " + " + ".join(terms))
+    lines += [
+        "relation " + _combination_text(field, [(c, path.label(quiver)) for c, path in rel])
+        for rel in pres.relations
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -213,134 +234,76 @@ def bimodule_from_doc(doc, left_algebra, right_algebra):
 
 # ---- group actions -----------------------------------------------------------
 
-_ARROW_RE = re.compile(r"^(\S+)\s*:\s*(.+)$")
+def parse_action_text(text, resolver, order_cap=_ORDER_CAP):
+    """Action file: an `algebra <ref>` line, then `auto g: b -> <combination>, ...` lines.
 
-
-def _parse_combination(algebra, text, lineno):
-    field = algebra.field
-    order = {lab: i for i, lab in enumerate(algebra.labels)}
-    vec = field.zeros((algebra.dim,))
-    for chunk in re.findall(r"[+-]?[^+-]+", text):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:].strip()
-        m = re.match(r"^(?:(\d+(?:/\d+)?)\s*\*?\s+)?(\S+)$", chunk)
-        if not m:
-            raise InvalidInput(f"line {lineno}: cannot parse term {chunk!r}")
-        coeff_txt, lab = m.group(1), m.group(2)
-        if lab not in order:
-            raise InvalidInput(f"line {lineno}: unknown basis label {lab!r}")
-        coeff = field.scalar_from_str(coeff_txt) if coeff_txt else field.one
-        if sign < 0:
-            coeff = field.scalar(-coeff)
-        vec[order[lab]] = field.scalar(vec[order[lab]] + coeff)
-    return field.canon(vec)
-
-
-def parse_action_text(text, resolver, order_cap=64):
-    """Action file: an `algebra <ref>` line, then `auto g: b_i -> <combination>` lines.
-
-    Lines sharing a generator name accumulate into one map; basis vectors
-    without a stated image are fixed.  The group is the closure of the
-    generators under composition, capped at order_cap.
+    Clauses are separated by commas; lines sharing a generator name
+    accumulate into one map, and basis vectors without a stated image are
+    fixed.  The group is groups.generated_action of the generators, in the
+    order their names first appear.
     """
-    algebra = None
-    algebra_ref = None
-    gen_order = []
-    images = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
+    algebra = algebra_ref = None
+    images = {}  # generator name -> {basis label: image vector}
+    for lineno, keyword, rest in directive_lines(text):
+        where = f"line {lineno}"
         if keyword == "algebra":
             if algebra is not None:
-                raise InvalidInput(f"line {lineno}: repeated algebra line")
-            algebra_ref = rest
-            algebra = resolver(rest)
+                raise InvalidInput(f"{where}: duplicate algebra line")
+            algebra_ref, algebra = rest, resolver(rest)
         elif keyword == "auto":
             if algebra is None:
-                raise InvalidInput(f"line {lineno}: auto before algebra")
-            m = _ARROW_RE.match(rest)
-            if not m:
-                raise InvalidInput(f"line {lineno}: expected `auto g: b_i -> <combination>`")
-            name, mapping = m.group(1), m.group(2)
-            src_txt, arrow, dst_txt = mapping.partition("->")
-            if not arrow:
-                raise InvalidInput(f"line {lineno}: expected `auto g: b_i -> <combination>`")
-            src = src_txt.strip()
-            order = {lab: i for i, lab in enumerate(algebra.labels)}
-            if src not in order:
-                raise InvalidInput(f"line {lineno}: unknown basis label {src!r}")
-            if name not in images:
-                gen_order.append(name)
-                images[name] = {}
-            if src in images[name]:
-                raise InvalidInput(f"line {lineno}: repeated image for {src!r} under {name!r}")
-            images[name][src] = _parse_combination(algebra, dst_txt.strip(), lineno)
+                raise InvalidInput(f"{where}: auto before the algebra line")
+            name, colon, clauses = rest.partition(":")
+            name = name.strip()
+            if not colon or not name:
+                raise InvalidInput(f"{where}: expected `auto g: b -> <combination>, ...`")
+            image = images.setdefault(name, {})
+            for clause in clauses.split(","):
+                src, arrow, combination = clause.partition("->")
+                src = src.strip()
+                if not arrow:
+                    raise InvalidInput(f"{where}: cannot parse clause {clause.strip()!r}")
+                if src not in algebra.labels:
+                    raise InvalidInput(f"{where}: unknown basis label {src!r}")
+                if src in image:
+                    raise InvalidInput(f"{where}: duplicate image for {src!r} under {name!r}")
+                image[src] = _basis_combination(algebra, combination, where)
         else:
-            raise InvalidInput(f"line {lineno}: unknown keyword {keyword!r}")
+            raise InvalidInput(f"{where}: unknown keyword {keyword!r}")
     if algebra is None:
-        raise InvalidInput("missing `algebra` line")
-    if not gen_order:
-        raise InvalidInput("no `auto` lines: need at least one generator")
-
+        raise InvalidInput("action file has no `algebra` line")
+    if not images:
+        raise InvalidInput("action file defines no generators")
     field = algebra.field
     gens = []
-    for name in gen_order:
+    for name, image in images.items():
         mat = field.eye(algebra.dim)
-        order = {lab: i for i, lab in enumerate(algebra.labels)}
-        for src, vec in images[name].items():
-            mat[:, order[src]] = vec
-        gens.append(field.canon(mat))
-
-    def key_of(mat):
-        return tuple(scalar_out(field, x) for x in np.asarray(mat).flat)
-
-    # close under multiplication; element 0 is the identity
-    elements = [field.eye(algebra.dim)]
-    keys = {key_of(elements[0]): 0}
-    for g in gens:
-        if key_of(g) not in keys:
-            keys[key_of(g)] = len(elements)
-            elements.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(elements)):
-            for g in gens:
-                prod = field.canon(field.matmul(elements[i], g))
-                key = key_of(prod)
-                if key not in keys:
-                    if len(elements) >= order_cap:
-                        raise InvalidInput(
-                            f"generator closure exceeds the order cap {order_cap}"
-                        )
-                    keys[key] = len(elements)
-                    elements.append(prod)
-                    changed = True
-    n = len(elements)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            prod = field.canon(field.matmul(elements[i], elements[j]))
-            table[i, j] = keys[key_of(prod)]
-    group = FiniteGroup(table, label=f"closure({', '.join(gen_order)})")
-    action = AlgebraAction(group, algebra, elements)
+        for src, vec in image.items():
+            mat[:, algebra.labels.index(src)] = vec
+        gens.append((name, mat))
+    action = generated_action(algebra, gens, order_cap)
     action.source_ref = algebra_ref
     return action
 
 
-def action_text(action, algebra_ref):
-    """Writer for the action file format: non-identity images of the generators.
+def _basis_combination(algebra, text, where):
+    """Coordinate vector of a signed combination of basis labels."""
+    field = algebra.field
+    vec = field.zeros(algebra.dim)
+    for coeff, label in signed_terms(field, text, where):
+        if label not in algebra.labels:
+            raise InvalidInput(f"{where}: unknown basis label {label!r}")
+        idx = algebra.labels.index(label)
+        vec[idx] = field.scalar(vec[idx] + coeff)
+    return field.canon(vec)
 
-    Emits every group element as a generator line set; the closure reader
-    reconstructs the same group.
+
+def action_text(action, algebra_ref):
+    """Writer for the action file format: non-identity images of the group elements.
+
+    Each non-identity element g<i> gets one `auto g<i>:` line per basis
+    vector it moves; the reader accumulates them into one map per element,
+    and its closure reconstructs the same group.
     """
     algebra, field = action.algebra, action.algebra.field
     lines = [f"algebra {algebra_ref}"]
@@ -349,18 +312,11 @@ def action_text(action, algebra_ref):
         if g == action.group.identity_index:
             continue
         mat = action.matrices[g]
-        name = f"g{g}"
         for i, lab in enumerate(algebra.labels):
             if field.eq(mat[:, i], eye[:, i]):
                 continue
-            terms = []
-            for j, coeff in enumerate(mat[:, i]):
-                if field.is_zero(coeff):
-                    continue
-                coeff_txt = field.scalar_to_str(coeff)
-                target = algebra.labels[j]
-                terms.append(target if coeff_txt == "1" else f"{coeff_txt} {target}")
-            lines.append(f"auto {name}: {lab} -> {' + '.join(terms)}")
+            terms = [(c, algebra.labels[j]) for j, c in enumerate(mat[:, i]) if not field.is_zero(c)]
+            lines.append(f"auto g{g}: {lab} -> {_combination_text(field, terms)}")
     return "\n".join(lines) + "\n"
 
 
@@ -490,26 +446,19 @@ def decomposition_doc(dec):
 
 def verify_decomposition_doc(module, doc):
     """Replay a decomposition document against a module: multiplications only."""
-    from . import linalg
-
     field = module.field
     if doc.get("format") != "decomposition" or int(doc["module_dim"]) != module.dim:
         return False
     idems = [matrix_in(field, s["idempotent"], shape=(module.dim, module.dim)) for s in doc["summands"]]
     total = field.zeros((module.dim, module.dim))
-    mats = []
-    if module.left_mats is not None:
-        mats += [module.left_action(g) for g in module.left_algebra.generators]
-    if module.right_mats is not None:
-        mats += [module.right_action(g) for g in module.right_algebra.generators]
+    gens = _all_generator_actions(module)
     for s, e in zip(doc["summands"], idems):
         if not field.eq(field.matmul(e, e), e):
             return False
         if linalg.rank(field, e) != int(s["dim"]):
             return False
-        for mat in mats:
-            if not field.eq(field.matmul(mat, e), field.matmul(e, mat)):
-                return False
+        if not intertwines(field, e, gens, gens):
+            return False
         total = field.add(total, e)
     for i, e in enumerate(idems):
         for ee in idems[i + 1:]:

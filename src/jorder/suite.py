@@ -27,6 +27,7 @@ from .modules import (
     Module,
     direct_sum,
     dual_module,
+    intertwines,
     outer_tensor,
     projective_indecomposables,
     random_left_module,
@@ -62,10 +63,6 @@ def _outcome(cid, name, passed, details, certificates=(), pairs=()):
         "_certificates": list(certificates),
         "_pairs": list(pairs),
     }
-
-
-def _fingerprint_list(fp):
-    return [fp[0], list(fp[1]), fp[2], fp[3]]
 
 
 # ---- 1: the explicit Kronecker witness certificate ---------------------------
@@ -157,14 +154,11 @@ def check_zigzag_duality(seed=0):
     t = f.zeros((alg.dim, alg.dim))
     for col, lab in ZIGZAG_DUAL_TO_TWIST:
         t[order[lab], col] = f.one
-    intertwines = linalg.rank(f, t) == alg.dim
-    for i in range(alg.dim):
-        intertwines = intertwines and bool(
-            f.eq(f.matmul(t, du.left_mats[i]), f.matmul(twisted.left_mats[i], t))
-        )
-        intertwines = intertwines and bool(
-            f.eq(f.matmul(t, du.right_mats[i]), f.matmul(twisted.right_mats[i], t))
-        )
+    twist_checks = (
+        linalg.rank(f, t) == alg.dim
+        and intertwines(f, t, du.left_mats, twisted.left_mats)
+        and intertwines(f, t, du.right_mats, twisted.right_mats)
+    )
     twist_iso = are_isomorphic(du, twisted, seed=seed)
     plain_iso = are_isomorphic(du, regular_bimodule(alg), seed=seed)
 
@@ -174,14 +168,14 @@ def check_zigzag_duality(seed=0):
         "dual_action_tables": tables,
         "tables_match": bool(tables_match),
         "dual_isomorphic_to_twisted_regular": bool(twist_iso),
-        "explicit_twist_isomorphism_checks": bool(intertwines),
+        "explicit_twist_isomorphism_checks": bool(twist_checks),
         "dual_isomorphic_to_plain_regular": bool(plain_iso),
     }
     passed = (
         invariants_ok
         and fp_ok
         and tables_match
-        and intertwines
+        and twist_checks
         and twist_iso
         and not plain_iso
     )

@@ -153,3 +153,26 @@ def test_tensor_output_in_another_directory_is_readable(capsys, tmp_path, monkey
     code, report = _run(capsys, "tensor", "x/m.json", "x/n.json")
     assert code == 0
     assert report["results"]["tensor"]["left_algebra_ref"] == "x/a.txt"
+
+
+SQUARE = "field GF(7)\nvertex 1 2 3 4\narrow a: 1 -> 2\narrow b: 2 -> 4\narrow c: 1 -> 3\narrow d: 3 -> 4\n"
+LOOP = "field Q\nvertex 1\narrow x: 1 -> 1\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SQUARE + "relation a*b + -c*d\n",
+        LOOP + "relation x*x*x -\n",
+        SQUARE + "relation a*b +-c*d\n",
+        LOOP + "relation 1/0 x*x\n",
+        SQUARE.replace("GF(7)", "GF(3)") + "relation a*b - 1/3 c*d\n",
+    ],
+)
+def test_malformed_relation_exits_4(capsys, tmp_path, text):
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    code, out = _run(capsys, "algebra-info", str(path))
+    assert code == 4
+    assert out["error"]["type"] == "InvalidInput"
+    assert out["error"]["message"].startswith(f"line {len(text.splitlines())}: ")  # the relation line

@@ -24,15 +24,19 @@ from jorder.fields import GF, QQ
 from jorder.groups import (
     AlgebraAction,
     FiniteGroup,
-    action_algebra_ref,
     group_algebra,
     invariant_subalgebra,
     isotypic_decomposition,
-    parse_action,
     skew_group_algebra,
     verify_free_quiver_action,
 )
 from jorder.quivers import parse_presentation
+from jorder.serialize import parse_action_text
+
+
+def parse_action(text, algebra, **kwargs):
+    """Read an action file whose algebra line names the given algebra."""
+    return parse_action_text(text, lambda ref: algebra, **kwargs)
 
 
 def qp(text):
@@ -408,10 +412,13 @@ class TestFreeQuiverAction:
 
 class TestActionFiles:
     def test_reference_extraction(self):
-        text = "# rotation\nalgebra catalog:lambda(3,2)\nauto r: e_1 -> e_2\n"
-        assert action_algebra_ref(text) == "catalog:lambda(3,2)"
+        a = qa(truncated_cycle_text("GF(7)", 3, 2))
+        text = "# rotation\nalgebra catalog:lambda(3,2)\nauto r: e_1 -> e_2, e_2 -> e_3, e_3 -> e_1, a1 -> a2, a2 -> a3, a3 -> a1\n"
+        refs = []
+        act = parse_action_text(text, lambda ref: refs.append(ref) or a)
+        assert refs == ["catalog:lambda(3,2)"] and act.source_ref == refs[0]
         with pytest.raises(InvalidInput):
-            action_algebra_ref("auto r: e_1 -> e_2\n")
+            parse_action("auto r: e_1 -> e_2\n", a)
 
     def test_zigzag_swap_file(self):
         a = qa(ZIGZAG.format(f="GF(7)"))

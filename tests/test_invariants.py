@@ -174,3 +174,31 @@ def test_isomorphism_questions_go_through_the_leaf_test():
     assert found == []
     assert removed == []
     assert used == _ARE_ISOMORPHIC_CALLERS  # no stale entries
+
+
+# the marks of a signed-term pattern: a sign class or a rational coefficient
+_SIGNED_TERM_MARKS = ("[+-]", "[^+-]", r"\d+(?:/\d+)?")
+# the replaced text readers and writer
+_REPLACED_TEXT_CODE = {"emit_presentation", "parse_action", "_parse_combo", "_parse_combination", "action_algebra_ref"}
+
+
+def test_one_lexer_for_every_text_format():
+    """quivers holds the one signed-term pattern and the one directive-line
+    loop (the only place a `#` comment is cut), and the replaced readers and
+    writer stay deleted."""
+    patterns, comment_cuts, replaced = [], [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if any(mark in node.value for mark in _SIGNED_TERM_MARKS):
+                    patterns.append(where)
+            if isinstance(node, ast.Call) and any(
+                isinstance(arg, ast.Constant) and arg.value == "#" for arg in node.args
+            ):
+                comment_cuts.append(where)
+            if _REPLACED_TEXT_CODE & {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}:
+                replaced.append(where)
+    assert len(patterns) == 1 and patterns[0].startswith("quivers.py:"), patterns
+    assert len(comment_cuts) == 1 and comment_cuts[0].startswith("quivers.py:"), comment_cuts
+    assert replaced == []

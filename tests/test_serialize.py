@@ -10,7 +10,7 @@ from jorder.algebras import Algebra, algebra_from_quiver
 from jorder.decomp import decompose
 from jorder.errors import InvalidInput
 from jorder.fields import GF, QQ
-from jorder.modules import Module, regular_bimodule
+from jorder.modules import Module, left_regular_module, regular_bimodule
 from jorder.quivers import parse_presentation
 from jorder.witnesses import replay_certificate, verify_j_geq
 
@@ -95,6 +95,23 @@ class TestPresentationText:
         assert "relation a*c + 99 b*d" in text
         field, pres = parse_presentation(text)
         back = algebra_from_quiver(pres, field)
+        assert alg.field.eq(back.table, alg.table)
+
+    @pytest.mark.parametrize(
+        "field_name, relation",
+        [("Q", "relation a*c - 1/2 b*d"), ("GF(7)", "relation a*c + 3 b*d")],
+    )
+    def test_negative_coefficients_round_trip(self, field_name, relation):
+        text = (
+            f"field {field_name}\nvertex 1 2 3 4\n"
+            "arrow a: 1 -> 2\narrow b: 1 -> 3\narrow c: 2 -> 4\narrow d: 3 -> 4\n"
+            "relation a*c - 1/2 b*d\n"
+        )
+        alg = qa(text)
+        written = serialize.presentation_text(alg)
+        assert relation in written  # -1/2 is 3 in GF(7)
+        back = qa(written)
+        assert serialize.presentation_text(back) == written
         assert alg.field.eq(back.table, alg.table)
 
     def test_requires_quiver_provenance(self):
@@ -283,4 +300,20 @@ class TestDecompositionDocs:
         dec = decompose(reg, seed=0)
         doc = json.loads(serialize.canon_json(serialize.decomposition_doc(dec)))
         doc["module_dim"] = 7
+        assert not serialize.verify_decomposition_doc(reg, doc)
+
+    def test_idempotents_that_are_not_module_maps_refused(self):
+        # conjugating every idempotent by one invertible matrix keeps them
+        # orthogonal idempotents of the right ranks summing to the identity
+        from jorder import linalg
+
+        reg = left_regular_module(catalog.build("lambda", n=3, k=2))
+        f = reg.field
+        doc = serialize.decomposition_doc(decompose(reg, seed=0))
+        assert len(doc["summands"]) == 3 and serialize.verify_decomposition_doc(reg, doc)
+        s = linalg.random_invertible(f, np.random.default_rng(1), reg.dim)
+        s_inv = linalg.invert(f, s)
+        for summand in doc["summands"]:
+            e = serialize.matrix_in(f, summand["idempotent"])
+            summand["idempotent"] = serialize.matrix_out(f, f.matmul(f.matmul(s, e), s_inv))
         assert not serialize.verify_decomposition_doc(reg, doc)
