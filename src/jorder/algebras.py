@@ -19,6 +19,11 @@ a layered chain of characteristic-polynomial-coefficient forms c_{p^(k-1)}
 whose kernels descend to the radical in floor(log_p n) + 1 steps. The chain
 runs on whatever faithful representation is cheapest, which for endomorphism
 algebras is the module itself rather than the regular representation.
+
+Tensor products index the basis pair (i, j) of A (x) B as i*dim B + j, which
+is the axis order of field.kron: a tensor's vectors, table and stacks of
+action matrices are krons of their factors', along every axis. The factor
+maps x -> x (x) 1 and y -> 1 (x) y come from tensor_factor_maps alone.
 """
 
 from __future__ import annotations
@@ -455,6 +460,18 @@ def subalgebra_from_rows(algebra, rows, *, label=None, provenance=None):
     return sub
 
 
+def tensor_factor_maps(a, b):
+    """The algebra maps x -> x (x) 1 of A and y -> 1 (x) y of B into A (x) B.
+
+    Columns are the images of the basis vectors, as in check_algebra_hom.
+    """
+    field = a.field
+    return (
+        field.kron(field.eye(a.dim), b.unit.reshape(-1, 1)),
+        field.kron(a.unit.reshape(-1, 1), field.eye(b.dim)),
+    )
+
+
 def tensor_algebra(a, b, label=None):
     """A tensor B with componentwise product; basis index (i, j) -> i*dim_b + j."""
     if a.field != b.field:
@@ -462,19 +479,14 @@ def tensor_algebra(a, b, label=None):
     if a.dim * b.dim > 200:
         raise ValueError("tensor algebra dimension exceeds the supported size")
     field = a.field
-    big = np.multiply.outer(a.table, b.table)  # (i,k,m, j,l,n)
-    table = big.transpose(0, 3, 1, 4, 2, 5).reshape(a.dim * b.dim, a.dim * b.dim, a.dim * b.dim)
-    unit = np.multiply.outer(a.unit, b.unit).reshape(-1)
+    left, right = tensor_factor_maps(a, b)
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
     idempotents = None
     primitive = False
     if a.idempotents is not None and b.idempotents is not None:
-        idempotents = [
-            np.multiply.outer(e, f).reshape(-1) for e in a.idempotents for f in b.idempotents
-        ]
+        idempotents = [field.kron(e, f) for e in a.idempotents for f in b.idempotents]
         primitive = a.idempotents_primitive and b.idempotents_primitive
-    gens = [np.multiply.outer(g, b.unit).reshape(-1) for g in a.generators]
-    gens += [np.multiply.outer(a.unit, g).reshape(-1) for g in b.generators]
+    gens = [field.matmul(left, g) for g in a.generators] + [field.matmul(right, g) for g in b.generators]
     rad_a, rad_b = a.radical_rows(), b.radical_rows()
     blocks = []
     if rad_a.shape[0]:
@@ -484,8 +496,8 @@ def tensor_algebra(a, b, label=None):
     rad = linalg.row_basis(field, np.concatenate(blocks, axis=0)) if blocks else field.zeros((0, a.dim * b.dim))
     return Algebra(
         field,
-        field.canon(table),
-        field.canon(unit),
+        field.kron(a.table, b.table),
+        field.kron(a.unit, b.unit),
         labels,
         idempotents=idempotents,
         idempotents_primitive=primitive,

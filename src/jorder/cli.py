@@ -21,12 +21,16 @@ from . import catalog, serialize, suite
 from .algebras import algebra_from_quiver
 from .decomp import decompose, is_connected, is_symmetric
 from .errors import (
+    BadCharacteristic,
     BadParams,
     Inconclusive,
     InvalidInput,
     JorderError,
+    NotAdmissible,
     NotASummand,
+    NotFiniteDimensional,
     UnknownEntry,
+    UnsupportedField,
 )
 from .fields import field_from_name
 from .groups import AlgebraAction
@@ -542,7 +546,12 @@ def build_parser():
     return p
 
 
-_EXIT_INPUT = (InvalidInput, UnknownEntry, BadParams)
+# malformed input: a document or text that does not parse, and a field,
+# presentation or catalog build the library does not support
+_EXIT_INPUT = (
+    InvalidInput, UnknownEntry, BadParams,
+    UnsupportedField, NotAdmissible, NotFiniteDimensional, BadCharacteristic,
+)
 
 
 def _error_exit_code(exc):

@@ -290,45 +290,20 @@ def skew_group_algebra(act):
             gh = group.mul(g, h)
             # strided assignment fills [(i,g),(j,h),(k,gh)] = C[i,j,k]
             table[g::n, h::n, gh::n] = c
-    unit = field.zeros(dim)
-    e = group.identity_index
-    for k in range(d):
-        unit[k * n + e] = a.unit[k]
+    # the basis a_i * g is a_i (x) g in the kron order, with g the delta vector of k[G]
+    delta = field.eye(n)
+    e = delta[group.identity_index]
     labels = [f"{a.labels[i]}*{group.labels[g]}" for i in range(d) for g in range(n)]
-    idempotents = None
-    if a.idempotents is not None:
-        idempotents = []
-        for ev in a.idempotents:
-            vec = field.zeros(dim)
-            for k in range(d):
-                vec[k * n + e] = ev[k]
-            idempotents.append(vec)
-    generators = []
-    for gen in a.generators:
-        vec = field.zeros(dim)
-        for k in range(d):
-            vec[k * n + e] = gen[k]
-        generators.append(vec)
-    for g in range(n):
-        vec = field.zeros(dim)
-        for k in range(d):
-            vec[k * n + g] = a.unit[k]
-        generators.append(vec)
+    idempotents = None if a.idempotents is None else [field.kron(ev, e) for ev in a.idempotents]
+    generators = [field.kron(gen, e) for gen in a.generators] + [field.kron(a.unit, dg) for dg in delta]
     rad_rows = None
     p = field.char
     if p == 0 or n % p != 0:
-        base = a.radical_rows()
-        if base.shape[0]:
-            rad_rows = field.zeros((base.shape[0] * n, dim))
-            for r in range(base.shape[0]):
-                for g in range(n):
-                    rad_rows[r * n + g, g::n] = base[r]
-        else:
-            rad_rows = field.zeros((0, dim))
+        rad_rows = field.kron(a.radical_rows(), delta)
     skew = Algebra(
         field,
         table,
-        unit,
+        field.kron(a.unit, e),
         labels,
         idempotents=idempotents,
         idempotents_primitive=False,
@@ -337,10 +312,7 @@ def skew_group_algebra(act):
         provenance=Provenance("skew", {"action": act}),
         label=f"{a.label}*{group.label}",
     )
-    embedding = field.zeros((d, dim))
-    for k in range(d):
-        embedding[k, k * n + e] = field.one
-    return skew, embedding
+    return skew, field.kron(field.eye(d), e[None])
 
 
 def verify_free_quiver_action(act, pres):

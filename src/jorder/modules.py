@@ -20,12 +20,19 @@ automorphism.
 Enveloping algebras are never materialized; every bimodule operation works
 directly on the two families of action matrices.
 
+Change of rings is one expression each way. Restricting an action along an
+algebra map phi (columns are the images of basis vectors) is
+field.tensordot(phi, mats, axes=([0], [0])): row i of phi^T picks the action
+of phi(x_i). Tensoring with a second action is field.kron of the two stacks,
+in the basis order of algebras.tensor_algebra.
+
 Hom spaces are solved blocked by idempotents, as in the quiver-representation
 view: a module map commutes with the complete orthogonal idempotent families
 of the acting algebras, so Hom(M, N) lies in the sum over pieces of
-Hom_k(e.M.f, e.N.f). hom_space parametrises that block space directly and
-imposes only the remaining generators, each through the residual F a - a F
-over all basis maps at once rather than a (dM dN)^2 Kronecker matrix.
+Hom_k(e.M.f, e.N.f), which is all of Hom_k(M, N) when no family splits M.
+hom_space parametrises that block space directly and imposes only the
+remaining generators, each through the residual F a - a F over all basis
+maps at once.
 
 Tensor products go through the same solver. By the tensor-Hom adjunction
 D(M (x)_B N) = Hom_B(N, DM) (Anderson-Fuller, Rings and Categories of
@@ -376,6 +383,9 @@ def _pieces(m, left_family, right_family):
     if right_family:
         rights = [m.right_action(f) for f in right_family]
         projs = [field.matmul(l, r) for l in projs for r in rights] if projs else rights
+    if not projs:  # no family: one piece, M itself
+        eye = field.eye(m.dim)
+        return [(eye, eye)]
     pieces = []
     for p in projs:
         r, piv = linalg.rref(field, p.T)
@@ -397,13 +407,13 @@ def hom_space(m, n):
     algebras have the same tables as m's (_compatible), so m's families
     serve for both. On that space a generator in a family already holds
     (L(e) is the sum of the piece projections L(e) R(f)); a one-member
-    family is {1}, which holds on every map and splits nothing. So only
-    the other generators are imposed, each on all basis maps F at once
-    through the residual F am - an F: it is the Kronecker constraint
-    (I (x) am^T - an (x) I) applied to vec_r(F), without building it.
-    Without a family the first generator is solved from that Kronecker
-    matrix. The final row basis is canonical, so the result does not
-    depend on the order or the start basis.
+    family is {1}, which holds on every map and splits nothing, so without
+    a family of two or more members the one piece is all of Hom_k(M, N).
+    Only the other generators are imposed, each on all basis maps F at
+    once through the residual F am - an F: it is the Kronecker constraint
+    (I (x) am^T - an (x) I) applied to vec_r(F), without building it. The
+    final row basis is canonical, so the result does not depend on the
+    order or the start basis.
     """
     _check_compatible(m, n)
     field = m.field
@@ -422,27 +432,17 @@ def hom_space(m, n):
     # a one-member family is {1}: it splits nothing
     left_family = left_family if len(left_family) > 1 else []
     right_family = right_family if len(right_family) > 1 else []
-    basis = None  # rows vec_r(F), row-major
-    if left_family or right_family:
-        pieces_m = _pieces(m, left_family, right_family)
-        pieces_n = pieces_m if n is m else _pieces(n, left_family, right_family)
-        basis = np.concatenate(
-            [field.kron(bn.T, cm) for (_, cm), (bn, _) in zip(pieces_m, pieces_n)]
-        )
+    pieces_m = _pieces(m, left_family, right_family)
+    pieces_n = pieces_m if n is m else _pieces(n, left_family, right_family)
+    # rows vec_r(F), row-major
+    basis = np.concatenate([field.kron(bn.T, cm) for (_, cm), (bn, _) in zip(pieces_m, pieces_n)])
     for am, an in constraints:
-        if basis is None:
-            # F am = an F as (I (x) am^T - an (x) I) vec_r(F) = 0
-            c = field.sub(field.kron(field.eye(dn), am.T), field.kron(an, field.eye(dm)))
-            basis = linalg.nullspace(field, c).T
-        else:
-            f = basis.reshape(basis.shape[0], dn, dm)
-            res = field.sub(field.matmul(f, am), field.matmul(an, f).transpose(1, 0, 2))
-            small = linalg.nullspace(field, res.reshape(basis.shape[0], dn * dm).T)
-            basis = field.matmul(small.T, basis)
+        f = basis.reshape(basis.shape[0], dn, dm)
+        res = field.sub(field.matmul(f, am), field.matmul(an, f).transpose(1, 0, 2))
+        small = linalg.nullspace(field, res.reshape(basis.shape[0], dn * dm).T)
+        basis = field.matmul(small.T, basis)
         if basis.shape[0] == 0:
             return []
-    if basis is None:
-        basis = field.eye(dm * dn)
     rows = linalg.row_basis(field, basis)
     return [rows[k].reshape(dn, dm) for k in range(rows.shape[0])]
 
@@ -473,8 +473,7 @@ class TensorResult:
 
     def pure_tensor(self, u, v):
         field = self.module.field
-        big = np.multiply.outer(np.asarray(u), np.asarray(v)).reshape(-1)
-        return field.matmul(self.projection, big)
+        return field.matmul(self.projection, field.kron(u, v))
 
 
 def tensor_over(m, n, label=None):
@@ -529,9 +528,8 @@ def outer_tensor(m, n, label=None):
     if m.right_mats is not None or n.left_mats is not None:
         raise ValueError("outer_tensor factors must be one-sided")
     field = m.field
-    eye_m, eye_n = field.eye(m.dim), field.eye(n.dim)
-    lm = field.canon(np.stack([field.kron(m.left_mats[i], eye_n) for i in range(m.left_algebra.dim)]))
-    rm = field.canon(np.stack([field.kron(eye_m, n.right_mats[j]) for j in range(n.right_algebra.dim)]))
+    lm = field.kron(m.left_mats, field.eye(n.dim)[None])
+    rm = field.kron(field.eye(m.dim)[None], n.right_mats)
     return Module(m.left_algebra, n.right_algebra, lm, rm, label or f"{m.label} (x) {n.label}", check=False)
 
 

@@ -362,43 +362,34 @@ def _algebra_pair_from_doc(doc, resolver, what):
     return a, b
 
 
-def witness_from_doc(doc, resolver=None):
-    """Rebuild a witness pair from its document."""
-    if doc.get("format") != "witness":
-        raise InvalidInput("not a witness document")
-    a, b = _algebra_pair_from_doc(doc, resolver, "witness")
+def _witness_from_doc(doc, resolver, what):
+    a, b = _algebra_pair_from_doc(doc, resolver, what)
     m = bimodule_from_doc(doc["m"], a, b)
     n = bimodule_from_doc(doc["n"], b, a)
     return JWitnessPair(a, b, m, n, seed=int(doc.get("seed", 0)))
 
 
+def witness_from_doc(doc, resolver=None):
+    """Rebuild a witness pair from its document."""
+    if doc.get("format") != "witness":
+        raise InvalidInput("not a witness document")
+    return _witness_from_doc(doc, resolver, "witness")
+
+
 def certificate_doc(cert, a_ref="", b_ref="", witness_ref=""):
-    """Self-contained, replayable record of a verified split certificate."""
-    w = cert.witness
-    field = w.a.field
-    doc = {
-        "format": "certificate",
-        "version": FORMAT_VERSION,
-        "kind": "j_geq" if cert.direction == "geq" else "j_equiv",
-        "field": str(field),
-        "a_ref": a_ref,
-        "b_ref": b_ref,
-        "witness_ref": witness_ref,
-        "a_label": w.a.label,
-        "b_label": w.b.label,
-        "m": bimodule_doc(w.m, left_ref=a_ref, right_ref=b_ref),
-        "n": bimodule_doc(w.n, left_ref=b_ref, right_ref=a_ref),
-        "tensor_dim": int(cert.tensor_dim),
-        "section": matrix_out(field, cert.section),
-        "retraction": matrix_out(field, cert.retraction),
-        "seed": int(w.seed),
-        "quality_flags": dict(cert.quality_flags) if cert.quality_flags else None,
-        "decomposition_ref": cert.decomposition_ref,
-    }
-    if not a_ref:
-        doc["a"] = algebra_doc(w.a)
-    if not b_ref:
-        doc["b"] = algebra_doc(w.b)
+    """Self-contained, replayable record of a verified split certificate: its witness document, extended."""
+    field = cert.witness.a.field
+    doc = witness_doc(cert.witness, a_ref, b_ref)
+    doc.update(
+        format="certificate",
+        kind="j_geq" if cert.direction == "geq" else "j_equiv",
+        witness_ref=witness_ref,
+        tensor_dim=int(cert.tensor_dim),
+        section=matrix_out(field, cert.section),
+        retraction=matrix_out(field, cert.retraction),
+        quality_flags=dict(cert.quality_flags) if cert.quality_flags else None,
+        decomposition_ref=cert.decomposition_ref,
+    )
     return doc
 
 
@@ -406,11 +397,8 @@ def certificate_from_doc(doc, resolver=None):
     """Rebuild the witness and certificate; verification is the caller's job."""
     if doc.get("format") != "certificate":
         raise InvalidInput("not a certificate document")
-    a, b = _algebra_pair_from_doc(doc, resolver, "certificate")
-    field = a.field
-    m = bimodule_from_doc(doc["m"], a, b)
-    n = bimodule_from_doc(doc["n"], b, a)
-    w = JWitnessPair(a, b, m, n, seed=int(doc.get("seed", 0)))
+    w = _witness_from_doc(doc, resolver, "certificate")
+    a, field = w.a, w.a.field
     tensor_dim = int(doc["tensor_dim"])
     return JCertificate(
         direction="geq" if doc["kind"] == "j_geq" else "equiv",

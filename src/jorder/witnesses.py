@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .algebras import check_algebra_hom, tensor_algebra
+from .algebras import check_algebra_hom, tensor_algebra, tensor_factor_maps
 from .decomp import (
     _pair_summands,
     are_isomorphic,
@@ -102,63 +102,32 @@ class JCertificate:
 # ---- bimodules as one-sided modules over tensor algebras ---------------------
 
 
-def _with_primitive_idempotents(x, seed=0):
-    if x.idempotents is None or not x.idempotents_primitive:
-        complete_primitive_idempotents(x, seed=seed)
-    return x
-
-
 def bimodule_as_env_module(m, seed=0):
     """An (A, B)-bimodule as a left module over A (x) B^op.
 
-    Returns (env, module). The enveloping algebra inherits primitive
-    idempotents from the factors, so projective covers work on the result.
+    Returns (env, module). x (x) y acts as L(x) R(y), one batched product in
+    the basis order of tensor_algebra. The enveloping algebra inherits
+    primitive idempotents from the factors, so projective covers work on the
+    result.
     """
     a, b = m.left_algebra, m.right_algebra
-    _with_primitive_idempotents(a, seed)
+    complete_primitive_idempotents(a, seed)
     bop = b.opposite()
-    _with_primitive_idempotents(bop, seed + 1)
+    complete_primitive_idempotents(bop, seed + 1)
     env = tensor_algebra(a, bop)
-    field = m.field
-    mats = field.zeros((env.dim, m.dim, m.dim))
-    for i in range(a.dim):
-        for j in range(b.dim):
-            mats[i * b.dim + j] = field.matmul(m.left_mats[i], m.right_mats[j])
+    mats = m.field.matmul(m.left_mats, m.right_mats).transpose(0, 2, 1, 3).reshape(env.dim, m.dim, m.dim)
     return env, Module(env, None, mats, None, f"{m.label} over {env.label}", check=False)
 
 
 def env_module_as_bimodule(mod, a, b, label=None):
-    """A left module over A (x) B^op re-read as an (A, B)-bimodule."""
-    field = mod.field
-    bop = b.opposite()
-    lm = field.zeros((a.dim, mod.dim, mod.dim))
-    for i in range(a.dim):
-        vec = np.multiply.outer(a.basis_vector(i), bop.unit).reshape(-1)
-        lm[i] = mod.left_action(field.canon(vec))
-    rm = field.zeros((b.dim, mod.dim, mod.dim))
-    for j in range(b.dim):
-        vec = np.multiply.outer(a.unit, bop.basis_vector(j)).reshape(-1)
-        rm[j] = mod.left_action(field.canon(vec))
-    return Module(a, b, lm, rm, label or f"{mod.label} as bimodule", check=False)
+    """A left module over A (x) B^op re-read as an (A, B)-bimodule.
 
-
-def _factor_restriction(mod, left_factor, right_factor, which):
-    """One-sided restriction of a module over left_factor (x) right_factor.
-
-    "left" restricts along x -> x (x) 1, "right" along y -> 1 (x) y; either
-    way the result is a left module over the chosen factor.
+    Both actions are restrictions along the factor maps of A (x) B^op.
     """
-    field = mod.field
-    if which == "left":
-        alg = left_factor
-        embed = lambda i: np.multiply.outer(left_factor.basis_vector(i), right_factor.unit)
-    else:
-        alg = right_factor
-        embed = lambda j: np.multiply.outer(left_factor.unit, right_factor.basis_vector(j))
-    mats = field.zeros((alg.dim, mod.dim, mod.dim))
-    for i in range(alg.dim):
-        mats[i] = mod.left_action(field.canon(embed(i).reshape(-1)))
-    return Module(alg, None, mats, None, f"{mod.label}|{alg.label}", check=False)
+    left, right = tensor_factor_maps(a, b.opposite())
+    lm = mod.field.tensordot(left, mod.left_mats, axes=([0], [0]))
+    rm = mod.field.tensordot(right, mod.left_mats, axes=([0], [0]))
+    return Module(a, b, lm, rm, label or f"{mod.label} as bimodule", check=False)
 
 
 def opposite_bimodule(m, label=None):
@@ -242,7 +211,7 @@ def verify_j_geq(w, *, quality=True):
     )
     if quality:
         for x in (w.a, w.b, w.a.opposite(), w.b.opposite()):
-            _with_primitive_idempotents(x, w.seed)
+            complete_primitive_idempotents(x, w.seed)
         cert.quality_flags = {
             "left_right_projective": bool(
                 is_left_right_projective(w.m) and is_left_right_projective(w.n)
@@ -342,8 +311,8 @@ def restriction_bimodules(source, target, phi):
     """
     field = target.field
     phi = check_algebra_hom(source, target, phi)
-    right_via = field.canon(np.stack([target.right_mult_matrix(im) for im in phi.T]))
-    left_via = field.canon(np.stack([target.left_mult_matrix(im) for im in phi.T]))
+    right_via = field.tensordot(phi, target.right_regular_mats(), axes=([0], [0]))
+    left_via = field.tensordot(phi, target.left_regular_mats(), axes=([0], [0]))
     m = Module(
         target, source, target.left_regular_mats(), right_via,
         f"{target.label} as ({target.label},{source.label})-bimodule", check=False,
@@ -401,26 +370,11 @@ def transport_tensor(w, c):
     """Transport a >=_J b to a (x) c >=_J b (x) c along a third algebra c."""
     ac = tensor_algebra(w.a, c)
     bc = tensor_algebra(w.b, c)
-    m2 = _tensor_with_regular(w.m, ac, bc, c)
-    n2 = _tensor_with_regular(w.n, bc, ac, c)
+    # M (x)_k c with c acting on itself on both sides, and likewise N
+    kron, creg_l, creg_r = c.field.kron, c.left_regular_mats(), c.right_regular_mats()
+    m2 = Module(ac, bc, kron(w.m.left_mats, creg_l), kron(w.m.right_mats, creg_r), f"{w.m.label}(x){c.label}", check=False)
+    n2 = Module(bc, ac, kron(w.n.left_mats, creg_l), kron(w.n.right_mats, creg_r), f"{w.n.label}(x){c.label}", check=False)
     return JWitnessPair(ac, bc, m2, n2, seed=w.seed)
-
-
-def _tensor_with_regular(m, left_env, right_env, c):
-    """M (x)_k c as a bimodule over the tensor algebras, c acting on itself."""
-    field = m.field
-    creg_l = c.left_regular_mats()
-    creg_r = c.right_regular_mats()
-    la, ra = m.left_algebra, m.right_algebra
-    lm = field.zeros((left_env.dim, m.dim * c.dim, m.dim * c.dim))
-    for i in range(la.dim):
-        for j in range(c.dim):
-            lm[i * c.dim + j] = field.kron(m.left_mats[i], creg_l[j])
-    rm = field.zeros((right_env.dim, m.dim * c.dim, m.dim * c.dim))
-    for k in range(ra.dim):
-        for l in range(c.dim):
-            rm[k * c.dim + l] = field.kron(m.right_mats[k], creg_r[l])
-    return Module(left_env, right_env, lm, rm, f"{m.label}(x){c.label}", check=False)
 
 
 def transport_opposite(w):
@@ -442,12 +396,12 @@ def witness_search(a, b, seed=0, budget=20, max_dim=None, copies_cap=1):
     first certificate found, or None; None means "not found within budget",
     never "no witness exists".
     """
-    _with_primitive_idempotents(a, seed)
-    _with_primitive_idempotents(b, seed + 1)
+    complete_primitive_idempotents(a, seed)
+    complete_primitive_idempotents(b, seed + 1)
     env_ab = tensor_algebra(a, b.opposite())
     env_ba = tensor_algebra(b, a.opposite())
-    _with_primitive_idempotents(env_ab, seed + 2)
-    _with_primitive_idempotents(env_ba, seed + 3)
+    complete_primitive_idempotents(env_ab, seed + 2)
+    complete_primitive_idempotents(env_ba, seed + 3)
     rng = np.random.default_rng(seed)
     for _ in range(budget):
         m_env = random_left_module(env_ab, rng, copies_cap=copies_cap)
@@ -475,7 +429,7 @@ def is_adjoint_pair_witness(m, n, seed=0):
     to N as a (b, a)-bimodule; iso is the explicit bimodule isomorphism
     Hom(M, A) -> N when the answer is yes, None otherwise.
     """
-    _with_primitive_idempotents(m.left_algebra)
+    complete_primitive_idempotents(m.left_algebra)
     if not is_projective(m.restrict_left()):
         return False, None
     hom, _ = hom_to_regular(m)
@@ -495,13 +449,13 @@ def generators_check(w, cert):
     a, b, seed = w.a, w.b, w.seed
     _, m_env = bimodule_as_env_module(w.m, seed=seed)
     cover_m = projective_cover(m_env).module
-    left_cover = _factor_restriction(cover_m, a, b.opposite(), "left")
+    left_cover = env_module_as_bimodule(cover_m, a, b).restrict_left()
     for p, _, _ in projective_indecomposables(a):
         if not divides_indecomposable(p, left_cover):
             return False
     _, n_env = bimodule_as_env_module(w.n, seed=seed)
     cover_n = projective_cover(n_env).module
-    right_cover = _factor_restriction(cover_n, b, a.opposite(), "right")
+    right_cover = module_over_opposite(env_module_as_bimodule(cover_n, b, a).restrict_right())
     for p, _, _ in projective_indecomposables(a.opposite()):
         if not divides_indecomposable(p, right_cover):
             return False
@@ -510,10 +464,10 @@ def generators_check(w, cert):
 
 def _projective_injectives(alg):
     """Indecomposable projective left modules that are also injective."""
+    complete_primitive_idempotents(alg.opposite())
     out = []
     for p, _, _ in projective_indecomposables(alg):
         d = module_over_opposite(dual_module(p))
-        _with_primitive_idempotents(alg.opposite())
         if is_projective(d):
             out.append(p)
     return out
@@ -531,7 +485,7 @@ def faithful_projinj_check(w, cert):
     left = w.m.restrict_left()
     if left_annihilator_rows(left).shape[0] != 0:
         return False
-    _with_primitive_idempotents(a, seed)
+    complete_primitive_idempotents(a, seed)
     for p in _projective_injectives(a):
         if not divides_indecomposable(p, left):
             return False
@@ -539,7 +493,7 @@ def faithful_projinj_check(w, cert):
         return False
     right = module_over_opposite(w.n.restrict_right())
     aop = a.opposite()
-    _with_primitive_idempotents(aop, seed)
+    complete_primitive_idempotents(aop, seed)
     for p in _projective_injectives(aop):
         if not divides_indecomposable(p, right):
             return False
@@ -551,7 +505,7 @@ def separable_quality(w, cert):
     if cert is None or cert.section is None:
         raise ValueError("separable_quality needs a verified certificate")
     for x in (w.a, w.b, w.a.opposite(), w.b.opposite()):
-        _with_primitive_idempotents(x, w.seed)
+        complete_primitive_idempotents(x, w.seed)
     return {
         "m_left_right_projective": is_left_right_projective(w.m),
         "n_left_right_projective": is_left_right_projective(w.n),
@@ -605,8 +559,8 @@ def lrproj_projectivity_check(a, b, m, seed=0):
     prov = a.provenance
     if prov is None or prov.kind != "quiver" or not prov.data.get("acyclic"):
         raise HypothesisViolated(f"{a.label} is not presented by an acyclic quiver")
-    _with_primitive_idempotents(a, seed)
-    _with_primitive_idempotents(b, seed + 1)
+    complete_primitive_idempotents(a, seed)
+    complete_primitive_idempotents(b, seed + 1)
     if not is_self_injective(b):
         raise HypothesisViolated(f"{b.label} is not self-injective")
     if not (_same_algebra(m.left_algebra, a) and _same_algebra(m.right_algebra, b)):
@@ -616,7 +570,7 @@ def lrproj_projectivity_check(a, b, m, seed=0):
     if m.dim == 0:
         return True, {"vacuous": False, "summands": 0}
     bop = b.opposite()
-    _with_primitive_idempotents(bop, seed + 2)
+    complete_primitive_idempotents(bop, seed + 2)
     right_projs = [_op_left_as_right(p, b) for p, _, _ in projective_indecomposables(bop)]
     left_projs = [p for p, _, _ in projective_indecomposables(a)]
     dec = decompose(m, seed=seed)

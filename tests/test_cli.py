@@ -176,3 +176,23 @@ def test_malformed_relation_exits_4(capsys, tmp_path, text):
     assert code == 4
     assert out["error"]["type"] == "InvalidInput"
     assert out["error"]["message"].startswith(f"line {len(text.splitlines())}: ")  # the relation line
+
+
+@pytest.mark.parametrize(
+    "argv, text, error",
+    [
+        (["algebra-info", A_REF, "--field", "GF(4)"], None, "UnsupportedField"),
+        (["algebra-info"], LOOP + "relation x*x - x*x*x\n", "NotAdmissible"),
+        (["algebra-info"], LOOP + "relation 0 x*x\n", "NotFiniteDimensional"),
+        (["algebra-info", "catalog:skew?of=zigzag_c2&field=GF(2)"], None, "BadCharacteristic"),
+    ],
+)
+def test_unusable_input_exits_4(capsys, tmp_path, argv, text, error):
+    """A field, presentation or catalog build the library cannot take is malformed input, not a failed check."""
+    if text is not None:
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    code, out = _run(capsys, *argv)
+    assert code == 4
+    assert out["error"]["type"] == error

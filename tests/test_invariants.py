@@ -202,3 +202,29 @@ def test_one_lexer_for_every_text_format():
     assert len(patterns) == 1 and patterns[0].startswith("quivers.py:"), patterns
     assert len(comment_cuts) == 1 and comment_cuts[0].startswith("quivers.py:"), comment_cuts
     assert replaced == []
+
+
+# the replaced per-factor helpers of the change of rings
+_REPLACED_CHANGE_OF_RINGS = {"_factor_restriction", "_tensor_with_regular", "_with_primitive_idempotents"}
+
+
+def test_change_of_rings_goes_through_kron_and_one_restriction():
+    """Tensor vectors, tables and action stacks are field.kron, whose axis
+    order is the basis order of tensor_algebra, so no np.multiply.outer
+    spells that order out again; restrictions are one tensordot along an
+    algebra map, so the per-factor helpers stay deleted. hom_space solves
+    every generator through the residual, with no Kronecker start: one
+    nullspace call."""
+    outers, replaced = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute) and node.attr == "outer" and getattr(node.value, "attr", None) == "multiply":
+                outers.append(where)
+            if _REPLACED_CHANGE_OF_RINGS & {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}:
+                replaced.append(where)
+    assert outers == []
+    assert replaced == []
+    tree = ast.parse((SRC / "modules.py").read_text())
+    (hom,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "hom_space"]
+    assert len(_calls(hom, ("nullspace",))) == 1

@@ -45,6 +45,7 @@ from jorder.modules import (
     tensor_over,
     top_of,
     twist_left,
+    twist_right,
     zero_module,
 )
 from jorder.quivers import parse_presentation
@@ -235,6 +236,18 @@ class TestTensor:
         assert res.module.dim == 5
         assert res.module.sidedness() == "bimodule"
         assert not res.module.field.is_zero(res.pure_tensor(a2.unit, a2.unit))
+
+    def test_pure_tensor_is_exact_near_the_prime_cap(self):
+        # x -> c x twists k[x]/x^12 on the right; x^i (x) x^j then sits at
+        # c^j x^(i+j) (x) 1, so the projection's last row sums to 8.8 p, and
+        # that row against unreduced products (p - 1)^2 leaves the int64 range
+        field = GF(1048573)
+        a = catalog.build("trunc_poly", field=field, k=12)
+        twist = field.canon(np.diag([pow(5414, i, field.p) for i in range(a.dim)]))
+        res = tensor_over(twist_right(regular_bimodule(a), twist), regular_bimodule(a))
+        top = np.full(a.dim, field.p - 1, dtype=np.int64)
+        exact = [sum(map(int, row)) * (field.p - 1) ** 2 % field.p for row in res.projection]
+        assert res.pure_tensor(top, top).tolist() == exact
 
     def test_mismatched_tensor_rejected(self, a2):
         reg = regular_bimodule(a2)

@@ -280,6 +280,45 @@ class TestCertificateDocs:
         with pytest.raises(InvalidInput):
             serialize.certificate_from_doc(doc)
 
+    def test_certificate_doc_is_the_witness_doc_extended(self, cert):
+        refs = {"a_ref": "catalog:trunc_poly?k=2", "b_ref": "catalog:kronecker", "witness_ref": "w.json"}
+        for kw in ({}, refs):
+            doc = serialize.certificate_doc(cert, **kw)
+            assert serialize.canon_json(doc) == serialize.canon_json(old_certificate_doc(cert, **kw))
+            witness = serialize.witness_doc(cert.witness, kw.get("a_ref", ""), kw.get("b_ref", ""))
+            assert {k: doc[k] for k in witness if k != "format"} == {k: v for k, v in witness.items() if k != "format"}
+            assert doc["format"] == "certificate"
+
+
+def old_certificate_doc(cert, a_ref="", b_ref="", witness_ref=""):
+    """The certificate writer before it extended witness_doc, kept as the byte oracle."""
+    w = cert.witness
+    field = w.a.field
+    doc = {
+        "format": "certificate",
+        "version": serialize.FORMAT_VERSION,
+        "kind": "j_geq" if cert.direction == "geq" else "j_equiv",
+        "field": str(field),
+        "a_ref": a_ref,
+        "b_ref": b_ref,
+        "witness_ref": witness_ref,
+        "a_label": w.a.label,
+        "b_label": w.b.label,
+        "m": serialize.bimodule_doc(w.m, left_ref=a_ref, right_ref=b_ref),
+        "n": serialize.bimodule_doc(w.n, left_ref=b_ref, right_ref=a_ref),
+        "tensor_dim": int(cert.tensor_dim),
+        "section": serialize.matrix_out(field, cert.section),
+        "retraction": serialize.matrix_out(field, cert.retraction),
+        "seed": int(w.seed),
+        "quality_flags": dict(cert.quality_flags) if cert.quality_flags else None,
+        "decomposition_ref": cert.decomposition_ref,
+    }
+    if not a_ref:
+        doc["a"] = serialize.algebra_doc(w.a)
+    if not b_ref:
+        doc["b"] = serialize.algebra_doc(w.b)
+    return doc
+
 
 class TestDecompositionDocs:
     def test_replay(self):
