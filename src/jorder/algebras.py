@@ -94,6 +94,9 @@ class Algebra:
         self._opposite = None
         self._radical_rows = None
         self._radical_powers = None
+        # modules.projective_indecomposables and modules.simple_modules fill these
+        self._projectives = None
+        self._simples = None
         self._check = check
         if check:
             self._check_unit()
@@ -140,18 +143,6 @@ class Algebra:
     def is_commutative(self):
         return self.field.eq(self.table, self.table.transpose(1, 0, 2))
 
-    def label_of(self, i):
-        return self.labels[i]
-
-    def element_to_str(self, v):
-        v = self.field.vec(v)
-        parts = []
-        for i in range(self.dim):
-            if v[i] != self.field.zero:
-                c = self.field.scalar_to_str(v[i])
-                parts.append(self.labels[i] if c == "1" else f"{c}*{self.labels[i]}")
-        return " + ".join(parts) if parts else "0"
-
     # ---- validation -------------------------------------------------------
 
     def _check_unit(self):
@@ -171,12 +162,18 @@ class Algebra:
                 raise ValueError("multiplication table is not associative")
             return
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
-        for _ in range(200):
-            x = self.field.rand_mat(gen, 1, self.dim).reshape(-1)
-            y = self.field.rand_mat(gen, 1, self.dim).reshape(-1)
-            z = self.field.rand_mat(gen, 1, self.dim).reshape(-1)
-            if not self.field.eq(self.mul(self.mul(x, y), z), self.mul(x, self.mul(y, z))):
-                raise ValueError("multiplication table is not associative")
+        draws = [self.field.rand_mat(gen, 1, self.dim) for _ in range(600)]  # x, y, z of each triple in turn
+        x, y, z = (np.concatenate(draws[k::3]) for k in range(3))
+        pairs = self.table.reshape(-1, self.dim)  # row i*dim + j holds x_i * x_j
+
+        def mul_rows(u, v):
+            # row n is u[n] * v[n]: the table read at u[n] (x) v[n], whose entries are
+            # products of two canonical scalars (below p^2 over GF(p))
+            outer = self.field.canon(u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
+            return self.field.matmul(outer, pairs)
+
+        if not self.field.eq(mul_rows(mul_rows(x, y), z), mul_rows(x, mul_rows(y, z))):
+            raise ValueError("multiplication table is not associative")
 
     def _check_generators(self):
         span = linalg.row_basis(

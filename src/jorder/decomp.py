@@ -38,7 +38,6 @@ from .algebras import (
     Algebra,
     Provenance,
     _quotient_structure,
-    center,
     matrix_algebra_radical,
 )
 from .errors import Inconclusive
@@ -50,7 +49,6 @@ from .modules import (
     left_regular_module,
     regular_bimodule,
     submodule,
-    top_of,
 )
 from .polynomials import (
     crt_split_poly,
@@ -380,11 +378,6 @@ def summand_split_maps(x, y):
     return f, field.matmul(linalg.invert(field, field.matmul(g, f)), g)
 
 
-def divides_indecomposable(x, y):
-    """Whether the indecomposable x is a direct summand of y."""
-    return summand_split_maps(x, y) is not None
-
-
 def explicit_isomorphism(m, n, seed=0):
     """Matrix of a module isomorphism m -> n, or None.
 
@@ -481,23 +474,3 @@ def is_symmetric(a, seed=0):
     """Whether the regular bimodule is isomorphic to its linear dual."""
     reg = regular_bimodule(a)
     return are_isomorphic(reg, dual_module(reg), seed=seed)
-
-
-def fingerprint(a, seed=0):
-    """Deterministic JSON-ready invariants used to pin down catalog entries."""
-    dec = decompose(left_regular_module(a), seed=seed)
-    projectives = []
-    for cls in dec.classes:
-        rep = dec.summands[cls[0]].module
-        top, _ = top_of(rep)
-        projectives.append([rep.dim, top.dim, len(cls)])
-    projectives.sort()
-    return {
-        "dim": a.dim,
-        "field": a.field.name,
-        "commutative": a.is_commutative(),
-        "loewy_layers": a.loewy_layer_dims(),
-        "center_dim": center(a).dim,
-        "blocks": block_count(a, seed=seed + 7),
-        "projectives": projectives,
-    }

@@ -189,9 +189,6 @@ class GFField:
     def rand_mat(self, gen, rows, cols):
         return gen.integers(0, self.p, size=(rows, cols), dtype=np.int64)
 
-    def iter_scalars(self):
-        return range(self.p)
-
 
 class RationalField:
     """The rationals; entries are Fraction inside object arrays."""

@@ -124,11 +124,6 @@ class AlgebraAction:
     def matrix(self, g):
         return self.matrices[g]
 
-    def apply(self, g, vec):
-        return self.algebra.field.canon(
-            self.algebra.field.matmul(self.matrices[g], np.asarray(vec).reshape(-1))
-        )
-
     @staticmethod
     def trivial(algebra):
         return AlgebraAction(

@@ -39,6 +39,19 @@ D(M (x)_B N) = Hom_B(N, DM) (Anderson-Fuller, Rings and Categories of
 Modules, sections 19-20), the balancing subspace of M (x)_k N is the
 annihilator of hom_space(N, DM). Actions induced on subquotients and tensor
 products are batched products, with no Kronecker matrix.
+
+Projectives and simples are structure of the algebra, built once and held
+on it. projective_indecomposables fills a._projectives on its first call
+after the primitive idempotent family is installed; before that it raises.
+simple_modules fills a._simples, with whether every simple has a
+one-dimensional endomorphism ring. opposite() never copies them: A^op builds
+its own, over A^op. Holding them is sound because no algebra's table, unit
+or installed primitive family and no module's action matrices change after
+they are set. For a split algebra the projective cover of M is the sum of
+dim(e_k.top M) copies of P_k = A e_k over the distinct simples S_k, so
+is_projective compares that sum of dimensions with dim M and builds no
+cover (Assem, Simson and Skowronski, Elements of the Representation Theory
+of Associative Algebras, section I.5).
 """
 
 from __future__ import annotations
@@ -591,26 +604,58 @@ def _primitive_idempotents(a):
     return a.idempotents
 
 
-def projective_indecomposables(a, idempotents=None):
-    """The modules A e for a complete family of primitive idempotents e."""
-    reg = left_regular_module(a)
-    out = []
-    for e in idempotents if idempotents is not None else _primitive_idempotents(a):
-        rows = a.right_mult_matrix(e).T  # row k spans x_k e
-        sub, incl = submodule(reg, rows, label=f"{a.label}e")
-        out.append((sub, incl, e))
-    return out
+def projective_indecomposables(a):
+    """The modules A e for the algebra's primitive family, as (module, inclusion, e).
+
+    Built on the first call after the family is installed and held on a.
+    """
+    if a._projectives is None:
+        reg = left_regular_module(a)
+        # row k of the right multiplication by e spans x_k e
+        a._projectives = tuple(
+            (*submodule(reg, a.right_mult_matrix(e).T, label=f"{a.label}e"), e)
+            for e in _primitive_idempotents(a)
+        )
+    return a._projectives
 
 
-def simple_modules(a, idempotents=None):
-    """Distinct simple left modules, as (module, index of source idempotent)."""
-    projs = projective_indecomposables(a, idempotents)
-    simples = []
-    for k, (p, _, _) in enumerate(projs):
-        s, _ = top_of(p, label=f"S{k}")
-        if not any(hom_space(s, t) for t, _ in simples):
-            simples.append((s, k))
-    return simples
+def simple_modules(a):
+    """Distinct simple left modules, as (module, index of source idempotent).
+
+    Built once and held on a, with whether every simple has a one-dimensional
+    endomorphism ring, which the projective-cover dimensions need.
+    """
+    if a._simples is None:
+        simples = []
+        for k, (p, _, _) in enumerate(projective_indecomposables(a)):
+            s, _ = top_of(p, label=f"S{k}")
+            if not any(hom_space(s, t) for t, _ in simples):
+                simples.append((s, k))
+        a._simples = (tuple(simples), all(len(hom_space(s, s)) == 1 for s, _ in simples))
+    return a._simples[0]
+
+
+def _top_generators(m):
+    """(projectives, section of top M, [(k, rows spanning e_k.top M)]) per distinct simple S_k.
+
+    dim e_k.top M is the multiplicity of P_k in the projective cover when
+    every simple has a one-dimensional endomorphism ring; otherwise the
+    residue field is a proper division ring over the base and this stops.
+    """
+    if m.left_mats is None or m.right_mats is not None:
+        raise ValueError("projective_cover expects a left module")
+    a, field = m.left_algebra, m.field
+    proj, sect = linalg.complement_projection(field, radical_sub_rows(m), m.dim)
+    projs = projective_indecomposables(a)
+    simples = simple_modules(a)
+    if not a._simples[1]:
+        raise NonSplitResidueField(f"simple module of {a.label} has a higher-dimensional endomorphism ring")
+    # e_k acts on top M = M / rad M as proj L(e_k) sect
+    tops = [
+        (k, linalg.row_basis(field, field.matmul(proj, field.matmul(m.left_action(projs[k][2]), sect)).T))
+        for _, k in simples
+    ]
+    return projs, sect, tops
 
 
 @dataclass
@@ -623,41 +668,22 @@ class ProjectiveCover:
 def projective_cover(m):
     """Projective cover of a left module over a split basic-or-not algebra.
 
-    Multiplicity of P_i equals dim e_i.top(M) when every simple has a
-    one-dimensional endomorphism ring; otherwise the residue field is a
-    proper division ring over the base and the construction stops.
+    P(M) is the sum over the distinct simples S_k of dim(e_k.top M) copies
+    of P_k, each mapped onto M through a lift of a top generator.
     """
-    if m.left_mats is None or m.right_mats is not None:
-        raise ValueError("projective_cover expects a left module")
-    a = m.left_algebra
-    field = m.field
-    top, _ = top_of(m)
-    sect_top = linalg.complement_projection(field, radical_sub_rows(m), m.dim)[1]
-    projs = projective_indecomposables(a)
-    simples = simple_modules(a)
-    for s, _ in simples:
-        if len(hom_space(s, s)) != 1:
-            raise NonSplitResidueField(
-                f"simple module of {a.label} has a higher-dimensional endomorphism ring"
-            )
+    a, field = m.left_algebra, m.field
+    projs, sect_top, tops = _top_generators(m)
     pieces = []
-    mults = []
     columns = []
-    for _s, k in simples:
-        p_k, _, e_k = projs[k]
-        e_top = top.left_action(e_k)
-        t_rows = linalg.row_basis(field, e_top.T)
-        mults.append((k, t_rows.shape[0]))
+    for k, t_rows in tops:
+        p_k, incl_k, e_k = projs[k]
+        acts = field.tensordot(incl_k.T, m.left_mats, axes=(1, 0))
         for r in range(t_rows.shape[0]):
-            u = field.matmul(sect_top, t_rows[r])
-            u = field.matmul(m.left_action(e_k), u)
+            u = field.matmul(m.left_action(e_k), field.matmul(sect_top, t_rows[r]))
             pieces.append(p_k)
             # column block: the P_k basis rows act on the lifted generator
-            block = field.zeros((m.dim, p_k.dim))
-            basis_rows = projs[k][1].T  # rows spanning A e_k inside A
-            for c in range(p_k.dim):
-                block[:, c] = field.matmul(m.left_action(basis_rows[c]), u)
-            columns.append(block)
+            columns.append(field.matmul(acts, u).T)
+    mults = [(k, t_rows.shape[0]) for k, t_rows in tops]
     if not pieces:
         cover = zero_module(a, None)
         return ProjectiveCover(cover, field.zeros((m.dim, 0)), mults)
@@ -674,9 +700,9 @@ def projective_cover(m):
 
 
 def is_projective(m):
-    """Left modules: compare against the projective cover's dimension."""
-    cover = projective_cover(m)
-    return cover.module.dim == m.dim
+    """Left modules: whether dim P(M) = sum_k dim(e_k.top M) dim P_k equals dim M."""
+    projs, _, tops = _top_generators(m)
+    return sum(t_rows.shape[0] * projs[k][0].dim for k, t_rows in tops) == m.dim
 
 
 def is_right_projective(m):

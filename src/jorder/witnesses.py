@@ -28,9 +28,9 @@ from .decomp import (
     are_isomorphic,
     complete_primitive_idempotents,
     decompose,
-    divides_indecomposable,
     explicit_isomorphism,
     summand_isomorphism,
+    summand_split_maps,
 )
 from .errors import HypothesisViolated, Inconclusive, NotASummand, NotSurjective
 from .modules import (
@@ -451,13 +451,13 @@ def generators_check(w, cert):
     cover_m = projective_cover(m_env).module
     left_cover = env_module_as_bimodule(cover_m, a, b).restrict_left()
     for p, _, _ in projective_indecomposables(a):
-        if not divides_indecomposable(p, left_cover):
+        if summand_split_maps(p, left_cover) is None:
             return False
     _, n_env = bimodule_as_env_module(w.n, seed=seed)
     cover_n = projective_cover(n_env).module
     right_cover = module_over_opposite(env_module_as_bimodule(cover_n, b, a).restrict_right())
     for p, _, _ in projective_indecomposables(a.opposite()):
-        if not divides_indecomposable(p, right_cover):
+        if summand_split_maps(p, right_cover) is None:
             return False
     return True
 
@@ -487,7 +487,7 @@ def faithful_projinj_check(w, cert):
         return False
     complete_primitive_idempotents(a, seed)
     for p in _projective_injectives(a):
-        if not divides_indecomposable(p, left):
+        if summand_split_maps(p, left) is None:
             return False
     if right_annihilator_rows(w.n.restrict_right()).shape[0] != 0:
         return False
@@ -495,7 +495,7 @@ def faithful_projinj_check(w, cert):
     aop = a.opposite()
     complete_primitive_idempotents(aop, seed)
     for p in _projective_injectives(aop):
-        if not divides_indecomposable(p, right):
+        if summand_split_maps(p, right) is None:
             return False
     return True
 

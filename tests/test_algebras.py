@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from jorder import catalog, linalg
+from jorder import catalog, fields, linalg
 from jorder.algebras import (
     Algebra,
     _chain_gram,
@@ -27,7 +27,8 @@ from jorder.algebras import (
 )
 from jorder.decomp import endomorphism_algebra
 from jorder.errors import IdealIsWholeAlgebra, NotFiniteDimensional
-from jorder.fields import GF
+from jorder.fields import GF, QQ
+from jorder.groups import skew_group_algebra
 from jorder.modules import random_left_module
 from jorder.polynomials import charpoly_coefficient
 from jorder.quivers import parse_presentation
@@ -274,6 +275,48 @@ class TestValidation:
         table[i_a1, i_a1, i_a1] = 1  # a1*a1 = a1 with a1 not idempotent-compatible
         with pytest.raises(ValueError, match="associative"):
             Algebra(f, table, a.unit)
+
+    @staticmethod
+    def _skew_rot_q():
+        """The dim-18 skew algebra of lambda_rot (3,2) over Q: above the exact
+        full-sweep cap of 12, so associativity is spot-checked."""
+        return skew_group_algebra(catalog.build("lambda_rot", field="Q", n=3, k=2))[0]
+
+    def test_q_associativity_spot_check_converts_the_table_a_constant_number_of_times(self, monkeypatch):
+        # the 200 spot checks are evaluated batched: four products, eight operand
+        # conversions; one mul per product converted the table 800 times
+        counts = []
+        numerators = fields._numerators
+        check = Algebra._check_associativity
+
+        def counted_numerators(a):
+            counts[-1] += 1
+            return numerators(a)
+
+        def counted_check(self):
+            counts.append(0)
+            monkeypatch.setattr(fields, "_numerators", counted_numerators)
+            try:
+                check(self)
+            finally:
+                monkeypatch.setattr(fields, "_numerators", numerators)
+
+        monkeypatch.setattr(Algebra, "_check_associativity", counted_check)
+        skew = self._skew_rot_q()
+        assert skew.dim == 18 and skew.field == QQ
+        assert counts and all(c <= 8 for c in counts), counts
+
+    def test_q_spot_check_rejects_one_perturbed_entry(self):
+        skew = self._skew_rot_q()
+        f = skew.field
+        table = f.copy(skew.table)
+        # an entry outside the unit's rows and columns keeps the unit laws
+        off_unit = [i for i in range(skew.dim) if skew.unit[i] == 0]
+        i, j = off_unit[0], off_unit[-1]
+        table[i, j, 0] = table[i, j, 0] + 1
+        Algebra(f, skew.table, skew.unit)  # the unperturbed table passes
+        with pytest.raises(ValueError, match="associative"):
+            Algebra(f, table, skew.unit)
 
     def test_insufficient_generators_rejected(self):
         a = dual_numbers("GF(5)")

@@ -23,7 +23,6 @@ from jorder.decomp import (
     endomorphism_algebra,
     explicit_isomorphism,
     find_nontrivial_idempotent,
-    fingerprint,
     is_connected,
     is_direct_summand,
     is_symmetric,
@@ -50,6 +49,8 @@ from jorder.modules import (
 from jorder.witnesses import JWitnessPair, _op_left_as_right, embedding_witness_pairs, is_k_split, verify_j_geq
 from jorder.quivers import parse_presentation
 from jorder.algebras import algebra_from_quiver
+
+from fingerprints import fingerprint
 
 
 def qa(text):

@@ -12,7 +12,7 @@ import pytest
 
 from jorder import linalg
 from jorder.algebras import Algebra, algebra_from_quiver
-from jorder.decomp import complete_primitive_idempotents, fingerprint
+from jorder.decomp import complete_primitive_idempotents
 from jorder.errors import (
     BadCharacteristic,
     InvalidInput,
@@ -32,6 +32,8 @@ from jorder.groups import (
 )
 from jorder.quivers import parse_presentation
 from jorder.serialize import parse_action_text
+
+from fingerprints import fingerprint
 
 
 def parse_action(text, algebra, **kwargs):

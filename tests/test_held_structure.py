@@ -1,0 +1,153 @@
+"""Per-algebra structure held on the algebra: projectives and simples.
+
+projective_indecomposables and simple_modules build once per algebra and
+hold the result; is_projective reads dimensions off it instead of building
+a projective cover. The cover-based test it replaced is kept below as the
+oracle and compared on random modules over basic, non-basic and enveloping
+algebras, over GF(2), GF(3), GF(101) and Q.
+"""
+
+import numpy as np
+import pytest
+
+from jorder import catalog, modules
+from jorder.algebras import Algebra, linear_quiver_algebra, tensor_algebra
+from jorder.decomp import complete_primitive_idempotents
+from jorder.errors import NonSplitResidueField
+from jorder.fields import GF, QQ
+from jorder.modules import (
+    is_projective,
+    left_regular_module,
+    projective_cover,
+    projective_indecomposables,
+    random_left_module,
+    simple_modules,
+)
+
+
+def cover_is_projective(m):
+    """is_projective before the held structure: compare against the projective cover's dimension."""
+    cover = projective_cover(m)
+    return cover.module.dim == m.dim
+
+
+def matrix_algebra(field, n):
+    """M_n(k) on the matrix units E_ij (index i*n + j), with the primitive family E_ii."""
+    d = n * n
+    table = field.zeros((d, d, d))
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                table[i * n + j, j * n + l, i * n + l] = field.one
+    diag = [field.eye(d)[i * n + i] for i in range(n)]
+    unit = field.canon(sum(diag))
+    return Algebra(field, table, unit, idempotents=diag, idempotents_primitive=True, label=f"M{n}")
+
+
+def algebras(field):
+    """A_3, the Kronecker algebra, lambda (2,2), the non-basic A_2 (x) M_2 and A_2 (x) (dual numbers)^op."""
+    name = field.name
+    a2 = linear_quiver_algebra(field, 2)
+    dual = catalog.build("trunc_poly", field=name, k=2)
+    dual_op = dual.opposite()
+    complete_primitive_idempotents(dual_op)
+    return [
+        linear_quiver_algebra(field, 3),
+        catalog.build("kronecker", field=name),
+        catalog.build("lambda", field=name, n=2, k=2),
+        tensor_algebra(a2, matrix_algebra(field, 2), label="A2(x)M2"),
+        tensor_algebra(a2, dual_op, label="A2(x)D^op"),
+    ]
+
+
+def samples(a, gen, count=6):
+    """The projectives, the simples and random quotients of projective sums."""
+    mods = [p for p, _, _ in projective_indecomposables(a)]
+    mods += [s for s, _ in simple_modules(a)]
+    mods += [random_left_module(a, gen) for _ in range(count)]
+    return [m for m in mods if m.dim]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), QQ], ids=lambda f: f.name)
+def test_is_projective_matches_the_cover_oracle(field):
+    gen = np.random.Generator(np.random.PCG64(11))
+    for a in algebras(field):
+        complete_primitive_idempotents(a)
+        answers = []
+        for m in samples(a, gen):
+            want = cover_is_projective(m)
+            assert is_projective(m) == want, (a.label, m.label)
+            answers.append(want)
+        assert True in answers and False in answers, a.label
+
+
+def test_non_basic_algebra_has_fewer_simples_than_projectives():
+    a = tensor_algebra(linear_quiver_algebra(GF(3), 2), matrix_algebra(GF(3), 2))
+    assert len(projective_indecomposables(a)) == 4
+    simples = simple_modules(a)
+    assert [s.dim for s, _ in simples] == [2, 2]
+    # the multiplicity of P_k in the cover of A is dim e_k.top A, and dim P(A) = dim A
+    assert is_projective(left_regular_module(a))
+
+
+def test_projectives_are_built_once_per_algebra(monkeypatch):
+    a = linear_quiver_algebra(GF(5), 3)
+    built = []
+    submodule = modules.submodule
+
+    def counted(*args, **kwargs):
+        built.append(args[0].label)
+        return submodule(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "submodule", counted)
+    mods = [left_regular_module(a)] + [s for s, _ in simple_modules(a)]
+    for _ in range(3):
+        for m in mods:
+            projective_cover(m)
+            is_projective(m)
+    assert len(built) == len(a.idempotents) == 3
+    assert projective_indecomposables(a) is projective_indecomposables(a)
+    assert simple_modules(a) is simple_modules(a)
+
+
+def test_opposite_builds_its_own_projectives():
+    a = linear_quiver_algebra(GF(5), 3)
+    projs = projective_indecomposables(a)
+    simple_modules(a)
+    aop = a.opposite()
+    assert aop._projectives is None and aop._simples is None
+    projs_op = projective_indecomposables(aop)
+    assert all(p.left_algebra is aop for p, _, _ in projs_op)
+    assert all(p.left_algebra is a for p, _, _ in projs)
+    # A_3 has left projectives of dims 1, 2, 3 at its three vertices; A_3^op reverses them
+    assert [p.dim for p, _, _ in projs] == [p.dim for p, _, _ in projs_op][::-1]
+    assert all(s.left_algebra is aop for s, _ in simple_modules(aop))
+
+
+def test_projectives_wait_for_the_primitive_family():
+    a3 = linear_quiver_algebra(GF(5), 3)
+    a = Algebra(a3.field, a3.table, a3.unit, idempotents=[a3.unit])  # a complete family, not primitive
+    with pytest.raises(ValueError, match="primitive"):
+        projective_indecomposables(a)
+    with pytest.raises(ValueError, match="primitive"):
+        projective_indecomposables(a)
+    complete_primitive_idempotents(a)
+    assert sorted(p.dim for p, _, _ in projective_indecomposables(a)) == [1, 2, 3]
+
+
+def test_non_split_residue_field_is_raised_on_every_call():
+    f = GF(2)
+    table = f.zeros((2, 2, 2))
+    # k[t]/(t^2+t+1), the field with four elements over GF(2)
+    table[0, 0] = [1, 0]
+    table[0, 1] = [0, 1]
+    table[1, 0] = [0, 1]
+    table[1, 1] = [1, 1]
+    quartic = Algebra(f, table, [1, 0], idempotents=[[1, 0]], idempotents_primitive=True)
+    reg = left_regular_module(quartic)
+    for _ in range(2):
+        with pytest.raises(NonSplitResidueField):
+            projective_cover(reg)
+        with pytest.raises(NonSplitResidueField):
+            is_projective(reg)
+        assert [s.dim for s, _ in simple_modules(quartic)] == [2]

@@ -228,3 +228,41 @@ def test_change_of_rings_goes_through_kron_and_one_restriction():
     tree = ast.parse((SRC / "modules.py").read_text())
     (hom,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "hom_space"]
     assert len(_calls(hom, ("nullspace",))) == 1
+
+
+# the split wrapper and three members nothing referenced; decomp.fingerprint and
+# AlgebraAction.apply are checked as definitions below
+_REMOVED_MEMBERS = {"divides_indecomposable", "label_of", "element_to_str", "iter_scalars"}
+
+
+def test_per_algebra_structure_is_built_in_one_place():
+    """Projectives and simples are built once per algebra and held on it:
+    is_projective reads their dimensions without building a cover, neither
+    builder takes a caller's idempotent family, and the only End(S) of a
+    simple is taken in simple_modules, next to decompose's End(M). The
+    removed wrappers and dead members stay deleted."""
+    tree = ast.parse((SRC / "modules.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _calls(functions["is_projective"], ("projective_cover",)) == []
+    for name in ("projective_indecomposables", "simple_modules"):
+        args = functions[name].args
+        assert [a.arg for a in args.args + args.kwonlyargs] == ["a"], name
+    endomorphisms, removed = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        endomorphisms += [
+            (path.name, fn.name)
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for call in _calls(fn, ("hom_space",))
+            if len(call.args) == 2 and ast.dump(call.args[0]) == ast.dump(call.args[1])
+        ]
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+            if _REMOVED_MEMBERS & names:
+                removed.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name == "fingerprint" and path.name != "catalog.py":
+                removed.append(f"{path.name}:{node.lineno}: fingerprint")
+            if isinstance(node, ast.ClassDef) and node.name == "AlgebraAction":
+                removed += [f"{path.name}:{fn.lineno}: apply" for fn in node.body if getattr(fn, "name", None) == "apply"]
+    assert sorted(endomorphisms) == [("decomp.py", "endomorphism_algebra"), ("modules.py", "simple_modules")]
+    assert removed == []

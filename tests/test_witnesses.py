@@ -15,7 +15,6 @@ from jorder.decomp import (
     are_isomorphic,
     complete_primitive_idempotents,
     decompose,
-    divides_indecomposable,
     explicit_isomorphism,
     summand_split_maps,
 )
@@ -736,8 +735,8 @@ class TestSummandSplitMaps:
         assert maps is not None
         section, retraction = maps
         assert f.eq(f.matmul(retraction, section), f.eye(projs[0].dim))
-        assert divides_indecomposable(projs[0], big)
-        assert not divides_indecomposable(projs[2], big)
+        assert summand_split_maps(projs[0], big) is not None
+        assert summand_split_maps(projs[2], big) is None
 
     def test_rejects_decomposable_input(self):
         a3 = linear_quiver_algebra(GF(101), 3)
