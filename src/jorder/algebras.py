@@ -176,17 +176,13 @@ class Algebra:
             raise ValueError("multiplication table is not associative")
 
     def _check_generators(self):
-        span = linalg.row_basis(
-            self.field, np.concatenate([self.unit.reshape(1, -1), np.array(self.generators)], axis=0)
-        )
+        gens = np.array(self.generators)
+        span = linalg.row_basis(self.field, np.concatenate([self.unit.reshape(1, -1), gens], axis=0))
+        # mults[k] right-multiplies a row vector x to give g x (left half) or x g (right half)
+        mults = np.concatenate([self.field.tensordot(gens, self.table, axes=([1], [axis])) for axis in (0, 1)])
         while True:
-            products = []
-            for g in self.generators:
-                lg = self.left_mult_matrix(g)
-                rg = self.right_mult_matrix(g)
-                products.append(self.field.matmul(span, lg.T))
-                products.append(self.field.matmul(span, rg.T))
-            stacked = np.concatenate([span] + products, axis=0)
+            products = self.field.matmul(span, mults).reshape(-1, self.dim)
+            stacked = np.concatenate([span, products], axis=0)
             new_span = linalg.row_basis(self.field, stacked)
             if new_span.shape[0] == span.shape[0]:
                 break

@@ -27,6 +27,16 @@ whose representative is isomorphic to its own, and its k-th member the k-th
 member of that class. Greedy first fit is optimal because isomorphism is an
 equivalence relation, so at most one class fits; and it takes the same pairs
 as a greedy scan over the second decomposition's summands.
+
+One decomposition solves one Hom system, End(M) at the root. Every other Hom
+it needs is a corner of that solve: for summands X, Y of M with inclusion
+i_X and projection p_Y, Hom(X, Y) = p_Y End(M) i_X (Anderson-Fuller). So a
+child's End(X) is the corner p_X End(M) i_X, read off its parent's basis,
+and the class grouping reads Hom(X, Y) and Hom(Y, X) between two leaves off
+the root's. A corner is the row basis of the products p_Y h i_X over the
+basis h of End(M); the reduced echelon basis of a subspace is unique, so it
+is bit for bit the basis hom_space(X, Y) solves. endomorphism_algebra, the
+one solver of End(M), therefore runs once per decomposition.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -65,12 +75,18 @@ def endomorphism_algebra(m):
     E's basis element i acts on the module as the matrix homs[i]; the product
     convention matches Algebra.mul, so mul(f, g) is the composite applying g
     first. The radical is computed on the faithful matrix representation.
+    """
+    return _algebra_on_homs(m, hom_space(m, m))
+
+
+def _algebra_on_homs(m, homs):
+    """(E, homs) for the canonical basis homs of End(m), as endomorphism_algebra.
+
     E is built with check=False: composition is associative and unital.
     The table is read one row block at a time, the composites f_i f_j for
     one i, so only r of the r^2 composites are held at once.
     """
     field = m.field
-    homs = hom_space(m, m)
     r = len(homs)
     if r == 0:
         raise ValueError("the zero module has no unital endomorphism algebra")
@@ -99,6 +115,17 @@ def endomorphism_algebra(m):
         check=False,
     )
     return e_alg, homs
+
+
+def _corner(field, homs, proj, incl):
+    """Canonical basis of the maps proj h incl over the basis homs of End(M).
+
+    With incl: X -> M and proj: M -> Y the maps of summands of M, this is
+    Hom(X, Y), equal to hom_space(X, Y) (see the header).
+    """
+    prods = linalg.stack_product(field, proj, field.matmul(np.stack(homs), incl))
+    rows = linalg.row_basis(field, prods.reshape(len(homs), -1))
+    return [rows[k].reshape(proj.shape[0], incl.shape[1]) for k in range(rows.shape[0])]
 
 
 def find_nontrivial_idempotent(e_alg, gen, budget=64):
@@ -134,12 +161,11 @@ def find_nontrivial_idempotent(e_alg, gen, budget=64):
         if field.is_zero(s):
             continue
         mu = minpoly_matrix(field, quo.left_mult_matrix(s))
-        if poly_deg(mu) == dim_s:
-            factors = factor_poly(field, mu)
-            if len(factors) == 1 and factors[0][1] == 1:
-                # S = k[s] = k[x]/(mu) with mu irreducible, so S is a field
-                return None, "field_quotient"
-        proj_poly = crt_split_poly(field, mu)
+        factors = factor_poly(field, mu)
+        if poly_deg(mu) == dim_s and len(factors) == 1 and factors[0][1] == 1:
+            # S = k[s] = k[x]/(mu) with mu irreducible, so S is a field
+            return None, "field_quotient"
+        proj_poly = crt_split_poly(field, mu, factors)
         if proj_poly is None:
             continue
         e_s = field.zeros(dim_s)
@@ -214,20 +240,23 @@ def _split_by_endomorphism(mod, part):
     return sub, incl, proj
 
 
-def _fitting_pair(x, end, n):
-    """First hom-basis pair (f, g), f: x -> n and g: n -> x, with g f outside rad End(x), or None.
+def _hom_pair(x, n):
+    """(Hom(x, n), Hom(n, x)) as hom bases; the second is not solved when the first is zero."""
+    fs = hom_space(x, n)
+    return fs, (hom_space(n, x) if fs else [])
+
+
+def _fitting_pair(end, fs, gs):
+    """First pair (f, g) of the hom bases fs of x -> n and gs of n -> x
+    with g f outside rad End(x), or None.
 
     end is (E, homs) for x, with E local. If every basis composite lies in
     the radical, bilinearity puts every composite there.
     """
-    fs = hom_space(x, n)
-    if not fs:
+    if not (fs and gs):
         return None
-    gs = hom_space(n, x)
-    if not gs:
-        return None
-    field = x.field
     e_alg, homs = end
+    field = e_alg.field
     rad = e_alg.radical_rows()
     vec_rows = field.canon(np.stack(homs)).reshape(len(homs), -1)
     pivots, rad_pivots = linalg.echelon_pivots(field, vec_rows), linalg.echelon_pivots(field, rad)
@@ -248,7 +277,7 @@ def summand_isomorphism(leaf, n):
     """Isomorphism from a certified summand to a module n (dim n x dim leaf), or None."""
     if leaf.module.dim != n.dim:
         return None
-    pair = _fitting_pair(leaf.module, leaf._end, n)
+    pair = _fitting_pair(leaf._end, *_hom_pair(leaf.module, n))
     return None if pair is None else pair[0]
 
 
@@ -264,12 +293,12 @@ def decompose(m, seed=0):
         return Decomposition(m, [], [])
     leaves = []
 
-    def rec(mod, incl, proj, seed_seq):
-        e_alg, homs = endomorphism_algebra(mod)
+    def rec(mod, incl, proj, seed_seq, end):
+        e_alg, homs = end
         gen = np.random.Generator(np.random.PCG64(seed_seq))
         e_vec, certificate = find_nontrivial_idempotent(e_alg, gen)
         if e_vec is None:
-            leaves.append(Summand(mod, incl, proj, certificate, (e_alg, homs)))
+            leaves.append(Summand(mod, incl, proj, certificate, end))
             return
         stack = field.canon(np.stack(homs))
         e_mat = field.tensordot(e_vec, stack, axes=([0], [0]))
@@ -277,9 +306,11 @@ def decompose(m, seed=0):
         children = seed_seq.spawn(2)
         for part, child_seed in zip((e_mat, complement), children):
             sub, sincl, sproj = _split_by_endomorphism(mod, part)
-            rec(sub, field.matmul(incl, sincl), field.matmul(sproj, proj), child_seed)
+            sub_end = _algebra_on_homs(sub, _corner(field, homs, sproj, sincl))
+            rec(sub, field.matmul(incl, sincl), field.matmul(sproj, proj), child_seed, sub_end)
 
-    rec(m, field.eye(m.dim), field.eye(m.dim), np.random.SeedSequence(seed))
+    root = endomorphism_algebra(m)
+    rec(m, field.eye(m.dim), field.eye(m.dim), np.random.SeedSequence(seed), root)
 
     total = field.zeros((m.dim, m.dim))
     for i, s in enumerate(leaves):
@@ -292,10 +323,15 @@ def decompose(m, seed=0):
     if not field.eq(field.canon(total), field.eye(m.dim)):
         raise AssertionError("summand family does not resolve the identity")
 
+    def corner_pair(x, y):
+        fs = _corner(field, root[1], y.projection, x.inclusion)
+        return fs, (_corner(field, root[1], x.projection, y.inclusion) if fs else [])
+
     classes = []
     for idx, s in enumerate(leaves):
         for cls in classes:
-            if summand_isomorphism(leaves[cls[0]], s.module) is not None:
+            rep = leaves[cls[0]]
+            if rep.module.dim == s.module.dim and _fitting_pair(rep._end, *corner_pair(rep, s)) is not None:
                 cls.append(idx)
                 break
         else:
@@ -344,11 +380,18 @@ def _pair_summands(dx, dy):
 
 
 def are_isomorphic(m, n, seed=0):
-    """Module isomorphism through matched Krull-Schmidt decompositions."""
+    """Module isomorphism through matched Krull-Schmidt decompositions.
+
+    An indecomposable m is compared by the leaf test alone, without
+    decomposing n: with equal dimensions, m divides n exactly when the two
+    are isomorphic.
+    """
     _check_compatible(m, n)
     if m.dim != n.dim:
         return False
     dm = decompose(m, seed=seed)
+    if len(dm.summands) == 1:
+        return summand_isomorphism(dm.summands[0], n) is not None
     dn = decompose(n, seed=seed + 1)
     if len(dm.summands) != len(dn.summands):
         return False
@@ -371,7 +414,7 @@ def summand_split_maps(x, y):
     e_alg, homs = endomorphism_algebra(x)
     if e_alg.radical_rows().shape[0] != e_alg.dim - 1:
         raise ValueError(f"{x.label} is not indecomposable with split endomorphisms")
-    pair = _fitting_pair(x, (e_alg, homs), y)
+    pair = _fitting_pair((e_alg, homs), *_hom_pair(x, y))
     if pair is None:
         return None
     f, g = pair

@@ -241,15 +241,15 @@ def factor_poly(field, coeffs):
     return out
 
 
-def crt_split_poly(field, f):
+def crt_split_poly(field, f, factors):
     """Projector polynomial for a coprime block split of f, or None.
 
+    factors is factor_poly(field, f), which the caller has already taken.
     Writes f = F G with F one irreducible power and G the rest; when both are
     proper, returns e with e = 1 mod F, e = 0 mod G, so e(z) is a nontrivial
     exact idempotent in k[z]/(f(z)).
     """
     f = poly_monic(field, f)
-    factors = factor_poly(field, f)
     if len(factors) < 2:
         return None
     f1, m1 = factors[0]

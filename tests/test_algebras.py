@@ -306,6 +306,31 @@ class TestValidation:
         assert skew.dim == 18 and skew.field == QQ
         assert counts and all(c <= 8 for c in counts), counts
 
+    def test_q_generator_check_converts_the_table_once_per_side(self, monkeypatch):
+        # each generator's left and right multiplication matrices are built once,
+        # by one stacked tensordot per side; building them in every closure round
+        # converted the whole table twice per generator per round
+        checks = []  # [algebra, conversions of its table] per generator check
+        numerators = fields._numerators
+        check = Algebra._check_generators
+
+        def counted_numerators(a):
+            checks[-1][1] += a is checks[-1][0].table
+            return numerators(a)
+
+        def counted_check(self):
+            checks.append([self, 0])
+            monkeypatch.setattr(fields, "_numerators", counted_numerators)
+            try:
+                check(self)
+            finally:
+                monkeypatch.setattr(fields, "_numerators", numerators)
+
+        monkeypatch.setattr(Algebra, "_check_generators", counted_check)
+        skew = self._skew_rot_q()
+        assert skew.dim == 18 and skew.field == QQ
+        assert checks[-1][0] is skew and all(c <= 2 for _, c in checks), checks
+
     def test_q_spot_check_rejects_one_perturbed_entry(self):
         skew = self._skew_rot_q()
         f = skew.field

@@ -15,6 +15,7 @@ from jorder import catalog, decomp, linalg
 from jorder.algebras import Algebra, linear_quiver_algebra, quotient_algebra
 from jorder.decomp import (
     Decomposition,
+    _match_classes,
     _pair_summands,
     are_isomorphic,
     block_count,
@@ -33,6 +34,7 @@ from jorder.errors import Inconclusive, NotASummand
 from jorder.fields import GF, QQ
 from jorder.modules import (
     Module,
+    _check_compatible,
     direct_sum,
     hom_space,
     intertwines,
@@ -929,3 +931,106 @@ class TestMatcherPreconditions:
         right = _op_left_as_right(left_regular_module(d), d)
         with pytest.raises(ValueError, match="identical sidedness and algebras"):
             explicit_isomorphism(left_regular_module(d), right)
+
+
+# ---- corner reads: every Hom of a decomposition read off the root's End(M) --------
+# The oracles solve each Hom with hom_space, and are_isomorphic is compared
+# with its two-decomposition form, which decomposes n even when m is
+# indecomposable.
+
+
+def _two_decomposition_are_isomorphic(m, n, seed=0):
+    _check_compatible(m, n)
+    if m.dim != n.dim:
+        return False
+    dm = decompose(m, seed=seed)
+    dn = decompose(n, seed=seed + 1)
+    if len(dm.summands) != len(dn.summands):
+        return False
+    return all(d is not None and len(dn.classes[d]) == len(cls) for cls, d, _ in _match_classes(dm, dn))
+
+
+def corner_fixtures(field):
+    """Indecomposables of A_3 (projectives, simples), of the Kronecker algebra and of lambda (2,2)."""
+    a = linear_quiver_algebra(field, 3)
+    p0, p1, p2 = (p for p, _, _ in projective_indecomposables(a))
+    s0, s1, s2 = (s for s, _ in simple_modules(a))
+    kron = catalog.build("kronecker", field=field.name)
+    (k0, k1), (t0, _) = (p for p, _, _ in projective_indecomposables(kron)), (s for s, _ in simple_modules(kron))
+    _, (q0, q1) = summand_fixtures(field)
+    assert (p1.dim, k0.dim, k1.dim, q0.dim) == (2, 3, 1, 2)
+    return (p0, p1, p2, s0, s1, s2), (k0, k1, t0), (q0, q1)
+
+
+def corner_sums(field, gen):
+    (p0, p1, p2, s0, s1, s2), (k0, k1, t0), (q0, q1) = corner_fixtures(field)
+    return [
+        summed([p0, p0, p1, p2], gen),
+        summed([p1, s1, s2, p1], gen),  # P1 and S1 + S2 share composition factors
+        summed([k0, k1, t0, k0, k1], gen),
+        summed([q0, q1, q0], gen),
+    ]
+
+
+class TestCornerReads:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_every_node_and_leaf_pair_equals_hom_space(self, field, monkeypatch):
+        """Each node's End basis, and Hom between any two leaves both ways, read
+        off End(M) equal the bases hom_space solves, entry for entry."""
+        nodes = []
+        real = decomp._algebra_on_homs
+        monkeypatch.setattr(decomp, "_algebra_on_homs", lambda m, homs: nodes.append((m, homs)) or real(m, homs))
+        for seed, m in enumerate(corner_sums(field, np.random.default_rng(21))):
+            nodes.clear()
+            dec = decompose(m, seed=seed)
+            assert len(nodes) == 2 * len(dec.summands) - 1  # every node of the split tree
+            for mod, homs in nodes:
+                assert_same_maps(homs, hom_space(mod, mod))
+            root = hom_space(m, m)
+            for r in dec.summands:
+                for s in dec.summands:
+                    if r is not s:
+                        assert_same_maps(decomp._corner(field, root, s.projection, r.inclusion),
+                                         hom_space(r.module, s.module))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_are_isomorphic_matches_two_decompositions(self, field):
+        gen = np.random.default_rng(22)
+        (p0, p1, p2, s0, s1, s2), (k0, k1, t0), (q0, q1) = corner_fixtures(field)
+        pairs = [
+            (conjugated(p1, gen), summed([p1], gen)),
+            (conjugated(p1, gen), summed([s1, s2], gen)),  # equal dimension, not isomorphic
+            (conjugated(k0, gen), summed([t0, k1, k1], gen)),
+            (conjugated(k0, gen), summed([k0], gen)),
+            (q0, conjugated(q1, gen)),
+            (summed([p0, p1], gen), summed([p1, p0], gen)),  # m decomposable
+            (summed([q0, q1], gen), summed([q1, q1], gen)),
+        ]
+        answers = []
+        for seed, (x, y) in enumerate(pairs):
+            for a, b in ((x, y), (y, x)):
+                want = _two_decomposition_are_isomorphic(a, b, seed=seed)
+                assert are_isomorphic(a, b, seed=seed) == want
+                answers.append(want)
+        assert True in answers and False in answers
+
+    def test_one_hom_solve_per_decomposition(self, monkeypatch):
+        calls = []
+        real = decomp.hom_space
+        monkeypatch.setattr(decomp, "hom_space", lambda m, n: calls.append((m, n)) or real(m, n))
+        (p0, p1, p2, _, _, _), _, _ = corner_fixtures(GF(101))
+        m = summed([p0, p0, p1, p2], np.random.default_rng(23))
+        dec = decompose(m, seed=0)
+        assert dec.class_summary() == [(1, 1), (2, 1), (3, 2)]
+        assert calls == [(m, m)]
+
+    def test_indecomposable_is_matched_without_decomposing_the_other(self, monkeypatch):
+        calls = []
+        real = decomp.decompose
+        monkeypatch.setattr(decomp, "decompose", lambda m, seed=0: calls.append(m) or real(m, seed=seed))
+        (p0, p1, p2, _, s1, s2), _, _ = corner_fixtures(GF(3))
+        gen = np.random.default_rng(24)
+        for n, want in ((summed([p1], gen), True), (summed([s1, s2], gen), False)):
+            calls.clear()
+            assert are_isomorphic(p1, n) is want
+            assert calls == [p1]

@@ -122,7 +122,7 @@ def test_crt_split_gives_exact_nontrivial_idempotent():
         z[i, i - 1] = 1
     for i in range(n):
         z[i, n - 1] = field.scalar(-f[i])
-    e_poly = P.crt_split_poly(field, f)
+    e_poly = P.crt_split_poly(field, f, P.factor_poly(field, f))
     assert e_poly is not None
     e = P.poly_eval_matrix(field, e_poly, z)
     assert field.eq(field.matmul(e, e), e)
@@ -132,8 +132,8 @@ def test_crt_split_gives_exact_nontrivial_idempotent():
 
 def test_crt_split_refuses_primary_polynomials():
     field = GF(5)
-    assert P.crt_split_poly(field, [1, 2, 1]) is None  # (t+1)^2
-    assert P.crt_split_poly(field, [2, 0, 1]) is None  # t^2 + 2 irreducible mod 5
+    for f in ([1, 2, 1], [2, 0, 1]):  # (t+1)^2; t^2 + 2 irreducible mod 5
+        assert P.crt_split_poly(field, f, P.factor_poly(field, f)) is None
 
 
 @pytest.mark.parametrize("seed", range(3))
