@@ -94,9 +94,10 @@ class Algebra:
         self._opposite = None
         self._radical_rows = None
         self._radical_powers = None
-        # modules.projective_indecomposables and modules.simple_modules fill these
+        # modules.projective_indecomposables, simple_modules and decomp.projective_leaves fill these
         self._projectives = None
         self._simples = None
+        self._projective_leaves = None
         self._check = check
         if check:
             self._check_unit()

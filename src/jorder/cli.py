@@ -59,9 +59,12 @@ def _read_text(path):
 def _load_json(path):
     text = _read_text(path)
     try:
-        return json.loads(text), text
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{path}: the document is not a JSON object")
+    return doc, text
 
 
 def _algebra_from_file(path):
@@ -119,8 +122,8 @@ def _bimodule_from_file(path, field=None):
     if doc.get("format") != "bimodule":
         raise InvalidInput(f"{path}: not a bimodule document")
     resolver = _algebra_resolver(field=field, base_dir=Path(path).parent)
-    left_ref = doc.get("left_algebra_ref")
-    right_ref = doc.get("right_algebra_ref")
+    left_ref = serialize._doc_value(doc, "left_algebra_ref", required=False)
+    right_ref = serialize._doc_value(doc, "right_algebra_ref", required=False)
     if not left_ref or not right_ref:
         raise InvalidInput(f"{path}: bimodule document needs left_algebra_ref and right_algebra_ref")
     left = resolver(left_ref)

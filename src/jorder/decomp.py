@@ -21,7 +21,10 @@ Every isomorphism, summand and split question goes through one leaf test:
 for Z with local End(Z), Z divides X exactly when some hom-basis composite
 g f (f: Z -> X, g: X -> Z) lies outside rad End(Z), and with equal dimensions
 Z is then isomorphic to X (Fitting's lemma; Anderson-Fuller, Rings and
-Categories of Modules, section 12). Two decompositions are compared by one
+Categories of Modules, section 12). A split takes the same test on a
+certified leaf: g f is then invertible, and (f, (g f)^-1 g) splits Z off X.
+An algebra holds one certified leaf per indecomposable projective, so
+End(P_k) is solved once per algebra. Two decompositions are compared by one
 class matcher: each class of the first takes the first class of the second
 whose representative is isomorphic to its own, and its k-th member the k-th
 member of that class. Greedy first fit is optimal because isomorphism is an
@@ -57,6 +60,7 @@ from .modules import (
     hom_space,
     intertwines,
     left_regular_module,
+    projective_indecomposables,
     regular_bimodule,
     submodule,
 )
@@ -240,12 +244,6 @@ def _split_by_endomorphism(mod, part):
     return sub, incl, proj
 
 
-def _hom_pair(x, n):
-    """(Hom(x, n), Hom(n, x)) as hom bases; the second is not solved when the first is zero."""
-    fs = hom_space(x, n)
-    return fs, (hom_space(n, x) if fs else [])
-
-
 def _fitting_pair(end, fs, gs):
     """First pair (f, g) of the hom bases fs of x -> n and gs of n -> x
     with g f outside rad End(x), or None.
@@ -273,12 +271,34 @@ def _fitting_pair(end, fs, gs):
     return None
 
 
+def _leaf_pair(leaf, n):
+    """The leaf test against n; Hom(n, leaf) is not solved when Hom(leaf, n) is zero."""
+    fs = hom_space(leaf.module, n)
+    return _fitting_pair(leaf._end, fs, hom_space(n, leaf.module) if fs else [])
+
+
 def summand_isomorphism(leaf, n):
     """Isomorphism from a certified summand to a module n (dim n x dim leaf), or None."""
     if leaf.module.dim != n.dim:
         return None
-    pair = _fitting_pair(leaf._end, *_hom_pair(leaf.module, n))
+    pair = _leaf_pair(leaf, n)
     return None if pair is None else pair[0]
+
+
+def summand_split_maps(leaf, y):
+    """(section, retraction) splitting a certified summand off y, or None.
+
+    End(leaf) is local, so the first pair (f, g) of the leaf test has g f
+    invertible and the retraction is (g f)^-1 g. Avoids decomposing y.
+    """
+    _check_compatible(leaf.module, y)
+    if leaf.module.dim > y.dim:
+        return None
+    pair = _leaf_pair(leaf, y)
+    if pair is None:
+        return None
+    f, g = pair
+    return f, y.field.matmul(linalg.invert(y.field, y.field.matmul(g, f)), g)
 
 
 def decompose(m, seed=0):
@@ -398,29 +418,6 @@ def are_isomorphic(m, n, seed=0):
     return all(d is not None and len(dn.classes[d]) == len(cls) for cls, d, _ in _match_classes(dm, dn))
 
 
-def summand_split_maps(x, y):
-    """(section, retraction) splitting x off y, or None; x must be indecomposable.
-
-    End(x) must be local with E/J the ground field; the leaf test then finds
-    the first basis pair (f, g) with g f invertible, and the retraction is
-    (g f)^-1 g. Avoids decomposing y entirely.
-    """
-    _check_compatible(x, y)
-    field = x.field
-    if x.dim == 0:
-        return field.zeros((y.dim, 0)), field.zeros((0, y.dim))
-    if x.dim > y.dim:
-        return None
-    e_alg, homs = endomorphism_algebra(x)
-    if e_alg.radical_rows().shape[0] != e_alg.dim - 1:
-        raise ValueError(f"{x.label} is not indecomposable with split endomorphisms")
-    pair = _fitting_pair((e_alg, homs), *_hom_pair(x, y))
-    if pair is None:
-        return None
-    f, g = pair
-    return f, field.matmul(linalg.invert(field, field.matmul(g, f)), g)
-
-
 def explicit_isomorphism(m, n, seed=0):
     """Matrix of a module isomorphism m -> n, or None.
 
@@ -502,6 +499,19 @@ def complete_primitive_idempotents(a, seed=0):
     a.idempotents = [field.copy(e) for e in es]
     a.idempotents_primitive = True
     return es
+
+
+def projective_leaves(a):
+    """One certified leaf per held P_k of projective_indecomposables(a), in its order.
+
+    Held on a, so each End(P_k) is solved once; a leaf's module is P_k itself.
+    """
+    if a._projective_leaves is None:
+        decs = [decompose(p) for p, _, _ in projective_indecomposables(a)]
+        if any(len(dec.summands) != 1 for dec in decs):
+            raise AssertionError("an indecomposable projective decomposed")
+        a._projective_leaves = tuple(dec.summands[0] for dec in decs)
+    return a._projective_leaves
 
 
 def block_count(a, seed=0):

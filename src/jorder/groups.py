@@ -276,16 +276,16 @@ def skew_group_algebra(act):
     a, group, field = act.algebra, act.group, act.algebra.field
     d, n = a.dim, group.order
     dim = d * n
+    # the basis a_i * g is a_i (x) g in the kron order, with g the delta vector of k[G], so the
+    # table is the sum over g of C_g (x) M_g, C_g[i, j] the coords of a_i * g(a_j), M_g[g, h, gh] = 1
     table = field.zeros((dim, dim, dim))
     for g in range(n):
-        # C[i, j, k] = coords of a_i * (g . a_j) over the algebra basis
         image = act.matrices[g]  # columns are g(a_j)
         c = field.tensordot(a.table, image, axes=([1], [0])).transpose(0, 2, 1)
+        m_g = field.zeros((n, n, n))
         for h in range(n):
-            gh = group.mul(g, h)
-            # strided assignment fills [(i,g),(j,h),(k,gh)] = C[i,j,k]
-            table[g::n, h::n, gh::n] = c
-    # the basis a_i * g is a_i (x) g in the kron order, with g the delta vector of k[G]
+            m_g[g, h, group.mul(g, h)] = field.one
+        table = field.add(table, field.kron(c, m_g))
     delta = field.eye(n)
     e = delta[group.identity_index]
     labels = [f"{a.labels[i]}*{group.labels[g]}" for i in range(d) for g in range(n)]

@@ -44,14 +44,15 @@ Projectives and simples are structure of the algebra, built once and held
 on it. projective_indecomposables fills a._projectives on its first call
 after the primitive idempotent family is installed; before that it raises.
 simple_modules fills a._simples, with whether every simple has a
-one-dimensional endomorphism ring. opposite() never copies them: A^op builds
-its own, over A^op. Holding them is sound because no algebra's table, unit
-or installed primitive family and no module's action matrices change after
-they are set. For a split algebra the projective cover of M is the sum of
-dim(e_k.top M) copies of P_k = A e_k over the distinct simples S_k, so
-is_projective compares that sum of dimensions with dim M and builds no
-cover (Assem, Simson and Skowronski, Elements of the Representation Theory
-of Associative Algebras, section I.5).
+one-dimensional endomorphism ring, and decomp.projective_leaves fills
+a._projective_leaves with one certified leaf, End(P_k) included, per P_k.
+opposite() never copies them: A^op builds its own, over A^op. Holding them
+is sound because no algebra's table, unit or installed primitive family and
+no module's action matrices change after they are set. For a split algebra
+the projective cover of M is the sum of dim(e_k.top M) copies of P_k = A e_k
+over the distinct simples S_k, so is_projective compares that sum of
+dimensions with dim M and builds no cover (Assem, Simson and Skowronski,
+Elements of the Representation Theory of Associative Algebras, section I.5).
 """
 
 from __future__ import annotations

@@ -38,6 +38,15 @@ from .witnesses import JCertificate, JWitnessPair
 FORMAT_VERSION = 1
 
 
+def _doc_value(doc, key, kind=str, required=True):
+    """doc[key] if it is a kind, None if absent and not required; else InvalidInput naming the key."""
+    if key not in doc and not required:
+        return None
+    if not isinstance(doc.get(key), kind):
+        raise InvalidInput(f"document key {key!r} is " + (f"not of type {kind.__name__}" if key in doc else "missing"))
+    return doc[key]
+
+
 def hash_text(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -154,12 +163,13 @@ def algebra_doc(algebra):
 def algebra_from_doc(doc):
     if doc.get("format") != "algebra":
         raise InvalidInput("not an algebra document")
-    field = field_from_name(doc["field"])
-    dim = int(doc["dim"])
+    field = field_from_name(_doc_value(doc, "field"))
+    dim = _doc_value(doc, "dim", int)
+    rows = _doc_value(doc, "table", list)
     table = field.zeros((dim, dim, dim))
     for i in range(dim):
         for j in range(dim):
-            table[i, j] = vector_in(field, doc["table"][i][j])
+            table[i, j] = vector_in(field, rows[i][j])
     idems = None
     primitive = False
     if "idempotents" in doc:
@@ -168,8 +178,8 @@ def algebra_from_doc(doc):
     return Algebra(
         field,
         table,
-        vector_in(field, doc["unit"]),
-        list(doc["labels"]),
+        vector_in(field, _doc_value(doc, "unit", list)),
+        list(_doc_value(doc, "labels", list)),
         idempotents=idems,
         idempotents_primitive=primitive,
         label=doc.get("label", "algebra"),
@@ -209,10 +219,10 @@ def bimodule_from_doc(doc, left_algebra, right_algebra):
     if doc.get("format") != "bimodule":
         raise InvalidInput("not a bimodule document")
     field = left_algebra.field
-    if str(field) != doc["field"]:
+    if str(field) != _doc_value(doc, "field"):
         raise InvalidInput(f"document field {doc['field']} != algebra field {field}")
-    dim = int(doc["dim"])
-    action = doc["action"]
+    dim = _doc_value(doc, "dim", int)
+    action = _doc_value(doc, "action", dict)
 
     def side_mats(side, algebra):
         mats = field.zeros((algebra.dim, dim, dim))
@@ -346,26 +356,26 @@ def witness_doc(w, a_ref="", b_ref=""):
 
 def _algebra_pair_from_doc(doc, resolver, what):
     def algebra_of(ref_key, doc_key):
-        ref = doc.get(ref_key)
+        ref = _doc_value(doc, ref_key, required=False)
         if ref:
             if resolver is None:
                 raise InvalidInput(f"{what} references {ref!r} but no resolver was given")
             return resolver(ref)
         if doc_key not in doc:
             raise InvalidInput(f"{what} carries neither {ref_key} nor an embedded algebra")
-        return algebra_from_doc(doc[doc_key])
+        return algebra_from_doc(_doc_value(doc, doc_key, dict))
 
     a = algebra_of("a_ref", "a")
     b = algebra_of("b_ref", "b")
-    if str(a.field) != doc["field"]:
+    if str(a.field) != _doc_value(doc, "field"):
         raise InvalidInput(f"{what} field {doc['field']} != algebra field {a.field}")
     return a, b
 
 
 def _witness_from_doc(doc, resolver, what):
     a, b = _algebra_pair_from_doc(doc, resolver, what)
-    m = bimodule_from_doc(doc["m"], a, b)
-    n = bimodule_from_doc(doc["n"], b, a)
+    m = bimodule_from_doc(_doc_value(doc, "m", dict), a, b)
+    n = bimodule_from_doc(_doc_value(doc, "n", dict), b, a)
     return JWitnessPair(a, b, m, n, seed=int(doc.get("seed", 0)))
 
 
@@ -399,13 +409,13 @@ def certificate_from_doc(doc, resolver=None):
         raise InvalidInput("not a certificate document")
     w = _witness_from_doc(doc, resolver, "certificate")
     a, field = w.a, w.a.field
-    tensor_dim = int(doc["tensor_dim"])
+    tensor_dim = _doc_value(doc, "tensor_dim", int)
     return JCertificate(
-        direction="geq" if doc["kind"] == "j_geq" else "equiv",
+        direction="geq" if _doc_value(doc, "kind") == "j_geq" else "equiv",
         witness=w,
         tensor_dim=tensor_dim,
-        section=matrix_in(field, doc["section"], shape=(tensor_dim, a.dim)),
-        retraction=matrix_in(field, doc["retraction"], shape=(a.dim, tensor_dim)),
+        section=matrix_in(field, _doc_value(doc, "section", list), shape=(tensor_dim, a.dim)),
+        retraction=matrix_in(field, _doc_value(doc, "retraction", list), shape=(a.dim, tensor_dim)),
         decomposition_ref=doc.get("decomposition_ref"),
         quality_flags=doc.get("quality_flags"),
     )

@@ -29,6 +29,7 @@ from .decomp import (
     complete_primitive_idempotents,
     decompose,
     explicit_isomorphism,
+    projective_leaves,
     summand_isomorphism,
     summand_split_maps,
 )
@@ -450,27 +451,24 @@ def generators_check(w, cert):
     _, m_env = bimodule_as_env_module(w.m, seed=seed)
     cover_m = projective_cover(m_env).module
     left_cover = env_module_as_bimodule(cover_m, a, b).restrict_left()
-    for p, _, _ in projective_indecomposables(a):
-        if summand_split_maps(p, left_cover) is None:
+    for leaf in projective_leaves(a):
+        if summand_split_maps(leaf, left_cover) is None:
             return False
     _, n_env = bimodule_as_env_module(w.n, seed=seed)
     cover_n = projective_cover(n_env).module
     right_cover = module_over_opposite(env_module_as_bimodule(cover_n, b, a).restrict_right())
-    for p, _, _ in projective_indecomposables(a.opposite()):
-        if summand_split_maps(p, right_cover) is None:
+    for leaf in projective_leaves(a.opposite()):
+        if summand_split_maps(leaf, right_cover) is None:
             return False
     return True
 
 
 def _projective_injectives(alg):
-    """Indecomposable projective left modules that are also injective."""
+    """The projective leaves of alg whose modules are also injective."""
     complete_primitive_idempotents(alg.opposite())
-    out = []
-    for p, _, _ in projective_indecomposables(alg):
-        d = module_over_opposite(dual_module(p))
-        if is_projective(d):
-            out.append(p)
-    return out
+    return [
+        leaf for leaf in projective_leaves(alg) if is_projective(module_over_opposite(dual_module(leaf.module)))
+    ]
 
 
 def faithful_projinj_check(w, cert):
@@ -486,16 +484,16 @@ def faithful_projinj_check(w, cert):
     if left_annihilator_rows(left).shape[0] != 0:
         return False
     complete_primitive_idempotents(a, seed)
-    for p in _projective_injectives(a):
-        if summand_split_maps(p, left) is None:
+    for leaf in _projective_injectives(a):
+        if summand_split_maps(leaf, left) is None:
             return False
     if right_annihilator_rows(w.n.restrict_right()).shape[0] != 0:
         return False
     right = module_over_opposite(w.n.restrict_right())
     aop = a.opposite()
     complete_primitive_idempotents(aop, seed)
-    for p in _projective_injectives(aop):
-        if summand_split_maps(p, right) is None:
+    for leaf in _projective_injectives(aop):
+        if summand_split_maps(leaf, right) is None:
             return False
     return True
 
@@ -572,20 +570,10 @@ def lrproj_projectivity_check(a, b, m, seed=0):
     bop = b.opposite()
     complete_primitive_idempotents(bop, seed + 2)
     right_projs = [_op_left_as_right(p, b) for p, _, _ in projective_indecomposables(bop)]
-    left_projs = [p for p, _, _ in projective_indecomposables(a)]
+    candidates = [outer_tensor(p, q) for p, _, _ in projective_indecomposables(a) for q in right_projs]
     dec = decompose(m, seed=seed)
     for z in dec.summands:
-        hit = False
-        for p in left_projs:
-            for q in right_projs:
-                if p.dim * q.dim != z.module.dim:
-                    continue
-                if are_isomorphic(outer_tensor(p, q), z.module, seed=seed + 3):
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
+        if not any(c.dim == z.module.dim and are_isomorphic(c, z.module, seed=seed + 3) for c in candidates):
             return False, {"vacuous": False, "summands": len(dec.summands)}
     return True, {"vacuous": False, "summands": len(dec.summands)}
 

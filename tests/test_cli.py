@@ -9,6 +9,7 @@ import json
 import pytest
 
 from jorder import catalog, cli, serialize
+from jorder.witnesses import verify_j_geq
 
 A_REF = "catalog:trunc_poly?k=2"
 B_REF = "catalog:kronecker"
@@ -91,6 +92,54 @@ def test_malformed_json_exits_4(capsys, tmp_path):
     code, out = _run(capsys, "decompose", str(path))
     assert code == 4
     assert out["error"]["type"] == "InvalidInput"
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _bimodule(change=None, drop=None):
+    w = catalog.resolve("catalog:kronecker_witness")
+    doc = serialize.bimodule_doc(w.m, A_REF, B_REF)
+    return {**_without(doc, drop), **(change or {})}
+
+
+def _witness(drop):
+    return _without(serialize.witness_doc(catalog.resolve("catalog:kronecker_witness")), drop)
+
+
+def _certificate(drop):
+    cert = verify_j_geq(catalog.resolve("catalog:kronecker_witness"), quality=False)
+    return _without(serialize.certificate_doc(cert), drop)
+
+
+_NOT_OBJECTS = [("array", []), ("string", "bimodule"), ("null", None)]
+_MALFORMED_DOCS = [
+    pytest.param(command, lambda top=top: top, "not a JSON object", id=f"{command}-{name}")
+    for command in ("verify-cert", "verify-jgeq", "decompose", "tensor")
+    for name, top in _NOT_OBJECTS
+] + [
+    pytest.param("decompose", lambda: _bimodule(change={"left_algebra_ref": 5}), "'left_algebra_ref'",
+                 id="bimodule-ref-not-a-string"),
+    pytest.param("decompose", lambda: _bimodule(drop="field"), "'field'", id="bimodule-without-field"),
+    pytest.param("verify-jgeq", lambda: _witness(drop="field"), "'field'", id="witness-without-field"),
+    pytest.param("verify-cert", lambda: _certificate(drop="section"), "'section'", id="certificate-without-section"),
+]
+
+
+@pytest.mark.parametrize("command, make_doc, named", _MALFORMED_DOCS)
+def test_malformed_document_exits_4(capsys, tmp_path, command, make_doc, named):
+    """A document of the wrong shape is malformed input named by its key, not a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(make_doc()))
+    files = [str(path)] * (2 if command == "tensor" else 1)
+    code = cli.main([command, *files, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 4
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "InvalidInput"
+    assert named in error["message"]
+    assert "Traceback" not in captured.err
 
 
 def test_decompose_reads_the_tensor_output(capsys, witness_files, tmp_path):

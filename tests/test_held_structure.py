@@ -1,8 +1,9 @@
-"""Per-algebra structure held on the algebra: projectives and simples.
+"""Per-algebra structure held on the algebra: projectives, simples and projective leaves.
 
-projective_indecomposables and simple_modules build once per algebra and
-hold the result; is_projective reads dimensions off it instead of building
-a projective cover. The cover-based test it replaced is kept below as the
+projective_indecomposables, simple_modules and projective_leaves build once
+per algebra and hold the result; is_projective reads dimensions off it
+instead of building a projective cover, and the quality checks split the
+held leaves off their covers without solving End(P_k) again. The cover-based test it replaced is kept below as the
 oracle and compared on random modules over basic, non-basic and enveloping
 algebras, over GF(2), GF(3), GF(101) and Q.
 """
@@ -10,9 +11,9 @@ algebras, over GF(2), GF(3), GF(101) and Q.
 import numpy as np
 import pytest
 
-from jorder import catalog, modules
+from jorder import catalog, decomp, modules
 from jorder.algebras import Algebra, linear_quiver_algebra, tensor_algebra
-from jorder.decomp import complete_primitive_idempotents
+from jorder.decomp import complete_primitive_idempotents, projective_leaves
 from jorder.errors import NonSplitResidueField
 from jorder.fields import GF, QQ
 from jorder.modules import (
@@ -23,6 +24,7 @@ from jorder.modules import (
     random_left_module,
     simple_modules,
 )
+from jorder.witnesses import faithful_projinj_check, generators_check, verify_j_geq
 
 
 def cover_is_projective(m):
@@ -110,12 +112,45 @@ def test_projectives_are_built_once_per_algebra(monkeypatch):
     assert simple_modules(a) is simple_modules(a)
 
 
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=lambda f: f.name)
+def test_projective_leaves_are_the_held_projectives(field):
+    for a in algebras(field):
+        complete_primitive_idempotents(a)
+        leaves = projective_leaves(a)
+        assert projective_leaves(a) is leaves
+        projs = projective_indecomposables(a)
+        assert len(leaves) == len(projs)
+        for k, leaf in enumerate(leaves):
+            assert leaf.module is projs[k][0]
+            assert leaf.certificate in ("dim_one", "field_quotient")
+            assert leaf._end[0].dim == len(modules.hom_space(leaf.module, leaf.module))
+
+
+def test_quality_checks_solve_no_end_twice(monkeypatch):
+    w = catalog.resolve("catalog:kronecker_witness")
+    cert = verify_j_geq(w, quality=False)
+    solved = []
+    endomorphism_algebra = decomp.endomorphism_algebra
+
+    def counted(m):
+        solved.append(m.label)
+        return endomorphism_algebra(m)
+
+    monkeypatch.setattr(decomp, "endomorphism_algebra", counted)
+    assert generators_check(w, cert) and faithful_projinj_check(w, cert)
+    assert solved  # the first run fills the leaves
+    solved.clear()
+    assert generators_check(w, cert) and faithful_projinj_check(w, cert)
+    assert solved == []
+
+
 def test_opposite_builds_its_own_projectives():
     a = linear_quiver_algebra(GF(5), 3)
     projs = projective_indecomposables(a)
     simple_modules(a)
+    projective_leaves(a)
     aop = a.opposite()
-    assert aop._projectives is None and aop._simples is None
+    assert aop._projectives is None and aop._simples is None and aop._projective_leaves is None
     projs_op = projective_indecomposables(aop)
     assert all(p.left_algebra is aop for p, _, _ in projs_op)
     assert all(p.left_algebra is a for p, _, _ in projs)

