@@ -210,18 +210,9 @@ class Algebra:
                 raise ValueError("claimed semisimple but the radical criterion disagrees")
             return
         base = linalg.row_basis(self.field, rows)
-        left = self.field.tensordot(base, self.table, axes=([1], [0])).reshape(-1, self.dim)
-        right = self.field.tensordot(base, self.table, axes=([1], [1])).reshape(-1, self.dim)
-        if linalg.coords_in_row_basis(self.field, base, np.concatenate([left, right])) is None:
+        if not _is_ideal(self, base):
             raise ValueError("radical candidate is not a two-sided ideal")
-        power = base
-        for _ in range(self.dim + 1):
-            if power.shape[0] == 0:
-                break
-            tmp = self.field.tensordot(power, self.table, axes=([1], [0]))  # (r, j, k)
-            prods = self.field.tensordot(base, tmp, axes=([1], [1])).reshape(-1, self.dim)
-            power = linalg.row_basis(self.field, prods)
-        else:
+        if _ideal_powers(self, base) is None:
             raise ValueError("radical candidate is not nilpotent")
         # semisimple quotient: the criterion radical of A/J must vanish
         q_table, _, _, _ = _quotient_structure(self, base)
@@ -243,17 +234,8 @@ class Algebra:
     def radical_powers(self):
         """[J, J^2, ...] as row bases, stopping before the zero power."""
         if self._radical_powers is None:
-            powers = []
-            base = self.radical_rows()
-            power = base
-            for _ in range(self.dim + 1):
-                if power.shape[0] == 0:
-                    break
-                powers.append(power)
-                tmp = self.field.tensordot(power, self.table, axes=([1], [0]))
-                prods = self.field.tensordot(base, tmp, axes=([1], [1])).reshape(-1, self.dim)
-                power = linalg.row_basis(self.field, prods)
-            else:
+            powers = _ideal_powers(self, self.radical_rows())
+            if powers is None:
                 raise AssertionError("radical rows are not nilpotent")
             self._radical_powers = powers
         return self._radical_powers
@@ -385,6 +367,32 @@ def _quotient_structure(algebra, ideal_rows):
     return table, field.matmul(proj, algebra.unit), proj, section
 
 
+def _is_ideal(algebra, rows):
+    """Whether the span of the row basis is closed under both multiplications by the basis."""
+    field = algebra.field
+    left = field.tensordot(rows, algebra.table, axes=([1], [0])).reshape(-1, algebra.dim)
+    right = field.tensordot(rows, algebra.table, axes=([1], [1])).reshape(-1, algebra.dim)
+    return linalg.coords_in_row_basis(field, rows, np.concatenate([left, right])) is not None
+
+
+def _ideal_powers(algebra, base):
+    """[I, I^2, ...] for the ideal with row basis base, down to the last nonzero power.
+
+    None when the powers do not reach zero within dim + 1 steps.
+    """
+    field = algebra.field
+    powers = []
+    power = base
+    for _ in range(algebra.dim + 1):
+        if power.shape[0] == 0:
+            return powers
+        powers.append(power)
+        tmp = field.tensordot(power, algebra.table, axes=([1], [0]))  # (r, j, k)
+        prods = field.tensordot(base, tmp, axes=([1], [1])).reshape(-1, algebra.dim)
+        power = linalg.row_basis(field, prods)
+    return None
+
+
 def quotient_algebra(algebra, ideal_rows, label=None):
     """Quotient by a two-sided ideal given as a row span."""
     field = algebra.field
@@ -392,9 +400,7 @@ def quotient_algebra(algebra, ideal_rows, label=None):
     if rows.shape[0] and rows.shape[1] != algebra.dim:
         raise ValueError("ideal rows have the wrong width")
     if rows.shape[0]:
-        left = field.tensordot(rows, algebra.table, axes=([1], [0])).reshape(-1, algebra.dim)
-        right = field.tensordot(rows, algebra.table, axes=([1], [1])).reshape(-1, algebra.dim)
-        if linalg.coords_in_row_basis(field, rows, np.concatenate([left, right])) is None:
+        if not _is_ideal(algebra, rows):
             raise ValueError("rows do not span a two-sided ideal")
         if linalg.coords_in_row_basis(field, rows, algebra.unit) is not None:
             raise IdealIsWholeAlgebra("the ideal contains the unit")

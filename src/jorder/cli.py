@@ -460,11 +460,7 @@ def _cmd_catalog_dump(args):
     ref = args.entry if args.entry.startswith(CATALOG_SCHEME) else CATALOG_SCHEME + args.entry
     field = field_from_name(args.field) if args.field else None
     obj = catalog.resolve(ref, field=field)
-    if isinstance(obj, JWitnessPair):
-        payload = serialize.canon_json(serialize.witness_doc(obj))
-    elif isinstance(obj, AlgebraAction):
-        payload = _canonical_dump(obj)
-    elif args.format == "json":
+    if args.format == "json" and not isinstance(obj, (JWitnessPair, AlgebraAction)):
         payload = serialize.canon_json(serialize.algebra_doc(obj))
     else:
         payload = _canonical_dump(obj)

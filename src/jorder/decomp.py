@@ -474,8 +474,10 @@ def is_direct_summand(x, y, seed=0):
 def complete_primitive_idempotents(a, seed=0):
     """Primitive orthogonal idempotents summing to 1, installed on a.
 
-    Summand projections of the left regular module are right multiplications,
-    so evaluating each at 1 recovers an idempotent; indecomposability of the
+    modules.projective_indecomposables calls it with seed 0 on first use, so
+    an algebra gets its family when its projectives are first read. Summand
+    projections of the left regular module are right multiplications, so
+    evaluating each at 1 recovers an idempotent; indecomposability of the
     summand makes it primitive.
     """
     if a.idempotents is not None and a.idempotents_primitive:

@@ -41,8 +41,9 @@ annihilator of hom_space(N, DM). Actions induced on subquotients and tensor
 products are batched products, with no Kronecker matrix.
 
 Projectives and simples are structure of the algebra, built once and held
-on it. projective_indecomposables fills a._projectives on its first call
-after the primitive idempotent family is installed; before that it raises.
+on it, and so is the primitive idempotent family they rest on.
+projective_indecomposables fills a._projectives on its first call, installing
+the family through decomp.complete_primitive_idempotents when a has none.
 simple_modules fills a._simples, with whether every simple has a
 one-dimensional endomorphism ring, and decomp.projective_leaves fills
 a._projective_leaves with one certified leaf, End(P_k) included, per P_k.
@@ -323,21 +324,21 @@ def _quotient(m, basis, label):
     return quo, proj
 
 
+def _radical_actions(m):
+    """The actions of the radical basis rows on every side m carries, stacked."""
+    return np.concatenate([
+        m.field.tensordot(alg.radical_rows(), mats, axes=([1], [0]))
+        for mats, alg in ((m.left_mats, m.left_algebra), (m.right_mats, m.right_algebra))
+        if mats is not None
+    ])
+
+
 def radical_sub_rows(m, rows=None):
     """Rows of rad(A).X + X.rad(B) for the row span X (default: all of M)."""
     field = m.field
     if rows is None:
         rows = field.eye(m.dim)
-    pieces = []
-    if m.left_mats is not None:
-        for rho in m.left_algebra.radical_rows():
-            pieces.append(field.matmul(rows, m.left_action(rho).T))
-    if m.right_mats is not None:
-        for rho in m.right_algebra.radical_rows():
-            pieces.append(field.matmul(rows, m.right_action(rho).T))
-    if not pieces:
-        return field.zeros((0, m.dim))
-    return linalg.row_basis(field, np.concatenate(pieces, axis=0))
+    return linalg.row_basis(field, _moved_rows(field, rows, _radical_actions(m)))
 
 
 def top_of(m, label=None):
@@ -359,18 +360,8 @@ def radical_series_dims(m):
 
 def socle_rows(m):
     """Rows killed by rad(A) on the left and rad(B) on the right."""
-    field = m.field
-    constraints = []
-    if m.left_mats is not None:
-        for rho in m.left_algebra.radical_rows():
-            constraints.append(m.left_action(rho))
-    if m.right_mats is not None:
-        for rho in m.right_algebra.radical_rows():
-            constraints.append(m.right_action(rho))
-    if not constraints:
-        return field.eye(m.dim)
-    _, ker = linalg.rank_nullspace(field, np.concatenate(constraints, axis=0))
-    return linalg.row_basis(field, ker.T)
+    _, ker = linalg.rank_nullspace(m.field, _radical_actions(m).reshape(-1, m.dim))
+    return linalg.row_basis(m.field, ker.T)
 
 
 # ---- hom spaces ---------------------------------------------------------------
@@ -461,19 +452,20 @@ def hom_space(m, n):
     return [rows[k].reshape(dn, dm) for k in range(rows.shape[0])]
 
 
+def _annihilator_rows(field, mats):
+    """Algebra elements whose action matrices in the stack combine to zero."""
+    _, ker = linalg.rank_nullspace(field, mats.reshape(mats.shape[0], -1).T)
+    return linalg.row_basis(field, ker.T)
+
+
 def left_annihilator_rows(m):
     """Algebra elements acting as zero on the left."""
-    field = m.field
-    flat = m.left_mats.reshape(m.left_algebra.dim, -1)
-    _, ker = linalg.rank_nullspace(field, flat.T)
-    return linalg.row_basis(field, ker.T)
+    return _annihilator_rows(m.field, m.left_mats)
 
 
 def right_annihilator_rows(m):
-    field = m.field
-    flat = m.right_mats.reshape(m.right_algebra.dim, -1)
-    _, ker = linalg.rank_nullspace(field, flat.T)
-    return linalg.row_basis(field, ker.T)
+    """Algebra elements acting as zero on the right."""
+    return _annihilator_rows(m.field, m.right_mats)
 
 
 # ---- tensor, dual, twist -------------------------------------------------------
@@ -553,16 +545,9 @@ def dual_module(m, label=None):
     (b.f.a)(x) = f(a x b), so b acts on the dual through the transpose of its
     right action and a through the transpose of its left action.
     """
-    field = m.field
-    lm = None
-    rm = None
-    left_alg = m.right_algebra
-    right_alg = m.left_algebra
-    if m.right_mats is not None:
-        lm = field.canon(np.stack([m.right_mats[j].T for j in range(m.right_algebra.dim)]))
-    if m.left_mats is not None:
-        rm = field.canon(np.stack([m.left_mats[i].T for i in range(m.left_algebra.dim)]))
-    return Module(left_alg, right_alg, lm, rm, label or f"D({m.label})", check=False)
+    lm = None if m.right_mats is None else m.field.canon(m.right_mats.transpose(0, 2, 1))
+    rm = None if m.left_mats is None else m.field.canon(m.left_mats.transpose(0, 2, 1))
+    return Module(m.right_algebra, m.left_algebra, lm, rm, label or f"D({m.label})", check=False)
 
 
 def _check_automorphism(algebra, g):
@@ -596,26 +581,21 @@ def twist_right(m, g, label=None):
 # ---- projectives ---------------------------------------------------------------
 
 
-def _primitive_idempotents(a):
-    if a.idempotents is None or not a.idempotents_primitive:
-        raise ValueError(
-            f"{a.label} carries no verified primitive idempotent family; "
-            "decompose its regular module first"
-        )
-    return a.idempotents
-
-
 def projective_indecomposables(a):
     """The modules A e for the algebra's primitive family, as (module, inclusion, e).
 
-    Built on the first call after the family is installed and held on a.
+    Built on the first call and held on a; an algebra without a primitive
+    family gets one installed first.
     """
     if a._projectives is None:
+        from .decomp import complete_primitive_idempotents  # decomp imports this module
+
+        complete_primitive_idempotents(a)
         reg = left_regular_module(a)
         # row k of the right multiplication by e spans x_k e
         a._projectives = tuple(
             (*submodule(reg, a.right_mult_matrix(e).T, label=f"{a.label}e"), e)
-            for e in _primitive_idempotents(a)
+            for e in a.idempotents
         )
     return a._projectives
 

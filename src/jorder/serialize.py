@@ -47,6 +47,16 @@ def _doc_value(doc, key, kind=str, required=True):
     return doc[key]
 
 
+def _nested_list(value, shape, key):
+    """value if it is nested lists of exactly this shape, else InvalidInput naming the key."""
+    level = [value]
+    for n in shape:
+        if not all(isinstance(v, list) and len(v) == n for v in level):
+            raise InvalidInput(f"document key {key!r} is not a nested list of shape {tuple(shape)}")
+        level = [x for v in level for x in v]
+    return value
+
+
 def hash_text(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -86,21 +96,21 @@ def matrix_out(field, mat):
     return [[scalar_out(field, x) for x in row] for row in mat]
 
 
-def matrix_in(field, rows, shape=None):
-    if shape is not None and (len(rows), len(rows[0]) if rows else 0) != tuple(shape):
-        raise InvalidInput(f"matrix has shape {(len(rows), len(rows[0]) if rows else 0)}, expected {tuple(shape)}")
+def matrix_in(field, rows, shape, key):
+    _nested_list(rows, shape, key)
     data = np.array(
         [[scalar_in(field, v) for v in row] for row in rows],
         dtype=object if field.char == 0 else None,
     )
-    return field.canon(data)
+    return field.canon(data.reshape(shape))
 
 
 def vector_out(field, vec):
     return [scalar_out(field, x) for x in np.asarray(vec)]
 
 
-def vector_in(field, values):
+def vector_in(field, values, length, key):
+    _nested_list(values, (length,), key)
     data = np.array([scalar_in(field, v) for v in values], dtype=object if field.char == 0 else None)
     return field.canon(data)
 
@@ -165,20 +175,20 @@ def algebra_from_doc(doc):
         raise InvalidInput("not an algebra document")
     field = field_from_name(_doc_value(doc, "field"))
     dim = _doc_value(doc, "dim", int)
-    rows = _doc_value(doc, "table", list)
+    rows = _nested_list(_doc_value(doc, "table", list), (dim, dim), "table")
     table = field.zeros((dim, dim, dim))
     for i in range(dim):
         for j in range(dim):
-            table[i, j] = vector_in(field, rows[i][j])
+            table[i, j] = vector_in(field, rows[i][j], dim, "table")
     idems = None
     primitive = False
     if "idempotents" in doc:
-        idems = [vector_in(field, e) for e in doc["idempotents"]]
+        idems = [vector_in(field, e, dim, "idempotents") for e in _doc_value(doc, "idempotents", list)]
         primitive = bool(doc.get("idempotents_primitive", False))
     return Algebra(
         field,
         table,
-        vector_in(field, _doc_value(doc, "unit", list)),
+        vector_in(field, _doc_value(doc, "unit", list), dim, "unit"),
         list(_doc_value(doc, "labels", list)),
         idempotents=idems,
         idempotents_primitive=primitive,
@@ -230,7 +240,7 @@ def bimodule_from_doc(doc, left_algebra, right_algebra):
             key = f"{side}:{lab}"
             if key not in action:
                 raise InvalidInput(f"bimodule document is missing the action of {key}")
-            mats[i] = matrix_in(field, action[key], shape=(dim, dim))
+            mats[i] = matrix_in(field, action[key], (dim, dim), key)
         return mats
 
     return Module(
@@ -376,7 +386,7 @@ def _witness_from_doc(doc, resolver, what):
     a, b = _algebra_pair_from_doc(doc, resolver, what)
     m = bimodule_from_doc(_doc_value(doc, "m", dict), a, b)
     n = bimodule_from_doc(_doc_value(doc, "n", dict), b, a)
-    return JWitnessPair(a, b, m, n, seed=int(doc.get("seed", 0)))
+    return JWitnessPair(a, b, m, n, seed=_doc_value(doc, "seed", int, required=False) or 0)
 
 
 def witness_from_doc(doc, resolver=None):
@@ -414,8 +424,8 @@ def certificate_from_doc(doc, resolver=None):
         direction="geq" if _doc_value(doc, "kind") == "j_geq" else "equiv",
         witness=w,
         tensor_dim=tensor_dim,
-        section=matrix_in(field, _doc_value(doc, "section", list), shape=(tensor_dim, a.dim)),
-        retraction=matrix_in(field, _doc_value(doc, "retraction", list), shape=(a.dim, tensor_dim)),
+        section=matrix_in(field, _doc_value(doc, "section", list), (tensor_dim, a.dim), "section"),
+        retraction=matrix_in(field, _doc_value(doc, "retraction", list), (a.dim, tensor_dim), "retraction"),
         decomposition_ref=doc.get("decomposition_ref"),
         quality_flags=doc.get("quality_flags"),
     )
@@ -447,7 +457,7 @@ def verify_decomposition_doc(module, doc):
     field = module.field
     if doc.get("format") != "decomposition" or int(doc["module_dim"]) != module.dim:
         return False
-    idems = [matrix_in(field, s["idempotent"], shape=(module.dim, module.dim)) for s in doc["summands"]]
+    idems = [matrix_in(field, s["idempotent"], (module.dim, module.dim), "idempotent") for s in doc["summands"]]
     total = field.zeros((module.dim, module.dim))
     gens = _all_generator_actions(module)
     for s, e in zip(doc["summands"], idems):

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import catalog, linalg
-from .decomp import are_isomorphic, complete_primitive_idempotents, decompose, summand_isomorphism
+from .decomp import are_isomorphic, decompose, summand_isomorphism
 from .errors import Inconclusive
 from .fields import field_from_name
 from .groups import AlgebraAction, FiniteGroup, invariant_subalgebra, skew_group_algebra
@@ -491,8 +491,6 @@ def check_krull_schmidt_oracle(seed=0):
     f = field_from_name("GF(2)")
     a2 = catalog.build("A_n", field=f, n=2)
     tp2 = catalog.build("trunc_poly", field=f, k=2)
-    complete_primitive_idempotents(a2)
-    complete_primitive_idempotents(tp2)
     gen = np.random.default_rng(seed)
     checked = 0
     mismatches = 0
@@ -533,8 +531,6 @@ def check_lrproj_family(seed=0):
     a3 = catalog.build("A_n", n=3)
     f = a3.field
     d = catalog.build("trunc_poly", field=f, k=2)
-    complete_primitive_idempotents(a3)
-    complete_primitive_idempotents(d)
     left_projs = [p for p, _, _ in projective_indecomposables(a3)]
     right_proj = right_regular_module(d)
 
@@ -637,12 +633,7 @@ def check_top_bound(seed=0):
     f = field_from_name("GF(2)")
     a4 = catalog.build("A_n", field=f, n=4)
     a2 = catalog.build("A_n", field=f, n=2)
-    complete_primitive_idempotents(a4)
-    complete_primitive_idempotents(a2)
-    a2op = a2.opposite()
-    complete_primitive_idempotents(a2op)
-    env = tensor_algebra(a4, a2op)
-    complete_primitive_idempotents(env)
+    env = tensor_algebra(a4, a2.opposite())
     gen = np.random.default_rng(seed)
     tops = []
     draws = 0

@@ -107,9 +107,9 @@ def bimodule_as_env_module(m, seed=0):
     """An (A, B)-bimodule as a left module over A (x) B^op.
 
     Returns (env, module). x (x) y acts as L(x) R(y), one batched product in
-    the basis order of tensor_algebra. The enveloping algebra inherits
-    primitive idempotents from the factors, so projective covers work on the
-    result.
+    the basis order of tensor_algebra. The factors' primitive families are
+    installed first, so the enveloping algebra inherits one from them instead
+    of decomposing its own regular module for its projectives.
     """
     a, b = m.left_algebra, m.right_algebra
     complete_primitive_idempotents(a, seed)
@@ -211,8 +211,6 @@ def verify_j_geq(w, *, quality=True):
         tensor=tr,
     )
     if quality:
-        for x in (w.a, w.b, w.a.opposite(), w.b.opposite()):
-            complete_primitive_idempotents(x, w.seed)
         cert.quality_flags = {
             "left_right_projective": bool(
                 is_left_right_projective(w.m) and is_left_right_projective(w.n)
@@ -401,8 +399,6 @@ def witness_search(a, b, seed=0, budget=20, max_dim=None, copies_cap=1):
     complete_primitive_idempotents(b, seed + 1)
     env_ab = tensor_algebra(a, b.opposite())
     env_ba = tensor_algebra(b, a.opposite())
-    complete_primitive_idempotents(env_ab, seed + 2)
-    complete_primitive_idempotents(env_ba, seed + 3)
     rng = np.random.default_rng(seed)
     for _ in range(budget):
         m_env = random_left_module(env_ab, rng, copies_cap=copies_cap)
@@ -430,7 +426,6 @@ def is_adjoint_pair_witness(m, n, seed=0):
     to N as a (b, a)-bimodule; iso is the explicit bimodule isomorphism
     Hom(M, A) -> N when the answer is yes, None otherwise.
     """
-    complete_primitive_idempotents(m.left_algebra)
     if not is_projective(m.restrict_left()):
         return False, None
     hom, _ = hom_to_regular(m)
@@ -465,7 +460,6 @@ def generators_check(w, cert):
 
 def _projective_injectives(alg):
     """The projective leaves of alg whose modules are also injective."""
-    complete_primitive_idempotents(alg.opposite())
     return [
         leaf for leaf in projective_leaves(alg) if is_projective(module_over_opposite(dual_module(leaf.module)))
     ]
@@ -479,20 +473,17 @@ def faithful_projinj_check(w, cert):
     """
     if cert is None or cert.section is None:
         raise ValueError("faithful_projinj_check needs a verified certificate")
-    a, seed = w.a, w.seed
+    a = w.a
     left = w.m.restrict_left()
     if left_annihilator_rows(left).shape[0] != 0:
         return False
-    complete_primitive_idempotents(a, seed)
     for leaf in _projective_injectives(a):
         if summand_split_maps(leaf, left) is None:
             return False
     if right_annihilator_rows(w.n.restrict_right()).shape[0] != 0:
         return False
     right = module_over_opposite(w.n.restrict_right())
-    aop = a.opposite()
-    complete_primitive_idempotents(aop, seed)
-    for leaf in _projective_injectives(aop):
+    for leaf in _projective_injectives(a.opposite()):
         if summand_split_maps(leaf, right) is None:
             return False
     return True
@@ -502,8 +493,6 @@ def separable_quality(w, cert):
     """Separability evidence: one-sided projectivity and adjointness both ways."""
     if cert is None or cert.section is None:
         raise ValueError("separable_quality needs a verified certificate")
-    for x in (w.a, w.b, w.a.opposite(), w.b.opposite()):
-        complete_primitive_idempotents(x, w.seed)
     return {
         "m_left_right_projective": is_left_right_projective(w.m),
         "n_left_right_projective": is_left_right_projective(w.n),
@@ -557,8 +546,6 @@ def lrproj_projectivity_check(a, b, m, seed=0):
     prov = a.provenance
     if prov is None or prov.kind != "quiver" or not prov.data.get("acyclic"):
         raise HypothesisViolated(f"{a.label} is not presented by an acyclic quiver")
-    complete_primitive_idempotents(a, seed)
-    complete_primitive_idempotents(b, seed + 1)
     if not is_self_injective(b):
         raise HypothesisViolated(f"{b.label} is not self-injective")
     if not (_same_algebra(m.left_algebra, a) and _same_algebra(m.right_algebra, b)):
@@ -567,9 +554,7 @@ def lrproj_projectivity_check(a, b, m, seed=0):
         return True, {"vacuous": True, "summands": None}
     if m.dim == 0:
         return True, {"vacuous": False, "summands": 0}
-    bop = b.opposite()
-    complete_primitive_idempotents(bop, seed + 2)
-    right_projs = [_op_left_as_right(p, b) for p, _, _ in projective_indecomposables(bop)]
+    right_projs = [_op_left_as_right(p, b) for p, _, _ in projective_indecomposables(b.opposite())]
     candidates = [outer_tensor(p, q) for p, _, _ in projective_indecomposables(a) for q in right_projs]
     dec = decompose(m, seed=seed)
     for z in dec.summands:

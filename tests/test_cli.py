@@ -108,9 +108,12 @@ def _witness(drop):
     return _without(serialize.witness_doc(catalog.resolve("catalog:kronecker_witness")), drop)
 
 
-def _certificate(drop):
+def _certificate(drop=None, edit=None):
     cert = verify_j_geq(catalog.resolve("catalog:kronecker_witness"), quality=False)
-    return _without(serialize.certificate_doc(cert), drop)
+    doc = _without(serialize.certificate_doc(cert), drop)
+    if edit is not None:
+        edit(doc)
+    return doc
 
 
 _NOT_OBJECTS = [("array", []), ("string", "bimodule"), ("null", None)]
@@ -124,6 +127,18 @@ _MALFORMED_DOCS = [
     pytest.param("decompose", lambda: _bimodule(drop="field"), "'field'", id="bimodule-without-field"),
     pytest.param("verify-jgeq", lambda: _witness(drop="field"), "'field'", id="witness-without-field"),
     pytest.param("verify-cert", lambda: _certificate(drop="section"), "'section'", id="certificate-without-section"),
+    pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d.update(section=[1, 2])), "'section'",
+                 id="certificate-section-not-nested"),
+    pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d["m"]["action"].update({"left:x": [5, 6]})),
+                 "'left:x'", id="certificate-action-not-nested"),
+    pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d["a"].update(table=d["a"]["table"][:-1])),
+                 "'table'", id="certificate-table-short"),
+    pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d["a"].update(idempotents=3)), "'idempotents'",
+                 id="certificate-idempotents-not-a-list"),
+    pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d.update(seed=[1])), "'seed'",
+                 id="certificate-seed-not-an-int"),
+    pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d["a"].update(unit=[1])), "'unit'",
+                 id="certificate-unit-short"),
 ]
 
 

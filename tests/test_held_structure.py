@@ -1,7 +1,8 @@
-"""Per-algebra structure held on the algebra: projectives, simples and projective leaves.
+"""Per-algebra structure held on the algebra: the primitive family, projectives, simples and projective leaves.
 
 projective_indecomposables, simple_modules and projective_leaves build once
-per algebra and hold the result; is_projective reads dimensions off it
+per algebra and hold the result, and projective_indecomposables installs the
+primitive idempotent family when an algebra has none; is_projective reads dimensions off it
 instead of building a projective cover, and the quality checks split the
 held leaves off their covers without solving End(P_k) again. The cover-based test it replaced is kept below as the
 oracle and compared on random modules over basic, non-basic and enveloping
@@ -16,6 +17,7 @@ from jorder.algebras import Algebra, linear_quiver_algebra, tensor_algebra
 from jorder.decomp import complete_primitive_idempotents, projective_leaves
 from jorder.errors import NonSplitResidueField
 from jorder.fields import GF, QQ
+from jorder.groups import invariant_subalgebra, skew_group_algebra
 from jorder.modules import (
     is_projective,
     left_regular_module,
@@ -159,15 +161,48 @@ def test_opposite_builds_its_own_projectives():
     assert all(s.left_algebra is aop for s, _ in simple_modules(aop))
 
 
-def test_projectives_wait_for_the_primitive_family():
+def test_projectives_install_the_primitive_family():
     a3 = linear_quiver_algebra(GF(5), 3)
     a = Algebra(a3.field, a3.table, a3.unit, idempotents=[a3.unit])  # a complete family, not primitive
-    with pytest.raises(ValueError, match="primitive"):
-        projective_indecomposables(a)
-    with pytest.raises(ValueError, match="primitive"):
-        projective_indecomposables(a)
-    complete_primitive_idempotents(a)
-    assert sorted(p.dim for p, _, _ in projective_indecomposables(a)) == [1, 2, 3]
+    projs = projective_indecomposables(a)
+    assert sorted(p.dim for p, _, _ in projs) == [1, 2, 3]
+    assert a.idempotents_primitive
+    assert projective_indecomposables(a) is projs
+
+
+def fresh_algebras():
+    """Algebras built without a primitive family: the invariants of lambda (3,2)
+    under rotation over GF(7), the skew algebra of zigzag_c2, and their opposites."""
+    sub, _ = invariant_subalgebra(catalog.build("lambda_rot", field="GF(7)", n=3, k=2))
+    skew, _ = skew_group_algebra(catalog.build("zigzag_c2"))
+    return [sub, skew, sub.opposite(), skew.opposite()]
+
+
+@pytest.fixture(scope="module")
+def twin_families():
+    """For each fresh algebra, the families complete_primitive_idempotents installs
+    on a twin of the same table with seeds 0-3."""
+    return [
+        [complete_primitive_idempotents(Algebra(x.field, x.table, x.unit, check=False), seed=seed) for seed in range(4)]
+        for x in fresh_algebras()
+    ]
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda x, gen: is_projective(left_regular_module(x)), id="is_projective"),
+    pytest.param(lambda x, gen: simple_modules(x), id="simple_modules"),
+    pytest.param(lambda x, gen: projective_leaves(x), id="projective_leaves"),
+    pytest.param(lambda x, gen: random_left_module(x, gen), id="random_left_module"),
+])
+def test_readers_install_the_primitive_family(read, twin_families):
+    gen = np.random.default_rng(0)
+    for x, families in zip(fresh_algebras(), twin_families):
+        assert not x.idempotents_primitive, x.label
+        read(x, gen)
+        assert x.idempotents_primitive, x.label
+        for family in families:
+            assert len(family) == len(x.idempotents), x.label
+            assert all(x.field.eq(e, f) for e, f in zip(x.idempotents, family)), x.label
 
 
 def test_non_split_residue_field_is_raised_on_every_call():

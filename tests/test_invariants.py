@@ -277,3 +277,38 @@ def test_endomorphism_algebras_are_solved_only_by_decompose():
         tree = ast.parse(path.read_text(), filename=str(path))
         callers += [(path.name, fn) for fn, _ in _calls_by_function(tree, ("endomorphism_algebra",))]
     assert callers == [("decomp.py", "decompose")]
+
+
+# The functions that may install a primitive idempotent family. Every reader of
+# projectives reaches the family through projective_indecomposables, which
+# installs it on first use; the enveloping-algebra builders install the
+# factors' families so that tensor_algebra copies them instead of decomposing
+# the larger regular module, and the group characters read the family of kG.
+_PRIMITIVE_FAMILY_INSTALLERS = {
+    ("modules.py", "projective_indecomposables"),
+    ("witnesses.py", "bimodule_as_env_module"),
+    ("witnesses.py", "witness_search"),
+    ("groups.py", "_characters"),
+}
+
+
+def test_primitive_families_are_installed_in_one_place():
+    """complete_primitive_idempotents is called only from the allowlist above,
+    and the reader that raised before a caller installed the family,
+    modules._primitive_idempotents, stays deleted."""
+    found, used, removed = [], set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, line in _calls_by_function(tree, ("complete_primitive_idempotents",)):
+            if (path.name, fn) in _PRIMITIVE_FAMILY_INSTALLERS:
+                used.add((path.name, fn))
+            else:
+                found.append(f"{path.name}:{line}: {fn}")
+        removed += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if "_primitive_idempotents" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        ]
+    assert found == []
+    assert used == _PRIMITIVE_FAMILY_INSTALLERS  # no stale entries
+    assert removed == []

@@ -73,7 +73,7 @@ class TestScalars:
         mat = QQ.canon(np.array([[Fraction(1, 2), 3], [0, Fraction(-2, 5)]], dtype=object))
         rows = serialize.matrix_out(QQ, mat)
         assert rows == [["1/2", "3"], ["0", "-2/5"]]
-        assert QQ.eq(serialize.matrix_in(QQ, rows), mat)
+        assert QQ.eq(serialize.matrix_in(QQ, rows, mat.shape, "matrix"), mat)
 
 
 class TestPresentationText:
@@ -353,6 +353,6 @@ class TestDecompositionDocs:
         s = linalg.random_invertible(f, np.random.default_rng(1), reg.dim)
         s_inv = linalg.invert(f, s)
         for summand in doc["summands"]:
-            e = serialize.matrix_in(f, summand["idempotent"])
+            e = serialize.matrix_in(f, summand["idempotent"], (reg.dim, reg.dim), "idempotent")
             summand["idempotent"] = serialize.matrix_out(f, f.matmul(f.matmul(s, e), s_inv))
         assert not serialize.verify_decomposition_doc(reg, doc)
