@@ -85,10 +85,7 @@ class Algebra:
             raise ValueError("label count must match dimension")
         self.idempotents = [field.vec(e) for e in idempotents] if idempotents else None
         self.idempotents_primitive = bool(idempotents_primitive and self.idempotents)
-        self.generators = [field.vec(g) for g in generators] if generators else [
-            field.canon(np.eye(self.dim, dtype=object if field.char == 0 else np.int64)[i])
-            for i in range(self.dim)
-        ]
+        self.generators = [field.vec(g) for g in generators] if generators else list(field.eye(self.dim))
         self.provenance = provenance or Provenance("structure_constants")
         self.label = label
         self._opposite = None
@@ -134,12 +131,6 @@ class Algebra:
 
     def right_regular_mats(self):
         return self.field.canon(self.table.transpose(1, 2, 0))
-
-    def power(self, x, k):
-        acc = self.unit
-        for _ in range(k):
-            acc = self.mul(acc, x)
-        return acc
 
     def is_commutative(self):
         return self.field.eq(self.table, self.table.transpose(1, 0, 2))
@@ -205,8 +196,7 @@ class Algebra:
 
     def _verify_radical(self, rows):
         if rows.shape[0] == 0:
-            computed = criterion_radical_rows(self)
-            if computed.shape[0] != 0:
+            if criterion_radical_rows(self).shape[0] != 0:
                 raise ValueError("claimed semisimple but the radical criterion disagrees")
             return
         base = linalg.row_basis(self.field, rows)
@@ -216,8 +206,7 @@ class Algebra:
             raise ValueError("radical candidate is not nilpotent")
         # semisimple quotient: the criterion radical of A/J must vanish
         q_table, _, _, _ = _quotient_structure(self, base)
-        computed = _criterion_radical_from_parts(self.field, q_table)
-        if computed.shape[0] != 0:
+        if matrix_algebra_radical(self.field, q_table.transpose(0, 2, 1)).shape[0] != 0:
             raise ValueError("quotient by the radical candidate is not semisimple")
 
     # ---- radical and Loewy structure ---------------------------------------
@@ -300,9 +289,9 @@ def matrix_algebra_radical(field, mats):
     """Radical of the span of faithful-representation matrices.
 
     mats has shape (r, n, n) and must span an associative algebra. Returns
-    coefficient rows over the input basis. Uses the trace form when the
-    characteristic is 0 or exceeds n, otherwise the layered coefficient chain,
-    which is valid over every prime field.
+    the reduced echelon basis of its coefficient rows over the input basis.
+    Uses the trace form when the characteristic is 0 or exceeds n, otherwise
+    the layered coefficient chain, which is valid over every prime field.
     """
     mats = field.canon(np.asarray(mats))
     r, n = mats.shape[0], mats.shape[1]
@@ -340,15 +329,9 @@ def matrix_algebra_radical(field, mats):
     return linalg.row_basis(field, coeffs)
 
 
-def _criterion_radical_from_parts(field, table):
-    mats = field.canon(table.transpose(0, 2, 1))  # left regular representation
-    coeffs = matrix_algebra_radical(field, mats)
-    return linalg.row_basis(field, coeffs)
-
-
 def criterion_radical_rows(algebra):
     """Radical via the applicable computed criterion (no structural data)."""
-    return _criterion_radical_from_parts(algebra.field, algebra.table)
+    return matrix_algebra_radical(algebra.field, algebra.left_regular_mats())
 
 
 # ---- quotients, subalgebras, tensor, opposite -------------------------------
@@ -451,7 +434,6 @@ def subalgebra_from_rows(algebra, rows, *, label=None, provenance=None):
         table,
         unit_coords[0],
         [f"s{i}" for i in range(m)],
-        generators=[field.canon(np.eye(m, dtype=np.int64 if field.char else object))[i] for i in range(m)],
         provenance=provenance or Provenance("subalgebra", {"parent": algebra, "rows": basis}),
         label=label or f"{algebra.label}-sub",
         check=False,
@@ -542,169 +524,107 @@ def algebra_from_quiver(pres: QuiverPresentation, field, label=None):
     """Path algebra of the presentation's quiver modulo its relations.
 
     Works degree by degree: candidates at degree d extend the surviving paths
-    of degree d-1 by one arrow; relation sandwiches ending at degree d are
-    imposed and the quotient's canonical representatives kept. Terminates when
-    a whole degree dies (all longer paths then die too) or the quiver has no
-    longer paths; raises NotFiniteDimensional past max_path_length.
+    of degree d-1 by one arrow, in (prefix index, arrows_from) order; relation
+    sandwiches ending at degree d are imposed and the quotient's canonical
+    representatives kept. Terminates when a whole degree dies (all longer
+    paths then die too) or the quiver has no longer paths; raises
+    NotFiniteDimensional past max_path_length.
+
+    The basis is the surviving paths in degree layers, so it starts with the
+    vertices in quiver order, then every arrow in quiver order (relations
+    have length >= 2); the unit, idempotents, generators and radical are
+    slices of the identity in this layout.
     """
     quiver = pres.quiver
-    free_paths = {}  # degree -> list[Path]
-    reducers = {}  # degree -> dict path.arrows -> coord vector over free list
+    nv, na = len(quiver.vertices), len(quiver.arrows)
+    vertex_index = {v: k for k, v in enumerate(quiver.vertices)}
+    layers = [  # degree -> surviving paths
+        [trivial_path(v) for v in quiver.vertices],
+        [Path(a.source, a.target, (i,)) for i, a in enumerate(quiver.arrows)],
+    ]
+    extend = [None, None]  # degree -> {(prefix index, arrow): candidate column}
+    to_free = [field.eye(nv), field.eye(na)]  # degree -> candidate coords to surviving coords
+    memo = {}  # path.arrows -> coords, for degree >= 2
 
-    free_paths[0] = [trivial_path(v) for v in quiver.vertices]
-    free_paths[1] = [Path(a.source, a.target, (i,)) for i, a in enumerate(quiver.arrows)]
-    rel_by_length = {}
-    for rel in pres.relations:
-        rel_by_length.setdefault(rel[0][1].length, []).append(rel)
-
-    def reduce_path(path):
-        """Coordinates of a path over the surviving basis of its degree."""
+    def candidate_coords(path):
+        """Coordinates over the degree-d candidates of a path of degree d >= 2."""
         d = path.length
-        if d == 0:
-            v = field.zeros((len(free_paths[0]),))
-            v[quiver.vertices.index(path.source)] = field.one
-            return v
-        if d == 1:
-            v = field.zeros((len(free_paths[1]),))
-            v[path.arrows[0]] = field.one
-            return v
-        memo = reducers[d]
-        if path.arrows in memo:
-            return memo[path.arrows]
-        prefix = Path(path.source, quiver.arrows[path.arrows[-2]].target, path.arrows[:-1])
-        pv = reduce_path(prefix)
-        cand_index, to_free = cand_data[d]
-        out = field.zeros((len(free_paths[d]),)) if free_paths[d] else field.zeros((0,))
-        for fi in range(pv.shape[0]):
-            if pv[fi] == field.zero:
-                continue
-            key = (fi, path.arrows[-1])
-            ci = cand_index.get(key)
+        pv = coords(Path(path.source, quiver.arrows[path.arrows[-1]].source, path.arrows[:-1]))
+        out = field.zeros((len(extend[d]),))
+        for fi in pv.nonzero()[0]:
+            ci = extend[d].get((fi, path.arrows[-1]))
             if ci is None:
-                continue  # extension not composable: cannot happen for valid paths
-            out = field.canon(field.add(out, field.smul(pv[fi], to_free[:, ci])))
-        memo[path.arrows] = out
+                raise AssertionError("reduced prefix has no candidate column")
+            out[ci] = pv[fi]
         return out
 
-    cand_data = {}
-    degree = 1
-    total_dim = len(free_paths[0]) + len(free_paths[1])
-    while free_paths[degree]:
-        degree += 1
+    def coords(path):
+        """Coordinates of a path over the surviving paths of its degree."""
+        if path.length < 2:
+            return to_free[path.length][path.arrows[0] if path.arrows else vertex_index[path.source]]
+        if path.arrows not in memo:
+            memo[path.arrows] = field.matmul(to_free[path.length], candidate_coords(path))
+        return memo[path.arrows]
+
+    while layers[-1]:
+        degree = len(layers)
         if degree > pres.max_path_length:
             raise NotFiniteDimensional(
                 f"nonzero paths persist past max_path_length={pres.max_path_length}"
             )
-        prev = free_paths[degree - 1]
-        candidates = []
-        cand_index = {}
-        for fi, p in enumerate(prev):
+        candidates, columns = [], {}
+        for fi, p in enumerate(layers[-1]):
             for ai in quiver.arrows_from(p.target):
-                cand_index[(fi, ai)] = len(candidates)
+                columns[(fi, ai)] = len(candidates)
                 candidates.append(Path(p.source, quiver.arrows[ai].target, p.arrows + (ai,)))
         if len(candidates) > _DIM_CAP:
             raise NotFiniteDimensional("path growth exceeds the supported size")
+        extend.append(columns)
         rows = []
-        for length, rels in rel_by_length.items():
-            lead = degree - length
-            if lead < 0:
-                continue
-            for rel in rels:
-                rel_source = rel[0][1].source
-                leads = [f for f in free_paths[lead] if f.target == rel_source] if lead else [
-                    trivial_path(rel_source)
-                ]
-                for f in leads:
-                    row = field.zeros((len(candidates),))
-                    for coeff, term in rel:
-                        whole = concat_paths(quiver, f, term)
-                        if whole is None:
-                            raise AssertionError("relation term does not compose with its lead path")
-                        prefix = Path(whole.source, quiver.arrows[whole.arrows[-2]].target, whole.arrows[:-1])
-                        pv = reduce_path(prefix)
-                        for fi in range(pv.shape[0]):
-                            if pv[fi] == field.zero:
-                                continue
-                            ci = cand_index.get((fi, whole.arrows[-1]))
-                            if ci is None:
-                                raise AssertionError("reduced prefix has no candidate column")
-                            row[ci] = field.scalar(row[ci] + field.scalar(pv[fi] * coeff))
-                    rows.append(field.canon(row))
+        for rel in pres.relations:
+            lead, source = degree - rel[0][1].length, rel[0][1].source
+            for f in layers[lead] if lead >= 0 else ():
+                if f.target == source:  # then f * term is a path for every term
+                    terms = [candidate_coords(concat_paths(quiver, f, t)) for _, t in rel]
+                    rows.append(field.matmul(field.vec([c for c, _ in rel]), np.array(terms)))
         rows = linalg.row_basis(field, np.array(rows)) if rows else field.zeros((0, len(candidates)))
         # a pivot candidate reduces to minus the free part of its row
-        to_free, sect = linalg.complement_projection(field, rows, len(candidates))
-        free_paths[degree] = [candidates[c] for c in sect.nonzero()[0]]
-        cand_data[degree] = (cand_index, to_free)
-        reducers[degree] = {}
-        total_dim += len(free_paths[degree])
-        if total_dim > _DIM_CAP:
+        proj, sect = linalg.complement_projection(field, rows, len(candidates))
+        to_free.append(proj)
+        layers.append([candidates[c] for c in sect.nonzero()[0]])
+        if sum(map(len, layers)) > _DIM_CAP:
             raise NotFiniteDimensional("algebra dimension exceeds the supported size")
 
-    max_degree = degree  # first degree with no surviving paths
-    basis = []
-    for d in range(max_degree + 1):
-        basis.extend((d, p) for p in free_paths.get(d, []))
+    basis = [p for layer in layers for p in layer]
+    off = np.cumsum([0] + [len(layer) for layer in layers])
     n = len(basis)
-    index_of = {}
-    for k, (d, p) in enumerate(basis):
-        index_of[(d, p.arrows if d else p.source)] = k
-
     table = field.zeros((n, n, n))
-    for i, (di, pi) in enumerate(basis):
-        for j, (dj, pj) in enumerate(basis):
+    for i, pi in enumerate(basis):
+        for j, pj in enumerate(basis):
             prod = concat_paths(quiver, pj, pi)  # mul(x_i, x_j): walk x_j, then x_i
-            if prod is None or prod.length >= max_degree:
-                continue
-            coords = reduce_path(prod)
-            for t, val in enumerate(coords):
-                if val != field.zero:
-                    table[i, j, index_of[(prod.length, free_paths[prod.length][t].arrows if prod.length else free_paths[prod.length][t].source)]] = val
-
-    unit = field.zeros((n,))
-    vertex_idx = {}
-    for k, (d, p) in enumerate(basis):
-        if d == 0:
-            unit[k] = field.one
-            vertex_idx[p.source] = k
-    idempotents = []
-    for v in quiver.vertices:
-        e = field.zeros((n,))
-        e[vertex_idx[v]] = field.one
-        idempotents.append(e)
-    generators = list(idempotents)
-    for k, (d, p) in enumerate(basis):
-        if d == 1:
-            g = field.zeros((n,))
-            g[k] = field.one
-            generators.append(g)
-    rad = field.zeros((n - len(quiver.vertices), n))
-    r = 0
-    for k, (d, p) in enumerate(basis):
-        if d >= 1:
-            rad[r, k] = field.one
-            r += 1
-    labels = [p.label(quiver) for _, p in basis]
-    algebra = Algebra(
+            if prod is not None and prod.length < len(layers) - 1:
+                table[i, j, off[prod.length] : off[prod.length + 1]] = coords(prod)
+    eye = field.eye(n)
+    return Algebra(
         field,
         table,
-        unit,
-        labels,
-        idempotents=idempotents,
+        eye[:nv].sum(axis=0),
+        [p.label(quiver) for p in basis],
+        idempotents=list(eye[:nv]),
         idempotents_primitive=True,
-        generators=generators,
-        radical_rows=rad,
+        generators=list(eye[: nv + na]),
+        radical_rows=eye[nv:],
         provenance=Provenance(
             "quiver",
             {
                 "presentation": pres,
                 "acyclic": quiver.is_acyclic(),
-                "vertex_index": vertex_idx,
-                "degrees": [(d, p) for d, p in basis],
+                "vertex_index": vertex_index,
+                "degrees": [(d, p) for d, layer in enumerate(layers) for p in layer],
             },
         ),
         label=label or "kQ/I",
     )
-    return algebra
 
 
 def linear_quiver_algebra(field, n, label=None):

@@ -167,9 +167,6 @@ class GFField:
     def tensordot(self, a, b, axes):
         return np.tensordot(a, b, axes) % self.p
 
-    def outer(self, u, v):
-        return np.outer(u, v) % self.p
-
     def kron(self, a, b):
         return np.kron(a, b) % self.p
 
@@ -265,9 +262,6 @@ class RationalField:
 
     def tensordot(self, a, b, axes):
         return _rational_product(a, b, axes)
-
-    def outer(self, u, v):
-        return np.outer(u, v)
 
     def kron(self, a, b):
         # np.kron flattens through multiply, which object dtype supports

@@ -121,9 +121,6 @@ class AlgebraAction:
                 if not field.eq(lhs, mats[group.mul(i, j)]):
                     raise ValueError("matrices do not compose along the group law")
 
-    def matrix(self, g):
-        return self.matrices[g]
-
     @staticmethod
     def trivial(algebra):
         return AlgebraAction(

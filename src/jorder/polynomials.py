@@ -164,35 +164,9 @@ def charpoly(field, m):
 
 
 def charpoly_coefficient(field, m, j):
-    """Coefficient of t^(n-j) in the characteristic polynomial of m.
-
-    j = 1 and j = 2 avoid the full reduction through exact trace identities
-    (evaluated over the integers on the GF path, where they hold without any
-    division by the characteristic).
-    """
-    m = np.atleast_2d(m)
-    n = m.shape[0]
-    if j == 0:
-        return field.one
-    if j > n:
-        return field.zero
-    if isinstance(field, GFField):
-        z = np.asarray(m, dtype=np.int64) % field.p
-        if j == 1:
-            return int(-np.trace(z)) % field.p
-        if j == 2:
-            t1 = int(np.trace(z))
-            t2 = int(np.trace(np.dot(z, z)))
-            return ((t1 * t1 - t2) // 2) % field.p
-    else:
-        if j == 1:
-            return field.scalar(-np.trace(m))
-        if j == 2:
-            t1 = field.scalar(np.trace(m))
-            t2 = field.scalar(np.trace(field.matmul(m, m)))
-            return field.scalar((t1 * t1 - t2) / 2)
-    c = charpoly(field, m)
-    return c[n - j]
+    """Coefficient of t^(n-j) in the characteristic polynomial of m."""
+    n = np.atleast_2d(m).shape[0]
+    return charpoly(field, m)[n - j] if j <= n else field.zero
 
 
 def minpoly_matrix(field, m):
@@ -206,7 +180,7 @@ def minpoly_matrix(field, m):
     while True:
         power = field.matmul(power, m)
         target = power.reshape(-1)
-        coeffs = linalg.solve(field, np.array(rows).T if isinstance(field, GFField) else np.array(rows, dtype=object).T, target)
+        coeffs = linalg.solve(field, np.stack(rows, axis=1), target)
         if coeffs is not None:
             mono = [field.scalar(-c) for c in coeffs] + [field.one]
             return poly_trim(field, mono)

@@ -6,7 +6,9 @@ output for identical inputs is part of the contract, so reports and
 certificates can be diffed and hashed.
 
 Scalars serialize as plain integers over GF(p) and as strings over the
-rationals ("4", "1/3").  Matrices are row-major nested lists.
+rationals ("4", "1/3").  Matrices are row-major nested lists.  A scalar
+read back must be a JSON integer or string with a value in the field;
+anything else is InvalidInput naming its key.
 
 Each text format has one reader and one writer, and both read lines and
 linear combinations through the lexer in quivers (directive_lines,
@@ -87,8 +89,14 @@ def scalar_out(field, x):
     return field.scalar_to_str(x)
 
 
-def scalar_in(field, v):
-    return field.scalar_from_str(str(v))
+def scalar_in(field, v, key):
+    """A document scalar, an int or a string such as "-2/5"; else InvalidInput naming the key."""
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        try:
+            return field.scalar_from_str(str(v))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInput(f"document key {key!r} holds {v!r}, which is not a scalar of {field}")
 
 
 def matrix_out(field, mat):
@@ -99,7 +107,7 @@ def matrix_out(field, mat):
 def matrix_in(field, rows, shape, key):
     _nested_list(rows, shape, key)
     data = np.array(
-        [[scalar_in(field, v) for v in row] for row in rows],
+        [[scalar_in(field, v, key) for v in row] for row in rows],
         dtype=object if field.char == 0 else None,
     )
     return field.canon(data.reshape(shape))
@@ -111,7 +119,7 @@ def vector_out(field, vec):
 
 def vector_in(field, values, length, key):
     _nested_list(values, (length,), key)
-    data = np.array([scalar_in(field, v) for v in values], dtype=object if field.char == 0 else None)
+    data = np.array([scalar_in(field, v, key) for v in values], dtype=object if field.char == 0 else None)
     return field.canon(data)
 
 

@@ -270,13 +270,13 @@ def _packaged_certificate(wp, base_cert, left_maps, right_maps):
     )
 
 
-def verify_j_equiv(w1, w2, *, quality=True, package=True):
+def verify_j_equiv(w1, w2, *, quality=True):
     """Verify a ~_J b from witnesses for both directions.
 
-    w1 witnesses a >=_J b and w2 witnesses b >=_J a. With package=True the
-    two pairs are also bundled into M = m1 + n2, N = n1 + m2 and split
-    certificates for both packaged pairs assembled and re-verified,
-    realizing the single-pair formulation of the equivalence.
+    w1 witnesses a >=_J b and w2 witnesses b >=_J a. The two pairs are also
+    bundled into M = m1 + n2, N = n1 + m2 and split certificates for both
+    packaged pairs assembled and re-verified, realizing the single-pair
+    formulation of the equivalence.
     """
     if not (_same_algebra(w1.a, w2.b) and _same_algebra(w1.b, w2.a)):
         raise ValueError("the two witnesses must relate the same algebras in opposite order")
@@ -284,17 +284,12 @@ def verify_j_equiv(w1, w2, *, quality=True, package=True):
     c2 = verify_j_geq(w2, quality=quality)
     c1.direction = "equiv"
     c2.direction = "equiv"
-    if package:
-        m_pack, m_incls, m_projs = direct_sum([w1.m, w2.n])
-        n_pack, n_incls, n_projs = direct_sum([w1.n, w2.m])
-        wp1 = JWitnessPair(w1.a, w1.b, m_pack, n_pack, seed=w1.seed)
-        wp2 = JWitnessPair(w2.a, w2.b, n_pack, m_pack, seed=w2.seed)
-        _packaged_certificate(
-            wp1, c1, (m_incls[0], m_projs[0]), (n_incls[0], n_projs[0])
-        )
-        _packaged_certificate(
-            wp2, c2, (n_incls[1], n_projs[1]), (m_incls[1], m_projs[1])
-        )
+    m_pack, m_incls, m_projs = direct_sum([w1.m, w2.n])
+    n_pack, n_incls, n_projs = direct_sum([w1.n, w2.m])
+    wp1 = JWitnessPair(w1.a, w1.b, m_pack, n_pack, seed=w1.seed)
+    wp2 = JWitnessPair(w2.a, w2.b, n_pack, m_pack, seed=w2.seed)
+    _packaged_certificate(wp1, c1, (m_incls[0], m_projs[0]), (n_incls[0], n_projs[0]))
+    _packaged_certificate(wp2, c2, (n_incls[1], n_projs[1]), (m_incls[1], m_projs[1]))
     return c1, c2
 
 
@@ -387,7 +382,7 @@ def transport_opposite(w):
     )
 
 
-def witness_search(a, b, seed=0, budget=20, max_dim=None, copies_cap=1):
+def witness_search(a, b, seed=0, budget=20, max_dim=None):
     """Seeded random search for an a >=_J b witness.
 
     Samples random (a, b)- and (b, a)-bimodules as quotients of projectives
@@ -401,8 +396,8 @@ def witness_search(a, b, seed=0, budget=20, max_dim=None, copies_cap=1):
     env_ba = tensor_algebra(b, a.opposite())
     rng = np.random.default_rng(seed)
     for _ in range(budget):
-        m_env = random_left_module(env_ab, rng, copies_cap=copies_cap)
-        n_env = random_left_module(env_ba, rng, copies_cap=copies_cap)
+        m_env = random_left_module(env_ab, rng, copies_cap=1)
+        n_env = random_left_module(env_ba, rng, copies_cap=1)
         if max_dim is not None and (m_env.dim > max_dim or n_env.dim > max_dim):
             continue
         if m_env.dim == 0 or n_env.dim == 0:

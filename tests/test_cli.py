@@ -116,6 +116,17 @@ def _certificate(drop=None, edit=None):
     return doc
 
 
+def _certificate_entry(value, *where):
+    """The certificate document with the entry at doc[where[0]][where[1]]... set to value."""
+
+    def edit(doc):
+        for key in where[:-1]:
+            doc = doc[key]
+        doc[where[-1]] = value
+
+    return _certificate(edit=edit)
+
+
 _NOT_OBJECTS = [("array", []), ("string", "bimodule"), ("null", None)]
 _MALFORMED_DOCS = [
     pytest.param(command, lambda top=top: top, "not a JSON object", id=f"{command}-{name}")
@@ -139,6 +150,16 @@ _MALFORMED_DOCS = [
                  id="certificate-seed-not-an-int"),
     pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d["a"].update(unit=[1])), "'unit'",
                  id="certificate-unit-short"),
+] + [
+    # GF(101) entries: a denominator p divides, or a JSON value that is neither an int nor a string
+    pytest.param("verify-cert", lambda v=v: _certificate_entry(v, "section", 0, 0), "'section'",
+                 id=f"certificate-section-entry-{name}")
+    for name, v in [("1-over-p", "1/101"), ("true", True), ("list", [1]), ("null", None), ("float", 0.5)]
+] + [
+    pytest.param("verify-cert", lambda: _certificate_entry("1/101", "m", "action", "left:x", 0, 0), "'left:x'",
+                 id="certificate-action-entry-1-over-p"),
+    pytest.param("verify-cert", lambda: _certificate_entry("2/101", "a", "unit", 0), "'unit'",
+                 id="certificate-unit-entry-2-over-p"),
 ]
 
 

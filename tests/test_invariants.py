@@ -80,10 +80,8 @@ def test_echelon_bases_are_read_without_a_second_elimination():
 
 # GF(p)-only code that needs an unreduced integer product and reduces mod p
 # itself: the integer trace of a square in the chain radical's Gram matrix
-# and in charpoly_coefficient
 _RAW_PRODUCTS_ALLOWED = {
     ("algebras.py", "_chain_gram"),
-    ("polynomials.py", "charpoly_coefficient"),
 }
 
 

@@ -58,14 +58,14 @@ class TestScalars:
     def test_gf_least_residue(self):
         f = GF(7)
         assert serialize.scalar_out(f, f.scalar(9)) == 2
-        assert serialize.scalar_in(f, 9) == f.scalar(2)
+        assert serialize.scalar_in(f, 9, "x") == f.scalar(2)
 
     def test_rational_strings(self):
         from fractions import Fraction
 
         assert serialize.scalar_out(QQ, QQ.scalar(Fraction(2, 6))) == "1/3"
         assert serialize.scalar_out(QQ, QQ.scalar(4)) == "4"
-        assert serialize.scalar_in(QQ, "1/3") == Fraction(1, 3)
+        assert serialize.scalar_in(QQ, "1/3", "x") == Fraction(1, 3)
 
     def test_matrix_round_trip_rational(self):
         from fractions import Fraction
