@@ -120,6 +120,10 @@ class Algebra:
         tmp = self.field.tensordot(x, self.table, axes=(0, 0))
         return self.field.tensordot(y, tmp, axes=(0, 0))
 
+    def products(self, idx):
+        """The structure constants of the basis elements idx among themselves."""
+        return self.table[np.ix_(idx, idx)]
+
     def left_mult_matrix(self, x):
         return self.field.tensordot(x, self.table, axes=(0, 0)).T
 
@@ -183,15 +187,16 @@ class Algebra:
             raise ValueError("declared generators do not generate the algebra")
 
     def _check_idempotent_family(self):
-        total = self.field.zeros((self.dim,))
+        field, fam = self.field, np.array(self.idempotents)
+        # prods[i, j] = e_i * e_j, from two contractions against the table
+        prods = field.tensordot(field.tensordot(fam, self.table, axes=([1], [0])), fam, axes=([1], [1]))
+        prods = prods.transpose(0, 2, 1)
         for i, e in enumerate(self.idempotents):
-            if not self.field.eq(self.mul(e, e), e):
+            if not field.eq(prods[i, i], e):
                 raise ValueError(f"family element {i} is not idempotent")
-            total = self.field.canon(self.field.add(total, e))
-            for j, f in enumerate(self.idempotents):
-                if i != j and not self.field.is_zero(self.mul(e, f)):
-                    raise ValueError("idempotent family is not orthogonal")
-        if not self.field.eq(total, self.unit):
+            if any(i != j and not field.is_zero(prods[i, j]) for j in range(len(fam))):
+                raise ValueError("idempotent family is not orthogonal")
+        if not field.eq(field.canon(fam.sum(axis=0)), self.unit):
             raise ValueError("idempotent family does not sum to the unit")
 
     def _verify_radical(self, rows):
@@ -341,12 +346,13 @@ def _quotient_structure(algebra, ideal_rows):
     """Structure constants and unit of A / ideal, plus the projection and section.
 
     ideal_rows must be in reduced echelon form; the quotient's basis is the
-    images of the free (non-pivot) basis elements.
+    images of the free (non-pivot) basis elements. The quotient map is
+    multiplicative, so only the products of those elements are read.
     """
     field = algebra.field
     proj, section = linalg.complement_projection(field, ideal_rows, algebra.dim)
     free = section.nonzero()[0]
-    table = field.matmul(algebra.table[free][:, free], proj.T)
+    table = field.matmul(algebra.products(free), proj.T)
     return table, field.matmul(proj, algebra.unit), proj, section
 
 

@@ -38,8 +38,16 @@ child's End(X) is the corner p_X End(M) i_X, read off its parent's basis,
 and the class grouping reads Hom(X, Y) and Hom(Y, X) between two leaves off
 the root's. A corner is the row basis of the products p_Y h i_X over the
 basis h of End(M); the reduced echelon basis of a subspace is unique, so it
-is bit for bit the basis hom_space(X, Y) solves. endomorphism_algebra, the
-one solver of End(M), therefore runs once per decomposition.
+is bit for bit the basis hom_space(X, Y) solves. endomorphism_algebra solves
+End(M) at the root, once per decomposition.
+
+No node builds End's structure table. Each node holds an EndView: its hom
+basis as a stack of matrices, with echelon pivots, the unit's coordinates
+and the radical rows. A product is one composite read in the basis, and the
+search reads only the products it needs: those of the basis elements that
+span E/J, and a few for the Newton lift. Products are exact and coordinates
+in a reduced echelon basis unique, so each equals the table entry it
+replaces. EndView.algebra builds the full Algebra on request.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -74,51 +82,84 @@ from .polynomials import (
 
 
 def endomorphism_algebra(m):
-    """(E, homs): E with product = composition, homs its matrix basis.
+    """(E, homs): E = End(m) as an EndView on the canonical basis homs of hom_space(m, m).
 
-    E's basis element i acts on the module as the matrix homs[i]; the product
-    convention matches Algebra.mul, so mul(f, g) is the composite applying g
-    first. The radical is computed on the faithful matrix representation.
+    E's basis element i acts on the module as the matrix homs[i]. E provides
+    what the idempotent search and the leaf test read: dim, unit, mul (the
+    product convention of Algebra.mul, so mul(f, g) applies g first),
+    products, coords and radical_rows. The full Algebra is E.algebra, built
+    only when read.
     """
-    return _algebra_on_homs(m, hom_space(m, m))
+    homs = hom_space(m, m)
+    return EndView(m, homs), homs
 
 
-def _algebra_on_homs(m, homs):
-    """(E, homs) for the canonical basis homs of End(m), as endomorphism_algebra.
+class EndView:
+    """End(m) on a canonical hom basis, read through composites, not a structure table.
 
-    E is built with check=False: composition is associative and unital.
-    The table is read one row block at a time, the composites f_i f_j for
-    one i, so only r of the r^2 composites are held at once.
+    Holds the stack of basis matrices and its echelon pivots, the unit's
+    coordinates, and the radical rows (computed on the faithful matrix
+    representation) with their pivots. A product is one composite and one
+    pivot read; coordinates in a reduced echelon basis are unique, so every
+    product equals the entry Algebra.mul reads off the full table.
     """
-    field = m.field
-    r = len(homs)
-    if r == 0:
-        raise ValueError("the zero module has no unital endomorphism algebra")
-    stack = field.canon(np.stack(homs))
-    vec_rows = stack.reshape(r, -1)
-    pivots = linalg.echelon_pivots(field, vec_rows)
-    table = field.zeros((r, r, r))
-    for i in range(r):
-        composites = linalg.stack_product(field, stack[i], stack)  # homs[i] homs[j] for every j
-        coords = linalg.coords_in_row_basis(field, vec_rows, composites.reshape(r, -1), pivots)
+
+    def __init__(self, m, homs):
+        field = m.field
+        r = len(homs)
+        if r == 0:
+            raise ValueError("the zero module has no unital endomorphism algebra")
+        self.field, self.dim, self.module, self.label = field, r, m, f"End({m.label})"
+        self.stack = field.canon(np.stack(homs))
+        self.rows = self.stack.reshape(r, -1)
+        self.pivots = linalg.echelon_pivots(field, self.rows)
+        self.unit = self.coords(field.eye(m.dim)[None])[0]
+        self._radical_rows = matrix_algebra_radical(field, self.stack)
+        self.rad_pivots = linalg.echelon_pivots(field, self._radical_rows)
+        self._algebra = None
+
+    def coords(self, mats):
+        """Coordinates of a stack of endomorphisms in the hom basis."""
+        coords = linalg.coords_in_row_basis(self.field, self.rows, mats.reshape(len(mats), -1), self.pivots)
         if coords is None:
-            raise AssertionError("endomorphism space is not closed under composition")
-        table[i] = coords
-    unit = linalg.coords_in_row_basis(field, vec_rows, field.eye(m.dim).reshape(1, -1), pivots)
-    if unit is None:
-        raise AssertionError("identity map missing from endomorphism space")
-    rad = matrix_algebra_radical(field, stack)
-    e_alg = Algebra(
-        field,
-        table,
-        unit[0],
-        [f"f{i}" for i in range(r)],
-        radical_rows=rad,
-        provenance=Provenance("endomorphism", {"module": m}),
-        label=f"End({m.label})",
-        check=False,
-    )
-    return e_alg, homs
+            raise AssertionError("a map escaped the endomorphism space")
+        return coords
+
+    def mul(self, x, y):
+        """Product x*y (y acts first), as Algebra.mul."""
+        field = self.field
+        mx, my = (field.tensordot(v, self.stack, axes=([0], [0])) for v in (x, y))
+        return self.coords(field.matmul(mx, my)[None])[0]
+
+    def products(self, idx):
+        """table[np.ix_(idx, idx)]: the composites of the chosen basis matrices only.
+
+        Read one row block at a time, so only len(idx) composites are held at once.
+        """
+        chosen = self.stack[idx]
+        out = self.field.zeros((len(chosen), len(chosen), self.dim))
+        for a, f in enumerate(chosen):
+            out[a] = self.coords(linalg.stack_product(self.field, f, chosen))
+        return out
+
+    def radical_rows(self):
+        return self._radical_rows
+
+    @property
+    def algebra(self):
+        """The full Algebra on the basis, with its r x r x r table; built on first read."""
+        if self._algebra is None:
+            self._algebra = Algebra(
+                self.field,
+                self.products(np.arange(self.dim)),
+                self.unit,
+                [f"f{i}" for i in range(self.dim)],
+                radical_rows=self._radical_rows,
+                provenance=Provenance("endomorphism", {"module": self.module}),
+                label=self.label,
+                check=False,
+            )
+        return self._algebra
 
 
 def _corner(field, homs, proj, incl):
@@ -140,6 +181,10 @@ def find_nontrivial_idempotent(e_alg, gen, budget=64):
     through a coprime factorization of its minimal polynomial, certifies S to
     be a field by a primitive element, or is discarded. Exhausting the budget
     without either outcome raises Inconclusive.
+
+    E is an EndView or an Algebra; it is read only through field, dim, label,
+    unit, radical_rows(), products (S's table, from the products of the basis
+    elements outside J's pivots) and mul (the Newton lift).
     """
     field = e_alg.field
     if e_alg.dim == 1:
@@ -248,25 +293,22 @@ def _fitting_pair(end, fs, gs):
     """First pair (f, g) of the hom bases fs of x -> n and gs of n -> x
     with g f outside rad End(x), or None.
 
-    end is (E, homs) for x, with E local. If every basis composite lies in
-    the radical, bilinearity puts every composite there.
+    end is (E, homs) for x, with E local; E provides coords, radical_rows
+    and rad_pivots, as an EndView does, so no basis is re-checked here. If
+    every basis composite lies in the radical, bilinearity puts every
+    composite there.
     """
     if not (fs and gs):
         return None
-    e_alg, homs = end
-    field = e_alg.field
-    rad = e_alg.radical_rows()
-    vec_rows = field.canon(np.stack(homs)).reshape(len(homs), -1)
-    pivots, rad_pivots = linalg.echelon_pivots(field, vec_rows), linalg.echelon_pivots(field, rad)
+    e_view, _ = end
+    field = e_view.field
+    rad = e_view.radical_rows()
     for f in fs:
         for g in gs:
             comp = field.matmul(g, f)
             if field.is_zero(comp):
                 continue
-            coords = linalg.coords_in_row_basis(field, vec_rows, comp.reshape(1, -1), pivots)
-            if coords is None:
-                raise AssertionError("composite escaped the endomorphism space")
-            if linalg.coords_in_row_basis(field, rad, coords, rad_pivots) is None:
+            if linalg.coords_in_row_basis(field, rad, e_view.coords(comp[None]), e_view.rad_pivots) is None:
                 return f, g
     return None
 
@@ -314,19 +356,19 @@ def decompose(m, seed=0):
     leaves = []
 
     def rec(mod, incl, proj, seed_seq, end):
-        e_alg, homs = end
+        e_view, homs = end
         gen = np.random.Generator(np.random.PCG64(seed_seq))
-        e_vec, certificate = find_nontrivial_idempotent(e_alg, gen)
+        e_vec, certificate = find_nontrivial_idempotent(e_view, gen)
         if e_vec is None:
             leaves.append(Summand(mod, incl, proj, certificate, end))
             return
-        stack = field.canon(np.stack(homs))
-        e_mat = field.tensordot(e_vec, stack, axes=([0], [0]))
+        e_mat = field.tensordot(e_vec, e_view.stack, axes=([0], [0]))
         complement = field.canon(field.sub(field.eye(mod.dim), e_mat))
         children = seed_seq.spawn(2)
         for part, child_seed in zip((e_mat, complement), children):
             sub, sincl, sproj = _split_by_endomorphism(mod, part)
-            sub_end = _algebra_on_homs(sub, _corner(field, homs, sproj, sincl))
+            sub_homs = _corner(field, homs, sproj, sincl)
+            sub_end = (EndView(sub, sub_homs), sub_homs)
             rec(sub, field.matmul(incl, sincl), field.matmul(sproj, proj), child_seed, sub_end)
 
     root = endomorphism_algebra(m)

@@ -362,6 +362,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="sum"):
             Algebra(a.field, a.table, a.unit, idempotents=[e1])
 
+    @pytest.mark.parametrize("field_name", ["GF(3)", "Q"])
+    def test_idempotent_family_failures_in_order(self, field_name):
+        """Element i's idempotence, then its orthogonality to the others, for
+        i in turn, and the sum last: the first failure in that order is named."""
+        a = zigzag(field_name)
+        f = a.field
+        e1, e2 = f.vec([1, 0, 0, 0]), f.vec([0, 1, 0, 0])
+        two_e2 = f.canon(f.smul(2, e2))
+        Algebra(f, a.table, a.unit, idempotents=[e1, e2])
+        cases = [
+            ([two_e2, e1], "family element 0 is not idempotent"),
+            ([e1, two_e2], "family element 1 is not idempotent"),
+            ([e1, two_e2, e1], "idempotent family is not orthogonal"),  # row 0 fails before element 1
+            ([e2, e1, e1], "idempotent family is not orthogonal"),
+            ([e1], "idempotent family does not sum to the unit"),
+        ]
+        for family, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Algebra(f, a.table, a.unit, idempotents=family)
+
 
 class TestQuotients:
     def test_truncation_quotient_matches_direct_construction(self):
@@ -618,9 +638,10 @@ class TestRadicalOfEndomorphismStacks:
         checked = non_commutative = 0
         for trial in range(240):
             m = random_left_module(algs[trial % len(algs)], gen)
-            e_alg, homs = endomorphism_algebra(m)
-            if not 2 <= e_alg.dim <= max_dim:
+            view, homs = endomorphism_algebra(m)
+            if not 2 <= view.dim <= max_dim:
                 continue
+            e_alg = view.algebra
             rad = matrix_algebra_radical(e_alg.field, np.stack(homs))
             want = exhaustive_radical_rows(e_alg)
             assert rad.shape == want.shape and e_alg.field.eq(rad, want)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from jorder import catalog, decomp, linalg
-from jorder.algebras import Algebra, linear_quiver_algebra, quotient_algebra
+from jorder.algebras import Algebra, linear_quiver_algebra, matrix_algebra_radical, quotient_algebra
 from jorder.decomp import (
     Decomposition,
     _match_classes,
@@ -155,7 +155,8 @@ def primitive_family_by_enumeration(e_alg, idems):
 
 
 def oracle_check(m):
-    e_alg, homs = endomorphism_algebra(m)
+    view, homs = endomorphism_algebra(m)
+    e_alg = view.algebra
     assert e_alg.field.p ** e_alg.dim <= 20000, "oracle fixture grew too large"
     fam = primitive_family_by_enumeration(e_alg, all_idempotents(e_alg))
     dec = decompose(m, seed=0)
@@ -171,13 +172,14 @@ def oracle_check(m):
 class TestEndomorphismAlgebra:
     def test_end_of_regular_matches_opposite(self):
         a = linear_quiver_algebra(GF(5), 2)
-        e_alg, homs = endomorphism_algebra(left_regular_module(a))
-        assert e_alg.dim == a.dim == len(homs)
-        assert e_alg.loewy_layer_dims() == a.loewy_layer_dims()
+        view, homs = endomorphism_algebra(left_regular_module(a))
+        assert view.dim == a.dim == len(homs)
+        assert view.algebra.loewy_layer_dims() == a.loewy_layer_dims()
 
     def test_table_is_composition(self):
         a = linear_quiver_algebra(GF(5), 2)
-        e_alg, homs = endomorphism_algebra(left_regular_module(a))
+        view, homs = endomorphism_algebra(left_regular_module(a))
+        e_alg = view.algebra
         f = a.field
         for i in range(e_alg.dim):
             for j in range(e_alg.dim):
@@ -197,21 +199,29 @@ class TestEndomorphismAlgebra:
 
 
     def test_each_basis_is_checked_once(self, monkeypatch):
-        """End(M)'s table and unit, and every composite summand_isomorphism
-        reads, use pivots checked once per basis rather than once per read."""
+        """End(M)'s hom basis and radical are checked once, when the view is
+        built: its unit, the table .algebra reads, and every composite
+        summand_isomorphism reads use those pivots and check none again."""
         checked = []
         real = linalg.echelon_pivots
         monkeypatch.setattr(linalg, "echelon_pivots", lambda field, rows: checked.append(rows.shape) or real(field, rows))
         reg = left_regular_module(linear_quiver_algebra(GF(5), 3))
-        _, homs = endomorphism_algebra(reg)
+        view, homs = endomorphism_algebra(reg)
         assert len(homs) == 6 and checked.count((6, 36)) == 1
+        checked.clear()
+        view = decomp.EndView(reg, homs)
+        assert checked == [(6, 36), view.radical_rows().shape]
+        checked.clear()
+        view.algebra
+        assert checked == []
         lam = truncated_cycle("GF(3)", 2, 5)
         dec = decompose(left_regular_module(lam), seed=0)
         si, sj = dec.summands
         checked.clear()
         # End(P) has a 3-dim basis with a 2-dim radical; three composites are nonzero
+        assert si._end[0].dim == 3 and si._end[0].radical_rows().shape == (2, 3)
         assert summand_isomorphism(si, sj.module) is None
-        assert checked == [(3, 25), (2, 3)]
+        assert checked == []
 
 
 class TestIdempotentSearch:
@@ -978,8 +988,8 @@ class TestCornerReads:
         """Each node's End basis, and Hom between any two leaves both ways, read
         off End(M) equal the bases hom_space solves, entry for entry."""
         nodes = []
-        real = decomp._algebra_on_homs
-        monkeypatch.setattr(decomp, "_algebra_on_homs", lambda m, homs: nodes.append((m, homs)) or real(m, homs))
+        real = decomp.EndView.__init__
+        monkeypatch.setattr(decomp.EndView, "__init__", lambda view, m, homs: nodes.append((m, homs)) or real(view, m, homs))
         for seed, m in enumerate(corner_sums(field, np.random.default_rng(21))):
             nodes.clear()
             dec = decompose(m, seed=seed)
@@ -1034,3 +1044,106 @@ class TestCornerReads:
             calls.clear()
             assert are_isomorphic(p1, n) is want
             assert calls == [p1]
+
+
+# ---- End(M) as a view, against the full table solved the slow way ---------------
+
+
+def view_inputs(field, gen):
+    """The corner sums, plus over GF(p) a conjugated regular module and regular bimodule."""
+    mods = corner_sums(field, gen)
+    if field != QQ:
+        mods.append(conjugated(left_regular_module(truncated_cycle(field.name, 2, 3)), gen))
+        mods.append(conjugated(regular_bimodule(linear_quiver_algebra(field, 2)), gen))
+    return mods
+
+
+def solved_end_structure(field, homs, n):
+    """(table, unit) of End on the basis homs by one general solve of every
+    composite and the identity: no pivot read, no view."""
+    r = len(homs)
+    stack = field.canon(np.stack(homs))
+    composites = np.concatenate([linalg.stack_product(field, f, stack) for f in stack] + [field.eye(n)[None]])
+    coords = linalg.solve(field, stack.reshape(r, -1).T, composites.reshape(r * r + 1, -1).T)
+    assert coords is not None
+    return coords[:, : r * r].T.reshape(r, r, r), coords[:, r * r]
+
+
+def decomposition_views(m, seed, monkeypatch):
+    """The EndView of every node of decompose(m, seed), in the order they are built."""
+    views = []
+    real = decomp.EndView.__init__
+    monkeypatch.setattr(decomp.EndView, "__init__", lambda view, mod, homs: views.append(view) or real(view, mod, homs))
+    dec = decompose(m, seed=seed)
+    monkeypatch.undo()
+    assert len(views) == 2 * len(dec.summands) - 1
+    return views
+
+
+class TestEndView:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_every_node_reads_as_its_full_table(self, field, monkeypatch):
+        """Each node's unit, products, mul and radical equal the full Algebra's,
+        whose table equals one solved independently; the radical equals the one
+        taken on the regular representation; and the search returns the same
+        idempotent or certificate on the view as on the Algebra."""
+        gen = np.random.default_rng(31)
+        outcomes = set()
+        for seed, m in enumerate(view_inputs(field, gen)):
+            for view in decomposition_views(m, seed, monkeypatch):
+                r = view.dim
+                alg = view.algebra
+                table, unit = solved_end_structure(field, list(view.stack), view.module.dim)
+                assert_same_array(view.products(range(r)), table)
+                assert_same_array(alg.table, field.canon(table))
+                assert_same_array(view.unit, unit)
+                assert_same_array(alg.unit, unit)
+                rad = view.radical_rows()
+                assert_same_array(rad, alg.radical_rows())
+                assert_same_array(rad, matrix_algebra_radical(field, alg.left_regular_mats()))
+                free = linalg.free_columns(r, linalg.echelon_pivots(field, rad))
+                for idx in (free, np.arange(r)[::2]):
+                    assert_same_array(view.products(idx), alg.products(idx))
+                xs = [alg.basis_vector(i) for i in range(r)] + list(field.canon(field.rand_mat(gen, 6, r)))
+                for k, x in enumerate(xs):
+                    y = xs[(3 * k + 1) % len(xs)]
+                    assert_same_array(view.mul(x, y), alg.mul(x, y))
+                results = []
+                for e in (view, alg):
+                    try:
+                        results.append(find_nontrivial_idempotent(e, np.random.Generator(np.random.PCG64(seed))))
+                    except Inconclusive as exc:
+                        results.append(("inconclusive", str(exc)))
+                (got_vec, got_cert), (want_vec, want_cert) = results
+                assert got_cert == want_cert
+                if want_vec is None or isinstance(want_vec, str):
+                    assert got_vec == want_vec
+                else:
+                    assert_same_array(got_vec, want_vec)
+                outcomes.add(want_cert or "split")
+        assert {"split", "dim_one"} <= outcomes
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_decompose_builds_no_structure_table(self, field, monkeypatch):
+        """No node reads EndView.algebra, and the only Algebras decompose builds
+        are semisimple quotients E/J, each of its node's dimension dim E - dim J."""
+        mods = view_inputs(field, np.random.default_rng(32))
+        quotient_dims, built = [], []
+        search = decomp.find_nontrivial_idempotent
+        init = Algebra.__init__
+
+        def counted_search(e, gen, budget=64):
+            quotient_dims.append(e.dim - e.radical_rows().shape[0])
+            return search(e, gen, budget)
+
+        def counted_init(alg, field, table, *args, **kwargs):
+            built.append((np.shape(table), quotient_dims[-1]))
+            init(alg, field, table, *args, **kwargs)
+
+        monkeypatch.setattr(decomp, "find_nontrivial_idempotent", counted_search)
+        monkeypatch.setattr(Algebra, "__init__", counted_init)
+        monkeypatch.setattr(decomp.EndView, "algebra", property(lambda view: pytest.fail("End's table was built")))
+        for seed, m in enumerate(mods):
+            decompose(m, seed=seed)
+        assert built and all(shape == (d, d, d) and d > 1 for shape, d in built)
+        assert len(built) == sum(d > 1 for d in quotient_dims)
