@@ -101,7 +101,9 @@ class Algebra:
             self._check_associativity()
             self._check_generators()
             if self.idempotents is not None:
-                self._check_idempotent_family()
+                failure = idempotent_family_failure(self, self.idempotents)
+                if failure is not None:
+                    raise ValueError(failure)
         if radical_rows is not None:
             rows = linalg.row_basis(field, field.canon(np.atleast_2d(radical_rows)))
             if check:
@@ -186,19 +188,6 @@ class Algebra:
         if span.shape[0] != self.dim:
             raise ValueError("declared generators do not generate the algebra")
 
-    def _check_idempotent_family(self):
-        field, fam = self.field, np.array(self.idempotents)
-        # prods[i, j] = e_i * e_j, from two contractions against the table
-        prods = field.tensordot(field.tensordot(fam, self.table, axes=([1], [0])), fam, axes=([1], [1]))
-        prods = prods.transpose(0, 2, 1)
-        for i, e in enumerate(self.idempotents):
-            if not field.eq(prods[i, i], e):
-                raise ValueError(f"family element {i} is not idempotent")
-            if any(i != j and not field.is_zero(prods[i, j]) for j in range(len(fam))):
-                raise ValueError("idempotent family is not orthogonal")
-        if not field.eq(field.canon(fam.sum(axis=0)), self.unit):
-            raise ValueError("idempotent family does not sum to the unit")
-
     def _verify_radical(self, rows):
         if rows.shape[0] == 0:
             if criterion_radical_rows(self).shape[0] != 0:
@@ -262,6 +251,22 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.label}, dim {self.dim} over {self.field.name})"
+
+
+def idempotent_family_failure(a, family):
+    """The first failure of family, or None: each element idempotent, then orthogonal to the rest; the sum the unit."""
+    field, fam = a.field, np.array(family)
+    # prods[i, j] = e_i * e_j, from two contractions against the table
+    prods = field.tensordot(field.tensordot(fam, a.table, axes=([1], [0])), fam, axes=([1], [1]))
+    prods = prods.transpose(0, 2, 1)
+    for i, e in enumerate(family):
+        if not field.eq(prods[i, i], e):
+            return f"family element {i} is not idempotent"
+        if any(i != j and not field.is_zero(prods[i, j]) for j in range(len(fam))):
+            return "idempotent family is not orthogonal"
+    if not field.eq(field.canon(fam.sum(axis=0)), a.unit):
+        return "idempotent family does not sum to the unit"
+    return None
 
 
 # ---- radical criteria -------------------------------------------------------

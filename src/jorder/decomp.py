@@ -31,6 +31,12 @@ member of that class. Greedy first fit is optimal because isomorphism is an
 equivalence relation, so at most one class fits; and it takes the same pairs
 as a greedy scan over the second decomposition's summands.
 
+split_maps assembles a split of X off Y from the matched pairs: summands r
+of X and s of Y with f: r -> s add i_s f p_r to the section and
+i_r f^-1 p_s to the retraction. The partners s are distinct, so
+retraction . section = sum of i_r p_r = 1. is_split checks the result, and
+explicit_isomorphism is the section when dim X = dim Y.
+
 One decomposition solves one Hom system, End(M) at the root. Every other Hom
 it needs is a corner of that solve: for summands X, Y of M with inclusion
 i_X and projection p_Y, Hom(X, Y) = p_Y End(M) i_X (Anderson-Fuller). So a
@@ -59,6 +65,7 @@ from .algebras import (
     Algebra,
     Provenance,
     _quotient_structure,
+    idempotent_family_failure,
     matrix_algebra_radical,
 )
 from .errors import Inconclusive
@@ -66,7 +73,7 @@ from .modules import (
     _check_compatible,
     dual_module,
     hom_space,
-    intertwines,
+    is_split,
     left_regular_module,
     projective_indecomposables,
     regular_bimodule,
@@ -417,28 +424,33 @@ def _match_classes(dx, dy):
             yield cls, None, None
 
 
-def _pair_summands(dx, dy):
-    """Yield (r, s, f) for the summands r of dx in order, f: r -> s an isomorphism.
+def split_maps(dx, dy):
+    """((section, retraction) of dx's module off dy's, None), or (None, the first summand of dx without a partner).
 
     The k-th member of a class of dx takes the k-th member of its matched
-    class, the first one no earlier summand took; representatives reuse the
-    matcher's isomorphism. The first r without a partner yields
-    (r, None, None) and ends the pairing.
+    class; representatives reuse the matcher's isomorphism (see the header).
     """
+    field = dx.module.field
     partner, rep_iso = {}, {}
     for cls, d, f in _match_classes(dx, dy):
         if d is not None:
             partner.update(zip(cls, dy.classes[d]))
             rep_iso[cls[0]] = f
+    section = field.zeros((dy.module.dim, dx.module.dim))
+    retraction = field.zeros((dx.module.dim, dy.module.dim))
     for i, r in enumerate(dx.summands):
         if i not in partner:
-            yield r, None, None
-            return
+            return None, r
         s = dy.summands[partner[i]]
         f = rep_iso[i] if i in rep_iso else summand_isomorphism(r, s.module)
         if f is None:
             raise AssertionError("a class member is not isomorphic to its matched class")
-        yield r, s, f
+        section = field.add(section, field.matmul(s.inclusion, field.matmul(f, r.projection)))
+        retraction = field.add(
+            retraction,
+            field.matmul(r.inclusion, field.matmul(linalg.invert(field, f), s.projection)),
+        )
+    return (section, retraction), None
 
 
 def are_isomorphic(m, n, seed=0):
@@ -463,31 +475,22 @@ def are_isomorphic(m, n, seed=0):
 def explicit_isomorphism(m, n, seed=0):
     """Matrix of a module isomorphism m -> n, or None.
 
-    Pairs the indecomposable summands by the class matcher and sums
-    inclusion . iso . projection over the pairs; the pairing is
-    block-bijective, so the sum is invertible whenever it is total.
-    The result is re-verified exactly before it is returned.
+    The section of split_maps on the two decompositions, checked by
+    is_split: with equal dimensions a split injection is invertible.
     """
     _check_compatible(m, n)
     if m.dim != n.dim:
         return None
-    field = m.field
     dm = decompose(m, seed=seed)
     dn = decompose(n, seed=seed + 1)
     if len(dm.summands) != len(dn.summands):
         return None
-    total = field.zeros((n.dim, m.dim))
-    for s, t, f in _pair_summands(dm, dn):
-        if t is None:
-            return None
-        total = field.add(total, field.matmul(t.inclusion, field.matmul(f, s.projection)))
-    total = field.canon(total)
-    if linalg.rank(field, total) != m.dim:
-        raise AssertionError("matched summand maps failed to assemble invertibly")
-    for mats_m, mats_n in ((m.left_mats, n.left_mats), (m.right_mats, n.right_mats)):
-        if mats_m is not None and not intertwines(field, total, mats_m, mats_n):
-            raise AssertionError("assembled isomorphism is not a module map")
-    return total
+    maps, _ = split_maps(dm, dn)
+    if maps is None:
+        return None
+    if not is_split(m, n, *maps):
+        raise AssertionError("matched summand maps do not split m off n")
+    return maps[0]
 
 
 def is_direct_summand(x, y, seed=0):
@@ -530,16 +533,9 @@ def complete_primitive_idempotents(a, seed=0):
     for s in dec.summands:
         p = field.matmul(s.inclusion, s.projection)
         es.append(field.matmul(p, a.unit))
-    total = field.zeros(a.dim)
-    for i, e in enumerate(es):
-        if not field.eq(a.mul(e, e), e):
-            raise AssertionError("recovered element is not idempotent")
-        total = field.add(total, e)
-        for j, f in enumerate(es):
-            if i != j and not field.is_zero(a.mul(e, f)):
-                raise AssertionError("recovered idempotents are not orthogonal")
-    if not field.eq(field.canon(total), a.unit):
-        raise AssertionError("recovered idempotents do not sum to 1")
+    failure = idempotent_family_failure(a, es)
+    if failure is not None:
+        raise AssertionError(failure)
     a.idempotents = [field.copy(e) for e in es]
     a.idempotents_primitive = True
     return es

@@ -17,6 +17,10 @@ check=False; its actions are modules by construction. quotient_module and
 twist_* still check what their caller hands them: the rows and the
 automorphism.
 
+Every module-map check goes through is_module_map, one batched product of f
+against the basis action matrices of every side, stacked, and every split
+check through is_split: retraction . section = 1 and both maps module maps.
+
 Enveloping algebras are never materialized; every bimodule operation works
 directly on the two families of action matrices.
 
@@ -158,6 +162,19 @@ class Module:
 def intertwines(field, f, src_mats, dst_mats):
     """Whether f src_mats[i] = dst_mats[i] f for every i, as one batched product."""
     return field.eq(linalg.stack_product(field, f, src_mats), field.matmul(dst_mats, f))
+
+
+def is_module_map(f, x, y):
+    """Whether f: x -> y commutes with the basis actions of every side, stacked: one intertwines call."""
+    x_mats, y_mats = ([mats for mats in (m.left_mats, m.right_mats) if mats is not None] for m in (x, y))
+    return intertwines(x.field, f, np.concatenate(x_mats), np.concatenate(y_mats))
+
+
+def is_split(x, y, section, retraction):
+    """Whether (section, retraction) splits x off y: retraction . section = 1_x, both module maps."""
+    field = x.field
+    identity = field.eq(field.matmul(retraction, section), field.eye(x.dim))
+    return identity and is_module_map(section, x, y) and is_module_map(retraction, y, x)
 
 
 def _generator_actions(mats, algebra):
@@ -670,7 +687,7 @@ def projective_cover(m):
         return ProjectiveCover(cover, field.zeros((m.dim, 0)), mults)
     cover, _, _ = direct_sum(pieces)
     phi = field.canon(np.concatenate(columns, axis=1))
-    if not intertwines(field, phi, _generator_actions(cover.left_mats, a), _generator_actions(m.left_mats, a)):
+    if not is_module_map(phi, cover, m):
         raise AssertionError("cover surjection is not a module map")
     rank, ker = linalg.rank_nullspace(field, phi)
     if rank != m.dim:

@@ -33,7 +33,7 @@ from .algebras import Algebra
 from .errors import InvalidInput
 from .fields import field_from_name
 from .groups import _ORDER_CAP, generated_action
-from .modules import Module, _all_generator_actions, intertwines
+from .modules import Module, is_module_map
 from .quivers import directive_lines, signed_terms
 from .witnesses import JCertificate, JWitnessPair
 
@@ -41,10 +41,10 @@ FORMAT_VERSION = 1
 
 
 def _doc_value(doc, key, kind=str, required=True):
-    """doc[key] if it is a kind, None if absent and not required; else InvalidInput naming the key."""
+    """doc[key] if it is a kind (a JSON true is no int), None if absent and not required; else InvalidInput naming the key."""
     if key not in doc and not required:
         return None
-    if not isinstance(doc.get(key), kind):
+    if not isinstance(doc.get(key), kind) or (kind is int and isinstance(doc.get(key), bool)):
         raise InvalidInput(f"document key {key!r} is " + (f"not of type {kind.__name__}" if key in doc else "missing"))
     return doc[key]
 
@@ -461,19 +461,26 @@ def decomposition_doc(dec):
 
 
 def verify_decomposition_doc(module, doc):
-    """Replay a decomposition document against a module: multiplications only."""
+    """Replay a decomposition document against a module: multiplications only.
+
+    A missing or ill-typed value the replay reads is InvalidInput naming its key.
+    """
     field = module.field
-    if doc.get("format") != "decomposition" or int(doc["module_dim"]) != module.dim:
+    if doc.get("format") != "decomposition" or _doc_value(doc, "module_dim", int) != module.dim:
         return False
-    idems = [matrix_in(field, s["idempotent"], (module.dim, module.dim), "idempotent") for s in doc["summands"]]
+    dims, idems = [], []
+    for s in _doc_value(doc, "summands", list):
+        if not isinstance(s, dict):
+            raise InvalidInput("document key 'summands' holds an entry that is not an object")
+        dims.append(_doc_value(s, "dim", int))
+        idems.append(matrix_in(field, _doc_value(s, "idempotent", list), (module.dim, module.dim), "idempotent"))
     total = field.zeros((module.dim, module.dim))
-    gens = _all_generator_actions(module)
-    for s, e in zip(doc["summands"], idems):
+    for dim, e in zip(dims, idems):
         if not field.eq(field.matmul(e, e), e):
             return False
-        if linalg.rank(field, e) != int(s["dim"]):
+        if linalg.rank(field, e) != dim:
             return False
-        if not intertwines(field, e, gens, gens):
+        if not is_module_map(e, module, module):
             return False
         total = field.add(total, e)
     for i, e in enumerate(idems):

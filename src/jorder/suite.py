@@ -27,7 +27,7 @@ from .modules import (
     Module,
     direct_sum,
     dual_module,
-    intertwines,
+    is_module_map,
     outer_tensor,
     projective_indecomposables,
     random_left_module,
@@ -156,8 +156,7 @@ def check_zigzag_duality(seed=0):
         t[order[lab], col] = f.one
     twist_checks = (
         linalg.rank(f, t) == alg.dim
-        and intertwines(f, t, du.left_mats, twisted.left_mats)
-        and intertwines(f, t, du.right_mats, twisted.right_mats)
+        and is_module_map(t, du, twisted)
     )
     twist_iso = are_isomorphic(du, twisted, seed=seed)
     plain_iso = are_isomorphic(du, regular_bimodule(alg), seed=seed)

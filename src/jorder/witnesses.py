@@ -4,9 +4,9 @@ A >=_J B holds when the regular A-A-bimodule is a direct summand of
 M (x)_B N for some pair of bimodules (A-M-B, B-N-A). A witness pair is
 the raw data (A, B, M, N); verification computes the tensor product,
 decomposes it, and extracts an explicit section/retraction pair in the
-tensor coordinates. The certificate is sound by replay: checking it
-needs only matrix multiplication (retraction . section = identity, and
-both maps intertwine both regular actions), none of the probabilistic
+tensor coordinates. The certificate is sound by replay: modules.is_split
+checks it by matrix multiplication alone (retraction . section = identity,
+and both maps are bimodule maps), with none of the probabilistic
 decomposition machinery.
 
 Quality flags record how close a witness comes to separable division:
@@ -24,12 +24,12 @@ import numpy as np
 from . import linalg
 from .algebras import check_algebra_hom, tensor_algebra, tensor_factor_maps
 from .decomp import (
-    _pair_summands,
     are_isomorphic,
     complete_primitive_idempotents,
     decompose,
     explicit_isomorphism,
     projective_leaves,
+    split_maps,
     summand_isomorphism,
     summand_split_maps,
 )
@@ -40,10 +40,10 @@ from .modules import (
     direct_sum,
     dual_module,
     hom_to_regular,
-    intertwines,
     is_left_right_projective,
     is_projective,
     is_self_injective,
+    is_split,
     left_annihilator_rows,
     module_over_opposite,
     outer_tensor,
@@ -148,21 +148,6 @@ def opposite_bimodule(m, label=None):
 # ---- verification -------------------------------------------------------------
 
 
-def _verify_split(reg, t, section, retraction):
-    """Exact replay conditions: retraction . section = id, both maps bimodule maps."""
-    field = reg.field
-    if not field.eq(field.matmul(retraction, section), field.eye(reg.dim)):
-        raise AssertionError("retraction does not split the section")
-    if not intertwines(field, section, reg.left_mats, t.left_mats):
-        raise AssertionError("section is not a left module map")
-    if not intertwines(field, section, reg.right_mats, t.right_mats):
-        raise AssertionError("section is not a right module map")
-    if not intertwines(field, retraction, t.left_mats, reg.left_mats):
-        raise AssertionError("retraction is not a left module map")
-    if not intertwines(field, retraction, t.right_mats, reg.right_mats):
-        raise AssertionError("retraction is not a right module map")
-
-
 def verify_j_geq(w, *, quality=True):
     """Verify a >=_J b from the witness pair; returns a replayable certificate.
 
@@ -170,7 +155,6 @@ def verify_j_geq(w, *, quality=True):
     both class summaries as evidence when it does not; Inconclusive from the
     decomposition layer propagates untouched.
     """
-    field = w.a.field
     reg = regular_bimodule(w.a)
     d_reg = decompose(reg, seed=w.seed)
     if len(d_reg.summands) > 1:
@@ -185,21 +169,16 @@ def verify_j_geq(w, *, quality=True):
         "regular_classes": d_reg.class_summary(),
         "tensor_classes": d_t.class_summary(),
     }
-    section = field.zeros((t.dim, reg.dim))
-    retraction = field.zeros((reg.dim, t.dim))
-    for r, s, iso in _pair_summands(d_reg, d_t):
-        if s is None:
-            raise NotASummand(
-                f"the regular {w.a.label}-bimodule does not divide "
-                f"{w.m.label} (x)_{w.b.label} {w.n.label}",
-                evidence={**decomposition_ref, "missing_dim": r.module.dim},
-            )
-        section = field.add(section, field.matmul(s.inclusion, field.matmul(iso, r.projection)))
-        retraction = field.add(
-            retraction,
-            field.matmul(r.inclusion, field.matmul(linalg.invert(field, iso), s.projection)),
+    maps, missing = split_maps(d_reg, d_t)
+    if maps is None:
+        raise NotASummand(
+            f"the regular {w.a.label}-bimodule does not divide "
+            f"{w.m.label} (x)_{w.b.label} {w.n.label}",
+            evidence={**decomposition_ref, "missing_dim": missing.module.dim},
         )
-    _verify_split(reg, t, section, retraction)
+    section, retraction = maps
+    if not is_split(reg, t, section, retraction):
+        raise AssertionError("assembled maps do not split the regular bimodule off the tensor")
     cert = JCertificate(
         direction="geq",
         witness=w,
@@ -232,12 +211,7 @@ def replay_certificate(cert):
     tr = tensor_over(w.m, w.n)
     if tr.module.dim != cert.tensor_dim:
         return False
-    reg = regular_bimodule(w.a)
-    try:
-        _verify_split(reg, tr.module, cert.section, cert.retraction)
-    except AssertionError:
-        return False
-    return True
+    return is_split(regular_bimodule(w.a), tr.module, cert.section, cert.retraction)
 
 
 def _packaged_certificate(wp, base_cert, left_maps, right_maps):
@@ -257,7 +231,8 @@ def _packaged_certificate(wp, base_cert, left_maps, right_maps):
     block_proj = field.matmul(base.projection, field.matmul(field.kron(l_proj, r_proj), tr.section))
     section = field.matmul(block_incl, base_cert.section)
     retraction = field.matmul(base_cert.retraction, block_proj)
-    _verify_split(regular_bimodule(wp.a), tr.module, section, retraction)
+    if not is_split(regular_bimodule(wp.a), tr.module, section, retraction):
+        raise AssertionError("packaged maps do not split the regular bimodule off the tensor")
     return JCertificate(
         direction="equiv",
         witness=wp,

@@ -9,7 +9,10 @@ import json
 import pytest
 
 from jorder import catalog, cli, serialize
-from jorder.witnesses import verify_j_geq
+from jorder.algebras import linear_quiver_algebra
+from jorder.fields import GF
+from jorder.modules import regular_bimodule
+from jorder.witnesses import JWitnessPair, verify_j_geq
 
 A_REF = "catalog:trunc_poly?k=2"
 B_REF = "catalog:kronecker"
@@ -127,6 +130,14 @@ def _certificate_entry(value, *where):
     return _certificate(edit=edit)
 
 
+def _field_witness(edit):
+    """The witness k >=_J k for k = GF(101), both one-dimensional algebras embedded, then edited."""
+    k = linear_quiver_algebra(GF(101), 1)
+    doc = serialize.witness_doc(JWitnessPair(k, k, regular_bimodule(k), regular_bimodule(k)))
+    edit(doc)
+    return doc
+
+
 _NOT_OBJECTS = [("array", []), ("string", "bimodule"), ("null", None)]
 _MALFORMED_DOCS = [
     pytest.param(command, lambda top=top: top, "not a JSON object", id=f"{command}-{name}")
@@ -137,6 +148,9 @@ _MALFORMED_DOCS = [
                  id="bimodule-ref-not-a-string"),
     pytest.param("decompose", lambda: _bimodule(drop="field"), "'field'", id="bimodule-without-field"),
     pytest.param("verify-jgeq", lambda: _witness(drop="field"), "'field'", id="witness-without-field"),
+    # a JSON true is no dimension, even where a table of shape (1, 1) passes for (true, true)
+    pytest.param("verify-jgeq", lambda: _field_witness(lambda d: d["a"].update(dim=True)), "'dim'",
+                 id="witness-algebra-dim-true"),
     pytest.param("verify-cert", lambda: _certificate(drop="section"), "'section'", id="certificate-without-section"),
     pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d.update(section=[1, 2])), "'section'",
                  id="certificate-section-not-nested"),

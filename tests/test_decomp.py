@@ -16,7 +16,6 @@ from jorder.algebras import Algebra, linear_quiver_algebra, matrix_algebra_radic
 from jorder.decomp import (
     Decomposition,
     _match_classes,
-    _pair_summands,
     are_isomorphic,
     block_count,
     complete_primitive_idempotents,
@@ -27,6 +26,7 @@ from jorder.decomp import (
     is_connected,
     is_direct_summand,
     is_symmetric,
+    split_maps,
     summand_isomorphism,
     summand_split_maps,
 )
@@ -454,6 +454,19 @@ class TestAlgebraLevel:
         dims = sorted(p.dim for p, _, _ in projective_indecomposables(c4))
         assert dims == [1, 2, 2, 3]
 
+    @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+    def test_recovered_family_is_checked_by_the_algebra_reader(self, field, monkeypatch):
+        """A recovered family that fails a condition raises AssertionError with
+        the message Algebra's own family check gives, and installs nothing."""
+        base = linear_quiver_algebra(field, 2)
+        a = Algebra(field, base.table, base.unit, label="A2")
+        doubled = decomp.Summand(None, field.canon(field.smul(2, field.eye(a.dim))), field.eye(a.dim), "dim_one")
+        fake = Decomposition(left_regular_module(a), [doubled], [[0]])
+        monkeypatch.setattr(decomp, "decompose", lambda m, seed=0: fake)
+        with pytest.raises(AssertionError, match="family element 0 is not idempotent"):
+            complete_primitive_idempotents(a)
+        assert a.idempotents is None
+
     def test_fingerprint_frozen_path_algebra(self):
         a = linear_quiver_algebra(GF(5), 2)
         assert fingerprint(a) == {
@@ -651,6 +664,21 @@ def _old_greedy_pairs(d_reg, d_t):
     return pairs, None
 
 
+def _summed_pairs(dx, dy, pairs):
+    """Section and retraction summed over (i, j, iso) pairs in order, as verify_j_geq's scan summed them."""
+    field = dx.module.field
+    section = field.zeros((dy.module.dim, dx.module.dim))
+    retraction = field.zeros((dx.module.dim, dy.module.dim))
+    for i, j, iso in pairs:
+        r, s = dx.summands[i], dy.summands[j]
+        section = field.add(section, field.matmul(s.inclusion, field.matmul(iso, r.projection)))
+        retraction = field.add(
+            retraction,
+            field.matmul(r.inclusion, field.matmul(linalg.invert(field, iso), s.projection)),
+        )
+    return section, retraction
+
+
 def _old_verify_split(w):
     """verify_j_geq's section and retraction before the class matcher, or missing_dim."""
     field = w.a.field
@@ -800,8 +828,9 @@ class TestMatcherAgainstGreedyLoops:
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_pairs_follow_the_greedy_scan(self, field):
-        """Summand i takes the first unused member of its matched class, with the
-        same isomorphism the scan over the second decomposition's summands finds."""
+        """split_maps sums the pairs of the scan over the second decomposition's
+        summands, each summand with the first unused member of its matched class
+        and the same isomorphism, or names the summand the scan leaves unpaired."""
         gen = np.random.default_rng(13)
         (p0, p1, p2, s0), (q0, q1) = summand_fixtures(field)
         cases = [
@@ -813,16 +842,12 @@ class TestMatcherAgainstGreedyLoops:
         for x, y in cases:
             dx, dy = decompose(x, seed=1), decompose(y, seed=2)
             want, missing = _old_greedy_pairs(dx, dy)
-            got = list(_pair_summands(dx, dy))
+            maps, unpaired = split_maps(dx, dy)
             if missing is None:
-                assert all(s is not None for _, s, _ in got)
+                assert unpaired is None
+                assert_same_maps(maps, _summed_pairs(dx, dy, want))
             else:
-                assert got[-1][0] is dx.summands[missing] and got[-1][1] is None
-                got = got[:-1]
-            assert len(got) == len(want)
-            for (r, s, f), (i, j, iso) in zip(got, want):
-                assert r is dx.summands[i] and s is dy.summands[j]
-                assert_same_array(f, iso)
+                assert maps is None and unpaired is dx.summands[missing]
 
     def test_class_order_decides_the_missing_class(self, monkeypatch):
         """Class C1 = {0, 5} is short and class C2 = {1} is absent: summand order
@@ -847,10 +872,9 @@ class TestMatcherAgainstGreedyLoops:
         assert (ok, evidence) == _old_is_direct_summand(x, y)
         assert evidence["missing_class"] == {"dim": 3, "multiplicity": 2}
         dy = real(y, seed=1)
-        want, missing = _old_greedy_pairs(dx, dy)
-        got = list(_pair_summands(dx, dy))
-        assert missing == 1 and got[-1][0] is dx.summands[1] and got[-1][1] is None
-        assert [(r, s) for r, s, _ in got[:-1]] == [(dx.summands[i], dy.summands[j]) for i, j, _ in want]
+        _, missing = _old_greedy_pairs(dx, dy)
+        maps, unpaired = split_maps(dx, dy)
+        assert missing == 1 and maps is None and unpaired is dx.summands[1]
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_verify_j_geq_split_is_unchanged(self, field):

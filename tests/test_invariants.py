@@ -310,3 +310,39 @@ def test_primitive_families_are_installed_in_one_place():
     assert found == []
     assert used == _PRIMITIVE_FAMILY_INSTALLERS  # no stale entries
     assert removed == []
+
+
+# The two callers of intertwines: is_module_map checks every module map and,
+# through is_split, every split; Module._validate checks that the two actions
+# of a bimodule commute.
+_INTERTWINES_CALLERS = {
+    ("modules.py", "is_module_map"),
+    ("modules.py", "_validate"),
+}
+# the split assembly and check that split_maps and is_split replace
+_REPLACED_SPLIT_CODE = {"_pair_summands", "_verify_split"}
+
+
+def test_module_maps_and_splits_are_checked_in_one_place():
+    """intertwines is called only from the allowlist above, the replaced split
+    code stays deleted, and nothing outside modules.py imports the generator
+    actions to check a map by hand."""
+    found, used, removed, imports = [], set(), [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, line in _calls_by_function(tree, ("intertwines",)):
+            if (path.name, fn) in _INTERTWINES_CALLERS:
+                used.add((path.name, fn))
+            else:
+                found.append(f"{path.name}:{line}: {fn}")
+        for node in ast.walk(tree):
+            if _REPLACED_SPLIT_CODE & {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}:
+                removed.append(f"{path.name}:{node.lineno}")
+            if path.name != "modules.py" and isinstance(node, ast.ImportFrom) and any(
+                alias.name == "_all_generator_actions" for alias in node.names
+            ):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert removed == []
+    assert imports == []
+    assert used == _INTERTWINES_CALLERS  # no stale entries

@@ -13,7 +13,7 @@ import pytest
 from jorder import catalog, linalg
 from jorder.algebras import Algebra, linear_quiver_algebra
 from jorder.errors import NonSplitResidueField, NotAutomorphism
-from jorder.fields import GF
+from jorder.fields import GF, QQ
 from jorder.modules import (
     _compatible,
     _quotient,
@@ -24,7 +24,9 @@ from jorder.modules import (
     dual_module,
     hom_space,
     hom_to_regular,
+    intertwines,
     is_left_right_projective,
+    is_module_map,
     is_projective,
     is_self_injective,
     left_annihilator_rows,
@@ -756,3 +758,36 @@ class TestSubquotientsAgainstLoops:
                 sizes.add((quo.dim == 0, quo.dim == m.dim))
             sizes.add((sub.dim == 0, sub.dim == m.dim))
         assert sizes == {(True, False), (False, True), (False, False)}
+
+
+class TestModuleMapCheck:
+    @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+    def test_is_module_map_is_the_per_side_conjunction(self, field):
+        """is_module_map answers as intertwines on each side's basis actions,
+        conjoined: on the hom bases of the modules and of their one-sided
+        restrictions, and on random maps."""
+        a = linear_quiver_algebra(field, 3)
+        p0 = projective_indecomposables(a)[0][0]
+        reg = regular_bimodule(a)
+        pairs = [
+            (left_regular_module(a), direct_sum([p0, left_regular_module(a)])[0]),
+            (right_regular_module(a), right_regular_module(a)),
+            (reg, reg),
+            (reg, dual_module(reg)),
+        ]
+        gen = np.random.default_rng(8)
+        verdicts = set()
+        for x, y in pairs:
+            maps = list(hom_space(x, y))
+            if x.sidedness() == "bimodule":
+                maps += hom_space(x.restrict_left(), y.restrict_left()) + hom_space(x.restrict_right(), y.restrict_right())
+            maps += [field.canon(field.rand_mat(gen, y.dim, x.dim)) for _ in range(3)]
+            for f in maps:
+                sides = tuple(
+                    intertwines(field, f, xm, ym)
+                    for xm, ym in ((x.left_mats, y.left_mats), (x.right_mats, y.right_mats))
+                    if xm is not None
+                )
+                assert is_module_map(f, x, y) == all(sides)
+                verdicts.add(sides)
+        assert {(True,), (False,), (True, True), (True, False), (False, True), (False, False)} <= verdicts

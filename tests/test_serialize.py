@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jorder import catalog, serialize
-from jorder.algebras import Algebra, algebra_from_quiver
+from jorder.algebras import Algebra, algebra_from_quiver, linear_quiver_algebra
 from jorder.decomp import decompose
 from jorder.errors import InvalidInput
 from jorder.fields import GF, QQ
@@ -356,3 +356,22 @@ class TestDecompositionDocs:
             e = serialize.matrix_in(f, summand["idempotent"], (reg.dim, reg.dim), "idempotent")
             summand["idempotent"] = serialize.matrix_out(f, f.matmul(f.matmul(s, e), s_inv))
         assert not serialize.verify_decomposition_doc(reg, doc)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: {"format": "decomposition"}, "module_dim"),
+        (lambda doc: {**doc, "module_dim": "3"}, "module_dim"),
+        (lambda doc: {**doc, "module_dim": True}, "module_dim"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "summands"}, "summands"),
+        (lambda doc: {**doc, "summands": [5]}, "summands"),
+        (lambda doc: {**doc, "summands": [{"dim": 3}]}, "idempotent"),
+        (lambda doc: {**doc, "summands": [{**doc["summands"][0], "dim": "x"}]}, "dim"),
+        (lambda doc: {**doc, "summands": [{**doc["summands"][0], "dim": True}]}, "dim"),
+        (lambda doc: {**doc, "summands": [{**doc["summands"][0], "idempotent": [[1]]}]}, "idempotent"),
+    ], ids=["only-format", "string-module-dim", "true-module-dim", "no-summands", "summand-not-object",
+            "no-idempotent", "string-dim", "true-dim", "idempotent-shape"])
+    def test_malformed_document_names_the_key(self, edit, key):
+        reg = regular_bimodule(linear_quiver_algebra(GF(101), 2))
+        doc = json.loads(serialize.canon_json(serialize.decomposition_doc(decompose(reg, seed=0))))
+        assert len(doc["summands"]) == 1 and serialize.verify_decomposition_doc(reg, doc)
+        with pytest.raises(InvalidInput, match=repr(key)):
+            serialize.verify_decomposition_doc(reg, edit(doc))

@@ -31,6 +31,10 @@ from jorder.modules import (
     Module,
     direct_sum,
     dual_module,
+    hom_space,
+    intertwines,
+    is_module_map,
+    is_split,
     outer_tensor,
     projective_indecomposables,
     quotient_module,
@@ -231,6 +235,66 @@ class TestReplayTamper:
         cert = verify_j_geq(w, quality=False)
         cert.tensor_dim = 5
         assert not replay_certificate(cert)
+
+    @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+    @pytest.mark.parametrize("broken", ["left", "right", "both"])
+    def test_split_through_a_non_module_automorphism_fails_replay(self, field, broken):
+        """(g s, r g^-1) keeps r g^-1 g s = 1; with g an automorphism of the
+        tensor that is not a bimodule map, the pair is no split and must not replay."""
+        a = linear_quiver_algebra(field, 2)
+        reg = regular_bimodule(a)
+        cert = verify_j_geq(JWitnessPair(a, a, reg, reg), quality=False)
+        t = cert.tensor.module
+        assert t.dim == a.dim  # s is invertible, so g s and r g^-1 break exactly g's sides
+        g = _automorphism_breaking(t, broken, np.random.default_rng(3))
+        section = field.matmul(g, cert.section)
+        retraction = field.matmul(cert.retraction, linalg.invert(field, g))
+        assert field.eq(field.matmul(retraction, section), field.eye(a.dim))
+        assert is_split(reg, t, cert.section, cert.retraction) and replay_certificate(cert)
+        assert not is_split(reg, t, section, retraction)
+        cert.section, cert.retraction = section, retraction
+        assert not replay_certificate(cert)
+
+    @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+    @pytest.mark.parametrize("moved", ["section", "retraction"])
+    def test_one_map_off_the_module_maps_fails_replay(self, field, moved):
+        """On a tensor larger than A, s + (1 - s r) u and r + v (1 - s r) keep
+        r s = 1 and leave the other map a module map: both maps are checked."""
+        a = linear_quiver_algebra(field, 2)
+        reg = regular_bimodule(a)
+        cert = verify_j_geq(JWitnessPair(a, a, direct_sum([reg, reg])[0], reg), quality=False)
+        t = cert.tensor.module
+        section, retraction = cert.section, cert.retraction
+        gen = np.random.default_rng(4)
+        complement = field.sub(field.eye(t.dim), field.matmul(section, retraction))
+        if moved == "section":
+            section = field.canon(field.add(section, field.matmul(complement, field.rand_mat(gen, t.dim, a.dim))))
+        else:
+            retraction = field.canon(field.add(retraction, field.matmul(field.rand_mat(gen, a.dim, t.dim), complement)))
+        assert t.dim == 2 * a.dim and field.eq(field.matmul(retraction, section), field.eye(a.dim))
+        assert is_module_map(section, reg, t) == (moved == "retraction")
+        assert is_module_map(retraction, t, reg) == (moved == "section")
+        assert not is_split(reg, t, section, retraction)
+        cert.section, cert.retraction = section, retraction
+        assert not replay_certificate(cert)
+
+
+def _automorphism_breaking(t, broken, gen):
+    """An automorphism of the bimodule t's space that is a module map on exactly
+    the sides broken does not name: 1 + c h for h an endomorphism of the other
+    side, or a random matrix for both."""
+    f = t.field
+    if broken == "both":
+        candidates = (linalg.random_invertible(f, gen, t.dim) for _ in range(20))
+    else:
+        kept = t.restrict_right() if broken == "left" else t.restrict_left()
+        candidates = (f.canon(f.add(f.eye(t.dim), f.smul(c, h))) for h in hom_space(kept, kept) for c in (1, 2))
+    want = {"left": (False, True), "right": (True, False), "both": (False, False)}[broken]
+    for g in candidates:
+        sides = (intertwines(f, g, t.left_mats, t.left_mats), intertwines(f, g, t.right_mats, t.right_mats))
+        if sides == want and linalg.rank(f, g) == t.dim:
+            return g
+    raise AssertionError(f"no automorphism breaks exactly the {broken} side")
 
 
 class TestQuotientWitnesses:
