@@ -24,6 +24,12 @@ Tensor products index the basis pair (i, j) of A (x) B as i*dim B + j, which
 is the axis order of field.kron: a tensor's vectors, table and stacks of
 action matrices are krons of their factors', along every axis. The factor
 maps x -> x (x) 1 and y -> 1 (x) y come from tensor_factor_maps alone.
+
+The table is read in two shapes: pair_products(a, xs, ys), the products
+xs[i] * ys[j] of two element families, and left_regular_mats() and
+right_regular_mats(), the multiplication operators of all basis elements,
+stacked. Algebra.mul, left_mult_matrix and right_mult_matrix serve the few
+callers that hold a single element.
 """
 
 from __future__ import annotations
@@ -253,12 +259,17 @@ class Algebra:
         return f"Algebra({self.label}, dim {self.dim} over {self.field.name})"
 
 
+def pair_products(a, xs, ys):
+    """prods[i, j] = xs[i] * ys[j] (ys[j] acts first), from two contractions against the table."""
+    field = a.field
+    half = field.tensordot(np.asarray(xs), a.table, axes=([1], [0]))  # (i, b, k): xs[i] * x_b
+    return field.tensordot(half, np.asarray(ys), axes=([1], [1])).transpose(0, 2, 1)
+
+
 def idempotent_family_failure(a, family):
     """The first failure of family, or None: each element idempotent, then orthogonal to the rest; the sum the unit."""
     field, fam = a.field, np.array(family)
-    # prods[i, j] = e_i * e_j, from two contractions against the table
-    prods = field.tensordot(field.tensordot(fam, a.table, axes=([1], [0])), fam, axes=([1], [1]))
-    prods = prods.transpose(0, 2, 1)
+    prods = pair_products(a, fam, fam)
     for i, e in enumerate(family):
         if not field.eq(prods[i, i], e):
             return f"family element {i} is not idempotent"
@@ -381,9 +392,7 @@ def _ideal_powers(algebra, base):
         if power.shape[0] == 0:
             return powers
         powers.append(power)
-        tmp = field.tensordot(power, algebra.table, axes=([1], [0]))  # (r, j, k)
-        prods = field.tensordot(base, tmp, axes=([1], [1])).reshape(-1, algebra.dim)
-        power = linalg.row_basis(field, prods)
+        power = linalg.row_basis(field, pair_products(algebra, power, base).reshape(-1, algebra.dim))
     return None
 
 
@@ -430,12 +439,7 @@ def subalgebra_from_rows(algebra, rows, *, label=None, provenance=None):
     unit_coords = linalg.coords_in_row_basis(field, basis, algebra.unit)
     if unit_coords is None:
         raise ValueError("subalgebra must contain the unit")
-    prods = []
-    for i in range(m):
-        li = algebra.left_mult_matrix(basis[i])
-        prods.append(field.matmul(basis, li.T))
-    stacked = np.concatenate(prods, axis=0)
-    coords = linalg.coords_in_row_basis(field, basis, stacked)
+    coords = linalg.coords_in_row_basis(field, basis, pair_products(algebra, basis, basis).reshape(-1, algebra.dim))
     if coords is None:
         raise ValueError("rows are not closed under multiplication")
     # block i of coords holds the products basis_i * basis_j for j = 0..m-1
@@ -516,9 +520,7 @@ def check_algebra_hom(source, target, phi):
     if not field.eq(field.matmul(phi, source.unit), target.unit):
         raise ValueError("the map does not preserve the unit")
     images = field.tensordot(source.table, phi, axes=([2], [1]))  # (i, j, k)
-    half = field.tensordot(phi, target.table, axes=([0], [0]))  # T_t(phi e_i, e_b)
-    products = field.tensordot(phi, half, axes=([0], [1])).transpose(1, 0, 2)
-    if not field.eq(images, products):
+    if not field.eq(images, pair_products(target, phi.T, phi.T)):
         raise ValueError("the map is not an algebra homomorphism")
     return phi
 
@@ -656,12 +658,8 @@ def triangular_matrix_algebra(a, n):
 def center(algebra):
     """The center as a commutative subalgebra, with inclusion rows attached."""
     field = algebra.field
-    n = algebra.dim
-    constraints = []
-    for j in range(n):
-        xj = algebra.basis_vector(j)
-        constraints.append(field.sub(algebra.left_mult_matrix(xj), algebra.right_mult_matrix(xj)))
-    stacked = field.canon(np.concatenate(constraints, axis=0))
+    # block j sends z to x_j z - z x_j
+    stacked = field.sub(algebra.left_regular_mats(), algebra.right_regular_mats()).reshape(-1, algebra.dim)
     _, ker = linalg.rank_nullspace(field, stacked)
     return subalgebra_from_rows(
         algebra,

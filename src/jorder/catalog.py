@@ -458,14 +458,20 @@ def resolve(uri, field=None):
     """Build a ``catalog:entry?name=value&...`` URI.
 
     Integer-looking values are parsed as parameters; a ``field`` key
-    overrides the default field, as does the ``field`` argument.
+    overrides the default field, as does the ``field`` argument. A key
+    given twice is BadParams.
     """
     if not uri.startswith(URI_SCHEME):
         raise UnknownEntry(f"not a catalog URI: {uri!r}")
     rest = uri[len(URI_SCHEME):]
     entry_id, _, query = rest.partition("?")
     params = {}
-    for key, value in parse_qsl(query, keep_blank_values=True):
+    pairs = parse_qsl(query, keep_blank_values=True)
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise BadParams(f"{entry_id}: repeated parameters {repeated}")
+    for key, value in pairs:
         if key == "field":
             if field is None:
                 field = value

@@ -245,8 +245,7 @@ def _finish(report, args, exit_code=0):
 
 
 def _cmd_algebra_info(args):
-    field = field_from_name(args.field) if args.field else None
-    obj, content = _resolve_ref(args.ref, field=field)
+    obj, content = _resolve_ref(args.ref, field=args.field)
     results = {}
     if isinstance(obj, JWitnessPair):
         raise InvalidInput(f"{args.ref!r} names a witness pair, not an algebra")
@@ -274,9 +273,8 @@ def _cmd_algebra_info(args):
 
 
 def _cmd_tensor(args):
-    field = field_from_name(args.field) if args.field else None
-    m, m_text, (left_ref, _) = _bimodule_from_file(args.m_file, field=field)
-    n, n_text, (_, right_ref) = _bimodule_from_file(args.n_file, field=field)
+    m, m_text, (left_ref, _) = _bimodule_from_file(args.m_file, field=args.field)
+    n, n_text, (_, right_ref) = _bimodule_from_file(args.n_file, field=args.field)
     t = tensor_over(m, n)
     left_ref = _rebase_ref(left_ref, args.m_file, args.out)
     right_ref = _rebase_ref(right_ref, args.n_file, args.out)
@@ -291,8 +289,7 @@ def _cmd_tensor(args):
 
 
 def _cmd_decompose(args):
-    field = field_from_name(args.field) if args.field else None
-    m, text, _ = _bimodule_from_file(args.module_file, field=field)
+    m, text, _ = _bimodule_from_file(args.module_file, field=args.field)
     dec = decompose(m, seed=args.seed)
     results = {
         "module_dim": m.dim,
@@ -326,8 +323,7 @@ def _load_witness(ref, field, seed):
 
 
 def _cmd_verify_jgeq(args):
-    field = field_from_name(args.field) if args.field else None
-    w, content = _load_witness(args.witness, field, args.seed)
+    w, content = _load_witness(args.witness, args.field, args.seed)
     inputs = [_input_entry(args.witness, content)]
     try:
         cert = verify_j_geq(w, quality=not args.no_quality)
@@ -385,8 +381,7 @@ def _cmd_verify_cert(args):
 
 
 def _cmd_witness_search(args):
-    field = field_from_name(args.field) if args.field else None
-    resolver = _algebra_resolver(field=field)
+    resolver = _algebra_resolver(field=args.field)
     a = resolver(args.a_ref)
     b = resolver(args.b_ref)
     inputs = [
@@ -458,8 +453,7 @@ def _cmd_catalog_list(args):
 
 def _cmd_catalog_dump(args):
     ref = args.entry if args.entry.startswith(CATALOG_SCHEME) else CATALOG_SCHEME + args.entry
-    field = field_from_name(args.field) if args.field else None
-    obj = catalog.resolve(ref, field=field)
+    obj = catalog.resolve(ref, field=args.field)
     if args.format == "json" and not isinstance(obj, (JWitnessPair, AlgebraAction)):
         payload = serialize.canon_json(serialize.algebra_doc(obj))
     else:
@@ -567,6 +561,10 @@ def main(argv=None):
     try:
         if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2**64:
             raise InvalidInput(f"seed must fit in an unsigned 64-bit word, got {args.seed}")
+        for flag, value in (("--budget", getattr(args, "budget", None)), ("--max-dim", getattr(args, "max_dim", None))):
+            if value is not None and value < 0:
+                raise InvalidInput(f"{flag} must not be negative, got {value}")
+        args.field = field_from_name(args.field) if getattr(args, "field", None) else None
         code = args.fn(args)
     except (JorderError, ValueError, OSError, AssertionError) as exc:
         error = {

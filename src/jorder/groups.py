@@ -10,12 +10,15 @@ group algebra: over a field with enough roots of unity the group algebra is
 split semisimple and commutative, each primitive idempotent spans a line on
 which every group element acts by the character value. Missing roots of unity
 surface as a non-split block, reported as RootsOfUnityUnavailable.
+
+The group law is read by indexing the multiplication table, and the
+invariants and every isotypic piece are one eigenspace read, _eigen_rows.
 """
 
 import numpy as np
 
 from . import linalg
-from .algebras import Algebra, Provenance, subalgebra_from_rows
+from .algebras import Algebra, Provenance, pair_products, subalgebra_from_rows
 from .decomp import complete_primitive_idempotents
 from .errors import (
     BadCharacteristic,
@@ -42,9 +45,7 @@ class FiniteGroup:
         if table.min() < 0 or table.max() >= n:
             raise ValueError("table entries must be element indices")
         left = table[table, :]  # left[i,j,k] = (ij)k
-        right = np.empty_like(left)
-        for i in range(n):
-            right[i] = table[i, table]  # right[i,j,k] = i(jk)
+        right = table[np.arange(n)[:, None, None], table]  # right[i,j,k] = i(jk)
         if not (left == right).all():
             raise ValueError("table is not associative")
         identity = None
@@ -115,17 +116,29 @@ class AlgebraAction:
             raise ValueError("identity element must act as the identity matrix")
         for g in range(group.order):
             _check_automorphism(algebra, mats[g])
+        # one stacked product per i; an all-pairs product would hold n^2 d^2 entries
         for i in range(group.order):
-            for j in range(group.order):
-                lhs = field.canon(field.matmul(mats[i], mats[j]))
-                if not field.eq(lhs, mats[group.mul(i, j)]):
-                    raise ValueError("matrices do not compose along the group law")
+            if not field.eq(linalg.stack_product(field, mats[i], mats), mats[group.multiplication_table[i]]):
+                raise ValueError("matrices do not compose along the group law")
 
     @staticmethod
     def trivial(algebra):
         return AlgebraAction(
             FiniteGroup.trivial(), algebra, [algebra.field.eye(algebra.dim)]
         )
+
+
+def _eigen_rows(act, chi):
+    """Row basis of {a : g a = chi[g] a for every g}, read off the non-identity elements."""
+    a, field = act.algebra, act.algebra.field
+    blocks = [
+        field.sub(act.matrices[g], field.smul(chi[g], field.eye(a.dim)))
+        for g in range(act.group.order)
+        if g != act.group.identity_index
+    ]
+    if not blocks:
+        return field.eye(a.dim)
+    return linalg.row_basis(field, linalg.nullspace(field, np.concatenate(blocks, axis=0)).T)
 
 
 def invariant_subalgebra(act):
@@ -136,16 +149,7 @@ def invariant_subalgebra(act):
     rad A, and this is cross-asserted.
     """
     a, field = act.algebra, act.algebra.field
-    blocks = [
-        field.sub(act.matrices[g], field.eye(a.dim))
-        for g in range(act.group.order)
-        if g != act.group.identity_index
-    ]
-    if blocks:
-        ns = linalg.nullspace(field, field.canon(np.concatenate(blocks, axis=0)))
-        rows = linalg.row_basis(field, ns.T)
-    else:
-        rows = field.eye(a.dim)
+    rows = _eigen_rows(act, [field.one] * act.group.order)
     sub = subalgebra_from_rows(
         a,
         rows,
@@ -167,9 +171,7 @@ def group_algebra(group, field):
     """The group algebra k[G] with basis indexed by group elements."""
     n = group.order
     table = field.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            table[i, j, group.mul(i, j)] = field.one
+    table[(*np.indices((n, n)), group.multiplication_table)] = field.one
     unit = field.zeros(n)
     unit[group.identity_index] = field.one
     return Algebra(
@@ -200,12 +202,12 @@ def _characters(group, field):
             f"{field.name} lacks a primitive root of unity for {group.label}"
         )
     chars = []
+    left = kg.left_regular_mats()
     for e in es:
         support = int(np.flatnonzero(np.asarray(e) != field.zero)[0])
         denom = field.inv_scalar(e[support])
         values = []
-        for g in range(group.order):
-            prod = kg.mul(field.eye(group.order)[g], e)
+        for prod in field.matmul(left, e):  # row g is g * e
             chi = field.scalar(prod[support] * denom)
             if not field.eq(prod, field.smul(chi, e)):
                 raise AssertionError("group element does not act by a scalar")
@@ -233,16 +235,7 @@ def isotypic_decomposition(act):
     total = 0
     one = field.one
     for chi in chars:
-        blocks = [
-            field.sub(act.matrices[g], field.smul(chi[g], field.eye(a.dim)))
-            for g in range(group.order)
-            if g != group.identity_index
-        ]
-        if not blocks:
-            rows = field.eye(a.dim)
-        else:
-            ns = linalg.nullspace(field, field.canon(np.concatenate(blocks, axis=0)))
-            rows = linalg.row_basis(field, ns.T)
+        rows = _eigen_rows(act, chi)
         if rows.shape[0] == 0:
             continue
         components.append((chi, rows))
@@ -255,11 +248,10 @@ def isotypic_decomposition(act):
             not field.eq(trivial[0], inv_rows):
         raise AssertionError("trivial component differs from the invariant subalgebra")
     for _, rows in components:
-        for u in inv_rows:
-            if linalg.coords_in_row_basis(field, rows, [a.mul(u, r) for r in rows]) is None:
-                raise AssertionError("component is not stable under left A^G")
-            if linalg.coords_in_row_basis(field, rows, [a.mul(r, u) for r in rows]) is None:
-                raise AssertionError("component is not stable under right A^G")
+        if linalg.coords_in_row_basis(field, rows, pair_products(a, inv_rows, rows).reshape(-1, a.dim)) is None:
+            raise AssertionError("component is not stable under left A^G")
+        if linalg.coords_in_row_basis(field, rows, pair_products(a, rows, inv_rows).reshape(-1, a.dim)) is None:
+            raise AssertionError("component is not stable under right A^G")
     return components
 
 
@@ -280,8 +272,7 @@ def skew_group_algebra(act):
         image = act.matrices[g]  # columns are g(a_j)
         c = field.tensordot(a.table, image, axes=([1], [0])).transpose(0, 2, 1)
         m_g = field.zeros((n, n, n))
-        for h in range(n):
-            m_g[g, h, group.mul(g, h)] = field.one
+        m_g[g, np.arange(n), group.multiplication_table[g]] = field.one
         table = field.add(table, field.kron(c, m_g))
     delta = field.eye(n)
     e = delta[group.identity_index]
@@ -321,25 +312,21 @@ def verify_free_quiver_action(act, pres):
     degrees = prov.data["degrees"]
     vertex_pos = [i for i, (deg, _) in enumerate(degrees) if deg == 0]
     arrow_pos = [i for i, (deg, _) in enumerate(degrees) if deg == 1]
+    checks = (
+        (vertex_pos, "a vertex idempotent is not sent to a vertex"),
+        (arrow_pos, "an arrow is not sent to an arrow line"),
+    )
     free = True
     for g in range(act.group.order):
         if g == act.group.identity_index:
             continue
-        m = act.matrices[g]
-        for v in vertex_pos:
-            col = m[:, v]
-            support = np.flatnonzero(np.asarray(col) != field.zero)
-            if len(support) != 1 or int(support[0]) not in vertex_pos:
-                raise NotQuiverCompatible("a vertex idempotent is not sent to a vertex")
-            if int(support[0]) == v:
-                free = False
-        for apos in arrow_pos:
-            col = m[:, apos]
-            support = np.flatnonzero(np.asarray(col) != field.zero)
-            if len(support) != 1 or int(support[0]) not in arrow_pos:
-                raise NotQuiverCompatible("an arrow is not sent to an arrow line")
-            if int(support[0]) == apos:
-                free = False
+        for positions, message in checks:
+            for v in positions:
+                support = np.flatnonzero(np.asarray(act.matrices[g][:, v]) != field.zero)
+                if len(support) != 1 or int(support[0]) not in positions:
+                    raise NotQuiverCompatible(message)
+                if int(support[0]) == v:
+                    free = False
     return free
 
 

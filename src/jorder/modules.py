@@ -260,16 +260,9 @@ def direct_sum(mods):
         first.left_algebra, first.right_algebra, lm, rm,
         " + ".join(m.label for m in mods), check=False,
     )
-    incls, projs = [], []
-    for k in range(len(mods)):
-        s, e = offsets[k], offsets[k + 1]
-        incl = field.zeros((total, dims[k]))
-        proj = field.zeros((dims[k], total))
-        for t in range(dims[k]):
-            incl[s + t, t] = field.one
-            proj[t, s + t] = field.one
-        incls.append(incl)
-        projs.append(proj)
+    eye = field.eye(total)
+    incls = [field.copy(eye[:, s:e]) for s, e in zip(offsets, offsets[1:])]
+    projs = [field.copy(eye[s:e]) for s, e in zip(offsets, offsets[1:])]
     return total_mod, incls, projs
 
 
@@ -738,26 +731,20 @@ def hom_to_regular(m):
     t = len(homs)
     if t == 0:
         return zero_module(m.right_algebra, a), []
-    flat = field.canon(np.stack([h.reshape(-1) for h in homs]))
+    stack = np.stack(homs)
+    flat = stack.reshape(t, -1)
     b = m.right_algebra
 
-    def coords(mat_list):
-        target = field.canon(np.stack([x.reshape(-1) for x in mat_list]))
-        c = linalg.coords_in_row_basis(field, flat, target)
+    def action(products):
+        # products[k, s] is the image of homs[s] under basis element k; its coordinates are column s
+        c = linalg.coords_in_row_basis(field, flat, products.reshape(-1, flat.shape[1]))
         if c is None:
             raise AssertionError("action escapes the span of the Hom basis")
-        return c
+        return c.reshape(-1, t, t).transpose(0, 2, 1)
 
-    lm = None
-    if b is not None:
-        lm = field.zeros((b.dim, t, t))
-        for j in range(b.dim):
-            rb = m.right_mats[j]
-            lm[j] = coords([field.matmul(h, rb) for h in homs]).T
-    rm = field.zeros((a.dim, t, t))
-    for i in range(a.dim):
-        ra = a.right_mult_matrix(a.basis_vector(i))
-        rm[i] = coords([field.matmul(ra, h) for h in homs]).T
+    # h R_M(b_j) for the left action of B, R_A(a_i) h for the right action of A
+    lm = None if b is None else action(field.matmul(stack, m.right_mats).transpose(2, 0, 1, 3))
+    rm = action(field.matmul(a.right_regular_mats(), stack).transpose(0, 2, 1, 3))
     out = Module(b, a, lm, rm, f"Hom({m.label},{a.label})", check=False)
     return out, homs
 

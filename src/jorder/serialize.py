@@ -50,13 +50,13 @@ def _doc_value(doc, key, kind=str, required=True):
 
 
 def _nested_list(value, shape, key):
-    """value if it is nested lists of exactly this shape, else InvalidInput naming the key."""
+    """The leaves of value in row-major order if it is nested lists of exactly this shape, else InvalidInput naming the key."""
     level = [value]
     for n in shape:
         if not all(isinstance(v, list) and len(v) == n for v in level):
             raise InvalidInput(f"document key {key!r} is not a nested list of shape {tuple(shape)}")
         level = [x for v in level for x in v]
-    return value
+    return level
 
 
 def hash_text(text):
@@ -104,23 +104,14 @@ def matrix_out(field, mat):
     return [[scalar_out(field, x) for x in row] for row in mat]
 
 
-def matrix_in(field, rows, shape, key):
-    _nested_list(rows, shape, key)
-    data = np.array(
-        [[scalar_in(field, v, key) for v in row] for row in rows],
-        dtype=object if field.char == 0 else None,
-    )
-    return field.canon(data.reshape(shape))
+def matrix_in(field, value, shape, key):
+    """A document array of the given shape, any number of axes; else InvalidInput naming the key."""
+    leaves = [scalar_in(field, v, key) for v in _nested_list(value, shape, key)]
+    return field.canon(np.array(leaves, dtype=object if field.char == 0 else None).reshape(shape))
 
 
 def vector_out(field, vec):
     return [scalar_out(field, x) for x in np.asarray(vec)]
-
-
-def vector_in(field, values, length, key):
-    _nested_list(values, (length,), key)
-    data = np.array([scalar_in(field, v, key) for v in values], dtype=object if field.char == 0 else None)
-    return field.canon(data)
 
 
 # ---- algebras ---------------------------------------------------------------
@@ -183,20 +174,16 @@ def algebra_from_doc(doc):
         raise InvalidInput("not an algebra document")
     field = field_from_name(_doc_value(doc, "field"))
     dim = _doc_value(doc, "dim", int)
-    rows = _nested_list(_doc_value(doc, "table", list), (dim, dim), "table")
-    table = field.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            table[i, j] = vector_in(field, rows[i][j], dim, "table")
+    table = matrix_in(field, _doc_value(doc, "table", list), (dim, dim, dim), "table")
     idems = None
     primitive = False
     if "idempotents" in doc:
-        idems = [vector_in(field, e, dim, "idempotents") for e in _doc_value(doc, "idempotents", list)]
+        idems = [matrix_in(field, e, (dim,), "idempotents") for e in _doc_value(doc, "idempotents", list)]
         primitive = bool(doc.get("idempotents_primitive", False))
     return Algebra(
         field,
         table,
-        vector_in(field, _doc_value(doc, "unit", list), dim, "unit"),
+        matrix_in(field, _doc_value(doc, "unit", list), (dim,), "unit"),
         list(_doc_value(doc, "labels", list)),
         idempotents=idems,
         idempotents_primitive=primitive,

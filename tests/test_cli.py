@@ -284,6 +284,10 @@ def test_malformed_relation_exits_4(capsys, tmp_path, text):
         (["algebra-info"], LOOP + "relation x*x - x*x*x\n", "NotAdmissible"),
         (["algebra-info"], LOOP + "relation 0 x*x\n", "NotFiniteDimensional"),
         (["algebra-info", "catalog:skew?of=zigzag_c2&field=GF(2)"], None, "BadCharacteristic"),
+        (["witness-search", "catalog:trunc_poly?k=2", "catalog:kronecker", "--budget", "-1"], None, "InvalidInput"),
+        (["witness-search", "catalog:trunc_poly?k=2", "catalog:kronecker", "--max-dim", "-1"], None, "InvalidInput"),
+        (["algebra-info", "catalog:A_n?n=2&n=3"], None, "BadParams"),
+        (["algebra-info", "catalog:A_n?n=2&field=GF(3)&field=GF(5)"], None, "BadParams"),
     ],
 )
 def test_unusable_input_exits_4(capsys, tmp_path, argv, text, error):

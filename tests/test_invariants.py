@@ -346,3 +346,30 @@ def test_module_maps_and_splits_are_checked_in_one_place():
     assert removed == []
     assert imports == []
     assert used == _INTERTWINES_CALLERS  # no stale entries
+
+
+# The callers of the one-element reads of the table. Every other reader takes
+# it in one of two shapes, algebras.pair_products or the regular stacks:
+# find_nontrivial_idempotent reads the minimal polynomial of one element,
+# Module._validate checks one generator at a time (all at once would hold
+# G dim d^2 entries), and projective_indecomposables spans A e from R(e).
+_ONE_ELEMENT_READERS = {
+    ("decomp.py", "find_nontrivial_idempotent"),
+    ("modules.py", "_validate"),
+    ("modules.py", "projective_indecomposables"),
+}
+
+
+def test_the_table_is_read_in_two_shapes():
+    """left_mult_matrix, right_mult_matrix and basis_vector are called only
+    from the allowlist above."""
+    found, used = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, line in _calls_by_function(tree, ("left_mult_matrix", "right_mult_matrix", "basis_vector")):
+            if (path.name, fn) in _ONE_ELEMENT_READERS:
+                used.add((path.name, fn))
+            else:
+                found.append(f"{path.name}:{line}: {fn}")
+    assert found == []
+    assert used == _ONE_ELEMENT_READERS  # no stale entries
