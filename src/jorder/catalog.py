@@ -16,7 +16,7 @@ from urllib.parse import parse_qsl
 from .algebras import algebra_from_quiver
 from .decomp import decompose
 from .errors import BadCharacteristic, BadParams, FingerprintMismatch, UnknownEntry
-from .fields import GF, field_from_name
+from .fields import GF, _is_prime, field_from_name
 from .groups import AlgebraAction, FiniteGroup, skew_group_algebra
 from .modules import Module, left_regular_module, top_of
 from .quivers import Quiver, QuiverPresentation, path_from_arrow_labels
@@ -407,11 +407,10 @@ def _validate_params(entry, params):
 
 def _default_field(group_order=None):
     p = 101
-    if group_order:
-        while group_order % p == 0:
-            from sympy import nextprime
-
-            p = nextprime(p)
+    while group_order and group_order % p == 0:
+        p += 1
+        while not _is_prime(p):
+            p += 1
     return GF(p)
 
 
@@ -459,7 +458,8 @@ def resolve(uri, field=None):
 
     Integer-looking values are parsed as parameters; a ``field`` key
     overrides the default field, as does the ``field`` argument. A key
-    given twice is BadParams.
+    given twice, or a ``field`` key naming another field than the ``field``
+    argument, is BadParams.
     """
     if not uri.startswith(URI_SCHEME):
         raise UnknownEntry(f"not a catalog URI: {uri!r}")
@@ -475,6 +475,8 @@ def resolve(uri, field=None):
         if key == "field":
             if field is None:
                 field = value
+            elif (field_from_name(field) if isinstance(field, str) else field) != field_from_name(value):
+                raise BadParams(f"{entry_id}: the URI names field {value}, the caller field {field}")
             continue
         stripped = value.lstrip("-")
         params[key] = int(value) if stripped.isdigit() and stripped else value

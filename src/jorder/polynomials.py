@@ -4,17 +4,28 @@ Polynomials are python lists of field scalars, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty list). Characteristic
 polynomials go through an exact Hessenberg reduction, which is valid over any
 field because pivoting is by exact nonzero tests, not magnitude.
-Factorization is delegated to sympy and converted back to canonical scalars.
+
+factor_poly is classical and self-contained. Over GF(p) it takes the
+squarefree decomposition (a chain of gcds with the derivative, as in Yun's
+algorithm, with a p-th root for the parts of derivative zero), then
+distinct-degree factorization and Cantor-Zassenhaus equal-degree splitting
+(Math. Comp. 36, 1981). Over Q it clears denominators and factors each
+squarefree part over Z by Zassenhaus (J. Number Theory 1, 1969): factor mod a
+good prime, Hensel-lift past the Mignotte bound, and recombine the lifted
+factors by exact division. Decomposition certificates rest on its
+irreducibility verdicts, so none of them is a guess.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
+from itertools import combinations, zip_longest
 
 import numpy as np
-import sympy
 
-from .fields import GFField
+from .fields import GFField, _is_prime
 
 
 def poly_trim(field, c):
@@ -189,28 +200,345 @@ def minpoly_matrix(field, m):
             raise AssertionError("minimal polynomial search exceeded dimension bound")
 
 
-_t = sympy.Symbol("t")
+# Factorization works on plain Python int lists, lowest degree first with no
+# trailing zeros, and converts only at entry and exit. A helper that takes a
+# modulus m reduces into [0, m); the prime-field helpers take m = p.
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _reduce(a, m):
+    return _trim([x % m for x in a])
+
+
+def _add(a, b, m):
+    return _trim([(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _sub(a, b, m):
+    return _trim([(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce(out, m)
+
+
+def _divmod(a, b, m):
+    """Quotient and remainder mod m; b's leading coefficient must be a unit mod m."""
+    inv = pow(b[-1], -1, m)
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = r[k + db] * inv % m
+        q[k] = c
+        if c:
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return _trim(q), _reduce(r[:db], m)
+
+
+def _rem(a, b, m):
+    return _divmod(a, b, m)[1]
+
+
+def _monic(a, m):
+    inv = pow(a[-1], -1, m)
+    return [x * inv % m for x in a]
+
+
+def _deriv(a):
+    return [i * x for i, x in enumerate(a)][1:]
+
+
+def _gcd(a, b, p):
+    """Monic gcd over GF(p)."""
+    while b:
+        a, b = b, _rem(a, b, p)
+    return _monic(a, p) if a else a
+
+
+def _cofactors(a, b, p):
+    """(s, t) over GF(p) with s a + t b = 1, deg s < deg b and deg t < deg a, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)  # r0 is the nonzero constant gcd
+    return [x * inv % p for x in s0], [x * inv % p for x in t0]
+
+
+def _powmod(a, e, f, p):
+    """a^e mod f over GF(p), by repeated squaring."""
+    out = [1]
+    a = _rem(a, f, p)
+    while e:
+        if e & 1:
+            out = _rem(_mul(out, a, p), f, p)
+        e >>= 1
+        if e:
+            a = _rem(_mul(a, a, p), f, p)
+    return out
+
+
+def _gf_squarefree(f, p):
+    """[(g, k)] with f = prod g^k over GF(p), the g monic, squarefree and coprime; f monic.
+
+    Repeated gcds with the derivative peel off the factors by multiplicity.
+    A factor whose multiplicity p divides is invisible to the derivative, so
+    it stays in c, which ends as an exact p-th power r(x)^p = r(x^p): its
+    p-th root r reads every p-th coefficient, because a^p = a on GF(p).
+    """
+    out = []
+    c = _gcd(f, _reduce(_deriv(f), p), p)
+    w = _divmod(f, c, p)[0]
+    k = 1
+    while len(w) > 1:
+        y = _gcd(w, c, p)
+        z = _divmod(w, y, p)[0]
+        if len(z) > 1:
+            out.append((z, k))
+        w, c, k = y, _divmod(c, y, p)[0], k + 1
+    if len(c) > 1:
+        out += [(g, j * p) for g, j in _gf_squarefree(c[::p], p)]
+    return out
+
+
+def _gf_distinct_degree(f, p):
+    """[(g, d)] for a squarefree monic f: g is the product of f's irreducible factors of degree d.
+
+    gcd(f, x^(p^d) - x) collects the irreducible factors whose degree divides d;
+    those of smaller degree are already divided out.
+    """
+    out = []
+    h = [0, 1]  # x^(p^d) mod f
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd(f, _sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod(f, g, p)[0]
+            h = _rem(h, f, p)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _gf_equal_degree(f, d, p, rng):
+    """The monic irreducible factors of f, a squarefree product of irreducibles of degree d.
+
+    Cantor-Zassenhaus: for a random a, each residue field GF(p^d) of f sends
+    a^((p^d - 1)/2) to 1 or -1 when p is odd, and the trace
+    a + a^2 + ... + a^(2^(d - 1)) to 0 or 1 when p = 2, so the gcd of f with
+    that value minus one (or with the trace) is a proper factor about half the
+    time.
+    """
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        g = _gcd(f, a, p)
+        if len(g) == 1:
+            if p == 2:
+                b = t = a
+                for _ in range(d - 1):
+                    t = _rem(_mul(t, t, 2), f, 2)
+                    b = _add(b, t, 2)
+            else:
+                b = _sub(_powmod(a, (p**d - 1) // 2, f, p), [1], p)
+            g = _gcd(f, b, p)
+        if 1 < len(g) < len(f):
+            return _gf_equal_degree(g, d, p, rng) + _gf_equal_degree(_divmod(f, g, p)[0], d, p, rng)
+
+
+def _gf_irreducible_factors(f, p):
+    """The monic irreducible factors of a squarefree monic f over GF(p)."""
+    rng = random.Random(0)  # a fixed local seed: the splits found change only the run time
+    return [u for g, d in _gf_distinct_degree(f, p) for u in _gf_equal_degree(g, d, p, rng)]
+
+
+def _primitive(a):
+    """a over its content, with a positive leading coefficient."""
+    if not a:
+        return a
+    c = math.gcd(*a) * (1 if a[-1] > 0 else -1)
+    return [x // c for x in a]
+
+
+def _z_divide(a, b):
+    """a / b over Z, or None when b does not divide a there."""
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c, rest = divmod(r[k + db], b[-1])
+        if rest:
+            return None
+        q[k] = c
+        for i in range(db + 1):
+            r[k + i] -= c * b[i]
+    return q if not any(r) else None
+
+
+def _z_gcd(a, b):
+    """The primitive gcd over Z, with a positive leading coefficient, by pseudo-remainders."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):  # r <- lc(b) r - lc(r) x^k b drops deg r
+            k, c = len(r) - len(b), r[-1]
+            r = [x * b[-1] for x in r]
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+            _trim(r)
+        a, b = b, _primitive(r)
+    return a
+
+
+def _z_squarefree(f):
+    """[(g, k)] with f = prod g^k over Z, the g primitive, squarefree and coprime (Yun).
+
+    f is primitive with a positive leading coefficient. Every division is
+    exact: a primitive divisor over Q divides over Z (Gauss's lemma).
+    """
+    out = []
+    a = _z_gcd(f, _deriv(f))
+    b, c = _z_divide(f, a), _z_divide(_deriv(f), a)
+    k = 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(c, _deriv(b), fillvalue=0)])
+        a = _z_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, k))
+        b, c, k = _z_divide(b, a), _z_divide(d, a), k + 1
+    return out
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """f = g h and s g + t h = 1 mod m, h monic, lifted to mod m^2.
+
+    von zur Gathen and Gerhard, Modern Computer Algebra, Algorithm 15.10.
+    """
+    m2 = m * m
+    e = _sub(_reduce(f, m2), _mul(g, h, m2), m2)
+    c, r = _divmod(_mul(s, e, m2), h, m2)
+    g = _add(g, _add(_mul(t, e, m2), _mul(c, g, m2), m2), m2)
+    h = _add(h, r, m2)
+    b = _sub(_add(_mul(s, g, m2), _mul(t, h, m2), m2), [1], m2)
+    c, d = _divmod(_mul(s, b, m2), h, m2)
+    return g, h, _sub(s, d, m2), _sub(t, _add(_mul(t, b, m2), _mul(c, g, m2), m2), m2)
+
+
+def _hensel_lift(f, mods, p, q):
+    """Monic lifts mod q = p^(2^j) of the monic factors mods of f = lc(f) prod mods mod p."""
+    if len(mods) == 1:
+        return [_monic(_reduce(f, q), q)]
+    k = len(mods) // 2
+    g, h = [f[-1] % p], [1]
+    for u in mods[:k]:
+        g = _mul(g, u, p)
+    for u in mods[k:]:
+        h = _mul(h, u, p)
+    s, t = _cofactors(g, h, p)
+    m = p
+    while m < q:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return _hensel_lift(g, mods[:k], p, q) + _hensel_lift(h, mods[k:], p, q)
+
+
+def _z_irreducible_factors(f):
+    """The irreducible factors over Z of a primitive squarefree f with a positive leading coefficient.
+
+    Zassenhaus: factor f mod a prime p dividing neither lc(f) nor the
+    discriminant (f stays squarefree mod p), lift the factors mod q = p^(2^j)
+    past 2 lc(f) B, then try products of s = 1, 2, ... lifted factors times
+    lc(f) by exact division over Z. For an irreducible factor g of f,
+    lc(f)/lc(g) g has coefficients of size at most B = 2^n ||f||_2 (Mignotte),
+    so it is the symmetric residue of lc(f) times its lifted factors. A factor
+    found divides f exactly, and when no product of at most half the lifted
+    factors divides what is left, what is left has no proper factor: f's
+    irreducibility is proven, never guessed.
+    """
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    p = 2
+    while True:
+        p += 1
+        if _is_prime(p) and f[-1] % p:
+            fp = _monic(_reduce(f, p), p)
+            if len(_gcd(fp, _reduce(_deriv(fp), p), p)) == 1:
+                break
+    mods = _gf_irreducible_factors(fp, p)
+    if len(mods) == 1:
+        return [f]
+    bound = 2 * f[-1] * 2**n * (math.isqrt(sum(x * x for x in f)) + 1)
+    q = p
+    while q <= bound:
+        q *= q
+    lifted = _hensel_lift(f, mods, p, q)
+    out = []
+    s = 1
+    while 2 * s <= len(lifted):
+        for subset in combinations(range(len(lifted)), s):
+            g = [f[-1]]
+            for i in subset:
+                g = _mul(g, lifted[i], q)
+            g = _primitive([x - q if 2 * x > q else x for x in g])
+            quotient = _z_divide(f, g)
+            if quotient is not None:
+                out.append(g)
+                f = quotient
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            s += 1
+    return out + [f]
 
 
 def factor_poly(field, coeffs):
-    """Irreducible factorization [(factor, multiplicity)], factors monic."""
+    """Irreducible factorization [(factor, multiplicity)], factors monic.
+
+    Over GF(p): squarefree decomposition with the p-th-root step, then
+    distinct-degree and Cantor-Zassenhaus equal-degree splitting. Over Q: clear
+    denominators, take the squarefree decomposition over Z (Yun), and factor
+    each part by Zassenhaus with Hensel lifting. Both find every monic
+    irreducible factor and its multiplicity; that factorization is unique, and
+    the list is sorted by (degree, coefficient strings), so the output does not
+    depend on the algorithm or on its random splits.
+    """
     coeffs = poly_trim(field, list(coeffs))
     if poly_deg(coeffs) < 1:
         return []
     if isinstance(field, GFField):
-        poly = sympy.Poly([int(c) for c in reversed(coeffs)], _t, modulus=field.p, symmetric=False)
-        _, factors = poly.factor_list()
-        out = []
-        for f, mult in factors:
-            fc = [int(c) % field.p for c in reversed(f.all_coeffs())]
-            out.append((poly_monic(field, fc), int(mult)))
+        p = field.p
+        out = [(u, k) for g, k in _gf_squarefree(_monic([int(c) % p for c in coeffs], p), p)
+               for u in _gf_irreducible_factors(g, p)]
     else:
-        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], _t, domain="QQ")
-        _, factors = poly.factor_list()
-        out = []
-        for f, mult in factors:
-            fc = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
-            out.append((poly_monic(field, fc), int(mult)))
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        f = _primitive([int(c * den) for c in coeffs])
+        out = [([Fraction(x, g[-1]) for x in g], k) for a, k in _z_squarefree(f)
+               for g in _z_irreducible_factors(a)]
     out.sort(key=lambda fm: (poly_deg(fm[0]), [str(c) for c in fm[0]]))
     return out
 

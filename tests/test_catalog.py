@@ -15,7 +15,7 @@ from jorder.errors import (
     FingerprintMismatch,
     UnknownEntry,
 )
-from jorder.fields import GF
+from jorder.fields import GF, QQ
 from jorder.witnesses import verify_j_geq
 
 
@@ -180,6 +180,13 @@ class TestUris:
     def test_field_in_query(self):
         alg = catalog.resolve("catalog:trunc_poly?k=2&field=Q")
         assert alg.field.char == 0
+
+    def test_field_in_query_and_argument_must_agree(self):
+        assert catalog.resolve("catalog:A_n?n=2&field=GF(3)", field="GF(3)").field == GF(3)
+        assert catalog.resolve("catalog:A_n?n=2&field=Q", field=QQ).field == QQ
+        for field in ("GF(5)", GF(5), QQ):
+            with pytest.raises(BadParams, match=r"GF\(3\).*(GF\(5\)|Q)"):
+                catalog.resolve("catalog:A_n?n=2&field=GF(3)", field=field)
 
     def test_nested_skew_uri(self):
         sk = catalog.resolve("catalog:skew?of=lambda_rot&n=2&k=2")

@@ -288,6 +288,7 @@ def test_malformed_relation_exits_4(capsys, tmp_path, text):
         (["witness-search", "catalog:trunc_poly?k=2", "catalog:kronecker", "--max-dim", "-1"], None, "InvalidInput"),
         (["algebra-info", "catalog:A_n?n=2&n=3"], None, "BadParams"),
         (["algebra-info", "catalog:A_n?n=2&field=GF(3)&field=GF(5)"], None, "BadParams"),
+        (["algebra-info", "catalog:A_n?n=2&field=GF(3)", "--field", "GF(5)"], None, "BadParams"),
     ],
 )
 def test_unusable_input_exits_4(capsys, tmp_path, argv, text, error):

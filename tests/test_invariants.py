@@ -5,6 +5,9 @@ AssertionError explicitly instead; this test keeps it that way.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jorder
@@ -373,3 +376,25 @@ def test_the_table_is_read_in_two_shapes():
                 found.append(f"{path.name}:{line}: {fn}")
     assert found == []
     assert used == _ONE_ELEMENT_READERS  # no stale entries
+
+
+def test_no_library_module_imports_sympy():
+    """The library factors polynomials itself; sympy is a test oracle only."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "sympy"]
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_sympy():
+    code = "import sys, jorder.cli, jorder.catalog, jorder.witnesses, jorder.serialize; print('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,12 @@
-"""Polynomial kernels checked against sympy as an independent oracle."""
+"""Polynomial kernels checked against sympy as an independent oracle.
 
+sympy is a test dependency only: the library factors on its own, and these
+tests compare every factorization with sympy's.
+"""
+
+import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -148,3 +154,200 @@ def test_poly_eval_matrix_horner_matches_naive(seed):
         naive = field.add(naive, field.smul(c, power))
         power = field.matmul(power, m)
     assert field.eq(P.poly_eval_matrix(field, coeffs, m), field.canon(naive))
+
+
+_t = sympy.Symbol("t")
+
+
+def _sympy_factors(field, coeffs):
+    """sympy's factorization of coeffs, in factor_poly's monic form and order."""
+    if field == QQ:
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], _t, domain="QQ")
+        to_scalar = lambda c: Fraction(int(c.p), int(c.q))  # noqa: E731
+    else:
+        poly = sympy.Poly([int(c) for c in reversed(coeffs)], _t, modulus=field.p, symmetric=False)
+        to_scalar = lambda c: int(c) % field.p  # noqa: E731
+    out = [
+        (P.poly_monic(field, [to_scalar(c) for c in reversed(f.all_coeffs())]), int(mult))
+        for f, mult in poly.factor_list()[1]
+    ]
+    return sorted(out, key=lambda fm: (P.poly_deg(fm[0]), [str(c) for c in fm[0]]))
+
+
+def _product(field, *factors):
+    out = [field.one]
+    for f in factors:
+        out = P.poly_mul(field, out, [field.scalar(c) for c in f])
+    return out
+
+
+def _power(field, f, k):
+    return _product(field, *([f] * k))
+
+
+def _assert_matches_sympy(field, f):
+    got = P.factor_poly(field, f)
+    assert got == _sympy_factors(field, f)
+    assert all(type(c) is (Fraction if field == QQ else int) for g, _ in got for c in g)
+
+
+PRIMES = [2, 3, 101, 1048573]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("seed", range(12))
+def test_factor_random_polynomials_mod_p(p, seed):
+    field = GF(p)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((p, seed, 19))))
+    degree = 1 + seed % 8
+    f = [int(x) for x in gen.integers(0, p, size=degree)] + [int(gen.integers(1, p))]
+    _assert_matches_sympy(field, f)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("seed", range(8))
+def test_factor_products_with_repeated_factors_mod_p(p, seed):
+    field = GF(p)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((p, seed, 23))))
+    pieces = []
+    for _ in range(int(gen.integers(2, 4))):
+        piece = [int(x) for x in gen.integers(0, p, size=int(gen.integers(1, 4)))] + [1]
+        pieces += [piece] * int(gen.integers(1, 4))
+    _assert_matches_sympy(field, _product(field, *pieces))
+
+
+@pytest.mark.parametrize(
+    "p, pieces",
+    [
+        (2, [([1, 1], 2)]),  # x^2 + 1: derivative zero
+        (2, [([1, 1, 1], 2), ([1, 1], 3)]),
+        (2, [([1, 1, 0, 1], 4), ([0, 1], 1)]),  # multiplicity p^2
+        (2, [([1, 1, 1], 6), ([1, 0, 1, 1], 2), ([1, 1], 5)]),
+        (3, [([1, 0, 1], 3), ([2, 1], 4)]),
+        (3, [([1, 2, 0, 1], 3)]),  # (x^3 + 2x + 1)^3 = x^9 + 2x^3 + 1
+        (3, [([1, 1], 9), ([2, 1], 3), ([0, 1], 1)]),
+        (3, [([2, 0, 1], 6)]),  # multiplicity 2 p
+        (101, [([5, 1], 101)]),  # (x + 5)^101
+        (101, [([1, 0, 1], 101), ([3, 1], 2)]),
+    ],
+)
+def test_factor_pth_powers_in_characteristic_p(p, pieces):
+    field = GF(p)
+    f = _product(field, *[_power(field, g, k) for g, k in pieces])
+    _assert_matches_sympy(field, f)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_x4_plus_1_splits_mod_every_prime(p):
+    field = GF(p)
+    got = P.factor_poly(field, [1, 0, 0, 0, 1])
+    assert got == _sympy_factors(field, [1, 0, 0, 0, 1])
+    assert len(got) > 1 or got[0][1] > 1
+
+
+def test_gf2_equal_degree_splitting_uses_the_trace():
+    """Over GF(2) the (p - 1)/2 power is 0; a product of distinct
+    irreducibles of one degree still splits completely."""
+    field = GF(2)
+    cubics = [[1, 1, 0, 1], [1, 0, 1, 1]]  # both irreducible cubics
+    quartics = [[1, 1, 0, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 1, 1]]  # all irreducible quartics
+    for pieces in (cubics, quartics, cubics + quartics):
+        f = _product(field, *pieces)
+        assert P.factor_poly(field, f) == _sympy_factors(field, f)
+        assert len(P.factor_poly(field, f)) == len(pieces)
+
+
+def _q(coeffs):
+    return [Fraction(c) for c in coeffs]
+
+
+def _cyclotomic(n):
+    return [Fraction(int(c)) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(n, _t), _t).all_coeffs())]
+
+
+def test_x4_plus_1_is_irreducible_over_q():
+    assert P.factor_poly(QQ, _q([1, 0, 0, 0, 1])) == [(_q([1, 0, 0, 0, 1]), 1)]
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [-10, 0, 1],  # x^2 - 10: irreducible, split mod many primes
+        [1, 0, -10, 0, 1],  # Swinnerton-Dyer S_2: four modular factors or two, never one
+        [576, 0, -960, 0, 352, 0, -40, 0, 1],  # Swinnerton-Dyer S_3, irreducible of degree 8
+        [2, 0, 0, 0, 0, 0, 0, 0, 3],
+        [0, 0, 1],
+        [0, 0, 0, 5, 0, 7],
+        [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],  # x^12 - 1
+    ],
+)
+def test_factor_special_polynomials_over_q(coeffs):
+    _assert_matches_sympy(QQ, _q(coeffs))
+
+
+@pytest.mark.parametrize("orders", [(1, 2, 3, 4, 6, 12), (5, 10), (8, 3, 3), (7, 9), (15, 1, 1), (12, 12, 5)])
+def test_factor_products_of_cyclotomics_over_q(orders):
+    f = _product(QQ, *[_cyclotomic(n) for n in orders])
+    _assert_matches_sympy(QQ, f)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_factor_large_coefficients_over_q(seed):
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 29))))
+    size = 10 ** int(gen.integers(3, 13))
+    pieces = [
+        [int(x) for x in gen.integers(-size, size, size=int(gen.integers(1, 4)))] + [int(gen.integers(1, 40))]
+        for _ in range(int(gen.integers(2, 4)))
+    ]
+    _assert_matches_sympy(QQ, _product(QQ, *pieces))
+
+
+@pytest.mark.parametrize("size", [10**3, 10**6, 10**9, 10**15, 10**30])
+@pytest.mark.parametrize("small", [[1, 1], [1, 0, 1], [1, 1, 0, 1], [-2, 0, 0, 5]])
+def test_factor_large_factor_beside_small_ones_over_q(size, small):
+    """A factor with coefficients near the size of the whole product: the
+    lifting must reach past the bound, or its residue is not the factor."""
+    for big in ([size + 7, 1], [-(size - 3), 0, 3], [size, size + 1, 2]):
+        _assert_matches_sympy(QQ, _product(QQ, big, small, [5, 1]))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_factor_random_polynomials_over_q(seed):
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 31))))
+    degree = 1 + seed % 8
+    num = gen.integers(-30, 31, size=degree + 1)
+    den = gen.integers(1, 12, size=degree + 1)
+    f = [Fraction(int(a), int(b)) for a, b in zip(num, den)]
+    f[-1] = f[-1] or Fraction(1)
+    _assert_matches_sympy(QQ, f)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_factor_rational_products_with_repeated_factors(seed):
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 37))))
+    pieces = []
+    for _ in range(int(gen.integers(2, 4))):
+        piece = [Fraction(int(gen.integers(-9, 10)), int(gen.integers(1, 6))) for _ in range(int(gen.integers(1, 4)))]
+        pieces += [piece + [Fraction(int(gen.integers(1, 5)), int(gen.integers(1, 5)))]] * int(gen.integers(1, 4))
+    _assert_matches_sympy(QQ, _product(QQ, *pieces))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)])
+def test_factor_every_small_polynomial(field):
+    """Every monic polynomial of degree 1-4 over a small field, against sympy."""
+    p = field.p
+    for degree in range(1, 5 if p < 5 else 4):
+        for low in product(range(p), repeat=degree):
+            _assert_matches_sympy(field, list(low) + [1])
+
+
+def test_factor_is_deterministic_and_draws_from_no_shared_stream():
+    """The equal-degree splits come from a fixed local seed: no global
+    random state is read or advanced, so the search's streams are untouched."""
+    field = GF(101)
+    f = _product(field, [1, 0, 1], [3, 0, 1], [7, 0, 1], [2, 1, 1])
+    py_state, np_state = random.getstate(), np.random.get_state()[1].copy()
+    first = P.factor_poly(field, f)
+    assert all(P.factor_poly(field, f) == first for _ in range(3))
+    assert random.getstate() == py_state
+    assert (np.random.get_state()[1] == np_state).all()
