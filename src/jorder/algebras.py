@@ -101,6 +101,8 @@ class Algebra:
         self._projectives = None
         self._simples = None
         self._projective_leaves = None
+        # witnesses._enveloping_algebra fills this with (B^op, both families, A (x) B^op)
+        self._envelope = None
         self._check = check
         if check:
             self._check_unit()

@@ -77,6 +77,7 @@ from .modules import (
     left_regular_module,
     projective_indecomposables,
     regular_bimodule,
+    same_piece_dims,
     submodule,
 )
 from .polynomials import (
@@ -327,8 +328,13 @@ def _leaf_pair(leaf, n):
 
 
 def summand_isomorphism(leaf, n):
-    """Isomorphism from a certified summand to a module n (dim n x dim leaf), or None."""
-    if leaf.module.dim != n.dim:
+    """Isomorphism from a certified summand to a module n (dim n x dim leaf), or None.
+
+    Unequal dimensions, or unequal piece dimensions under the idempotent
+    grading hom_space takes (modules.same_piece_dims), answer None before
+    any Hom solve.
+    """
+    if leaf.module.dim != n.dim or not same_piece_dims(leaf.module, n):
         return None
     pair = _leaf_pair(leaf, n)
     return None if pair is None else pair[0]

@@ -58,6 +58,19 @@ the projective cover of M is the sum of dim(e_k.top M) copies of P_k = A e_k
 over the distinct simples S_k, so is_projective compares that sum of
 dimensions with dim M and builds no cover (Assem, Simson and Skowronski,
 Elements of the Representation Theory of Associative Algebras, section I.5).
+
+A module holds its own solver structure the same way, each slot filled on
+first read. _generator_stack holds the action matrices of an algebra's
+generators on one side, keyed by the identity of the generator list they were
+taken against; hom_space takes n's stack against m's algebra, whose list may
+differ from n's own. _graded holds the pieces e.M.f of the grading by two
+idempotent families, keyed by the identity of both family lists, which are
+the acting algebras' installed families. submodule and _assert_stable read
+the stacks through _all_generator_actions, and summand_isomorphism compares
+piece dimensions off the held pieces before any Hom solve. A held value is
+the exact array the builder would return again: no module's action matrices
+change after they are set, and an algebra replaces its generator or family
+list rather than editing it, so a changed list misses the key and rebuilds.
 """
 
 from __future__ import annotations
@@ -89,6 +102,9 @@ class Module:
         ref = self.left_mats if self.left_mats is not None else self.right_mats
         self.dim = ref.shape[1]
         self.label = label
+        # _generator_stack and _graded fill these
+        self._generator_stacks = [None, None]
+        self._graded_pieces = None
         if self.left_mats is not None and (
             self.left_mats.shape != (left_algebra.dim, self.dim, self.dim)
         ):
@@ -116,7 +132,7 @@ class Module:
             a, mats = self.left_algebra, self.left_mats
             if not field.eq(self.left_action(a.unit), eye):
                 raise ValueError("left action of the unit is not the identity")
-            for g, lg in zip(a.generators, _generator_actions(mats, a)):
+            for g, lg in zip(a.generators, _generator_stack(self, 0, a)):
                 products = linalg.stack_product(field, lg, mats)
                 if not field.eq(field.tensordot(a.left_mult_matrix(g), mats, axes=(0, 0)), products):
                     raise ValueError("left action is not multiplicative")
@@ -124,12 +140,12 @@ class Module:
             b, mats = self.right_algebra, self.right_mats
             if not field.eq(self.right_action(b.unit), eye):
                 raise ValueError("right action of the unit is not the identity")
-            for g, rg in zip(b.generators, _generator_actions(mats, b)):
+            for g, rg in zip(b.generators, _generator_stack(self, 1, b)):
                 if not field.eq(field.tensordot(b.left_mult_matrix(g), mats, axes=(0, 0)), field.matmul(mats, rg)):
                     raise ValueError("right action is not anti-multiplicative")
         if self.left_mats is not None and self.right_mats is not None:
-            rights = _generator_actions(self.right_mats, self.right_algebra)
-            for lg in _generator_actions(self.left_mats, self.left_algebra):
+            rights = _generator_stack(self, 1, self.right_algebra)
+            for lg in _generator_stack(self, 0, self.left_algebra):
                 if not intertwines(field, lg, rights, rights):
                     raise ValueError("left and right actions do not commute")
 
@@ -180,6 +196,24 @@ def is_split(x, y, section, retraction):
 def _generator_actions(mats, algebra):
     """The action matrices of the algebra's generators, stacked."""
     return algebra.field.tensordot(np.array(algebra.generators), mats, axes=(1, 0))
+
+
+def _sides(m):
+    """(action matrices, algebra) for the left side, then the right; None where m has no such action."""
+    return (m.left_mats, m.left_algebra), (m.right_mats, m.right_algebra)
+
+
+def _generator_stack(m, side, algebra):
+    """_generator_actions of algebra's generators on side 0 (left) or 1 (right) of m, held on m.
+
+    Keyed by the identity of algebra.generators, which need not be the list
+    of m's own algebra on that side (see hom_space).
+    """
+    gens = algebra.generators
+    held = m._generator_stacks[side]
+    if held is None or held[0] is not gens:
+        held = m._generator_stacks[side] = (gens, _generator_actions((m.left_mats, m.right_mats)[side], algebra))
+    return held[1]
 
 
 def _same_algebra(a, b):
@@ -272,9 +306,7 @@ def direct_sum(mods):
 def _all_generator_actions(m):
     """The generators' action matrices on every side m carries, stacked."""
     return np.concatenate([
-        _generator_actions(mats, alg)
-        for mats, alg in ((m.left_mats, m.left_algebra), (m.right_mats, m.right_algebra))
-        if mats is not None
+        _generator_stack(m, side, alg) for side, (mats, alg) in enumerate(_sides(m)) if mats is not None
     ])
 
 
@@ -338,7 +370,7 @@ def _radical_actions(m):
     """The actions of the radical basis rows on every side m carries, stacked."""
     return np.concatenate([
         m.field.tensordot(alg.radical_rows(), mats, axes=([1], [0]))
-        for mats, alg in ((m.left_mats, m.left_algebra), (m.right_mats, m.right_algebra))
+        for mats, alg in _sides(m)
         if mats is not None
     ])
 
@@ -377,13 +409,21 @@ def socle_rows(m):
 # ---- hom spaces ---------------------------------------------------------------
 
 
-def _other_generators(algebra, family):
-    """The algebra's generators that are not members of the family."""
-    if not family:
-        return algebra.generators
+def _other_generators(algebra):
+    """Mask of the algebra's generators that are not members of its installed idempotent family."""
     gens = np.array(algebra.generators)
-    member = (gens[:, None, :] == np.array(family)[None, :, :]).all(axis=2).any(axis=1)
-    return [g for g, skip in zip(algebra.generators, member) if not skip]
+    if not algebra.idempotents:
+        return np.ones(len(gens), dtype=bool)
+    return ~(gens[:, None, :] == np.array(algebra.idempotents)[None, :, :]).all(axis=2).any(axis=1)
+
+
+def _families(m):
+    """The families hom_space grades m by: each acting algebra's installed family, if it has
+    two or more members, else None (a one-member family is {1}, which splits nothing)."""
+    return tuple(
+        alg.idempotents if mats is not None and len(alg.idempotents or []) > 1 else None
+        for mats, alg in _sides(m)
+    )
 
 
 def _pieces(m, left_family, right_family):
@@ -408,6 +448,26 @@ def _pieces(m, left_family, right_family):
     return pieces
 
 
+def _graded(m, left_family, right_family):
+    """_pieces(m, left_family, right_family), held on m and keyed by the identity of both lists (or None)."""
+    held = m._graded_pieces
+    if held is None or held[0] is not left_family or held[1] is not right_family:
+        held = m._graded_pieces = (left_family, right_family, _pieces(m, left_family or [], right_family or []))
+    return held[2]
+
+
+def same_piece_dims(m, n):
+    """Whether e.M.f and e.N.f have equal dimensions on every piece of m's grading in hom_space.
+
+    An isomorphism commutes with every L(e) R(f), so it maps each piece of M
+    onto the same piece of N: equal piece dimensions are necessary. Read off
+    the held pieces, which hom_space(m, n) reads too.
+    """
+    _check_compatible(m, n)
+    families = _families(m)
+    return [b.shape[1] for b, _ in _graded(m, *families)] == [b.shape[1] for b, _ in _graded(n, *families)]
+
+
 def hom_space(m, n):
     """Canonical basis of module maps M -> N (matrices dN x dM).
 
@@ -419,11 +479,13 @@ def hom_space(m, n):
     L(e) and R(f) for the members of the acting algebras' complete
     orthogonal idempotent families, so it lies in the direct sum over
     pieces of Hom_k(e.M.f, e.N.f), spanned by the maps B_N X C_M. n's
-    algebras have the same tables as m's (_compatible), so m's families
-    serve for both. On that space a generator in a family already holds
-    (L(e) is the sum of the piece projections L(e) R(f)); a one-member
-    family is {1}, which holds on every map and splits nothing, so without
-    a family of two or more members the one piece is all of Hom_k(M, N).
+    algebras have the same tables as m's (_compatible), so m's families and
+    generators serve for both, and both modules' pieces and generator stacks
+    are read held, keyed by m's lists; n's own lists may differ. On that
+    space a generator in a family already holds (L(e) is the sum of the
+    piece projections L(e) R(f)); a one-member family is {1}, which holds
+    on every map and splits nothing, so without a family of two or more
+    members the one piece is all of Hom_k(M, N).
     Only the other generators are imposed, each on all basis maps F at
     once through the residual F am - an F: it is the Kronecker constraint
     (I (x) am^T - an (x) I) applied to vec_r(F), without building it. The
@@ -435,20 +497,14 @@ def hom_space(m, n):
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
-    left_family = (m.left_algebra.idempotents or []) if m.left_mats is not None else []
-    right_family = (m.right_algebra.idempotents or []) if m.right_mats is not None else []
     constraints = []
-    if m.left_mats is not None:
-        for g in _other_generators(m.left_algebra, left_family):
-            constraints.append((m.left_action(g), n.left_action(g)))
-    if m.right_mats is not None:
-        for g in _other_generators(m.right_algebra, right_family):
-            constraints.append((m.right_action(g), n.right_action(g)))
-    # a one-member family is {1}: it splits nothing
-    left_family = left_family if len(left_family) > 1 else []
-    right_family = right_family if len(right_family) > 1 else []
-    pieces_m = _pieces(m, left_family, right_family)
-    pieces_n = pieces_m if n is m else _pieces(n, left_family, right_family)
+    for side, (mats, alg) in enumerate(_sides(m)):
+        if mats is not None:
+            keep = _other_generators(alg)
+            constraints += zip(_generator_stack(m, side, alg)[keep], _generator_stack(n, side, alg)[keep])
+    families = _families(m)
+    pieces_m = _graded(m, *families)
+    pieces_n = pieces_m if n is m else _graded(n, *families)
     # rows vec_r(F), row-major
     basis = np.concatenate([field.kron(bn.T, cm) for (_, cm), (bn, _) in zip(pieces_m, pieces_n)])
     for am, an in constraints:

@@ -103,19 +103,35 @@ class JCertificate:
 # ---- bimodules as one-sided modules over tensor algebras ---------------------
 
 
+def _enveloping_algebra(a, bop):
+    """A (x) B^op, held on a with what it was built from.
+
+    Kept while bop is the same object and both factors keep the family lists
+    it was built with, so its held projectives, simples and radical are
+    reused; installing another family on either factor replaces the list and
+    rebuilds it. Tables, units, generators and radicals never change once set.
+    """
+    held = a._envelope
+    if held is None or held[0] is not bop or held[1] is not a.idempotents or held[2] is not bop.idempotents:
+        held = a._envelope = (bop, a.idempotents, bop.idempotents, tensor_algebra(a, bop))
+    return held[3]
+
+
 def bimodule_as_env_module(m, seed=0):
     """An (A, B)-bimodule as a left module over A (x) B^op.
 
     Returns (env, module). x (x) y acts as L(x) R(y), one batched product in
     the basis order of tensor_algebra. The factors' primitive families are
     installed first, so the enveloping algebra inherits one from them instead
-    of decomposing its own regular module for its projectives.
+    of decomposing its own regular module for its projectives. env is the
+    one held on A (_enveloping_algebra): every bimodule over the same pair of
+    algebras gets the same object, with its projectives and simples.
     """
     a, b = m.left_algebra, m.right_algebra
     complete_primitive_idempotents(a, seed)
     bop = b.opposite()
     complete_primitive_idempotents(bop, seed + 1)
-    env = tensor_algebra(a, bop)
+    env = _enveloping_algebra(a, bop)
     mats = m.field.matmul(m.left_mats, m.right_mats).transpose(0, 2, 1, 3).reshape(env.dim, m.dim, m.dim)
     return env, Module(env, None, mats, None, f"{m.label} over {env.label}", check=False)
 
@@ -367,8 +383,8 @@ def witness_search(a, b, seed=0, budget=20, max_dim=None):
     """
     complete_primitive_idempotents(a, seed)
     complete_primitive_idempotents(b, seed + 1)
-    env_ab = tensor_algebra(a, b.opposite())
-    env_ba = tensor_algebra(b, a.opposite())
+    env_ab = _enveloping_algebra(a, b.opposite())
+    env_ba = _enveloping_algebra(b, a.opposite())
     rng = np.random.default_rng(seed)
     for _ in range(budget):
         m_env = random_left_module(env_ab, rng, copies_cap=1)
@@ -408,7 +424,9 @@ def generators_check(w, cert):
 
     P(M) taken in a-mod-b must contain every indecomposable projective left
     a-module, and P(N) taken in b-mod-a every indecomposable projective
-    right a-module.
+    right a-module. The covers are taken over the enveloping algebras held
+    on a and b, so a second check over the same algebras builds no envelope,
+    projective or simple again; the leaves are held on a and a^op.
     """
     if cert is None or cert.section is None:
         raise ValueError("generators_check needs a verified certificate")

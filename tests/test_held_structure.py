@@ -1,4 +1,9 @@
-"""Per-algebra structure held on the algebra: the primitive family, projectives, simples and projective leaves.
+"""Structure held on an algebra or a module instead of being rebuilt.
+
+On the algebra: the primitive family, projectives, simples, projective
+leaves and the enveloping algebra A (x) B^op of witnesses._enveloping_algebra.
+On the module: its generator action stacks and its graded pieces, read by
+hom_space and by the dimension pre-filter of summand_isomorphism.
 
 projective_indecomposables, simple_modules and projective_leaves build once
 per algebra and hold the result, and projective_indecomposables installs the
@@ -12,21 +17,33 @@ algebras, over GF(2), GF(3), GF(101) and Q.
 import numpy as np
 import pytest
 
-from jorder import catalog, decomp, modules
+from jorder import catalog, decomp, linalg, modules, witnesses
 from jorder.algebras import Algebra, linear_quiver_algebra, tensor_algebra
-from jorder.decomp import complete_primitive_idempotents, projective_leaves
+from jorder.decomp import (
+    are_isomorphic,
+    complete_primitive_idempotents,
+    decompose,
+    projective_leaves,
+    summand_isomorphism,
+)
 from jorder.errors import NonSplitResidueField
 from jorder.fields import GF, QQ
 from jorder.groups import invariant_subalgebra, skew_group_algebra
 from jorder.modules import (
+    Module,
+    direct_sum,
+    dual_module,
     is_projective,
     left_regular_module,
     projective_cover,
     projective_indecomposables,
     random_left_module,
+    regular_bimodule,
     simple_modules,
 )
-from jorder.witnesses import faithful_projinj_check, generators_check, verify_j_geq
+from jorder.witnesses import bimodule_as_env_module, faithful_projinj_check, generators_check, verify_j_geq
+
+FIELDS = [GF(2), GF(3), GF(101), QQ]
 
 
 def cover_is_projective(m):
@@ -221,3 +238,305 @@ def test_non_split_residue_field_is_raised_on_every_call():
         with pytest.raises(NonSplitResidueField):
             is_projective(reg)
         assert [s.dim for s, _ in simple_modules(quartic)] == [2]
+
+
+# ---- structure held on a module ------------------------------------------------
+
+
+def same_array(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and bool((x == y).all())
+
+
+def same_pieces(got, want):
+    return len(got) == len(want) and all(
+        same_array(b, bw) and same_array(c, cw) for (b, c), (bw, cw) in zip(got, want)
+    )
+
+
+def conjugated(m, gen):
+    """m on the same space in a seeded random basis."""
+    f = m.field
+    t = f.canon(f.rand_mat(gen, m.dim, m.dim))
+    while linalg.rank(f, t) != m.dim:
+        t = f.canon(f.rand_mat(gen, m.dim, m.dim))
+    ti = linalg.invert(f, t)
+
+    def conj(mats):
+        return None if mats is None else f.canon(np.stack([f.matmul(t, f.matmul(x, ti)) for x in mats]))
+
+    return Module(m.left_algebra, m.right_algebra, conj(m.left_mats), conj(m.right_mats), f"{m.label}^t", check=False)
+
+
+def decomposition_inputs(field):
+    """A left module over A_3 with a repeated class, one over the Kronecker algebra, and two
+    copies of the regular bimodule of the dual numbers, with the acting algebras' families installed."""
+    a3 = linear_quiver_algebra(field, 3)
+    kron = catalog.build("kronecker", field=field.name)
+    dual = catalog.build("trunc_poly", field=field.name, k=2)
+    for alg in (a3, kron, dual):
+        complete_primitive_idempotents(alg)
+    p = [q for q, _, _ in projective_indecomposables(a3)]
+    k = [q for q, _, _ in projective_indecomposables(kron)]
+    return [
+        direct_sum([p[0], p[1], p[1]])[0],
+        direct_sum([k[0], k[1]])[0],
+        direct_sum([regular_bimodule(dual)] * 2)[0],
+    ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_held_pieces_and_stacks_equal_fresh_builds(field, monkeypatch):
+    """At every node of a decomposition, the held generator stacks and graded
+    pieces are the arrays the builders return again, keyed by the lists they
+    were taken against."""
+    nodes = []
+
+    class Recording(decomp.EndView):
+        def __init__(self, m, homs):
+            nodes.append(m)
+            super().__init__(m, homs)
+
+    monkeypatch.setattr(decomp, "EndView", Recording)
+    gen = np.random.default_rng(3)
+    for m in decomposition_inputs(field):
+        nodes.clear()
+        decompose(m if field == QQ else conjugated(m, gen), seed=1)
+        assert len(nodes) > 1
+        for mod in nodes:
+            for side, (mats, alg) in enumerate(modules._sides(mod)):
+                if mats is None:
+                    assert mod._generator_stacks[side] is None
+                    continue
+                fresh = modules._generator_actions(mats, alg)
+                held = mod._generator_stacks[side]
+                if held is not None:
+                    assert held[0] is alg.generators and same_array(held[1], fresh)
+                assert same_array(modules._generator_stack(mod, side, alg), fresh)
+                assert mod._generator_stacks[side][0] is alg.generators
+            families = modules._families(mod)
+            fresh = modules._pieces(mod, families[0] or [], families[1] or [])
+            held = mod._graded_pieces
+            if held is not None:
+                assert held[0] is families[0] and held[1] is families[1]
+                assert same_pieces(held[2], fresh)
+            assert same_pieces(modules._graded(mod, *families), fresh)
+            assert modules._graded(mod, *families) is mod._graded_pieces[2]
+
+
+def test_a_changed_list_misses_the_key():
+    a = linear_quiver_algebra(GF(5), 3)
+    complete_primitive_idempotents(a)
+    m = direct_sum([p for p, _, _ in projective_indecomposables(a)])[0]
+    stack = modules._generator_stack(m, 0, a)
+    pieces = modules._graded(m, *modules._families(m))
+    assert modules._generator_stack(m, 0, a) is stack
+    assert modules._graded(m, *modules._families(m)) is pieces
+    a.generators = list(a.generators)
+    a.idempotents = list(a.idempotents)
+    assert modules._generator_stack(m, 0, a) is not stack
+    assert same_array(modules._generator_stack(m, 0, a), stack)
+    assert modules._graded(m, *modules._families(m)) is not pieces
+    assert same_pieces(modules._graded(m, *modules._families(m)), pieces)
+
+
+def test_hom_space_takes_the_stack_of_n_against_the_generators_of_m():
+    """n's algebra has m's table but other generators: the constraint stack
+    of n is taken against m's generator list, and the answer is the one over
+    m's algebra."""
+    a = catalog.build("kronecker", field="GF(3)")
+    arrows = a.field.add(a.generators[2], a.generators[3])
+    twin = Algebra(a.field, a.table, a.unit, generators=[arrows, *a.generators], idempotents=a.idempotents)
+    m = direct_sum([p for p, _, _ in projective_indecomposables(a)])[0]
+    n = Module(twin, None, m.left_mats, None, "twin", check=True)
+    same = Module(a, None, m.left_mats, None, "same", check=False)
+    got = modules.hom_space(m, n)
+    want = modules.hom_space(m, same)
+    assert len(got) == len(want) == len(modules.hom_space(m, m))
+    assert all(same_array(g, w) for g, w in zip(got, want))
+    assert n._generator_stacks[0][0] is a.generators
+
+
+def test_pieces_are_built_once_per_module(monkeypatch):
+    """Across decompose and are_isomorphic, no module object builds its pieces twice."""
+    built = []
+    pieces = modules._pieces
+
+    def counted(m, *families):
+        built.append(m)
+        return pieces(m, *families)
+
+    monkeypatch.setattr(modules, "_pieces", counted)
+    gen = np.random.default_rng(5)
+    for m in decomposition_inputs(GF(101)):
+        built.clear()
+        decompose(m, seed=0)
+        assert are_isomorphic(m, conjugated(m, gen), seed=0)
+        assert built
+        assert len({id(x) for x in built}) == len(built)
+
+
+# ---- the dimension pre-filter of summand_isomorphism -----------------------------
+
+
+def unfiltered_summand_isomorphism(leaf, n):
+    """summand_isomorphism without the piece-dimension filter: the leaf test alone."""
+    if leaf.module.dim != n.dim:
+        return None
+    pair = decomp._leaf_pair(leaf, n)
+    return None if pair is None else pair[0]
+
+
+def injectives(a):
+    """The indecomposable injective left modules D(e A), duals of the right projectives."""
+    return [
+        dual_module(Module(None, a, None, p.left_mats, f"{p.label} as right", check=False))
+        for p, _, _ in projective_indecomposables(a.opposite())
+    ]
+
+
+def kronecker_rep(a, x, y, label):
+    """The Kronecker representation k^c --x, y--> k^r as a left module (e_1, e_2, a, b act)."""
+    f = a.field
+    x, y = f.canon(np.atleast_2d(x)), f.canon(np.atleast_2d(y))
+    r, c = x.shape
+    d = r + c
+
+    def block(mat):
+        out = f.zeros((d, d))
+        out[c:, :c] = mat
+        return out
+
+    e1, e2 = f.zeros((d, d)), f.zeros((d, d))
+    e1[:c, :c], e2[c:, c:] = f.eye(c), f.eye(r)
+    return Module(a, None, np.stack([e1, e2, block(x), block(y)]), None, label, check=True)
+
+
+def kronecker_modules(field, gen):
+    """Preprojectives (n, n+1), preinjectives (n+1, n) and regular modules (1, 1) and (2, 2)."""
+    a = catalog.build("kronecker", field=field.name)
+    complete_primitive_idempotents(a)
+    f, mods = field, []
+    for n in (1, 2):
+        eye, zero = f.eye(n), f.zeros((1, n))
+        mods.append(kronecker_rep(a, np.concatenate([eye, zero]), np.concatenate([zero, eye]), f"P({n},{n + 1})"))
+        mods.append(kronecker_rep(a, np.concatenate([eye, zero.T], axis=1), np.concatenate([zero.T, eye], axis=1), f"I({n + 1},{n})"))
+    for lam in f.canon(np.array([0, 1, 2, 5])):
+        mods.append(kronecker_rep(a, [[1]], [[lam]], f"R({lam})"))
+        mods.append(kronecker_rep(a, [[lam]], [[1]], f"R'({lam})"))
+    jordan = f.canon(np.array([[2, 1], [0, 2]]))
+    mods.append(kronecker_rep(a, f.eye(2), jordan, "R2(2)"))
+    mods.append(kronecker_rep(a, f.eye(2), f.canon(np.array([[2, 0], [0, 2]])), "R(2)+R(2)"))
+    return mods
+
+
+def a3_modules(field, gen):
+    a = linear_quiver_algebra(field, 3)
+    complete_primitive_idempotents(a)
+    mods = [p for p, _, _ in projective_indecomposables(a)] + injectives(a)
+    mods += [s for s, _ in simple_modules(a)] + [random_left_module(a, gen) for _ in range(4)]
+    return mods
+
+
+def bimodule_modules(field, gen):
+    a = linear_quiver_algebra(field, 3)
+    complete_primitive_idempotents(a)
+    complete_primitive_idempotents(a.opposite())
+    reg = regular_bimodule(a)
+    return [reg, dual_module(reg)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_piece_filter_matches_the_unfiltered_leaf_test(field, monkeypatch):
+    """summand_isomorphism with the pre-filter equals the bare leaf test on every
+    pair of a leaf and a module of its dimension, bit for bit, and solves no
+    Hom on the pairs the filter rejects. The inputs cover both sides of the
+    filter: pairs it rejects (A_3 projectives against injectives, Kronecker
+    preprojectives against preinjectives) and non-isomorphic pairs it passes
+    (Kronecker regular modules)."""
+    solved = []
+    hom_space = decomp.hom_space
+    monkeypatch.setattr(decomp, "hom_space", lambda m, n: solved.append(m) or hom_space(m, n))
+    gen = np.random.default_rng(17)
+    tally = {"filtered": 0, "passed_not_iso": 0, "iso": 0}
+    for build in (a3_modules, kronecker_modules, bimodule_modules):
+        mods = [m for m in build(field, gen) if m.dim]
+        leaves = [z for m in mods for z in decompose(m, seed=2).summands]
+        for leaf in leaves:
+            for n in mods + [z.module for z in leaves]:
+                if n.dim != leaf.module.dim or n is leaf.module:
+                    continue
+                want = unfiltered_summand_isomorphism(leaf, n)
+                solved.clear()
+                got = summand_isomorphism(leaf, n)
+                assert (got is None) == (want is None), (leaf.module.label, n.label)
+                if got is not None:
+                    tally["iso"] += 1
+                    assert same_array(got, want)
+                elif not modules.same_piece_dims(leaf.module, n):
+                    tally["filtered"] += 1
+                    assert solved == []
+                else:
+                    tally["passed_not_iso"] += 1
+    assert all(tally.values()), tally
+
+
+# ---- the enveloping algebra held on A ------------------------------------------------
+
+
+def same_algebra_entries(x, y):
+    return (
+        same_array(x.table, y.table)
+        and same_array(x.unit, y.unit)
+        and len(x.idempotents) == len(y.idempotents)
+        and all(same_array(e, f) for e, f in zip(x.idempotents, y.idempotents))
+        and x.idempotents_primitive == y.idempotents_primitive
+        and len(x.generators) == len(y.generators)
+        and all(same_array(g, h) for g, h in zip(x.generators, y.generators))
+        and same_array(x.radical_rows(), y.radical_rows())
+        and x.labels == y.labels
+        and x.label == y.label
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_held_envelope_equals_a_fresh_tensor_algebra(field):
+    w = catalog.build("kronecker_witness", field=field.name)
+    for m, (a, b) in ((w.m, (w.a, w.b)), (w.n, (w.b, w.a))):
+        env, _ = bimodule_as_env_module(m, seed=w.seed)
+        assert env is a._envelope[3]
+        assert same_algebra_entries(env, tensor_algebra(a, b.opposite()))
+        assert bimodule_as_env_module(m, seed=w.seed + 7)[0] is env
+
+
+def test_reinstalling_a_family_rebuilds_the_envelope():
+    a3 = linear_quiver_algebra(GF(5), 3)
+    dual = catalog.build("trunc_poly", field="GF(5)", k=2)
+    a = Algebra(a3.field, a3.table, a3.unit, idempotents=[a3.unit])  # complete, not primitive
+    bop = dual.opposite()
+    env = witnesses._enveloping_algebra(a, bop)
+    assert witnesses._enveloping_algebra(a, bop) is env and not env.idempotents_primitive
+    complete_primitive_idempotents(a)
+    env_a = witnesses._enveloping_algebra(a, bop)
+    assert env_a is not env and len(env_a.idempotents) == 3
+    assert same_algebra_entries(env_a, tensor_algebra(a, bop))
+    bop.idempotents = [bop.field.copy(e) for e in bop.idempotents]
+    env_b = witnesses._enveloping_algebra(a, bop)
+    assert env_b is not env_a and same_algebra_entries(env_b, env_a)
+    other = Algebra(dual.field, dual.table, dual.unit, idempotents=dual.idempotents, check=False).opposite()
+    assert witnesses._enveloping_algebra(a, other) is not env_b
+    assert witnesses._enveloping_algebra(a, bop) is not env_b  # one slot: the last pair is held
+
+
+def test_two_generators_checks_build_each_envelope_once(monkeypatch):
+    w = catalog.build("kronecker_witness", field="GF(101)")
+    cert = verify_j_geq(w, quality=False)
+    built = []
+    tensor = witnesses.tensor_algebra
+
+    def counted(x, y, label=None):
+        built.append((x, y))
+        return tensor(x, y, label)
+
+    monkeypatch.setattr(witnesses, "tensor_algebra", counted)
+    assert generators_check(w, cert) and generators_check(w, cert)
+    assert built == [(w.a, w.b.opposite()), (w.b, w.a.opposite())]

@@ -398,3 +398,63 @@ def test_importing_the_cli_loads_no_sympy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# builder -> the one held reader that may call it
+_HELD_READERS = {"_pieces": "_graded", "_generator_actions": "_generator_stack"}
+
+
+def test_module_structure_is_read_through_the_held_readers():
+    """A module's graded pieces and generator stacks are built only by their
+    held readers in modules.py; hom_space reads both held and takes no
+    action of a single element, and the subquotient code reads the stacks
+    through _all_generator_actions."""
+    found, used = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, line in _calls_by_function(tree, tuple(_HELD_READERS)):
+            if path.name == "modules.py" and fn in _HELD_READERS.values():
+                used.add(fn)
+            else:
+                found.append(f"{path.name}:{line}: {fn}")
+    assert found == []
+    assert used == set(_HELD_READERS.values())
+    tree = ast.parse((SRC / "modules.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    hom = functions["hom_space"]
+    assert _calls(hom, ("_graded",)) and _calls(hom, ("_generator_stack",))
+    assert _calls(hom, ("left_action", "right_action")) == []
+    for name in ("submodule", "_assert_stable"):
+        assert _calls(functions[name], ("_all_generator_actions",)), name
+    assert _calls(functions["_all_generator_actions"], ("_generator_stack",))
+
+
+def test_witnesses_build_an_enveloping_algebra_in_one_place():
+    """witnesses.py builds A (x) B^op only in _enveloping_algebra, which holds
+    it on A; its one other tensor_algebra caller, transport_tensor, builds
+    A (x) C and B (x) C."""
+    tree = ast.parse((SRC / "witnesses.py").read_text())
+    callers = sorted({fn for fn, _ in _calls_by_function(tree, ("tensor_algebra",))})
+    assert callers == ["_enveloping_algebra", "transport_tensor"]
+    # _enveloping_algebra takes B^op from its caller, so no call spells it out
+    assert [call.lineno for call in _calls(tree, ("tensor_algebra",)) if _calls(call, ("opposite",))] == []
+    users = sorted({fn for fn, _ in _calls_by_function(tree, ("_enveloping_algebra",))})
+    assert users == ["bimodule_as_env_module", "witness_search"]
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    ]
+    assert "enveloping_algebra" not in imported
+
+
+def test_held_structure_differential_tests_pass_under_python_O():
+    """The held-structure keys are if tests, not asserts: the differential
+    tests pass with assert statements compiled away in the library."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    cmd = [
+        sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        str(tests / "test_held_structure.py"), "-k", "fresh_builds or unfiltered or hom_space_takes",
+    ]
+    out = subprocess.run(cmd, env=env, cwd=tests, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout[-2000:]
+    assert "9 passed" in out.stdout, out.stdout[-2000:]
