@@ -401,7 +401,9 @@ def _validate_params(entry, params):
         raise BadParams(f"{entry.id}: missing parameters {missing}")
     for name, value in params.items():
         lo, hi = want[name]
-        if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise BadParams(f"{entry.id}: parameter {name}={value!r} is not an integer")
+        if not lo <= value <= hi:
             raise BadParams(f"{entry.id}: parameter {name}={value!r} outside [{lo}, {hi}]")
 
 

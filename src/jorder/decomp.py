@@ -462,12 +462,15 @@ def split_maps(dx, dy):
 def are_isomorphic(m, n, seed=0):
     """Module isomorphism through matched Krull-Schmidt decompositions.
 
-    An indecomposable m is compared by the leaf test alone, without
-    decomposing n: with equal dimensions, m divides n exactly when the two
-    are isomorphic.
+    Unequal dimensions, or unequal piece dimensions under the idempotent
+    grading hom_space takes (modules.same_piece_dims), answer False before
+    either module is decomposed: an isomorphism maps each piece onto the
+    same piece. An indecomposable m is compared by the leaf test alone,
+    without decomposing n: with equal dimensions, m divides n exactly when
+    the two are isomorphic.
     """
     _check_compatible(m, n)
-    if m.dim != n.dim:
+    if m.dim != n.dim or not same_piece_dims(m, n):
         return False
     dm = decompose(m, seed=seed)
     if len(dm.summands) == 1:

@@ -30,13 +30,17 @@ field.tensordot(phi, mats, axes=([0], [0])): row i of phi^T picks the action
 of phi(x_i). Tensoring with a second action is field.kron of the two stacks,
 in the basis order of algebras.tensor_algebra.
 
-Hom spaces are solved blocked by idempotents, as in the quiver-representation
-view: a module map commutes with the complete orthogonal idempotent families
-of the acting algebras, so Hom(M, N) lies in the sum over pieces of
-Hom_k(e.M.f, e.N.f), which is all of Hom_k(M, N) when no family splits M.
-hom_space parametrises that block space directly and imposes only the
-remaining generators, each through the residual F a - a F over all basis
-maps at once.
+Hom spaces are solved in piece coordinates, as a quiver-representation system
+(Assem, Simson and Skowronski, Elements, section III.1): a map at each
+vertex, commuting with the arrows. A module map commutes with the complete
+orthogonal idempotent families of the acting algebras, so Hom(M, N) lies in
+the sum over pieces of Hom_k(e.M.f, e.N.f), which is all of Hom_k(M, N) when
+no family splits M. In the basis of the pieces a map is block diagonal, and
+each remaining generator X, read as C X B, gives linear rows on the block
+entries, written by index assignment. A homogeneous generator (an arrow)
+only links the blocks it connects, so most of its rows are zero and are
+dropped. One nullspace over all the rows solves the system, with no
+Kronecker matrix and no residual products.
 
 Tensor products go through the same solver. By the tensor-Hom adjunction
 D(M (x)_B N) = Hom_B(N, DM) (Anderson-Fuller, Rings and Categories of
@@ -65,12 +69,16 @@ generators on one side, keyed by the identity of the generator list they were
 taken against; hom_space takes n's stack against m's algebra, whose list may
 differ from n's own. _graded holds the pieces e.M.f of the grading by two
 idempotent families, keyed by the identity of both family lists, which are
-the acting algebras' installed families. submodule and _assert_stable read
-the stacks through _all_generator_actions, and summand_isomorphism compares
-piece dimensions off the held pieces before any Hom solve. A held value is
-the exact array the builder would return again: no module's action matrices
-change after they are set, and an algebra replaces its generator or family
-list rather than editing it, so a changed list misses the key and rebuilds.
+the acting algebras' installed families, and with them their frame (_frame):
+the bases side by side, B, and the coordinate rows stacked, C = B^-1.
+_piece_actions holds C X B for the generators X outside the family, keyed by
+the identity of the generator list, the family list and the frame.
+submodule and _assert_stable read the stacks through _all_generator_actions,
+and summand_isomorphism and are_isomorphic compare piece dimensions off the
+held frame before any Hom solve or decomposition. A held value is the exact
+array the builder would return again: no module's action matrices change
+after they are set, and an algebra replaces its generator or family list
+rather than editing it, so a changed list misses the key and rebuilds.
 """
 
 from __future__ import annotations
@@ -102,9 +110,10 @@ class Module:
         ref = self.left_mats if self.left_mats is not None else self.right_mats
         self.dim = ref.shape[1]
         self.label = label
-        # _generator_stack and _graded fill these
+        # _generator_stack, _graded and _piece_actions fill these
         self._generator_stacks = [None, None]
         self._graded_pieces = None
+        self._piece_stacks = [None, None]
         if self.left_mats is not None and (
             self.left_mats.shape != (left_algebra.dim, self.dim, self.dim)
         ):
@@ -449,11 +458,43 @@ def _pieces(m, left_family, right_family):
 
 
 def _graded(m, left_family, right_family):
-    """_pieces(m, left_family, right_family), held on m and keyed by the identity of both lists (or None)."""
+    """_pieces(m, left_family, right_family), held on m and keyed by the identity of both lists (or None).
+
+    The frame that _frame reads is held with them.
+    """
     held = m._graded_pieces
     if held is None or held[0] is not left_family or held[1] is not right_family:
-        held = m._graded_pieces = (left_family, right_family, _pieces(m, left_family or [], right_family or []))
+        pieces = _pieces(m, left_family or [], right_family or [])
+        frame = (
+            np.concatenate([b for b, _ in pieces], axis=1),
+            np.concatenate([c for _, c in pieces]),
+            tuple(b.shape[1] for b, _ in pieces),
+        )
+        held = m._graded_pieces = (left_family, right_family, pieces, frame)
     return held[2]
+
+
+def _frame(m, left_family, right_family):
+    """(B, C, dims) for the held pieces of m: their bases side by side, their coordinate
+    rows stacked and their dimensions. The pieces sum to M, so B is square and C B = 1."""
+    _graded(m, left_family, right_family)
+    return m._graded_pieces[3]
+
+
+def _piece_actions(m, side, algebra, frame):
+    """C X B for the generators X of algebra outside its family, acting on side 0 (left) or 1
+    (right) of m: their matrices in the basis of m's pieces, held on m.
+
+    Keyed by the identity of algebra's generator and family lists and of the
+    frame, which _frame holds under the identity of the two grading families.
+    """
+    key = (algebra.generators, algebra.idempotents, frame)
+    held = m._piece_stacks[side]
+    if held is None or any(x is not y for x, y in zip(held[0], key)):
+        basis, coords, _ = frame
+        stack = _generator_stack(m, side, algebra)[_other_generators(algebra)]
+        held = m._piece_stacks[side] = (key, linalg.stack_product(m.field, coords, m.field.matmul(stack, basis)))
+    return held[1]
 
 
 def same_piece_dims(m, n):
@@ -461,11 +502,32 @@ def same_piece_dims(m, n):
 
     An isomorphism commutes with every L(e) R(f), so it maps each piece of M
     onto the same piece of N: equal piece dimensions are necessary. Read off
-    the held pieces, which hom_space(m, n) reads too.
+    the held frames, which hom_space(m, n) reads too.
     """
     _check_compatible(m, n)
     families = _families(m)
-    return [b.shape[1] for b, _ in _graded(m, *families)] == [b.shape[1] for b, _ in _graded(n, *families)]
+    return _frame(m, *families)[2] == _frame(n, *families)[2]
+
+
+# hom_space replaces its stacked rows by their row basis, at most one row per
+# unknown, once they outnumber the unknowns this many times: a dense module with
+# many generators, such as a regular group algebra, then never stacks every
+# generator's rows. The row space, and so the answer, stays the same.
+_ROWS_PER_UNKNOWN = 4
+
+
+def _commutation_rows(field, xm, xn, rows, cols):
+    """The nonzero rows of G xm - xn G in the unknowns G[rows[u], cols[u]].
+
+    Row (i, j) has the coefficient delta_ia xm[b, j] - delta_bj xn[i, a] on
+    the unknown (a, b), written by index assignment.
+    """
+    unknowns = np.arange(rows.size)
+    k = field.zeros((xn.shape[0], xm.shape[0], rows.size))
+    k[rows, :, unknowns] = xm[cols]
+    k[:, cols, unknowns] = field.sub(k[:, cols, unknowns], xn[:, rows])
+    k = k.reshape(-1, rows.size)
+    return k[k.astype(bool).any(axis=1)]
 
 
 def hom_space(m, n):
@@ -475,47 +537,56 @@ def hom_space(m, n):
     Checking generators is enough: maps commuting with two elements
     commute with their product.
 
-    The solve starts from the block space. A module map commutes with
-    L(e) and R(f) for the members of the acting algebras' complete
-    orthogonal idempotent families, so it lies in the direct sum over
-    pieces of Hom_k(e.M.f, e.N.f), spanned by the maps B_N X C_M. n's
-    algebras have the same tables as m's (_compatible), so m's families and
-    generators serve for both, and both modules' pieces and generator stacks
-    are read held, keyed by m's lists; n's own lists may differ. On that
-    space a generator in a family already holds (L(e) is the sum of the
-    piece projections L(e) R(f)); a one-member family is {1}, which holds
-    on every map and splits nothing, so without a family of two or more
-    members the one piece is all of Hom_k(M, N).
-    Only the other generators are imposed, each on all basis maps F at
-    once through the residual F am - an F: it is the Kronecker constraint
-    (I (x) am^T - an (x) I) applied to vec_r(F), without building it. The
-    final row basis is canonical, so the result does not depend on the
-    order or the start basis.
+    The solve runs in piece coordinates. A module map commutes with L(e)
+    and R(f) for the members of the acting algebras' complete orthogonal
+    idempotent families, so it maps each piece e.M.f into e.N.f. With B the
+    pieces' bases side by side and C their coordinates (_frame, C B = 1), a
+    map is F = B_N G C_M with G block diagonal, block p a map from piece p
+    of M to piece p of N, and the entries (a, b) of the blocks are the
+    unknowns. n's algebras have the same tables as m's (_compatible), so m's
+    families and generators serve for both: both modules' frames and
+    generator matrices are read held, keyed by m's lists, and n's own lists
+    may differ. A generator in a family holds on every such F (L(e) is the
+    sum of the piece projections L(e) R(f)); a one-member family is {1},
+    which splits nothing, so without a family of two or more members the one
+    block is all of Hom_k(M, N).
+    Each other generator X enters once on each side as X~ = C X B
+    (_piece_actions), and F X_M = X_N F becomes G X~_M = X~_N G, whose
+    nonzero rows _commutation_rows writes. The rows are stacked one
+    generator at a time, and a stack of more than _ROWS_PER_UNKNOWN rows per
+    unknown is cut to its row basis. One nullspace of the stack gives the
+    maps G. The final row basis of the maps B_N G C_M is canonical, so the
+    result does not depend on the coordinates or on the order of the rows.
     """
     _check_compatible(m, n)
     field = m.field
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
-    constraints = []
-    for side, (mats, alg) in enumerate(_sides(m)):
-        if mats is not None:
-            keep = _other_generators(alg)
-            constraints += zip(_generator_stack(m, side, alg)[keep], _generator_stack(n, side, alg)[keep])
     families = _families(m)
-    pieces_m = _graded(m, *families)
-    pieces_n = pieces_m if n is m else _graded(n, *families)
-    # rows vec_r(F), row-major
-    basis = np.concatenate([field.kron(bn.T, cm) for (_, cm), (bn, _) in zip(pieces_m, pieces_n)])
-    for am, an in constraints:
-        f = basis.reshape(basis.shape[0], dn, dm)
-        res = field.sub(field.matmul(f, am), field.matmul(an, f).transpose(1, 0, 2))
-        small = linalg.nullspace(field, res.reshape(basis.shape[0], dn * dm).T)
-        basis = field.matmul(small.T, basis)
-        if basis.shape[0] == 0:
-            return []
-    rows = linalg.row_basis(field, basis)
-    return [rows[k].reshape(dn, dm) for k in range(rows.shape[0])]
+    frame_m = _frame(m, *families)
+    frame_n = frame_m if n is m else _frame(n, *families)
+    # the unknowns: the entries of G whose row and column lie in one piece
+    piece_n, piece_m = (np.repeat(np.arange(len(dims)), dims) for dims in (frame_n[2], frame_m[2]))
+    rows, cols = np.nonzero(piece_n[:, None] == piece_m[None, :])
+    if not rows.size:
+        return []
+    system = field.zeros((0, rows.size))
+    for side, (mats, alg) in enumerate(_sides(m)):
+        if mats is None:
+            continue
+        for xm, xn in zip(_piece_actions(m, side, alg, frame_m), _piece_actions(n, side, alg, frame_n)):
+            system = np.concatenate([system, _commutation_rows(field, xm, xn, rows, cols)])
+            if system.shape[0] > _ROWS_PER_UNKNOWN * rows.size:
+                system = linalg.row_basis(field, system)
+    solutions = linalg.nullspace(field, system)
+    if not solutions.shape[1]:
+        return []
+    g = field.zeros((solutions.shape[1], dn, dm))
+    g[:, rows, cols] = solutions.T
+    maps = linalg.stack_product(field, frame_n[0], field.matmul(g, frame_m[1]))
+    basis = linalg.row_basis(field, maps.reshape(maps.shape[0], dn * dm))
+    return [basis[k].reshape(dn, dm) for k in range(basis.shape[0])]
 
 
 def _annihilator_rows(field, mats):

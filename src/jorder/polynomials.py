@@ -549,12 +549,28 @@ def crt_split_poly(field, f, factors):
     factors is factor_poly(field, f), which the caller has already taken.
     Writes f = F G with F one irreducible power and G the rest; when both are
     proper, returns e with e = 1 mod F, e = 0 mod G, so e(z) is a nontrivial
-    exact idempotent in k[z]/(f(z)).
+    exact idempotent in k[z]/(f(z)). Such an e of degree below deg f is
+    unique (the Chinese remainder theorem), so it does not depend on how the
+    cofactors are found: over GF(p) by the int-list helpers, over Q by the
+    poly_* helpers.
     """
-    f = poly_monic(field, f)
     if len(factors) < 2:
         return None
     f1, m1 = factors[0]
+    if isinstance(field, GFField):
+        p = field.p
+        f = _monic(_reduce([int(c) for c in f], p), p)
+        big_f = [1]
+        for _ in range(m1):
+            big_f = _mul(big_f, f1, p)
+        big_g, rem = _divmod(f, big_f, p)
+        if rem:
+            raise AssertionError("irreducible power does not divide f")
+        s, t = _cofactors(big_f, big_g, p)
+        if _add(_mul(s, big_f, p), _mul(t, big_g, p), p) != [1]:
+            raise AssertionError("block factors are not coprime")
+        return _mul(t, big_g, p)  # deg t < deg F, so deg t G < deg f
+    f = poly_monic(field, f)
     big_f = f1
     for _ in range(m1 - 1):
         big_f = poly_mul(field, big_f, f1)
@@ -564,5 +580,4 @@ def crt_split_poly(field, f, factors):
     g, u, v = poly_xgcd(field, big_f, big_g)
     if g != [field.one]:
         raise AssertionError("block factors are not coprime")
-    e = poly_mod(field, poly_mul(field, v, big_g), f)
-    return e
+    return poly_mod(field, poly_mul(field, v, big_g), f)

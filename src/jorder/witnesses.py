@@ -529,7 +529,8 @@ def lrproj_projectivity_check(a, b, m, seed=0):
 
     Returns (held, info). When m is not left-right projective the check is
     vacuous and info says so; otherwise every indecomposable summand of m
-    must be an outer product of one-sided projectives.
+    must be an outer product of one-sided projectives. Isomorphism is
+    transitive, so one representative per isomorphism class is tested.
     """
     prov = a.provenance
     if prov is None or prov.kind != "quiver" or not prov.data.get("acyclic"):
@@ -545,7 +546,8 @@ def lrproj_projectivity_check(a, b, m, seed=0):
     right_projs = [_op_left_as_right(p, b) for p, _, _ in projective_indecomposables(b.opposite())]
     candidates = [outer_tensor(p, q) for p, _, _ in projective_indecomposables(a) for q in right_projs]
     dec = decompose(m, seed=seed)
-    for z in dec.summands:
+    for cls in dec.classes:
+        z = dec.summands[cls[0]]
         if not any(c.dim == z.module.dim and are_isomorphic(c, z.module, seed=seed + 3) for c in candidates):
             return False, {"vacuous": False, "summands": len(dec.summands)}
     return True, {"vacuous": False, "summands": len(dec.summands)}

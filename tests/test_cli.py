@@ -300,3 +300,18 @@ def test_unusable_input_exits_4(capsys, tmp_path, argv, text, error):
     code, out = _run(capsys, *argv)
     assert code == 4
     assert out["error"]["type"] == error
+
+
+@pytest.mark.parametrize("value", ["x", "2.5", ""])
+def test_non_integer_catalog_parameter_is_named_as_such(capsys, value):
+    """A catalog parameter that does not parse as an integer is reported as not an integer, not as out of range."""
+    code, out = _run(capsys, "algebra-info", f"catalog:A_n?n={value}")
+    assert code == 4
+    assert out["error"]["type"] == "BadParams"
+    assert out["error"]["message"] == f"A_n: parameter n={value!r} is not an integer"
+
+
+def test_out_of_range_catalog_parameter_names_its_range(capsys):
+    code, out = _run(capsys, "algebra-info", "catalog:A_n?n=51")
+    assert code == 4
+    assert out["error"]["message"] == "A_n: parameter n=51 outside [1, 50]"

@@ -286,9 +286,9 @@ def decomposition_inputs(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_held_pieces_and_stacks_equal_fresh_builds(field, monkeypatch):
-    """At every node of a decomposition, the held generator stacks and graded
-    pieces are the arrays the builders return again, keyed by the lists they
-    were taken against."""
+    """At every node of a decomposition, the held generator stacks, graded
+    pieces, frames and generator matrices in piece coordinates are the arrays
+    the builders return again, keyed by the lists they were taken against."""
     nodes = []
 
     class Recording(decomp.EndView):
@@ -321,6 +321,17 @@ def test_held_pieces_and_stacks_equal_fresh_builds(field, monkeypatch):
                 assert same_pieces(held[2], fresh)
             assert same_pieces(modules._graded(mod, *families), fresh)
             assert modules._graded(mod, *families) is mod._graded_pieces[2]
+            basis, coords, dims = frame = modules._frame(mod, *families)
+            assert same_array(basis, np.concatenate([b for b, _ in fresh], axis=1))
+            assert same_array(coords, np.concatenate([c for _, c in fresh]))
+            assert dims == tuple(b.shape[1] for b, _ in fresh)
+            for side, (mats, alg) in enumerate(modules._sides(mod)):
+                held = mod._piece_stacks[side]
+                if mats is None or held is None:
+                    continue
+                assert held[0][0] is alg.generators and held[0][2] is frame
+                stack = modules._generator_actions(mats, alg)[modules._other_generators(alg)]
+                assert same_array(held[1], linalg.stack_product(field, coords, field.matmul(stack, basis)))
 
 
 def test_a_changed_list_misses_the_key():
@@ -477,6 +488,48 @@ def test_piece_filter_matches_the_unfiltered_leaf_test(field, monkeypatch):
                     assert solved == []
                 else:
                     tally["passed_not_iso"] += 1
+    assert all(tally.values()), tally
+
+
+def unfiltered_are_isomorphic(m, n, seed=0):
+    """are_isomorphic without the piece-dimension filter."""
+    if m.dim != n.dim:
+        return False
+    dm = decompose(m, seed=seed)
+    if len(dm.summands) == 1:
+        return summand_isomorphism(dm.summands[0], n) is not None
+    dn = decompose(n, seed=seed + 1)
+    if len(dm.summands) != len(dn.summands):
+        return False
+    return all(d is not None and len(dn.classes[d]) == len(cls) for cls, d, _ in decomp._match_classes(dm, dn))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_are_isomorphic_piece_filter_answers_as_without_it(field, monkeypatch):
+    """are_isomorphic with the piece filter answers as without it on every pair of equal
+    dimension, and decomposes neither module of a pair the filter rejects."""
+    calls = []
+    decompose_ = decomp.decompose
+    monkeypatch.setattr(decomp, "decompose", lambda x, seed=0: calls.append(x) or decompose_(x, seed=seed))
+    gen = np.random.default_rng(29)
+    tally = {"filtered": 0, "passed": 0, "iso": 0}
+    for build in (a3_modules, kronecker_modules):
+        mods = [m for m in build(field, gen) if m.dim]
+        sums = [direct_sum([x, y])[0] for x, y in zip(mods[::2], mods[1::2])]
+        for group in (mods, sums):
+            for m in group:
+                for n in group:
+                    if m.dim != n.dim:
+                        continue
+                    want = unfiltered_are_isomorphic(m, n, seed=4)
+                    calls.clear()
+                    got = are_isomorphic(m, n, seed=4)
+                    assert got == want, (m.label, n.label)
+                    if not modules.same_piece_dims(m, n):
+                        tally["filtered"] += 1
+                        assert calls == [] and not got
+                    else:
+                        tally["iso" if got else "passed"] += 1
     assert all(tally.values()), tally
 
 

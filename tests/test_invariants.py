@@ -406,9 +406,10 @@ _HELD_READERS = {"_pieces": "_graded", "_generator_actions": "_generator_stack"}
 
 def test_module_structure_is_read_through_the_held_readers():
     """A module's graded pieces and generator stacks are built only by their
-    held readers in modules.py; hom_space reads both held and takes no
-    action of a single element, and the subquotient code reads the stacks
-    through _all_generator_actions."""
+    held readers in modules.py; hom_space reads both held, through the frame
+    and the generator matrices in piece coordinates, and takes no action of a
+    single element and no Kronecker product, and the subquotient code reads
+    the stacks through _all_generator_actions."""
     found, used = [], set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -422,8 +423,10 @@ def test_module_structure_is_read_through_the_held_readers():
     tree = ast.parse((SRC / "modules.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     hom = functions["hom_space"]
-    assert _calls(hom, ("_graded",)) and _calls(hom, ("_generator_stack",))
-    assert _calls(hom, ("left_action", "right_action")) == []
+    assert _calls(hom, ("_frame",)) and _calls(hom, ("_piece_actions",))
+    assert _calls(functions["_frame"], ("_graded",))
+    assert _calls(functions["_piece_actions"], ("_generator_stack",))
+    assert _calls(hom, ("left_action", "right_action", "kron")) == []
     for name in ("submodule", "_assert_stable"):
         assert _calls(functions[name], ("_all_generator_actions",)), name
     assert _calls(functions["_all_generator_actions"], ("_generator_stack",))

@@ -10,10 +10,11 @@ import functools
 import numpy as np
 import pytest
 
-from jorder import catalog, linalg
+from jorder import catalog, linalg, modules
 from jorder.algebras import Algebra, linear_quiver_algebra
 from jorder.errors import NonSplitResidueField, NotAutomorphism
 from jorder.fields import GF, QQ
+from jorder.groups import FiniteGroup, group_algebra
 from jorder.modules import (
     _compatible,
     _quotient,
@@ -528,6 +529,128 @@ class TestBlockedHomAgainstKronecker:
                     assert np.array_equal(f, g)
                     assert [type(x) for x in f.flat] == [type(x) for x in g.flat]
         assert zero_homs
+
+
+# ---- the piece-coordinate Hom solver against the block-space one -----------------
+
+
+def block_space_hom_space(m, n):
+    """The block-space hom_space that the piece-coordinate solve replaced, kept as an oracle.
+
+    It spans the block space by the Kronecker maps B_N X C_M of every piece
+    and imposes each generator outside the families through the residual
+    F am - an F on all basis maps at once, one nullspace per generator.
+    """
+    if not _compatible(m, n):
+        raise ValueError("hom_space needs modules with identical sidedness and algebras")
+    field = m.field
+    dm, dn = m.dim, n.dim
+    if dm == 0 or dn == 0:
+        return []
+    constraints = []
+    for side, (mats, alg) in enumerate(modules._sides(m)):
+        if mats is not None:
+            keep = modules._other_generators(alg)
+            constraints += zip(modules._generator_stack(m, side, alg)[keep], modules._generator_stack(n, side, alg)[keep])
+    families = modules._families(m)
+    pieces_m = modules._graded(m, *families)
+    pieces_n = pieces_m if n is m else modules._graded(n, *families)
+    basis = np.concatenate([field.kron(bn.T, cm) for (_, cm), (bn, _) in zip(pieces_m, pieces_n)])
+    for am, an in constraints:
+        f = basis.reshape(basis.shape[0], dn, dm)
+        res = field.sub(field.matmul(f, am), field.matmul(an, f).transpose(1, 0, 2))
+        small = linalg.nullspace(field, res.reshape(basis.shape[0], dn * dm).T)
+        basis = field.matmul(small.T, basis)
+        if basis.shape[0] == 0:
+            return []
+    rows = linalg.row_basis(field, basis)
+    return [rows[k].reshape(dn, dm) for k in range(rows.shape[0])]
+
+
+@functools.lru_cache(maxsize=None)
+def group_algebras(field_name):
+    """k[C_3] with its primitive family installed, and k[C_3] with none: the group elements
+    generate, and none of them is homogeneous for the family. Over GF(3) the family is {1}."""
+    field = QQ if field_name == "Q" else GF(int(field_name[3:-1]))
+    graded = group_algebra(FiniteGroup.cyclic(3), field)
+    projective_indecomposables(graded)
+    return graded, group_algebra(FiniteGroup.cyclic(3), field)
+
+
+def twin(a):
+    """a's table, unit and family under a longer generator list: the sum of two generators first."""
+    return Algebra(a.field, a.table, a.unit, generators=[a.field.add(a.generators[-1], a.generators[-2]), *a.generators],
+                   idempotents=a.idempotents)
+
+
+def piece_hom_cases(field_name, seed):
+    """hom_cases plus group and skew group algebras (generators that are not homogeneous for
+    the family), a family-free group algebra and modules over a twin algebra."""
+    gen = np.random.Generator(np.random.PCG64((seed, 41)))
+    cases = hom_cases(field_name, seed)
+    graded, plain = group_algebras(field_name)
+    rand = random_left_module(graded, gen)
+    reg = left_regular_module(graded)
+    cases += [(reg, reg), (rand, rand), (conjugate(rand, gen), rand), (reg, conjugate(reg, gen))]
+    cases += [(p, conjugate(q, gen)) for p, _, _ in projective_indecomposables(graded) for q, _, _ in projective_indecomposables(graded)]
+    cases += [(conjugate(reg, gen, left_algebra=plain), conjugate(reg, gen, left_algebra=plain))]
+    # k[C_6] with no family: its 6 generators give more than 4 rows per unknown, so the stack is cut
+    reg6 = left_regular_module(group_algebra(FiniteGroup.cyclic(6), graded.field))
+    cases += [(conjugate(reg6, gen), reg6)]
+    rr = conjugate(right_regular_module(graded), gen)
+    bim = conjugate(regular_bimodule(graded), gen)
+    cases += [(rr, rr), (bim, bim), (bim, conjugate(regular_bimodule(graded), gen))]
+    if field_name != "GF(2)":  # the skew product needs 2 invertible
+        skew = catalog.build("skew", of="zigzag_c2", field=field_name)
+        projs = [p for p, _, _ in projective_indecomposables(skew)]
+        rand = conjugate(random_left_module(skew, gen), gen)
+        cases += [(p, q) for p in projs for q in projs] + [(rand, rand), (projs[0], rand), (rand, projs[-1])]
+    a3, zz = hom_algebras(field_name)[:2]
+    for a in (a3, zz, graded):
+        m = conjugate(random_left_module(a, gen), gen)
+        n = conjugate(m, gen, left_algebra=twin(a))
+        cases += [(m, n), (n, m), (n, n)]
+    return cases
+
+
+class TestPieceHomAgainstBlockSpace:
+    @pytest.mark.parametrize("field_name", ["GF(2)", "GF(3)", "GF(101)", "GF(1048573)", "Q"])
+    def test_same_basis_bit_for_bit(self, field_name):
+        zero_homs = nonzero_homs = same = 0
+        for seed in range(2):
+            for m, n in piece_hom_cases(field_name, seed):
+                got, want = hom_space(m, n), block_space_hom_space(m, n)
+                assert len(got) == len(want), (m, n)
+                zero_homs += not want
+                nonzero_homs += bool(want)
+                same += m is n
+                for f, g in zip(got, want):
+                    assert f.shape == g.shape == (n.dim, m.dim)
+                    assert f.dtype == g.dtype
+                    assert np.array_equal(f, g)
+                    assert [type(x) for x in f.flat] == [type(x) for x in g.flat]
+        assert zero_homs and nonzero_homs and same
+
+    def test_holds_frames_and_piece_actions_keyed_by_the_lists(self):
+        """The frame and the generator matrices in piece coordinates are built once per module
+        and list, equal fresh builds, and a replaced list rebuilds them."""
+        a = catalog.build("kronecker", field="GF(5)")
+        m = conjugate(direct_sum([p for p, _, _ in projective_indecomposables(a)])[0], np.random.default_rng(2))
+        hom_space(m, m)
+        families = modules._families(m)
+        frame = modules._frame(m, *families)
+        basis, coords, dims = frame
+        assert dims == tuple(b.shape[1] for b, _ in modules._graded(m, *families))
+        assert np.array_equal(m.field.matmul(coords, basis), m.field.eye(m.dim))
+        actions = modules._piece_actions(m, 0, a, frame)
+        fresh = linalg.stack_product(
+            m.field, coords, m.field.matmul(modules._generator_actions(m.left_mats, a)[modules._other_generators(a)], basis))
+        assert np.array_equal(actions, fresh) and actions.shape[0] == 2  # the two arrows
+        hom_space(m, m)
+        assert modules._frame(m, *families) is frame and modules._piece_actions(m, 0, a, frame) is actions
+        a.generators = list(a.generators)
+        again = modules._piece_actions(m, 0, a, frame)
+        assert again is not actions and np.array_equal(again, actions)
 
 
 # ---- tensor, submodule and quotient against their Kronecker and loop versions ----

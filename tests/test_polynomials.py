@@ -351,3 +351,56 @@ def test_factor_is_deterministic_and_draws_from_no_shared_stream():
     assert all(P.factor_poly(field, f) == first for _ in range(3))
     assert random.getstate() == py_state
     assert (np.random.get_state()[1] == np_state).all()
+
+
+# ---- crt_split_poly on the int-list helpers ------------------------------------
+
+
+def poly_crt_split(field, f, factors):
+    """crt_split_poly on the poly_* helpers for every field, as it ran over GF(p) before the int-list port."""
+    f = P.poly_monic(field, f)
+    if len(factors) < 2:
+        return None
+    f1, m1 = factors[0]
+    big_f = f1
+    for _ in range(m1 - 1):
+        big_f = P.poly_mul(field, big_f, f1)
+    big_g, rem = P.poly_divmod(field, f, big_f)
+    assert not rem
+    g, _, v = P.poly_xgcd(field, big_f, big_g)
+    assert g == [field.one]
+    return P.poly_mod(field, P.poly_mul(field, v, big_g), f)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("seed", range(10))
+def test_crt_split_over_gf_p_matches_the_poly_helpers(p, seed):
+    """The int-list projector equals the poly_* one on products of repeated random factors,
+    scaled by a unit, and is an int list; over GF(p) the factors come from factor_poly."""
+    field = GF(p)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((p, seed, 29))))
+    pieces = []
+    for _ in range(int(gen.integers(1, 4))):
+        piece = [int(x) for x in gen.integers(0, p, size=int(gen.integers(1, 4)))] + [1]
+        pieces += [piece] * int(gen.integers(1, 4))
+    f = P.poly_scale(field, int(gen.integers(1, p)), _product(field, *pieces))
+    factors = P.factor_poly(field, f)
+    got, want = P.crt_split_poly(field, f, factors), poly_crt_split(field, f, factors)
+    assert got == want
+    if got is not None:
+        assert all(type(c) is int for c in got)
+        f1, m1 = factors[0]
+        monic = P.poly_monic(field, f)
+        # e = 1 mod F and e = 0 mod G
+        big_f = _power(field, f1, m1)
+        assert P.poly_mod(field, P.poly_sub(field, got, [field.one]), big_f) == []
+        assert P.poly_mod(field, got, P.poly_divmod(field, monic, big_f)[0]) == []
+
+
+def test_crt_split_over_q_keeps_the_poly_helpers():
+    f = _product(QQ, [Fraction(-1), Fraction(1)], [Fraction(1, 2), Fraction(1)], [Fraction(1, 2), Fraction(1)])
+    f = P.poly_scale(QQ, Fraction(3, 7), f)
+    factors = P.factor_poly(QQ, f)
+    got = P.crt_split_poly(QQ, f, factors)
+    assert got == poly_crt_split(QQ, f, factors)
+    assert got and all(type(c) is Fraction for c in got)

@@ -9,7 +9,7 @@ coordinates, and flags are derived by hand next to each assertion.
 import numpy as np
 import pytest
 
-from jorder import linalg
+from jorder import catalog, decomp, linalg, witnesses
 from jorder.algebras import algebra_from_quiver, linear_quiver_algebra, tensor_algebra
 from jorder.decomp import (
     are_isomorphic,
@@ -729,6 +729,74 @@ class TestLrprojProjectivity:
         q = _op_left_as_right(projective_indecomposables(a2op)[0][0], a2)
         with pytest.raises(HypothesisViolated):
             lrproj_projectivity_check(a3, a2, outer_tensor(p, q))
+
+
+def per_summand_lrproj_answer(a, b, m, seed=0):
+    """The answer of lrproj_projectivity_check on a left-right projective m, testing every
+    summand, not one per class."""
+    right_projs = [_op_left_as_right(p, b) for p, _, _ in witnesses.projective_indecomposables(b.opposite())]
+    candidates = [outer_tensor(p, q) for p, _, _ in witnesses.projective_indecomposables(a) for q in right_projs]
+    dec = decompose(m, seed=seed)
+    held = all(
+        any(c.dim == z.module.dim and are_isomorphic(c, z.module, seed=seed + 3) for c in candidates)
+        for z in dec.summands
+    )
+    return held, {"vacuous": False, "summands": len(dec.summands)}
+
+
+def lrproj_samples(field_name, seed):
+    """Conjugated sums of the P_i (x) k[x]/x^2 over the radical-square-zero A_3, whose P_1 and P_2
+    have one dimension and different pieces, and over the path algebra of 1 -> 2 -> 3."""
+    gen = np.random.default_rng(seed)
+    d = catalog.build("trunc_poly", field=field_name, k=2)
+    out = []
+    for a in (catalog.build("A_n", field=field_name, n=3), catalog.build("kA_n_mod_Rk", field=field_name, n=3, k=3)):
+        field = a.field
+        right = _op_left_as_right(projective_indecomposables(d.opposite())[0][0], d)
+        projs = [outer_tensor(p, right) for p, _, _ in projective_indecomposables(a)]
+        for mults in ((1, 1, 0), (2, 0, 1), (0, 2, 1), (1, 1, 1)):
+            big, _, _ = direct_sum([p for p, k in zip(projs, mults) for _ in range(k)])
+            t = linalg.random_invertible(field, gen, big.dim)
+            ti = linalg.invert(field, t)
+
+            def conj(mats):
+                return field.canon(np.stack([field.matmul(t, field.matmul(x, ti)) for x in mats]))
+
+            out.append((a, d, Module(a, d, conj(big.left_mats), conj(big.right_mats), f"lrproj{mults}", check=False)))
+    return out
+
+
+class TestLrprojPerClass:
+    @pytest.mark.parametrize("field_name", ["GF(3)", "GF(101)"])
+    def test_per_class_answer_equals_the_per_summand_one(self, field_name, monkeypatch):
+        """One representative per class gives the answer of every summand tested: True with all
+        candidates, and False or True with P_1 (x) k[x]/x^2 left out of the candidates."""
+        for k, (a, d, m) in enumerate(lrproj_samples(field_name, 5)):
+            got = lrproj_projectivity_check(a, d, m, seed=k)
+            assert got[0] and got == per_summand_lrproj_answer(a, d, m, seed=k)
+        held = witnesses.projective_indecomposables
+        monkeypatch.setattr(
+            witnesses, "projective_indecomposables", lambda x: held(x)[1:] if x.label.startswith("kA") else held(x))
+        answers = []
+        for k, (a, d, m) in enumerate(lrproj_samples(field_name, 6)):
+            got = lrproj_projectivity_check(a, d, m, seed=k)
+            assert got == per_summand_lrproj_answer(a, d, m, seed=k)
+            answers.append(got[0])
+        assert False in answers and True in answers
+
+    def test_decomposes_once_per_class(self, monkeypatch):
+        """On P_2^2 + P_3 (x) k[x]/x^2 over the radical-square-zero A_3 the check decomposes m and,
+        per class, the one matching candidate: P_1 (x) k[x]/x^2 has P_2's dimension but other
+        pieces, so are_isomorphic rejects it before decomposing it."""
+        (a, d, m), = [x for x in lrproj_samples("GF(101)", 7) if x[0].label == "kA3/R2" and x[2].label == "lrproj(0, 2, 1)"]
+        calls = []
+        decompose_ = decomp.decompose
+        monkeypatch.setattr(decomp, "decompose", lambda x, seed=0: calls.append(x) or decompose_(x, seed=seed))
+        monkeypatch.setattr(witnesses, "decompose", decomp.decompose)
+        held, info = lrproj_projectivity_check(a, d, m, seed=1)
+        assert held and info["summands"] == 3
+        assert len(decompose_(m, seed=1).classes) == 2
+        assert calls[0] is m and len(calls) == 3
 
 
 class TestTopBound:
