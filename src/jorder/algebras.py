@@ -527,11 +527,6 @@ def check_algebra_hom(source, target, phi):
     return phi
 
 
-def enveloping_algebra(a):
-    """A tensor A^op; bimodules over A are left modules over this."""
-    return tensor_algebra(a, a.opposite(), label=f"{a.label}-env")
-
-
 # ---- quiver presentation -> algebra -----------------------------------------
 
 

@@ -54,8 +54,21 @@ search reads only the products it needs: those of the basis elements that
 span E/J, and a few for the Newton lift. Products are exact and coordinates
 in a reduced echelon basis unique, so each equals the table entry it
 replaces. EndView.algebra builds the full Algebra on request.
+
+Nothing a decomposition has proved is proved again. A node's module is the
+image of an idempotent module map, a submodule by construction, so its
+canonical row basis is not spanned under the actions again
+(modules._submodule_on). A certified leaf's module keeps a weak reference to
+its Summand (Module._leaf), and decompose on that module, with any seed,
+answers with the one summand (module, 1, 1, certificate, End) while the leaf
+is alive, with no Hom solve: End is the corner basis, bit for bit
+hom_space(X, X) (above), and a local End's certificate is dim_one at
+dimension one and field_quotient otherwise. The reference is weak, so a
+module does not keep its parent's decomposition alive; once the leaf is
+gone, the next decompose solves again.
 """
 
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -71,6 +84,7 @@ from .algebras import (
 from .errors import Inconclusive
 from .modules import (
     _check_compatible,
+    _submodule_on,
     dual_module,
     hom_space,
     is_split,
@@ -78,7 +92,6 @@ from .modules import (
     projective_indecomposables,
     regular_bimodule,
     same_piece_dims,
-    submodule,
 )
 from .polynomials import (
     crt_split_poly,
@@ -284,14 +297,16 @@ class Decomposition:
 
 
 def _split_by_endomorphism(mod, part):
-    """Submodule on the image of an idempotent endomorphism, with both maps."""
+    """Submodule on the image of an idempotent endomorphism, with both maps.
+
+    The image of a module map is a submodule, so its canonical row basis is
+    not spanned again; _submodule_on still raises if it is not stable.
+    """
     field = mod.field
-    rows = linalg.row_basis(field, field.canon(part.T))
-    sub, incl = submodule(mod, rows)
-    if sub.dim != rows.shape[0]:
-        raise AssertionError("idempotent image is not action stable")
-    coords = linalg.coords_in_row_basis(field, rows, field.canon(part.T))
-    proj = field.canon(coords.T)
+    image = field.canon(part.T)
+    rows = linalg.row_basis(field, image)
+    sub, incl = _submodule_on(mod, rows)
+    proj = field.canon(linalg.coords_in_row_basis(field, rows, image).T)
     if not field.eq(field.matmul(proj, incl), field.eye(sub.dim)):
         raise AssertionError("projection does not retract the inclusion")
     return sub, incl, proj
@@ -361,11 +376,16 @@ def decompose(m, seed=0):
 
     Deterministic for a fixed seed: child splits draw their randomness from
     spawned SeedSequences. Raises Inconclusive when some piece can be neither
-    split nor certified indecomposable within the search budget.
+    split nor certified indecomposable within the search budget. A module
+    that is the module of a live certified leaf is answered by that leaf,
+    with no Hom solve (see the header).
     """
     field = m.field
     if m.dim == 0:
         return Decomposition(m, [], [])
+    held = m._leaf() if m._leaf is not None else None
+    if held is not None:
+        return Decomposition(m, [Summand(m, field.eye(m.dim), field.eye(m.dim), held.certificate, held._end)], [[0]])
     leaves = []
 
     def rec(mod, incl, proj, seed_seq, end):
@@ -374,6 +394,7 @@ def decompose(m, seed=0):
         e_vec, certificate = find_nontrivial_idempotent(e_view, gen)
         if e_vec is None:
             leaves.append(Summand(mod, incl, proj, certificate, end))
+            mod._leaf = weakref.ref(leaves[-1])
             return
         e_mat = field.tensordot(e_vec, e_view.stack, axes=([0], [0]))
         complement = field.canon(field.sub(field.eye(mod.dim), e_mat))

@@ -79,6 +79,8 @@ held frame before any Hom solve or decomposition. A held value is the exact
 array the builder would return again: no module's action matrices change
 after they are set, and an algebra replaces its generator or family list
 rather than editing it, so a changed list misses the key and rebuilds.
+_leaf is decomp's: a weak reference to the certified Summand a decomposition
+proved the module to be.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ class Module:
         self._generator_stacks = [None, None]
         self._graded_pieces = None
         self._piece_stacks = [None, None]
+        # a weak reference to the certified Summand decomp.decompose proved this module to be, if any
+        self._leaf = None
         if self.left_mats is not None and (
             self.left_mats.shape != (left_algebra.dim, self.dim, self.dim)
         ):
@@ -341,6 +345,16 @@ def submodule(m, rows, label=None):
         if new_basis.shape[0] == basis.shape[0]:
             break
         basis = new_basis
+    return _submodule_on(m, basis, label)
+
+
+def _submodule_on(m, basis, label=None):
+    """submodule for a row basis that is action-stable by construction, with no span loop.
+
+    The induced actions are coordinates read against the basis, so a basis
+    that is not stable raises AssertionError there.
+    """
+    field = m.field
     s = basis.shape[0]
 
     def induced(mats):

@@ -115,17 +115,6 @@ def poly_xgcd(field, a, b):
     return poly_scale(field, c, r0), poly_scale(field, c, u0), poly_scale(field, c, v0)
 
 
-def poly_eval_matrix(field, coeffs, m):
-    """coeffs(m) by Horner; m is a square matrix."""
-    n = m.shape[0]
-    out = field.zeros((n, n))
-    for c in reversed(poly_trim(field, list(coeffs))):
-        out = field.matmul(out, m)
-        if c != field.zero:
-            out = field.canon(field.add(out, field.smul(c, field.eye(n))))
-    return field.canon(out)
-
-
 def _hessenberg(field, m):
     """Similarity reduction to upper Hessenberg by exact eliminations."""
     h = field.copy(m)

@@ -530,7 +530,10 @@ def lrproj_projectivity_check(a, b, m, seed=0):
     Returns (held, info). When m is not left-right projective the check is
     vacuous and info says so; otherwise every indecomposable summand of m
     must be an outer product of one-sided projectives. Isomorphism is
-    transitive, so one representative per isomorphism class is tested.
+    transitive, so one representative per isomorphism class is tested. The
+    representative is the side are_isomorphic decomposes: it is a certified
+    leaf of m's decomposition, so that decompose solves no Hom, and no
+    candidate is decomposed.
     """
     prov = a.provenance
     if prov is None or prov.kind != "quiver" or not prov.data.get("acyclic"):
@@ -548,7 +551,7 @@ def lrproj_projectivity_check(a, b, m, seed=0):
     dec = decompose(m, seed=seed)
     for cls in dec.classes:
         z = dec.summands[cls[0]]
-        if not any(c.dim == z.module.dim and are_isomorphic(c, z.module, seed=seed + 3) for c in candidates):
+        if not any(c.dim == z.module.dim and are_isomorphic(z.module, c, seed=seed + 3) for c in candidates):
             return False, {"vacuous": False, "summands": len(dec.summands)}
     return True, {"vacuous": False, "summands": len(dec.summands)}
 

@@ -17,7 +17,6 @@ from jorder.algebras import (
     algebra_from_quiver,
     center,
     criterion_radical_rows,
-    enveloping_algebra,
     linear_quiver_algebra,
     matrix_algebra_radical,
     quotient_algebra,
@@ -429,7 +428,7 @@ class TestOppositeAndTensor:
 
     def test_tensor_with_opposite_enveloping(self):
         a = linear_quiver_algebra(GF(7), 2)
-        env = enveloping_algebra(a)
+        env = tensor_algebra(a, a.opposite())
         assert env.dim == 9
         assert env.loewy_layer_dims() == [9, 5, 1, 0]
         assert len(env.idempotents) == 4
@@ -441,7 +440,7 @@ class TestOppositeAndTensor:
 
     def test_tensor_center_dim_multiplies(self):
         a = linear_quiver_algebra(GF(7), 2)
-        env = enveloping_algebra(a)
+        env = tensor_algebra(a, a.opposite())
         assert center(env).dim == 1
         d = dual_numbers("GF(7)")
         assert center(tensor_algebra(d, d)).dim == 4

@@ -45,6 +45,7 @@ from jorder.modules import (
     random_left_module,
     regular_bimodule,
     simple_modules,
+    submodule,
     tensor_over,
     zero_module,
 )
@@ -1068,6 +1069,55 @@ class TestCornerReads:
             calls.clear()
             assert are_isomorphic(p1, n) is want
             assert calls == [p1]
+
+
+# ---- splitting off an idempotent image, against the spanning split -----------------
+
+
+def spanning_split_by_endomorphism(mod, part):
+    """_split_by_endomorphism with the image spanned again under the actions by
+    submodule; kept as an oracle."""
+    field = mod.field
+    rows = linalg.row_basis(field, field.canon(part.T))
+    sub, incl = submodule(mod, rows)
+    if sub.dim != rows.shape[0]:
+        raise AssertionError("idempotent image is not action stable")
+    coords = linalg.coords_in_row_basis(field, rows, field.canon(part.T))
+    proj = field.canon(coords.T)
+    if not field.eq(field.matmul(proj, incl), field.eye(sub.dim)):
+        raise AssertionError("projection does not retract the inclusion")
+    return sub, incl, proj
+
+
+class TestSplitByEndomorphism:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_every_split_equals_the_spanning_split(self, field, monkeypatch):
+        """At every split of every node, the submodule on the idempotent's image,
+        its inclusion and its projection equal those of the spanning split."""
+        splits = []
+        split = decomp._split_by_endomorphism
+
+        def both(mod, part):
+            got = split(mod, part)
+            splits.append((got, spanning_split_by_endomorphism(mod, part)))
+            return got
+
+        monkeypatch.setattr(decomp, "_split_by_endomorphism", both)
+        count = 0
+        for seed, m in enumerate(view_inputs(field, np.random.default_rng(33))):
+            splits.clear()
+            dec = decompose(m, seed=seed)
+            assert len(splits) == 2 * (len(dec.summands) - 1)
+            count += len(splits)
+            for (sub, incl, proj), (sub0, incl0, proj0) in splits:
+                assert sub.label == sub0.label
+                for mats, mats0 in ((sub.left_mats, sub0.left_mats), (sub.right_mats, sub0.right_mats)):
+                    assert (mats is None) == (mats0 is None)
+                    if mats is not None:
+                        assert_same_array(mats, mats0)
+                assert_same_array(incl, incl0)
+                assert_same_array(proj, proj0)
+        assert count > 0
 
 
 # ---- End(M) as a view, against the full table solved the slow way ---------------

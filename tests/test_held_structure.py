@@ -3,7 +3,8 @@
 On the algebra: the primitive family, projectives, simples, projective
 leaves and the enveloping algebra A (x) B^op of witnesses._enveloping_algebra.
 On the module: its generator action stacks and its graded pieces, read by
-hom_space and by the dimension pre-filter of summand_isomorphism.
+hom_space and by the dimension pre-filter of summand_isomorphism, and a weak
+reference to its certified leaf, read by decompose.
 
 projective_indecomposables, simple_modules and projective_leaves build once
 per algebra and hold the result, and projective_indecomposables installs the
@@ -13,6 +14,8 @@ held leaves off their covers without solving End(P_k) again. The cover-based tes
 oracle and compared on random modules over basic, non-basic and enveloping
 algebras, over GF(2), GF(3), GF(101) and Q.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -531,6 +534,111 @@ def test_are_isomorphic_piece_filter_answers_as_without_it(field, monkeypatch):
                     else:
                         tally["iso" if got else "passed"] += 1
     assert all(tally.values()), tally
+
+
+# ---- the certified leaf held on its module ---------------------------------------------
+
+
+def fresh_copy(m):
+    """m's action matrices in a new Module, which holds no leaf."""
+    return Module(m.left_algebra, m.right_algebra, m.left_mats, m.right_mats, m.label, check=False)
+
+
+def same_typed_array(x, y):
+    return same_array(x, y) and [type(v) for v in x.flat] == [type(v) for v in y.flat]
+
+
+def same_decomposition(got, want):
+    """Equal classes, and per summand equal maps, certificate, End stack, unit and radical rows."""
+    if got.classes != want.classes or len(got.summands) != len(want.summands):
+        return False
+    for s, t in zip(got.summands, want.summands):
+        (view, homs), (view0, homs0) = s._end, t._end
+        arrays = [
+            (s.inclusion, t.inclusion), (s.projection, t.projection), (view.stack, view0.stack),
+            (view.unit, view0.unit), (view.radical_rows(), view0.radical_rows()),
+        ]
+        if s.certificate != t.certificate or len(homs) != len(homs0):
+            return False
+        if not all(same_typed_array(x, y) for x, y in arrays + list(zip(homs, homs0))):
+            return False
+    return True
+
+
+def leaf_inputs(field, gen):
+    """The decomposition inputs and the A_3 and Kronecker projectives, in random bases
+    over GF(p); over Q the sums keep their direct-sum basis (see test_decomp.conjugated)."""
+    mods = [m if field == QQ else conjugated(m, gen) for m in decomposition_inputs(field)]
+    for alg in (linear_quiver_algebra(field, 3), catalog.build("kronecker", field=field.name)):
+        mods += [conjugated(p, gen) for p, _, _ in projective_indecomposables(alg)]
+    return mods
+
+
+@pytest.fixture
+def solved_ends(monkeypatch):
+    """The modules endomorphism_algebra solves End for, in order."""
+    solved = []
+    endomorphism_algebra = decomp.endomorphism_algebra
+    monkeypatch.setattr(decomp, "endomorphism_algebra", lambda m: solved.append(m) or endomorphism_algebra(m))
+    return solved
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_held_leaf_decomposes_as_a_fresh_copy(field, solved_ends):
+    """decompose on a certified leaf's module, at any seed, solves no End and equals
+    decompose of a copy that holds no leaf: maps, certificate, End and radical."""
+    for m in leaf_inputs(field, np.random.default_rng(5)):
+        dec = decompose(m, seed=2)
+        for leaf in dec.summands:
+            x = leaf.module
+            assert x._leaf() is leaf
+            for seed in (0, 7):
+                solved_ends.clear()
+                got = decompose(x, seed=seed)
+                assert solved_ends == []
+                assert got.module is x and got.summands[0].module is x
+                want = decompose(fresh_copy(x), seed=seed)
+                assert len(solved_ends) == 1
+                assert same_decomposition(got, want), (m.label, x.label, seed)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_a_dropped_decomposition_is_solved_again(field, solved_ends):
+    """The leaf is held weakly: once the decomposition is gone, decompose on a
+    leaf's module solves End again, gives the same answer and holds the new leaf."""
+    m = decomposition_inputs(field)[0]
+    if field != QQ:
+        m = conjugated(m, np.random.default_rng(6))
+    dec = decompose(m, seed=1)
+    xs = [s.module for s in dec.summands]
+    held = [decompose(x, seed=3) for x in xs]
+    del dec
+    gc.collect()
+    assert all(x._leaf() is None for x in xs)
+    solved_ends.clear()
+    again = [decompose(x, seed=3) for x in xs]
+    assert len(solved_ends) == len(xs) and all(y is x for y, x in zip(solved_ends, xs))
+    assert all(same_decomposition(g, w) for g, w in zip(again, held))
+    solved_ends.clear()
+    assert all(x._leaf() is d.summands[0] for x, d in zip(xs, again))
+    assert same_decomposition(decompose(xs[0], seed=5), again[0]) and solved_ends == []
+
+
+def test_submodule_on_raises_on_a_basis_that_is_not_stable():
+    """_submodule_on takes the basis as stable and checks it where it reads the
+    induced actions, with a raise that python -O keeps."""
+    p0 = projective_indecomposables(linear_quiver_algebra(GF(5), 3))[0][0]
+    stable = 0
+    for row in p0.field.eye(p0.dim):
+        basis = row[None]
+        if modules.submodule(p0, basis)[0].dim == 1:
+            stable += 1
+            sub, incl = modules._submodule_on(p0, basis)
+            assert sub.dim == 1 and same_array(incl, basis.T)
+        else:
+            with pytest.raises(AssertionError, match="not action-stable"):
+                modules._submodule_on(p0, basis)
+    assert 0 < stable < p0.dim
 
 
 # ---- the enveloping algebra held on A ------------------------------------------------

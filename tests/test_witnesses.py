@@ -786,17 +786,27 @@ class TestLrprojPerClass:
 
     def test_decomposes_once_per_class(self, monkeypatch):
         """On P_2^2 + P_3 (x) k[x]/x^2 over the radical-square-zero A_3 the check decomposes m and,
-        per class, the one matching candidate: P_1 (x) k[x]/x^2 has P_2's dimension but other
-        pieces, so are_isomorphic rejects it before decomposing it."""
+        per class, the representative against the matching candidate: P_1 (x) k[x]/x^2 has P_2's
+        dimension but other pieces, so are_isomorphic rejects it before decomposing anything. The
+        representative is a certified leaf of m's decomposition, so End is solved for m alone."""
         (a, d, m), = [x for x in lrproj_samples("GF(101)", 7) if x[0].label == "kA3/R2" and x[2].label == "lrproj(0, 2, 1)"]
-        calls = []
-        decompose_ = decomp.decompose
-        monkeypatch.setattr(decomp, "decompose", lambda x, seed=0: calls.append(x) or decompose_(x, seed=seed))
+        calls, solved = [], []
+        decompose_, endomorphism_algebra = decomp.decompose, decomp.endomorphism_algebra
+
+        def counted(x, seed=0):
+            calls.append((x, decompose_(x, seed=seed)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(decomp, "decompose", counted)
         monkeypatch.setattr(witnesses, "decompose", decomp.decompose)
+        monkeypatch.setattr(decomp, "endomorphism_algebra", lambda x: solved.append(x) or endomorphism_algebra(x))
         held, info = lrproj_projectivity_check(a, d, m, seed=1)
         assert held and info["summands"] == 3
+        assert calls[0][0] is m and len(calls) == 3
+        assert len(solved) == 1 and solved[0] is m
+        leaves = [s.module for s in calls[0][1].summands]
+        assert all(any(x is z for z in leaves) for x, _ in calls[1:])
         assert len(decompose_(m, seed=1).classes) == 2
-        assert calls[0] is m and len(calls) == 3
 
 
 class TestTopBound:
