@@ -103,6 +103,8 @@ class Algebra:
         self._projective_leaves = None
         # witnesses._enveloping_algebra fills this with (B^op, both families, A (x) B^op)
         self._envelope = None
+        # modules.regular_bimodule fills this with a weak reference to the module it built
+        self._regular_bimodule = None
         self._check = check
         if check:
             self._check_unit()
@@ -171,14 +173,11 @@ class Algebra:
         draws = [self.field.rand_mat(gen, 1, self.dim) for _ in range(600)]  # x, y, z of each triple in turn
         x, y, z = (np.concatenate(draws[k::3]) for k in range(3))
         pairs = self.table.reshape(-1, self.dim)  # row i*dim + j holds x_i * x_j
-
-        def mul_rows(u, v):
-            # row n is u[n] * v[n]: the table read at u[n] (x) v[n], whose entries are
-            # products of two canonical scalars (below p^2 over GF(p))
-            outer = self.field.canon(u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
-            return self.field.matmul(outer, pairs)
-
-        if not self.field.eq(mul_rows(mul_rows(x, y), z), mul_rows(x, mul_rows(y, z))):
+        n = x.shape[0]
+        # row k of bilinear_rows(u, v, pairs) is u[k] * v[k]; each step takes both sides at once
+        xy_yz = self.field.bilinear_rows(np.concatenate([x, y]), np.concatenate([y, z]), pairs)
+        both = self.field.bilinear_rows(np.concatenate([xy_yz[:n], x]), np.concatenate([z, xy_yz[n:]]), pairs)
+        if not self.field.eq(both[:n], both[n:]):
             raise ValueError("multiplication table is not associative")
 
     def _check_generators(self):

@@ -81,10 +81,20 @@ after they are set, and an algebra replaces its generator or family list
 rather than editing it, so a changed list misses the key and rebuilds.
 _leaf is decomp's: a weak reference to the certified Summand a decomposition
 proved the module to be.
+
+regular_bimodule(a) hands out one module per algebra while anything uses it:
+a._regular_bimodule is a weak reference to the last one built, and a call
+while it is alive returns that object, with its held leaf and pieces. So a
+caller that decomposes A once and keeps the Decomposition (the witness
+search does) has every later decompose of the regular bimodule answered from
+the held leaf when A is connected. The reference is weak: no algebra keeps
+its regular bimodule, and once its last user drops it the next call builds a
+new one with equal matrices.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +274,16 @@ def right_regular_module(a):
 
 
 def regular_bimodule(a):
-    return Module(a, a, a.left_regular_mats(), a.right_regular_mats(), f"{a.label} (regular)", check=False)
+    """A as an A-A-bimodule: the one still alive from an earlier call, else a new one.
+
+    Held weakly on a (see the header), so a caller that keeps it keeps its
+    held leaf, and nothing outlives its last user.
+    """
+    held = a._regular_bimodule() if a._regular_bimodule is not None else None
+    if held is None:
+        held = Module(a, a, a.left_regular_mats(), a.right_regular_mats(), f"{a.label} (regular)", check=False)
+        a._regular_bimodule = weakref.ref(held)
+    return held
 
 
 def zero_module(left_algebra, right_algebra):

@@ -13,7 +13,20 @@ Quality flags record how close a witness comes to separable division:
 one-sided projectivity of both bimodules, adjointness of the induced
 tensor functors (M left projective and Hom(M, A) isomorphic to N), the
 projective covers restricting to one-sided generators, and faithfulness
-plus projective-injective summands of the one-sided restrictions.
+plus projective-injective summands of the one-sided restrictions. Each flag
+computes only its boolean: adjointness asks are_isomorphic, which builds no
+isomorphism, and the generator test reads top multiplicities, solving no
+Hom (generators_check).
+
+The witness search draws pairs at random, and many draws give a tensor
+product it has already tried. verify_j_geq is a deterministic function of
+the algebra, the seed and the tensor's action matrices: it decomposes the
+tensor at seed + 1 and matches it against the regular bimodule's
+decomposition. So an equal tensor would fail again in the same way, and the
+search verifies each distinct tensor once, keyed by the matrices' entries.
+It also keeps one decomposition of the regular bimodule for its whole run,
+so every attempt over a connected algebra reads the held leaf
+(modules.regular_bimodule).
 """
 
 import warnings
@@ -27,7 +40,6 @@ from .decomp import (
     are_isomorphic,
     complete_primitive_idempotents,
     decompose,
-    explicit_isomorphism,
     projective_leaves,
     split_maps,
     summand_isomorphism,
@@ -37,6 +49,7 @@ from .errors import HypothesisViolated, Inconclusive, NotASummand, NotSurjective
 from .modules import (
     Module,
     _same_algebra,
+    _top_generators,
     direct_sum,
     dual_module,
     hom_to_regular,
@@ -73,6 +86,13 @@ class JWitnessPair:
         self.m = m
         self.n = n
         self.seed = int(seed)
+        self._tensor = None
+
+    def tensor(self):
+        """M (x)_b N as modules.tensor_over returns it, built on the first call and held."""
+        if self._tensor is None:
+            self._tensor = tensor_over(self.m, self.n)
+        return self._tensor
 
     def __repr__(self):
         return (
@@ -178,7 +198,7 @@ def verify_j_geq(w, *, quality=True):
             f"{w.a.label} is disconnected; the summand criterion is used as-is",
             stacklevel=2,
         )
-    tr = tensor_over(w.m, w.n)
+    tr = w.tensor()
     t = tr.module
     d_t = decompose(t, seed=w.seed + 1)
     decomposition_ref = {
@@ -210,7 +230,7 @@ def verify_j_geq(w, *, quality=True):
             "left_right_projective": bool(
                 is_left_right_projective(w.m) and is_left_right_projective(w.n)
             ),
-            "adjoint_pair": is_adjoint_pair_witness(w.m, w.n, seed=w.seed)[0],
+            "adjoint_pair": is_adjoint_pair_witness(w.m, w.n, seed=w.seed),
             "generators_check": generators_check(w, cert),
             "faithful_check": faithful_projinj_check(w, cert),
         }
@@ -221,7 +241,8 @@ def replay_certificate(cert):
     """Re-check a certificate by multiplication only; True iff it replays.
 
     Recomputes the tensor product (its coordinates are deterministic) and
-    re-runs the exact split conditions. No decomposition machinery runs.
+    re-runs the exact split conditions. No decomposition machinery runs, and
+    the tensor the witness holds is not read: a replay trusts no held data.
     """
     w = cert.witness
     tr = tensor_over(w.m, w.n)
@@ -380,11 +401,20 @@ def witness_search(a, b, seed=0, budget=20, max_dim=None):
     over the enveloping algebras and tries to verify each pair. Returns the
     first certificate found, or None; None means "not found within budget",
     never "no witness exists".
+
+    The regular bimodule is decomposed once and kept for the whole search,
+    and a pair whose tensor has the action matrices of one already tried is
+    skipped; the module header says why both are exact. Skipping happens
+    after the draws, so the random stream, and the attempt a certificate
+    comes from, are unchanged.
     """
     complete_primitive_idempotents(a, seed)
     complete_primitive_idempotents(b, seed + 1)
     env_ab = _enveloping_algebra(a, b.opposite())
     env_ba = _enveloping_algebra(b, a.opposite())
+    # held until the search returns: while it lives, regular_bimodule(a) is this module and its leaf
+    held_reg = decompose(regular_bimodule(a), seed=seed)
+    tried = set()
     rng = np.random.default_rng(seed)
     for _ in range(budget):
         m_env = random_left_module(env_ab, rng, copies_cap=1)
@@ -395,8 +425,15 @@ def witness_search(a, b, seed=0, budget=20, max_dim=None):
             continue
         m = env_module_as_bimodule(m_env, a, b)
         n = env_module_as_bimodule(n_env, b, a)
+        w = JWitnessPair(a, b, m, n, seed=seed)
+        t = w.tensor().module
+        # tolist, not tobytes: over Q the entries are Fraction objects, compared by value
+        key = (t.dim, tuple(t.left_mats.ravel().tolist()), tuple(t.right_mats.ravel().tolist()))
+        if key in tried:
+            continue
+        tried.add(key)
         try:
-            return verify_j_geq(JWitnessPair(a, b, m, n, seed=seed), quality=False)
+            return verify_j_geq(w, quality=False)
         except (NotASummand, Inconclusive):
             continue
     return None
@@ -406,17 +443,31 @@ def witness_search(a, b, seed=0, budget=20, max_dim=None):
 
 
 def is_adjoint_pair_witness(m, n, seed=0):
-    """(flag, iso): whether (M (x)_b -, N (x)_a -) is an adjoint pair.
+    """Whether (M (x)_b -, N (x)_a -) is an adjoint pair.
 
     Holds iff M is projective as a left module and Hom(M, A) is isomorphic
-    to N as a (b, a)-bimodule; iso is the explicit bimodule isomorphism
-    Hom(M, A) -> N when the answer is yes, None otherwise.
+    to N as a (b, a)-bimodule. Only the answer is computed: are_isomorphic
+    compares piece dimensions first and decomposes N only when Hom(M, A)
+    splits. decomp.explicit_isomorphism(hom_to_regular(m)[0], n) gives the
+    isomorphism when one is wanted.
     """
     if not is_projective(m.restrict_left()):
-        return False, None
+        return False
     hom, _ = hom_to_regular(m)
-    iso = explicit_isomorphism(hom, n, seed=seed)
-    return iso is not None, iso
+    return are_isomorphic(hom, n, seed=seed)
+
+
+def _has_every_projective(q):
+    """Whether every indecomposable projective divides the projective left module q.
+
+    For projective Q = sum of P_k^(m_k) over a split algebra, top Q is the sum
+    of S_k^(m_k) and m_k = dim e_k.top Q (Assem, Simson and Skowronski,
+    Elements, section I.5), so P_k divides Q iff e_k.top Q is nonzero. The top
+    multiplicities are the ones projective_cover and is_projective read;
+    a non-split residue field raises NonSplitResidueField there.
+    """
+    _, _, tops = _top_generators(q)
+    return all(t_rows.shape[0] > 0 for _, t_rows in tops)
 
 
 def generators_check(w, cert):
@@ -424,26 +475,24 @@ def generators_check(w, cert):
 
     P(M) taken in a-mod-b must contain every indecomposable projective left
     a-module, and P(N) taken in b-mod-a every indecomposable projective
-    right a-module. The covers are taken over the enveloping algebras held
-    on a and b, so a second check over the same algebras builds no envelope,
-    projective or simple again; the leaves are held on a and a^op.
+    right a-module. A projective over A (x) B^op is a summand of a free one,
+    and A (x) B^op is free as a left A-module, so the left restriction of
+    P(M) is a projective left a-module and the test is a read of its top
+    multiplicities (_has_every_projective); dually on the right over a^op.
+    The covers are taken over the enveloping algebras held on a and b, so a
+    second check over the same algebras builds no envelope, projective or
+    simple again.
     """
     if cert is None or cert.section is None:
         raise ValueError("generators_check needs a verified certificate")
     a, b, seed = w.a, w.b, w.seed
     _, m_env = bimodule_as_env_module(w.m, seed=seed)
     cover_m = projective_cover(m_env).module
-    left_cover = env_module_as_bimodule(cover_m, a, b).restrict_left()
-    for leaf in projective_leaves(a):
-        if summand_split_maps(leaf, left_cover) is None:
-            return False
+    if not _has_every_projective(env_module_as_bimodule(cover_m, a, b).restrict_left()):
+        return False
     _, n_env = bimodule_as_env_module(w.n, seed=seed)
     cover_n = projective_cover(n_env).module
-    right_cover = module_over_opposite(env_module_as_bimodule(cover_n, b, a).restrict_right())
-    for leaf in projective_leaves(a.opposite()):
-        if summand_split_maps(leaf, right_cover) is None:
-            return False
-    return True
+    return _has_every_projective(module_over_opposite(env_module_as_bimodule(cover_n, b, a).restrict_right()))
 
 
 def _projective_injectives(alg):
@@ -484,8 +533,8 @@ def separable_quality(w, cert):
     return {
         "m_left_right_projective": is_left_right_projective(w.m),
         "n_left_right_projective": is_left_right_projective(w.n),
-        "adjoint_m_n": is_adjoint_pair_witness(w.m, w.n, seed=w.seed)[0],
-        "adjoint_n_m": is_adjoint_pair_witness(w.n, w.m, seed=w.seed)[0],
+        "adjoint_m_n": is_adjoint_pair_witness(w.m, w.n, seed=w.seed),
+        "adjoint_n_m": is_adjoint_pair_witness(w.n, w.m, seed=w.seed),
     }
 
 

@@ -342,6 +342,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="associative"):
             Algebra(f, table, skew.unit)
 
+    def test_gf_spot_check_rejects_one_perturbed_entry(self):
+        """Above the GF(p) full-sweep cap of 40 the spot check still rejects a
+        table with one entry changed outside the unit's rows and columns."""
+        big = catalog.build("trunc_poly", field="GF(101)", k=42)
+        f = big.field
+        table = f.copy(big.table)
+        table[1, big.dim - 1, 0] = 1  # x * x^41 = 1, while x^41 * x stays 0
+        with pytest.raises(ValueError, match="associative"):
+            Algebra(f, table, big.unit)
+
     def test_insufficient_generators_rejected(self):
         a = dual_numbers("GF(5)")
         with pytest.raises(ValueError, match="generate"):

@@ -624,6 +624,30 @@ def test_a_dropped_decomposition_is_solved_again(field, solved_ends):
     assert same_decomposition(decompose(xs[0], seed=5), again[0]) and solved_ends == []
 
 
+def test_the_regular_bimodule_is_held_only_while_a_search_runs(solved_ends):
+    """witness_search keeps its decomposition of the regular bimodule, and with it
+    the module regular_bimodule hands out, only while it runs: afterwards the
+    weak slot is dead and the next verify solves End(reg) again, equal."""
+    w = catalog.build("kronecker_witness", field="GF(101)")
+    a = w.a
+    assert witnesses.witness_search(a, w.b, seed=0, budget=4) is None
+    regular = f"{a.label} (regular)"
+    (searched,) = [m for m in solved_ends if m.label == regular]
+    searched_end = decomp.endomorphism_algebra(searched)[1]
+    del searched
+    solved_ends.clear()
+    gc.collect()
+    assert a._regular_bimodule() is None
+    verify_j_geq(w, quality=False)
+    (again,) = [m for m in solved_ends if m.label == regular]
+    again_end = decomp.endomorphism_algebra(again)[1]
+    assert len(again_end) == len(searched_end) and all(same_array(x, y) for x, y in zip(again_end, searched_end))
+    del again
+    solved_ends.clear()
+    gc.collect()
+    assert a._regular_bimodule() is None  # the verify's module died with its decomposition
+
+
 def test_submodule_on_raises_on_a_basis_that_is_not_stable():
     """_submodule_on takes the basis as stable and checks it where it reads the
     induced actions, with a raise that python -O keeps."""

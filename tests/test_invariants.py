@@ -112,8 +112,9 @@ def _raw_products(tree):
 
 
 def test_every_product_goes_through_the_field():
-    """Products of field data go through field.matmul or field.tensordot, which
-    reduce mod p or multiply integer numerators over Q; fields.py alone holds
+    """Products of field data go through field.matmul, field.tensordot or
+    field.bilinear_rows, which reduce mod p or multiply integer numerators over
+    Q; fields.py alone holds
     the raw numpy products, apart from the GF(p)-only functions above."""
     found, used = [], set()
     for path in sorted(SRC.rglob("*.py")):
@@ -134,6 +135,7 @@ def test_every_product_goes_through_the_field():
 # isomorphism question goes through the leaf test summand_isomorphism.
 _ARE_ISOMORPHIC_CALLERS = {
     ("witnesses.py", "lrproj_projectivity_check"),
+    ("witnesses.py", "is_adjoint_pair_witness"),
     ("suite.py", "check_kronecker_certificate"),
     ("suite.py", "check_zigzag_duality"),
     ("decomp.py", "is_symmetric"),
@@ -450,6 +452,22 @@ def test_witnesses_build_an_enveloping_algebra_in_one_place():
     assert "enveloping_algebra" not in imported
 
 
+def test_witness_search_decomposes_the_regular_bimodule_once_and_verifies_by_name():
+    """witness_search calls decompose once, outside its loop, and verifies each
+    new tensor through the module-level verify_j_geq: the benchmark counts
+    witnesses.verify_j_geq.not_summand there, so a search routed around it
+    would leave that counter unexercised."""
+    tree = ast.parse((SRC / "witnesses.py").read_text())
+    (search,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "witness_search"]
+    loops = [node for node in ast.walk(search) if isinstance(node, (ast.For, ast.While))]
+    in_loops = {id(call) for loop in loops for call in ast.walk(loop) if isinstance(call, ast.Call)}
+    decomposes = _calls(search, ("decompose",))
+    assert len(decomposes) == 1 and id(decomposes[0]) not in in_loops
+    verifies = _calls(search, ("verify_j_geq",))
+    assert verifies and all(isinstance(call.func, ast.Name) for call in verifies)
+    assert all(id(call) in in_loops for call in verifies)
+
+
 _FIELD_IDS = ("GF(2)", "GF(3)", "GF(101)", "Q")
 # the held-structure differential tests, by node id in tests/test_held_structure.py
 _UNDER_O = [
@@ -464,6 +482,7 @@ _UNDER_O = [
 ] + [
     "test_hom_space_takes_the_stack_of_n_against_the_generators_of_m",
     "test_submodule_on_raises_on_a_basis_that_is_not_stable",
+    "test_the_regular_bimodule_is_held_only_while_a_search_runs",
 ]
 
 
