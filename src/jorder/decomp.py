@@ -386,27 +386,34 @@ def decompose(m, seed=0):
     held = m._leaf() if m._leaf is not None else None
     if held is not None:
         return Decomposition(m, [Summand(m, field.eye(m.dim), field.eye(m.dim), held.certificate, held._end)], [[0]])
+    # a work list, not a nested function that calls itself: its closure would
+    # be a reference cycle, keeping the leaves alive after the decomposition
+    # is dropped until the cyclic collector runs. An entry (mod, incl, proj,
+    # homs, part, seed) is a split of mod by the idempotent part, made when
+    # popped, so the leaves come depth first and the seeds spawn in one order
     leaves = []
-
-    def rec(mod, incl, proj, seed_seq, end):
+    root = endomorphism_algebra(m)
+    todo = [(m, field.eye(m.dim), field.eye(m.dim), None, None, np.random.SeedSequence(seed))]
+    while todo:
+        mod, incl, proj, homs, part, seed_seq = todo.pop()
+        if part is None:
+            end = root
+        else:
+            sub, sincl, sproj = _split_by_endomorphism(mod, part)
+            sub_homs = _corner(field, homs, sproj, sincl)
+            mod, incl, proj, end = sub, field.matmul(incl, sincl), field.matmul(sproj, proj), (EndView(sub, sub_homs), sub_homs)
         e_view, homs = end
         gen = np.random.Generator(np.random.PCG64(seed_seq))
         e_vec, certificate = find_nontrivial_idempotent(e_view, gen)
         if e_vec is None:
             leaves.append(Summand(mod, incl, proj, certificate, end))
             mod._leaf = weakref.ref(leaves[-1])
-            return
+            continue
         e_mat = field.tensordot(e_vec, e_view.stack, axes=([0], [0]))
         complement = field.canon(field.sub(field.eye(mod.dim), e_mat))
-        children = seed_seq.spawn(2)
-        for part, child_seed in zip((e_mat, complement), children):
-            sub, sincl, sproj = _split_by_endomorphism(mod, part)
-            sub_homs = _corner(field, homs, sproj, sincl)
-            sub_end = (EndView(sub, sub_homs), sub_homs)
-            rec(sub, field.matmul(incl, sincl), field.matmul(sproj, proj), child_seed, sub_end)
-
-    root = endomorphism_algebra(m)
-    rec(m, field.eye(m.dim), field.eye(m.dim), np.random.SeedSequence(seed), root)
+        e_seed, complement_seed = seed_seq.spawn(2)
+        # the e-part is split first, and its subtree finished before the complement
+        todo += [(mod, incl, proj, homs, complement, complement_seed), (mod, incl, proj, homs, e_mat, e_seed)]
 
     total = field.zeros((m.dim, m.dim))
     for i, s in enumerate(leaves):

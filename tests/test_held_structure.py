@@ -16,6 +16,7 @@ algebras, over GF(2), GF(3), GF(101) and Q.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -622,6 +623,26 @@ def test_a_dropped_decomposition_is_solved_again(field, solved_ends):
     solved_ends.clear()
     assert all(x._leaf() is d.summands[0] for x, d in zip(xs, again))
     assert same_decomposition(decompose(xs[0], seed=5), again[0]) and solved_ends == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_a_dropped_decomposition_dies_without_the_cycle_collector(field):
+    """decompose leaves no reference cycle: with the cyclic collector off, a
+    dropped decomposition frees its leaves at once, and its modules hold none."""
+    algs = [catalog.build("trunc_poly", field=field.name, k=2), linear_quiver_algebra(field, 3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for a, count in zip(algs, (1, 3)):
+            dec = decompose(left_regular_module(a), seed=1)
+            xs = [s.module for s in dec.summands]
+            leaves = [weakref.ref(s) for s in dec.summands]
+            assert len(xs) == count and all(x._leaf() is not None for x in xs)
+            del dec
+            assert all(leaf() is None for leaf in leaves)
+            assert all(x._leaf() is None for x in xs)
+    finally:
+        gc.enable()
 
 
 def test_the_regular_bimodule_is_held_only_while_a_search_runs(solved_ends):

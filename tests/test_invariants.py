@@ -283,6 +283,58 @@ def test_endomorphism_algebras_are_solved_only_by_decompose():
     assert callers == [("decomp.py", "decompose")]
 
 
+def _mentions_by_function(tree, names):
+    """(innermost enclosing function, name) of each name or attribute read or written."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        name = getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
+            found.append((fn, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_rref_entry_chooses_its_loop_by_the_input():
+    """linalg.rref is the only way into the two elimination loops: _rref_rows
+    and _rref_array are named nowhere else, and rref takes no option. The
+    row-loop threshold _ROW_KERNEL_NNZ is a literal module constant, read
+    only by rref: no environment variable, argument or caller can set it."""
+    loops = {"_rref_rows", "_rref_array"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            (path.name, fn, name)
+            for fn, name in _mentions_by_function(tree, loops | {"_ROW_KERNEL_NNZ"})
+            # the one module-level mention allowed is the constant's own assignment
+            if fn is not None or name != "_ROW_KERNEL_NNZ" or path.name != "linalg.py"
+        ]
+        found += [
+            (path.name, node.name, arg.arg)
+            for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for arg in ast.walk(node.args) if isinstance(arg, ast.arg) and arg.arg == "_ROW_KERNEL_NNZ"
+        ]
+    assert sorted(found) == [
+        ("linalg.py", "rref", "_ROW_KERNEL_NNZ"), ("linalg.py", "rref", "_rref_array"), ("linalg.py", "rref", "_rref_rows"),
+    ]
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    (rref,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "rref"]
+    assert [arg.arg for arg in rref.args.args] == ["field", "a"] and not rref.args.kwonlyargs
+    assert rref.args.vararg is None and rref.args.kwarg is None and not rref.args.defaults
+    (threshold,) = [
+        node for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and "_ROW_KERNEL_NNZ" in [getattr(t, "id", None) for t in getattr(node, "targets", [getattr(node, "target", None)])]
+    ]
+    assert isinstance(threshold.value, ast.Constant) and type(threshold.value.value) is int
+
+
 # The functions that may install a primitive idempotent family. Every reader of
 # projectives reaches the family through projective_indecomposables, which
 # installs it on first use; the enveloping-algebra builders install the
@@ -477,6 +529,7 @@ _UNDER_O = [
         "test_piece_filter_matches_the_unfiltered_leaf_test",
         "test_held_leaf_decomposes_as_a_fresh_copy",
         "test_a_dropped_decomposition_is_solved_again",
+        "test_a_dropped_decomposition_dies_without_the_cycle_collector",
     )
     for field in _FIELD_IDS
 ] + [

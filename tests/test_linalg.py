@@ -378,6 +378,105 @@ def test_kernel_matches_full_matrix_oracle(field, count, max_side):
     assert cases == count + 7
 
 
+# ---- both elimination loops against the oracle --------------------------------
+#
+# rref runs one of two loops, chosen by the canonical input: Python rows over
+# Q and for sparse GF(p) inputs, numpy row blocks otherwise. Each loop must
+# give the oracle's reduced form on every input, on both sides of the
+# threshold, so neither can hide behind the selection.
+
+
+def _with_nonzeros(field, gen, rows, cols, count):
+    """A rows x cols matrix with exactly count canonical nonzero entries."""
+    m = field.zeros((rows, cols))
+    cells = gen.choice(rows * cols, size=count, replace=False)
+    if field.char == 0:
+        for k in cells.tolist():
+            m.flat[k] = Fraction(int(gen.choice([-1, 1]) * gen.integers(1, 10)), int(gen.integers(1, 8)))
+    else:
+        m.flat[cells] = gen.integers(1, field.p, size=count)
+    return m
+
+
+def _unreduced(field, gen, m):
+    """m with other representatives: multiples of p added (negative ones too), or python ints over Q."""
+    if field.char == 0:
+        return [[x if x.denominator != 1 else int(x) for x in row] for row in m.tolist()]
+    return m + field.p * gen.integers(-3, 4, size=m.shape)
+
+
+def _loop_inputs(field, gen):
+    """Inputs on both sides of the row-loop threshold, and shaped like the library's systems."""
+    n = linalg._ROW_KERNEL_NNZ
+    for count in (n - 1, n, n + 1):
+        for rows, cols in ((12, 12), (9, 40), (60, 30)):
+            m = _with_nonzeros(field, gen, rows, cols, count)
+            yield m
+            yield _unreduced(field, gen, m)
+    # over Q the large shapes are smaller: the oracle re-canonicalises the
+    # whole Fraction matrix at every pivot, and dense entries grow
+    large = field.char != 0
+    # tall and sparse like hom_space's systems: one or two nonzeros a row
+    for rows, cols in ((200, 60) if large else (80, 30), (90, 30)):
+        m = field.zeros((rows, cols))
+        for i in range(rows):
+            m[i] = _with_nonzeros(field, gen, 1, cols, int(gen.integers(1, 3)))[0]
+        yield m
+        yield _unreduced(field, gen, m)
+    dense = field.rand_mat(gen, *((40, 60) if large else (16, 24)))
+    yield dense
+    yield dense.T
+    yield _unreduced(field, gen, dense)
+    # zero rows and columns, and a rank-deficient dense product
+    m = field.rand_mat(gen, 30, 24)
+    m[::3] = field.zero
+    m[:, 1::4] = field.zero
+    yield m
+    yield field.matmul(field.rand_mat(gen, 36, 5), field.rand_mat(gen, 5, 36))
+
+
+_LOOP_FIELDS = [GF(2), GF(3), GF(101), GF(1048573), QQ]
+
+
+@pytest.mark.parametrize("field", _LOOP_FIELDS, ids=lambda f: f.name)
+def test_both_loops_match_the_full_matrix_oracle(field):
+    gen = np.random.default_rng(9000 + field.char)
+    loops = {
+        "rref": linalg.rref,
+        "rows": lambda f, a: linalg._rref_rows(f, f.canon(np.atleast_2d(a))),
+        "array": lambda f, a: linalg._rref_array(f, f.canon(np.atleast_2d(a))),
+    }
+    cases = 0
+    for a in [*_kernel_inputs(field, gen, 60, 9), *_loop_inputs(field, gen)]:
+        before = _snapshot(a)
+        r0, pivots0 = _oracle_rref(field, a)
+        for name, loop in loops.items():
+            r, pivots = loop(field, a)
+            assert pivots == pivots0, name
+            _assert_same(field, r, r0)
+        assert np.array_equal(_snapshot(a), before)
+        cases += 1
+    assert cases == 67 + 18 + 4 + 3 + 2
+
+
+@pytest.mark.parametrize("field", _LOOP_FIELDS, ids=lambda f: f.name)
+def test_rref_takes_the_row_loop_over_q_and_for_sparse_prime_field_inputs(field, monkeypatch):
+    """The loop is chosen by the canonical input alone: over Q always the row
+    loop; over GF(p) the row loop up to _ROW_KERNEL_NNZ nonzero entries,
+    counted after reduction mod p."""
+    taken = []
+    for name in ("_rref_rows", "_rref_array"):
+        monkeypatch.setattr(linalg, name, lambda f, r, loop=getattr(linalg, name), name=name: taken.append(name) or loop(f, r))
+    gen = np.random.default_rng(9500 + field.char)
+    n = linalg._ROW_KERNEL_NNZ
+    for count, prime_loop in ((0, "_rref_rows"), (n, "_rref_rows"), (n + 1, "_rref_array"), (20 * 24, "_rref_array")):
+        m = _with_nonzeros(field, gen, 20, 24, count)
+        for a in (m, _unreduced(field, gen, m)):
+            taken.clear()
+            linalg.rref(field, a)
+            assert taken == ["_rref_rows" if field.char == 0 else prime_loop], count
+
+
 # ---- differential test of the echelon read ----------------------------------
 #
 # The oracle is the solve-based coordinate routine, kept verbatim: it runs a
