@@ -93,13 +93,7 @@ from .modules import (
     regular_bimodule,
     same_piece_dims,
 )
-from .polynomials import (
-    crt_split_poly,
-    factor_poly,
-    minpoly_matrix,
-    poly_deg,
-    poly_trim,
-)
+from .polynomials import crt_split_poly, factor_poly, minpoly_matrix
 
 
 def endomorphism_algebra(m):
@@ -232,14 +226,14 @@ def find_nontrivial_idempotent(e_alg, gen, budget=64):
             continue
         mu = minpoly_matrix(field, quo.left_mult_matrix(s))
         factors = factor_poly(field, mu)
-        if poly_deg(mu) == dim_s and len(factors) == 1 and factors[0][1] == 1:
+        if len(mu) - 1 == dim_s and len(factors) == 1 and factors[0][1] == 1:
             # S = k[s] = k[x]/(mu) with mu irreducible, so S is a field
             return None, "field_quotient"
         proj_poly = crt_split_poly(field, mu, factors)
         if proj_poly is None:
             continue
         e_s = field.zeros(dim_s)
-        for c in reversed(poly_trim(field, list(proj_poly))):  # Horner
+        for c in reversed(proj_poly):  # Horner
             e_s = quo.mul(e_s, s)
             if c != field.zero:
                 e_s = field.canon(field.add(e_s, field.smul(c, quo.unit)))

@@ -1,19 +1,27 @@
-"""Exact univariate polynomial helpers over the library fields.
+"""Exact univariate polynomials: charpoly, minimal polynomials, factoring, CRT projectors.
 
-Polynomials are python lists of field scalars, lowest degree first, with no
-trailing zeros (the zero polynomial is the empty list). Characteristic
-polynomials go through an exact Hessenberg reduction, which is valid over any
-field because pivoting is by exact nonzero tests, not magnitude.
+A polynomial is a Python list of coefficients, lowest degree first, with no
+trailing zeros (the zero polynomial is the empty list). There is one
+arithmetic on these lists, after von zur Gathen and Gerhard, Modern Computer
+Algebra: every helper takes a modulus m and reduces into [0, m), or, with
+m = None, computes exactly on Fraction coefficients. The two cases differ
+only in the primitives _mod and _inv. A public function takes m =
+field.char or None, so GF(p) computes mod p and Q exactly, and converts with
+field.scalar only where field scalars enter and leave: its coefficients are
+ints in [0, p) over GF(p) and Fractions over Q. Characteristic polynomials go
+through an exact Hessenberg reduction on field arrays, which is valid over
+any field because pivoting is by exact nonzero tests, not magnitude.
 
-factor_poly is classical and self-contained. Over GF(p) it takes the
-squarefree decomposition (a chain of gcds with the derivative, as in Yun's
-algorithm, with a p-th root for the parts of derivative zero), then
-distinct-degree factorization and Cantor-Zassenhaus equal-degree splitting
-(Math. Comp. 36, 1981). Over Q it clears denominators and factors each
-squarefree part over Z by Zassenhaus (J. Number Theory 1, 1969): factor mod a
-good prime, Hensel-lift past the Mignotte bound, and recombine the lifted
-factors by exact division. Decomposition certificates rest on its
-irreducibility verdicts, so none of them is a guess.
+factor_poly is classical and self-contained, and the only function that
+picks its algorithm by the field. Over GF(p) it takes the squarefree
+decomposition (a chain of gcds with the derivative, as in Yun's algorithm,
+with a p-th root for the parts of derivative zero), then distinct-degree
+factorization and Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36,
+1981). Over Q it clears denominators and factors each squarefree part over Z
+by Zassenhaus (J. Number Theory 1, 1969): factor mod a good prime,
+Hensel-lift past the Mignotte bound, and recombine the lifted factors by
+exact division. Decomposition certificates rest on its irreducibility
+verdicts, so none of them is a guess.
 """
 
 from __future__ import annotations
@@ -28,91 +36,90 @@ import numpy as np
 from .fields import GFField, _is_prime
 
 
-def poly_trim(field, c):
-    c = list(c)
-    while c and c[-1] == field.zero:
-        c.pop()
-    return c
+def _mod(x, m):
+    """x reduced into [0, m), or x itself over Q (m None)."""
+    return x if m is None else x % m
 
 
-def poly_deg(c):
-    return len(c) - 1
+def _inv(x, m):
+    """The inverse of x mod m, where x is a unit, or over Q (m None)."""
+    return 1 / Fraction(x) if m is None else pow(x, -1, m)
 
 
-def poly_add(field, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero
-        y = b[i] if i < len(b) else field.zero
-        out.append(field.scalar(x + y))
-    return poly_trim(field, out)
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def poly_sub(field, a, b):
-    return poly_add(field, a, [field.scalar(-x) for x in b])
+def _reduce(a, m):
+    return _trim([_mod(x, m) for x in a])
 
 
-def poly_scale(field, c, a):
-    c = field.scalar(c)
-    return poly_trim(field, [field.scalar(c * x) for x in a])
+def _add(a, b, m):
+    return _trim([_mod(x + y, m) for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def poly_mul(field, a, b):
+def _sub(a, b, m):
+    return _trim([_mod(x - y, m) for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _mul(a, b, m):
     if not a or not b:
         return []
-    out = [field.zero] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == field.zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = field.scalar(out[i + j] + x * y)
-    return poly_trim(field, out)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce(out, m)
 
 
-def poly_divmod(field, a, b):
-    b = poly_trim(field, b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = poly_trim(field, list(a))
-    lead_inv = field.inv_scalar(b[-1])
-    q = [field.zero] * max(len(a) - len(b) + 1, 0)
+def _divmod(a, b, m):
+    """Quotient and remainder; b's leading coefficient must be a unit mod m."""
+    inv = _inv(b[-1], m)
+    db = len(b) - 1
     r = list(a)
-    while len(r) >= len(b) and r:
-        c = field.scalar(r[-1] * lead_inv)
-        k = len(r) - len(b)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = _mod(r[k + db] * inv, m)
         q[k] = c
-        for i in range(len(b)):
-            r[k + i] = field.scalar(r[k + i] - c * b[i])
-        r = poly_trim(field, r)
-    return poly_trim(field, q), r
+        if c:
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return _trim(q), _reduce(r[:db], m)
 
 
-def poly_mod(field, a, b):
-    return poly_divmod(field, a, b)[1]
+def _rem(a, b, m):
+    return _divmod(a, b, m)[1]
 
 
-def poly_monic(field, a):
-    a = poly_trim(field, a)
-    if not a:
-        return a
-    return poly_scale(field, field.inv_scalar(a[-1]), a)
+def _monic(a, m):
+    inv = _inv(a[-1], m)
+    return [_mod(x * inv, m) for x in a]
 
 
-def poly_xgcd(field, a, b):
-    """Monic g with u a + v b = g."""
-    r0, r1 = poly_trim(field, a), poly_trim(field, b)
-    u0, u1 = [field.one], []
-    v0, v1 = [], [field.one]
+def _deriv(a):
+    return [i * x for i, x in enumerate(a)][1:]
+
+
+def _gcd(a, b, m):
+    """Monic gcd over GF(m) or Q."""
+    while b:
+        a, b = b, _rem(a, b, m)
+    return _monic(a, m) if a else a
+
+
+def _cofactors(a, b, m):
+    """(s, t) over GF(m) or Q with s a + t b = 1, deg s < deg b and deg t < deg a, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
     while r1:
-        q, r = poly_divmod(field, r0, r1)
+        q, r = _divmod(r0, r1, m)
         r0, r1 = r1, r
-        u0, u1 = u1, poly_sub(field, u0, poly_mul(field, q, u1))
-        v0, v1 = v1, poly_sub(field, v0, poly_mul(field, q, v1))
-    if not r0:
-        return [], [], []
-    c = field.inv_scalar(r0[-1])
-    return poly_scale(field, c, r0), poly_scale(field, c, u0), poly_scale(field, c, v0)
+        s0, s1 = s1, _sub(s0, _mul(q, s1, m), m)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, m), m)
+    inv = _inv(r0[0], m)  # r0 is the nonzero constant gcd
+    return [_mod(x * inv, m) for x in s0], [_mod(x * inv, m) for x in t0]
 
 
 def _hessenberg(field, m):
@@ -146,21 +153,20 @@ def charpoly(field, m):
     n = m.shape[0]
     if n == 0:
         return [field.one]
-    h = _hessenberg(field, field.canon(m))
+    h = _hessenberg(field, field.canon(m)).tolist()
+    mod = field.char or None
     # p_0 = 1; p_k built from the leading principal k x k Hessenberg block
-    polys = [[field.one]]
+    polys = [[1]]
     for k in range(1, n + 1):
-        term = poly_mul(field, [field.scalar(-h[k - 1, k - 1]), field.one], polys[k - 1])
-        prod = field.one
+        term = _mul([-h[k - 1][k - 1], 1], polys[k - 1], mod)
+        prod = 1
         for i in range(k - 2, -1, -1):
-            prod = field.scalar(prod * h[i + 1, i])
-            if prod == field.zero:
+            prod = _mod(prod * h[i + 1][i], mod)
+            if not prod:
                 break
-            coeff = field.scalar(-field.scalar(h[i, k - 1] * prod))
-            if coeff != field.zero:
-                term = poly_add(field, term, poly_scale(field, coeff, polys[i]))
+            term = _sub(term, _mul([h[i][k - 1] * prod], polys[i], mod), mod)
         polys.append(term)
-    return polys[n]
+    return [field.scalar(c) for c in polys[n]]
 
 
 def charpoly_coefficient(field, m, j):
@@ -182,92 +188,10 @@ def minpoly_matrix(field, m):
         target = power.reshape(-1)
         coeffs = linalg.solve(field, np.stack(rows, axis=1), target)
         if coeffs is not None:
-            mono = [field.scalar(-c) for c in coeffs] + [field.one]
-            return poly_trim(field, mono)
+            return [field.scalar(-c) for c in coeffs] + [field.one]
         rows.append(target)
         if len(rows) > n + 1:
             raise AssertionError("minimal polynomial search exceeded dimension bound")
-
-
-# Factorization works on plain Python int lists, lowest degree first with no
-# trailing zeros, and converts only at entry and exit. A helper that takes a
-# modulus m reduces into [0, m); the prime-field helpers take m = p.
-
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _reduce(a, m):
-    return _trim([x % m for x in a])
-
-
-def _add(a, b, m):
-    return _trim([(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _sub(a, b, m):
-    return _trim([(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _reduce(out, m)
-
-
-def _divmod(a, b, m):
-    """Quotient and remainder mod m; b's leading coefficient must be a unit mod m."""
-    inv = pow(b[-1], -1, m)
-    db = len(b) - 1
-    r = list(a)
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + db] * inv % m
-        q[k] = c
-        if c:
-            for i in range(db):
-                r[k + i] -= c * b[i]
-    return _trim(q), _reduce(r[:db], m)
-
-
-def _rem(a, b, m):
-    return _divmod(a, b, m)[1]
-
-
-def _monic(a, m):
-    inv = pow(a[-1], -1, m)
-    return [x * inv % m for x in a]
-
-
-def _deriv(a):
-    return [i * x for i, x in enumerate(a)][1:]
-
-
-def _gcd(a, b, p):
-    """Monic gcd over GF(p)."""
-    while b:
-        a, b = b, _rem(a, b, p)
-    return _monic(a, p) if a else a
-
-
-def _cofactors(a, b, p):
-    """(s, t) over GF(p) with s a + t b = 1, deg s < deg b and deg t < deg a, for coprime a and b."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
-        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
-    inv = pow(r0[0], -1, p)  # r0 is the nonzero constant gcd
-    return [x * inv % p for x in s0], [x * inv % p for x in t0]
 
 
 def _powmod(a, e, f, p):
@@ -515,20 +439,18 @@ def factor_poly(field, coeffs):
     the list is sorted by (degree, coefficient strings), so the output does not
     depend on the algorithm or on its random splits.
     """
-    coeffs = poly_trim(field, list(coeffs))
-    if poly_deg(coeffs) < 1:
+    f = _trim([field.scalar(c) for c in coeffs])
+    if len(f) < 2:
         return []
     if isinstance(field, GFField):
         p = field.p
-        out = [(u, k) for g, k in _gf_squarefree(_monic([int(c) % p for c in coeffs], p), p)
-               for u in _gf_irreducible_factors(g, p)]
+        out = [(u, k) for g, k in _gf_squarefree(_monic(f, p), p) for u in _gf_irreducible_factors(g, p)]
     else:
-        coeffs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        f = _primitive([int(c * den) for c in coeffs])
+        den = math.lcm(*(c.denominator for c in f))
+        f = _primitive([int(c * den) for c in f])
         out = [([Fraction(x, g[-1]) for x in g], k) for a, k in _z_squarefree(f)
                for g in _z_irreducible_factors(a)]
-    out.sort(key=lambda fm: (poly_deg(fm[0]), [str(c) for c in fm[0]]))
+    out.sort(key=lambda fm: (len(fm[0]), [str(c) for c in fm[0]]))
     return out
 
 
@@ -539,34 +461,21 @@ def crt_split_poly(field, f, factors):
     Writes f = F G with F one irreducible power and G the rest; when both are
     proper, returns e with e = 1 mod F, e = 0 mod G, so e(z) is a nontrivial
     exact idempotent in k[z]/(f(z)). Such an e of degree below deg f is
-    unique (the Chinese remainder theorem), so it does not depend on how the
-    cofactors are found: over GF(p) by the int-list helpers, over Q by the
-    poly_* helpers.
+    unique (the Chinese remainder theorem); it is t G for the cofactors
+    s F + t G = 1, computed mod p over GF(p) and exactly over Q.
     """
     if len(factors) < 2:
         return None
+    m = field.char or None
     f1, m1 = factors[0]
-    if isinstance(field, GFField):
-        p = field.p
-        f = _monic(_reduce([int(c) for c in f], p), p)
-        big_f = [1]
-        for _ in range(m1):
-            big_f = _mul(big_f, f1, p)
-        big_g, rem = _divmod(f, big_f, p)
-        if rem:
-            raise AssertionError("irreducible power does not divide f")
-        s, t = _cofactors(big_f, big_g, p)
-        if _add(_mul(s, big_f, p), _mul(t, big_g, p), p) != [1]:
-            raise AssertionError("block factors are not coprime")
-        return _mul(t, big_g, p)  # deg t < deg F, so deg t G < deg f
-    f = poly_monic(field, f)
-    big_f = f1
-    for _ in range(m1 - 1):
-        big_f = poly_mul(field, big_f, f1)
-    big_g, rem = poly_divmod(field, f, big_f)
+    f = _monic(_trim([field.scalar(c) for c in f]), m)
+    big_f = [1]
+    for _ in range(m1):
+        big_f = _mul(big_f, f1, m)
+    big_g, rem = _divmod(f, big_f, m)
     if rem:
         raise AssertionError("irreducible power does not divide f")
-    g, u, v = poly_xgcd(field, big_f, big_g)
-    if g != [field.one]:
+    s, t = _cofactors(big_f, big_g, m)
+    if _add(_mul(s, big_f, m), _mul(t, big_g, m), m) != [1]:
         raise AssertionError("block factors are not coprime")
-    return poly_mod(field, poly_mul(field, v, big_g), f)
+    return [field.scalar(c) for c in _mul(t, big_g, m)]  # deg t < deg F, so deg t G < deg f

@@ -335,6 +335,28 @@ def test_one_rref_entry_chooses_its_loop_by_the_input():
     assert isinstance(threshold.value, ast.Constant) and type(threshold.value.value) is int
 
 
+def test_one_polynomial_arithmetic_on_coefficient_lists():
+    """polynomials.py has one arithmetic, on coefficient lists mod m or over Q:
+    no function named poly_* is defined in the library, no private helper of
+    polynomials.py takes a field (except _hessenberg, which reduces a matrix),
+    and only factor_poly asks whether the field is GF(p), to pick its algorithm."""
+    found = [
+        (path.name, node.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("poly_")
+    ]
+    assert found == []
+    tree = ast.parse((SRC / "polynomials.py").read_text())
+    takes_field = [
+        node.name
+        for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if node.name.startswith("_") and "field" in [arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]
+    ]
+    assert takes_field == ["_hessenberg"]
+    assert sorted({fn for fn, _ in _mentions_by_function(tree, {"GFField"}) if fn is not None}) == ["factor_poly"]
+
+
 # The functions that may install a primitive idempotent family. Every reader of
 # projectives reaches the family through projective_indecomposables, which
 # installs it on first use; the enveloping-algebra builders install the

@@ -1,7 +1,8 @@
 """Polynomial kernels checked against sympy as an independent oracle.
 
 sympy is a test dependency only: the library factors on its own, and these
-tests compare every factorization with sympy's.
+tests compare every factorization, projector and coefficient-list helper
+with sympy's, over GF(p) and over Q.
 """
 
 import random
@@ -17,11 +18,31 @@ from jorder import linalg
 from jorder import polynomials as P
 
 
+_t = sympy.Symbol("t")
+
+
+def _sym(field, coeffs):
+    """coeffs, lowest degree first, as a sympy Poly over GF(p) or QQ."""
+    if field == QQ:
+        high_first = [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in reversed(coeffs)]
+        return sympy.Poly(high_first or [0], _t, domain="QQ")
+    return sympy.Poly([int(c) for c in reversed(coeffs)] or [0], _t, modulus=field.p, symmetric=False)
+
+
+def _unsym(field, poly):
+    """A sympy Poly back to a trimmed coefficient list of field scalars, lowest degree first."""
+    if poly.is_zero:
+        return []
+    if field == QQ:
+        return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return [int(c) % field.p for c in reversed(poly.all_coeffs())]
+
+
 def poly_eval_matrix(field, coeffs, m):
     """coeffs(m) by Horner; m is a square matrix. The oracle for polynomial identities on matrices."""
     n = m.shape[0]
     out = field.zeros((n, n))
-    for c in reversed(P.poly_trim(field, list(coeffs))):
+    for c in reversed(coeffs):
         out = field.matmul(out, m)
         if c != field.zero:
             out = field.canon(field.add(out, field.smul(c, field.eye(n))))
@@ -35,7 +56,7 @@ def _sympy_charpoly_mod(mat_int, p):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 1048573])
 def test_charpoly_matches_sympy_mod_p(seed, p):
     field = GF(p)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, p))))
@@ -93,46 +114,48 @@ def test_minpoly_divides_charpoly_and_annihilates(seed):
     mp = P.minpoly_matrix(field, m)
     cp = P.charpoly(field, m)
     assert field.is_zero(poly_eval_matrix(field, mp, m))
-    _, rem = P.poly_divmod(field, cp, mp)
-    assert rem == []
+    assert _sym(field, cp).rem(_sym(field, mp)).is_zero
 
 
+@pytest.mark.parametrize("field", [GF(7), QQ], ids=str)
 @pytest.mark.parametrize("seed", range(5))
-def test_xgcd_bezout_identity(seed):
-    field = GF(7)
+def test_cofactors_bezout_identity(field, seed):
+    """s a + t b = 1 with deg s < deg b and deg t < deg a, for a and b made coprime by their gcd."""
+    m = field.char or None
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(90 + seed)))
-    a = [int(x) for x in gen.integers(0, 7, size=5)] + [1]
-    b = [int(x) for x in gen.integers(0, 7, size=3)] + [1]
-    g, u, v = P.poly_xgcd(field, a, b)
-    lhs = P.poly_add(field, P.poly_mul(field, u, a), P.poly_mul(field, v, b))
-    assert lhs == g
-    assert P.poly_mod(field, a, g) == [] and P.poly_mod(field, b, g) == []
+    a = [field.scalar(Fraction(int(x), int(y))) for x, y in zip(gen.integers(-6, 7, 5), gen.integers(1, 6, 5))] + [1]
+    b = [field.scalar(Fraction(int(x), int(y))) for x, y in zip(gen.integers(-6, 7, 3), gen.integers(1, 6, 3))] + [1]
+    g = _unsym(field, _sym(field, a).gcd(_sym(field, b)))
+    a, b = _unsym(field, _sym(field, a).quo(_sym(field, g))), _unsym(field, _sym(field, b).quo(_sym(field, g)))
+    s, t = P._cofactors(a, b, m)
+    assert _unsym(field, _sym(field, s) * _sym(field, a) + _sym(field, t) * _sym(field, b)) == [1]
+    assert len(s) < len(b) and len(t) < len(a)
 
 
 @pytest.mark.parametrize("p", [2, 5])
 def test_factorization_multiplies_back(p):
     field = GF(p)
     # (t^2 + 1)(t + 1)^2 expanded via the library's own multiplication
-    f = P.poly_mul(field, [1, 0, 1], P.poly_mul(field, [1, 1], [1, 1]))
+    f = P._mul([1, 0, 1], P._mul([1, 1], [1, 1], p), p)
     factors = P.factor_poly(field, f)
     prod = [field.one]
     for fac, mult in factors:
         for _ in range(mult):
-            prod = P.poly_mul(field, prod, fac)
-    assert prod == P.poly_monic(field, f)
+            prod = P._mul(prod, fac, p)
+    assert prod == P._monic(f, p)
 
 
 def test_factorization_rationals():
     f = [Fraction(-1), Fraction(0), Fraction(1)]  # t^2 - 1
     factors = P.factor_poly(QQ, f)
     assert len(factors) == 2
-    assert all(mult == 1 and P.poly_deg(fac) == 1 for fac, mult in factors)
+    assert all(mult == 1 and len(fac) == 2 for fac, mult in factors)
 
 
 def test_crt_split_gives_exact_nontrivial_idempotent():
     field = GF(7)
     # z = companion matrix of t(t-1)(t-2): three coprime blocks
-    f = P.poly_mul(field, [0, 1], P.poly_mul(field, [field.scalar(-1), 1], [field.scalar(-2), 1]))
+    f = P._mul([0, 1], P._mul([6, 1], [5, 1], 7), 7)
     n = 3
     z = field.zeros((n, n))
     for i in range(1, n):
@@ -167,29 +190,17 @@ def test_poly_eval_matrix_horner_matches_naive(seed):
     assert field.eq(poly_eval_matrix(field, coeffs, m), field.canon(naive))
 
 
-_t = sympy.Symbol("t")
-
-
 def _sympy_factors(field, coeffs):
     """sympy's factorization of coeffs, in factor_poly's monic form and order."""
-    if field == QQ:
-        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], _t, domain="QQ")
-        to_scalar = lambda c: Fraction(int(c.p), int(c.q))  # noqa: E731
-    else:
-        poly = sympy.Poly([int(c) for c in reversed(coeffs)], _t, modulus=field.p, symmetric=False)
-        to_scalar = lambda c: int(c) % field.p  # noqa: E731
-    out = [
-        (P.poly_monic(field, [to_scalar(c) for c in reversed(f.all_coeffs())]), int(mult))
-        for f, mult in poly.factor_list()[1]
-    ]
-    return sorted(out, key=lambda fm: (P.poly_deg(fm[0]), [str(c) for c in fm[0]]))
+    out = [(_unsym(field, f.monic()), int(mult)) for f, mult in _sym(field, coeffs).factor_list()[1]]
+    return sorted(out, key=lambda fm: (len(fm[0]), [str(c) for c in fm[0]]))
 
 
 def _product(field, *factors):
     out = [field.one]
     for f in factors:
-        out = P.poly_mul(field, out, [field.scalar(c) for c in f])
-    return out
+        out = P._mul(out, [field.scalar(c) for c in f], field.char or None)
+    return [field.scalar(c) for c in out]
 
 
 def _power(field, f, k):
@@ -364,54 +375,137 @@ def test_factor_is_deterministic_and_draws_from_no_shared_stream():
     assert (np.random.get_state()[1] == np_state).all()
 
 
-# ---- crt_split_poly on the int-list helpers ------------------------------------
+# ---- crt_split_poly against sympy's extended gcd ---------------------------------
 
 
-def poly_crt_split(field, f, factors):
-    """crt_split_poly on the poly_* helpers for every field, as it ran over GF(p) before the int-list port."""
-    f = P.poly_monic(field, f)
+def sympy_crt_split(field, f, factors):
+    """The projector t G mod f, with s F + t G = 1 from sympy's gcdex, F the first factor's power and G = f / F."""
     if len(factors) < 2:
         return None
     f1, m1 = factors[0]
-    big_f = f1
-    for _ in range(m1 - 1):
-        big_f = P.poly_mul(field, big_f, f1)
-    big_g, rem = P.poly_divmod(field, f, big_f)
-    assert not rem
-    g, _, v = P.poly_xgcd(field, big_f, big_g)
-    assert g == [field.one]
-    return P.poly_mod(field, P.poly_mul(field, v, big_g), f)
+    monic = _sym(field, f).monic()
+    big_f = _sym(field, f1) ** m1
+    big_g, rem = monic.div(big_f)
+    assert rem.is_zero
+    _, t, g = big_f.gcdex(big_g)
+    assert _unsym(field, g) == [1]
+    return _unsym(field, (t * big_g).rem(monic))
+
+
+def _assert_crt_split_matches_sympy(field, f):
+    """crt_split_poly equals the sympy projector, has field-scalar coefficients, and is 1 mod F and 0 mod G."""
+    factors = P.factor_poly(field, f)
+    got = P.crt_split_poly(field, f, factors)
+    assert got == sympy_crt_split(field, f, factors)
+    if got is not None:
+        assert all(type(c) is (Fraction if field == QQ else int) for c in got)
+        f1, m1 = factors[0]
+        big_f = _sym(field, f1) ** m1
+        e = _sym(field, got)
+        assert (e - 1).rem(big_f).is_zero
+        assert e.rem(_sym(field, f).monic().quo(big_f)).is_zero
+    return got
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("seed", range(10))
-def test_crt_split_over_gf_p_matches_the_poly_helpers(p, seed):
-    """The int-list projector equals the poly_* one on products of repeated random factors,
-    scaled by a unit, and is an int list; over GF(p) the factors come from factor_poly."""
+def test_crt_split_over_gf_p_matches_sympy(p, seed):
+    """Products of repeated random factors, scaled by a unit; the factors come from factor_poly."""
     field = GF(p)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((p, seed, 29))))
     pieces = []
     for _ in range(int(gen.integers(1, 4))):
         piece = [int(x) for x in gen.integers(0, p, size=int(gen.integers(1, 4)))] + [1]
         pieces += [piece] * int(gen.integers(1, 4))
-    f = P.poly_scale(field, int(gen.integers(1, p)), _product(field, *pieces))
-    factors = P.factor_poly(field, f)
-    got, want = P.crt_split_poly(field, f, factors), poly_crt_split(field, f, factors)
-    assert got == want
-    if got is not None:
-        assert all(type(c) is int for c in got)
-        f1, m1 = factors[0]
-        monic = P.poly_monic(field, f)
-        # e = 1 mod F and e = 0 mod G
-        big_f = _power(field, f1, m1)
-        assert P.poly_mod(field, P.poly_sub(field, got, [field.one]), big_f) == []
-        assert P.poly_mod(field, got, P.poly_divmod(field, monic, big_f)[0]) == []
+    unit = int(gen.integers(1, p))
+    _assert_crt_split_matches_sympy(field, [c * unit % p for c in _product(field, *pieces)])
 
 
-def test_crt_split_over_q_keeps_the_poly_helpers():
+def test_crt_split_over_q_matches_sympy():
     f = _product(QQ, [Fraction(-1), Fraction(1)], [Fraction(1, 2), Fraction(1)], [Fraction(1, 2), Fraction(1)])
-    f = P.poly_scale(QQ, Fraction(3, 7), f)
-    factors = P.factor_poly(QQ, f)
-    got = P.crt_split_poly(QQ, f, factors)
-    assert got == poly_crt_split(QQ, f, factors)
-    assert got and all(type(c) is Fraction for c in got)
+    assert _assert_crt_split_matches_sympy(QQ, [Fraction(3, 7) * c for c in f])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_crt_split_over_q_random_products_match_sympy(seed):
+    """Two or three distinct random rational pieces, repeated and scaled by a rational unit."""
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 41))))
+    pieces = []
+    for _ in range(int(gen.integers(2, 4))):
+        size = 10 ** int(gen.integers(1, 7))
+        piece = [Fraction(int(gen.integers(-size, size)), int(gen.integers(1, size))) for _ in range(int(gen.integers(1, 4)))]
+        pieces += [piece + [Fraction(int(gen.integers(1, 9)), int(gen.integers(1, 9)))]] * int(gen.integers(1, 3))
+    unit = Fraction(int(gen.integers(-50, 50)) or 1, int(gen.integers(1, 50)))
+    assert _assert_crt_split_matches_sympy(QQ, [unit * c for c in _product(QQ, *pieces)]) is not None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+@pytest.mark.parametrize("coeffs", [[1, 5], [-1, 1], [3, 0, 10]])
+def test_factor_reduces_unreduced_and_negative_representatives_mod_p(p, coeffs):
+    """Coefficients are reduced before the trim: 1 + 5x and 3 + 10x^2 are constants over GF(5), with no factors."""
+    _assert_matches_sympy(GF(p), coeffs)
+
+
+# ---- the coefficient-list helpers, mod p and over Q (m = None) ---------------------
+
+
+def _helper_cases(field):
+    """The zero polynomial, constants, and polynomials of degree 1-5, plus
+    products sharing factors. Over Q the coefficients have large numerators and
+    denominators of both signs; mod p they are reduced ints."""
+    rng = random.Random(43)
+    if field == QQ:
+        draw = lambda: Fraction(rng.randrange(-10**25, 10**25), rng.randrange(1, 10**30))  # noqa: E731
+        lead = lambda: Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10**12), rng.randrange(1, 10**20))  # noqa: E731
+        cases = [[], [Fraction(-3, 10**20 + 39)], [Fraction(5)]]
+    else:
+        draw, lead = (lambda: rng.randrange(field.p)), (lambda: rng.randrange(1, field.p))
+        cases = [[], [field.p - 3], [5]]
+    cases += [[draw() for _ in range(degree)] + [lead()] for degree in range(1, 6)]
+    cases += [_unsym(field, _sym(field, cases[i]) * _sym(field, cases[j])) for i, j in ((3, 4), (3, 5), (4, 7))]
+    return cases
+
+
+HELPER_FIELDS = [GF(101), QQ]
+
+
+@pytest.mark.parametrize("field", HELPER_FIELDS, ids=str)
+def test_mul_matches_sympy(field):
+    cases = _helper_cases(field)
+    for a, b in product(cases, repeat=2):
+        assert P._mul(a, b, field.char or None) == _unsym(field, _sym(field, a) * _sym(field, b))
+
+
+@pytest.mark.parametrize("field", HELPER_FIELDS, ids=str)
+def test_divmod_matches_sympy(field):
+    cases = _helper_cases(field)
+    for a, b in product(cases, [b for b in cases if b]):
+        q, r = _sym(field, a).div(_sym(field, b))
+        assert P._divmod(a, b, field.char or None) == (_unsym(field, q), _unsym(field, r))
+
+
+@pytest.mark.parametrize("field", HELPER_FIELDS, ids=str)
+def test_gcd_and_monic_match_sympy(field):
+    cases = _helper_cases(field)
+    for a, b in product(cases, repeat=2):
+        assert P._gcd(a, b, field.char or None) == _unsym(field, _sym(field, a).gcd(_sym(field, b)))
+    for a in cases[1:]:
+        assert P._monic(a, field.char or None) == _unsym(field, _sym(field, a).monic())
+
+
+@pytest.mark.parametrize("field", HELPER_FIELDS, ids=str)
+def test_cofactors_match_sympy(field):
+    """For coprime a and b, not both constant, the cofactors with deg s < deg b
+    and deg t < deg a are unique, so they equal sympy's gcdex."""
+    pairs = 0
+    for a, b in product(_helper_cases(field), repeat=2):
+        if not a or not b or _unsym(field, _sym(field, a).gcd(_sym(field, b))) != [1]:
+            continue
+        pairs += 1
+        s, t = P._cofactors(a, b, field.char or None)
+        want_s, want_t, _ = _sym(field, a).gcdex(_sym(field, b))
+        assert (s, t) == (_unsym(field, want_s), _unsym(field, want_t))
+        assert _unsym(field, _sym(field, s) * _sym(field, a) + _sym(field, t) * _sym(field, b)) == [1]
+        if len(a) > 1 or len(b) > 1:  # two constants admit no cofactors within the bounds
+            assert len(s) < len(b) and len(t) < len(a)
+    assert pairs > 60
