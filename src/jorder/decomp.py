@@ -53,7 +53,11 @@ and the radical rows. A product is one composite read in the basis, and the
 search reads only the products it needs: those of the basis elements that
 span E/J, and a few for the Newton lift. Products are exact and coordinates
 in a reduced echelon basis unique, so each equals the table entry it
-replaces. EndView.algebra builds the full Algebra on request.
+replaces. EndView.algebra builds the full Algebra on request. dim E/J is
+rank J subtracted from dim E, so a node with dim E/J = 1 reads no product.
+The minimal polynomial of s in E/J is read off the powers of s, not off
+left_mult_matrix(s): L(v)1 = v, so L is injective on a unital algebra and
+the two minimal polynomials are equal.
 
 Nothing a decomposition has proved is proved again. A node's module is the
 image of an idempotent module map, a submodule by construction, so its
@@ -93,7 +97,7 @@ from .modules import (
     regular_bimodule,
     same_piece_dims,
 )
-from .polynomials import crt_split_poly, factor_poly, minpoly_matrix
+from .polynomials import crt_split_poly, factor_poly, minpoly_powers
 
 
 def endomorphism_algebra(m):
@@ -191,11 +195,16 @@ def _corner(field, homs, proj, incl):
 def find_nontrivial_idempotent(e_alg, gen, budget=64):
     """(idempotent vector, None) or (None, locality certificate).
 
-    Candidates are drawn from the semisimple quotient S = E/J: the standard
-    basis first, then seeded random elements. Each candidate either splits S
-    through a coprime factorization of its minimal polynomial, certifies S to
-    be a field by a primitive element, or is discarded. Exhausting the budget
-    without either outcome raises Inconclusive.
+    The semisimple quotient S = E/J has dimension dim E - rank J; at
+    dimension one it is a field, answered before S's table is built.
+    Otherwise candidates are drawn from S: the standard basis first, then
+    seeded random elements. Each candidate s either splits S through a
+    coprime factorization of its minimal polynomial mu_S, certifies S to be a
+    field by a primitive element, or is discarded. mu_S is the first linear
+    relation among 1, s, s^2, ... in S (polynomials.minpoly_powers), and the
+    projector e_s = sum c_k s^k is summed from those powers; no left
+    multiplication matrix is formed. Exhausting the budget without either
+    outcome raises Inconclusive.
 
     E is an EndView or an Algebra; it is read only through field, dim, label,
     unit, radical_rows(), products (S's table, from the products of the basis
@@ -205,10 +214,10 @@ def find_nontrivial_idempotent(e_alg, gen, budget=64):
     if e_alg.dim == 1:
         return None, "dim_one"
     rad = e_alg.radical_rows()
-    table_s, unit_s, proj, section = _quotient_structure(e_alg, rad)
-    dim_s = table_s.shape[0]
+    dim_s = e_alg.dim - rad.shape[0]
     if dim_s == 1:
         return None, "field_quotient"
+    table_s, unit_s, proj, section = _quotient_structure(e_alg, rad)
     quo = Algebra(field, table_s, unit_s, label=f"{e_alg.label}/J", check=False)
 
     def candidates():
@@ -224,7 +233,7 @@ def find_nontrivial_idempotent(e_alg, gen, budget=64):
         tried += 1
         if field.is_zero(s):
             continue
-        mu = minpoly_matrix(field, quo.left_mult_matrix(s))
+        mu, powers = minpoly_powers(field, unit_s, lambda v: quo.mul(v, s), dim_s)
         factors = factor_poly(field, mu)
         if len(mu) - 1 == dim_s and len(factors) == 1 and factors[0][1] == 1:
             # S = k[s] = k[x]/(mu) with mu irreducible, so S is a field
@@ -232,11 +241,7 @@ def find_nontrivial_idempotent(e_alg, gen, budget=64):
         proj_poly = crt_split_poly(field, mu, factors)
         if proj_poly is None:
             continue
-        e_s = field.zeros(dim_s)
-        for c in reversed(proj_poly):  # Horner
-            e_s = quo.mul(e_s, s)
-            if c != field.zero:
-                e_s = field.canon(field.add(e_s, field.smul(c, quo.unit)))
+        e_s = field.canon(field.matmul(field.vec(proj_poly), np.stack(powers[: len(proj_poly)])))
         if field.is_zero(e_s) or field.eq(e_s, unit_s):
             raise AssertionError("projector polynomial gave a trivial idempotent")
         if not field.eq(quo.mul(e_s, e_s), e_s):

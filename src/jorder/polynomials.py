@@ -17,8 +17,16 @@ picks its algorithm by the field. Over GF(p) it takes the squarefree
 decomposition (a chain of gcds with the derivative, as in Yun's algorithm,
 with a p-th root for the parts of derivative zero), then distinct-degree
 factorization and Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36,
-1981). Over Q it clears denominators and factors each squarefree part over Z
-by Zassenhaus (J. Number Theory 1, 1969): factor mod a good prime,
+1981). For p <= _ROOT_SCAN_P = 4096 the roots come first, from evaluating
+each squarefree part at every residue (Horner's rule on int64 arrays, whose
+products stay below 2^24); the linear factors split off, and a rootless
+remainder of degree 2 or 3 is irreducible. Only a remainder of degree 4 or
+more goes on to the distinct-degree step. The scan costs p evaluations,
+Cantor-Zassenhaus about log p products mod f: on split degree-2 and -5
+inputs the scan is 4-5x faster at p = 4093, and Cantor-Zassenhaus catches
+up on quadratics at about p = 16k.
+Over Q it clears denominators and factors each squarefree part over Z by
+Zassenhaus (J. Number Theory 1, 1969): factor mod a good prime,
 Hensel-lift past the Mignotte bound, and recombine the lifted factors by
 exact division. Decomposition certificates rest on its irreducibility
 verdicts, so none of them is a guess.
@@ -34,6 +42,8 @@ from itertools import combinations, zip_longest
 import numpy as np
 
 from .fields import GFField, _is_prime
+
+_ROOT_SCAN_P = 4096  # up to this p, roots are found by evaluating at every residue
 
 
 def _mod(x, m):
@@ -175,23 +185,27 @@ def charpoly_coefficient(field, m, j):
     return charpoly(field, m)[n - j] if j <= n else field.zero
 
 
-def minpoly_matrix(field, m):
-    """Monic minimal polynomial of a square matrix, by power stacking."""
+def minpoly_powers(field, one, times, bound):
+    """(mu, [1, x, ..., x^(deg mu - 1)]): mu is the monic minimal polynomial of x,
+    the first linear relation among 1 = one, x, x^2, ... with times(v) = v x, of degree at most bound."""
     from . import linalg
 
+    powers = [one]
+    while True:
+        target = times(powers[-1])
+        coeffs = linalg.solve(field, np.stack(powers, axis=1), target)
+        if coeffs is not None:
+            return [field.scalar(-c) for c in coeffs] + [field.one], powers
+        powers.append(target)
+        if len(powers) > bound + 1:
+            raise AssertionError("minimal polynomial search exceeded dimension bound")
+
+
+def minpoly_matrix(field, m):
+    """Monic minimal polynomial of a square matrix, by power stacking."""
     m = np.atleast_2d(m)
     n = m.shape[0]
-    power = field.eye(n)
-    rows = [power.reshape(-1)]
-    while True:
-        power = field.matmul(power, m)
-        target = power.reshape(-1)
-        coeffs = linalg.solve(field, np.stack(rows, axis=1), target)
-        if coeffs is not None:
-            return [field.scalar(-c) for c in coeffs] + [field.one]
-        rows.append(target)
-        if len(rows) > n + 1:
-            raise AssertionError("minimal polynomial search exceeded dimension bound")
+    return minpoly_powers(field, field.eye(n).reshape(-1), lambda v: field.matmul(v.reshape(n, n), m).reshape(-1), n)[0]
 
 
 def _powmod(a, e, f, p):
@@ -284,8 +298,18 @@ def _gf_equal_degree(f, d, p, rng):
 
 def _gf_irreducible_factors(f, p):
     """The monic irreducible factors of a squarefree monic f over GF(p)."""
+    out = []
+    if p <= _ROOT_SCAN_P:  # the roots by Horner's rule at every residue at once, in int64
+        vals = np.zeros(p, dtype=np.int64)
+        for c in reversed(f):
+            vals = (vals * np.arange(p, dtype=np.int64) + c) % p
+        for r in np.flatnonzero(vals == 0).tolist():
+            out.append([-r % p, 1])
+            f = _divmod(f, out[-1], p)[0]
+        if len(f) <= 4:  # rootless, so irreducible up to degree 3
+            return out + ([f] if len(f) > 1 else [])
     rng = random.Random(0)  # a fixed local seed: the splits found change only the run time
-    return [u for g, d in _gf_distinct_degree(f, p) for u in _gf_equal_degree(g, d, p, rng)]
+    return out + [u for g, d in _gf_distinct_degree(f, p) for u in _gf_equal_degree(g, d, p, rng)]
 
 
 def _primitive(a):
@@ -431,10 +455,10 @@ def _z_irreducible_factors(f):
 def factor_poly(field, coeffs):
     """Irreducible factorization [(factor, multiplicity)], factors monic.
 
-    Over GF(p): squarefree decomposition with the p-th-root step, then
-    distinct-degree and Cantor-Zassenhaus equal-degree splitting. Over Q: clear
-    denominators, take the squarefree decomposition over Z (Yun), and factor
-    each part by Zassenhaus with Hensel lifting. Both find every monic
+    Over GF(p): squarefree decomposition with the p-th-root step, a root scan
+    for p <= _ROOT_SCAN_P, then distinct-degree and Cantor-Zassenhaus
+    splitting. Over Q: clear denominators, take the squarefree decomposition
+    over Z (Yun), and factor each part by Zassenhaus with Hensel lifting. Both find every monic
     irreducible factor and its multiplicity; that factorization is unique, and
     the list is sorted by (degree, coefficient strings), so the output does not
     depend on the algorithm or on its random splits.

@@ -611,6 +611,7 @@ def conjugated_basis(a, gen):
     """a in the basis given by the columns of a random invertible g.
 
     T'[i, j] = g^-1 T(g e_i, g e_j); unit, family and generators move by g^-1.
+    An algebra without a family stays without one.
     """
     field = a.field
     g = linalg.random_invertible(field, gen, a.dim)
@@ -624,7 +625,7 @@ def conjugated_basis(a, gen):
 
     return Algebra(
         field, table, move(a.unit),
-        idempotents=[move(e) for e in a.idempotents], idempotents_primitive=True,
+        idempotents=[move(e) for e in a.idempotents or []], idempotents_primitive=True,
         generators=[move(x) for x in a.generators], label=f"{a.label}^g",
     )
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from jorder import catalog, decomp, linalg
-from jorder.algebras import Algebra, linear_quiver_algebra, matrix_algebra_radical, quotient_algebra
+from jorder.algebras import Algebra, _quotient_structure, linear_quiver_algebra, matrix_algebra_radical, quotient_algebra
 from jorder.decomp import (
     Decomposition,
     _match_classes,
@@ -49,11 +49,13 @@ from jorder.modules import (
     tensor_over,
     zero_module,
 )
+from jorder.polynomials import crt_split_poly, factor_poly, minpoly_matrix
 from jorder.witnesses import JWitnessPair, _op_left_as_right, embedding_witness_pairs, is_k_split, verify_j_geq
 from jorder.quivers import parse_presentation
 from jorder.algebras import algebra_from_quiver
 
 from fingerprints import fingerprint
+from test_algebras import conjugated_basis
 
 
 def qa(text):
@@ -1221,3 +1223,157 @@ class TestEndView:
             decompose(m, seed=seed)
         assert built and all(shape == (d, d, d) and d > 1 for shape, d in built)
         assert len(built) == sum(d > 1 for d in quotient_dims)
+
+
+# ---- the idempotent search against the one it replaced --------------------------
+
+
+def _old_find_nontrivial_idempotent(e_alg, gen, budget=64):
+    """The search before it read dim S off rank J and mu_S off the powers of s:
+    S's table first, then the minimal polynomial of left_mult_matrix(s), and
+    e_s by Horner. Kept verbatim as the oracle."""
+    field = e_alg.field
+    if e_alg.dim == 1:
+        return None, "dim_one"
+    rad = e_alg.radical_rows()
+    table_s, unit_s, proj, section = _quotient_structure(e_alg, rad)
+    dim_s = table_s.shape[0]
+    if dim_s == 1:
+        return None, "field_quotient"
+    quo = Algebra(field, table_s, unit_s, label=f"{e_alg.label}/J", check=False)
+
+    def candidates():
+        for i in range(dim_s):
+            yield field.canon(field.eye(dim_s)[i])
+        while True:
+            yield field.canon(field.rand_mat(gen, 1, dim_s).reshape(-1))
+
+    tried = 0
+    for s in candidates():
+        if tried >= budget:
+            break
+        tried += 1
+        if field.is_zero(s):
+            continue
+        mu = minpoly_matrix(field, quo.left_mult_matrix(s))
+        factors = factor_poly(field, mu)
+        if len(mu) - 1 == dim_s and len(factors) == 1 and factors[0][1] == 1:
+            return None, "field_quotient"
+        proj_poly = crt_split_poly(field, mu, factors)
+        if proj_poly is None:
+            continue
+        e_s = field.zeros(dim_s)
+        for c in reversed(proj_poly):  # Horner
+            e_s = quo.mul(e_s, s)
+            if c != field.zero:
+                e_s = field.canon(field.add(e_s, field.smul(c, quo.unit)))
+        if field.is_zero(e_s) or field.eq(e_s, unit_s):
+            raise AssertionError("projector polynomial gave a trivial idempotent")
+        if not field.eq(quo.mul(e_s, e_s), e_s):
+            raise AssertionError("projector polynomial gave a non-idempotent")
+        x = field.matmul(section, e_s)
+        three, two = field.scalar(3), field.scalar(2)
+        for _ in range(64):
+            x2 = e_alg.mul(x, x)
+            if field.eq(x2, x):
+                break
+            x3 = e_alg.mul(x2, x)
+            x = field.canon(field.sub(field.smul(three, x2), field.smul(two, x3)))
+        else:
+            raise AssertionError("idempotent lift did not converge")
+        if not field.eq(field.matmul(proj, x), e_s):
+            raise AssertionError("idempotent lift left its residue class")
+        return x, None
+    raise Inconclusive(
+        f"no idempotent or locality certificate for {e_alg.label} "
+        f"(dim {e_alg.dim}, semisimple quotient dim {dim_s}) within budget {budget}"
+    )
+
+
+SEARCH_FIELDS = [GF(2), GF(3), GF(101), GF(1048573), QQ]
+
+
+def search_outcome(search, e, seed, budget):
+    """(vector, certificate), or ("inconclusive", message)."""
+    try:
+        return search(e, np.random.Generator(np.random.PCG64(seed)), budget)
+    except Inconclusive as exc:
+        return "inconclusive", str(exc)
+
+
+def assert_same_search(e, seed, budget=64):
+    """Both searches give the same vector and certificate, or the same Inconclusive
+    message; returns "split", the certificate or "inconclusive"."""
+    got, want = (search_outcome(search, e, seed, budget) for search in (find_nontrivial_idempotent, _old_find_nontrivial_idempotent))
+    assert got[1] == want[1]
+    if isinstance(want[0], np.ndarray):
+        assert_same_array(got[0], want[0])
+        return "split"
+    assert got[0] == want[0]
+    return want[1] if want[0] is None else want[0]
+
+
+def search_modules(field, gen):
+    """view_inputs plus random-basis sums with repeated and distinct summands,
+    and k[x]/x^2 on itself, whose local End has dimension 2."""
+    (p0, p1, p2, s0), (q0, q1) = summand_fixtures(field)
+    sums = [summed([p0, p0, p1, s0], gen), summed([q0, q1, q1], gen), summed([p2, p2, p2], gen)]
+    return view_inputs(field, gen) + sums + [conjugated(left_regular_module(dual_numbers(field.name)), gen)]
+
+
+def search_algebras(field, gen):
+    """Algebras read directly: semisimple group algebras (products of fields,
+    split or not) and matrix algebras, each also in a random basis."""
+    algs = [group_algebra_cyclic(field, n) for n in (2, 3, 4, 5)] + [matrix_units_algebra(field, 2)]
+    algs = [a for a in algs if a.radical_rows().shape[0] == 0]
+    return algs + [conjugated_basis(a, gen) for a in algs]
+
+
+class TestSearchAgainstTheOldSearch:
+    @pytest.mark.parametrize("field", SEARCH_FIELDS, ids=str)
+    def test_every_decomposition_node(self, field, monkeypatch):
+        """Every node of every decomposition, read as its EndView and as the
+        full Algebra, at its own seed and another."""
+        gen = np.random.default_rng(41)
+        outcomes = []
+        for seed, m in enumerate(search_modules(field, gen)):
+            for view in decomposition_views(m, seed, monkeypatch):
+                for e in (view, view.algebra):
+                    outcomes += [assert_same_search(e, s) for s in (seed, seed + 100)]
+        assert {"split", "dim_one", "field_quotient"} <= set(outcomes)
+
+    @pytest.mark.parametrize("field", SEARCH_FIELDS, ids=str)
+    def test_algebras_read_directly(self, field):
+        """Semisimple algebras, where the standard basis and random elements
+        meet minimal polynomials of every shape; small budgets run dry."""
+        gen = np.random.default_rng(43)
+        outcomes = []
+        for a in search_algebras(field, gen):
+            for seed in range(4):
+                outcomes += [assert_same_search(a, seed, budget) for budget in (1, 2, 64)]
+        assert {"split", "inconclusive"} <= set(outcomes)
+
+    def test_division_algebras(self):
+        """Q(sqrt 2) and GF(4) are fields; the quaternions run the budget dry."""
+        outcomes = [assert_same_search(quaternions(), seed, 16) for seed in range(3)]
+        for field, sq in ((QQ, 2), (GF(2), None)):
+            table = field.zeros((2, 2, 2))
+            table[0, 0], table[0, 1], table[1, 0] = [1, 0], [0, 1], [0, 1]
+            table[1, 1] = [2, 0] if sq else [1, 1]
+            outcomes.append(assert_same_search(Algebra(field, table, [1, 0]), 0))
+        assert outcomes == ["inconclusive"] * 3 + ["field_quotient"] * 2
+
+    @pytest.mark.parametrize("field", SEARCH_FIELDS, ids=str)
+    def test_dim_one_quotients_build_no_quotient(self, field, monkeypatch):
+        """dim S comes from rank J: S's table is built only when dim S > 1."""
+        gen = np.random.default_rng(47)
+        es = [e for seed, m in enumerate(search_modules(field, gen))
+              for view in decomposition_views(m, seed, monkeypatch) for e in (view, view.algebra)]
+        dims = [e.dim - e.radical_rows().shape[0] for e in es]
+        built = []
+        real = decomp._quotient_structure
+        monkeypatch.setattr(decomp, "_quotient_structure", lambda e, rad: built.append(e.dim - rad.shape[0]) or real(e, rad))
+        for e in es:
+            find_nontrivial_idempotent(e, np.random.Generator(np.random.PCG64(0)))
+        assert any(d == 1 < e.dim for e, d in zip(es, dims))
+        assert built == [d for d in dims if d > 1]

@@ -430,11 +430,9 @@ def test_module_maps_and_splits_are_checked_in_one_place():
 
 # The callers of the one-element reads of the table. Every other reader takes
 # it in one of two shapes, algebras.pair_products or the regular stacks:
-# find_nontrivial_idempotent reads the minimal polynomial of one element,
 # Module._validate checks one generator at a time (all at once would hold
 # G dim d^2 entries), and projective_indecomposables spans A e from R(e).
 _ONE_ELEMENT_READERS = {
-    ("decomp.py", "find_nontrivial_idempotent"),
     ("modules.py", "_validate"),
     ("modules.py", "projective_indecomposables"),
 }

@@ -5,6 +5,8 @@ tests compare every factorization, projector and coefficient-list helper
 with sympy's, over GF(p) and over Q.
 """
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 from itertools import product
@@ -509,3 +511,103 @@ def test_cofactors_match_sympy(field):
         if len(a) > 1 or len(b) > 1:  # two constants admit no cofactors within the bounds
             assert len(s) < len(b) and len(t) < len(a)
     assert pairs > 60
+
+
+# ---- GF(p) factoring on both sides of the root scan -------------------------------
+
+SCAN_PRIMES = [2, 3, 5, 101, 4093]  # at most polynomials._ROOT_SCAN_P: roots by a scan of every residue
+CZ_PRIMES = [4099, 1048573]  # above it: distinct-degree and Cantor-Zassenhaus splitting only
+
+
+def _irreducibles(p, degree, rng, count=2):
+    """Up to count distinct monic irreducibles of the degree over GF(p), drawn at random and checked by sympy."""
+    out = []
+    for _ in range(400):
+        f = [rng.randrange(p) for _ in range(degree)] + [1]
+        if f not in out and _sym(GF(p), f).is_irreducible:
+            out.append(f)
+            if len(out) == count:
+                break
+    return out
+
+
+def _quadratic_pair(p):
+    """Two distinct irreducible quadratics over odd GF(p): x^2 + a and x^2 + b with
+    -a and -b non-squares, or over GF(3), which has one such a, x^2 + 1 and x^2 + x + 2."""
+    if p == 3:
+        return [1, 0, 1], [2, 1, 1]
+    a, b = itertools.islice((c for c in range(1, p) if pow(-c % p, (p - 1) // 2, p) == p - 1), 2)
+    return [a, 0, 1], [b, 0, 1]
+
+
+@functools.cache
+def _scan_cases(p):
+    """Products of linear, quadratic, cubic and quartic irreducibles, with
+    multiplicities: split ones, rootless remainders of degree 2 and 3, an
+    irreducible quartic, and rootless quartics (or a quintic over GF(2)) that
+    still split."""
+    rng = random.Random(p)
+    lin, quad, cub, quart = (_irreducibles(p, d, rng) for d in (1, 2, 3, 4))
+    pair = list(_quadratic_pair(p)) if p > 2 else [quad[0], cub[0]]
+    return [
+        [(lin[0], 1)],
+        [(u, k + 1) for k, u in enumerate(lin)],
+        [(quad[0], 1)],
+        [(cub[0], 1)],
+        [(lin[0], 1), (quad[0], 1)],
+        [(lin[-1], 2), (cub[0], 1)],
+        [(quart[0], 1)],
+        [(lin[0], 1), (quart[0], 1)],
+        [(pair[0], 1), (pair[1], 1)],
+        [(lin[0], 1), (pair[0], 1), (pair[1], 2)],
+        [(lin[0], 2), (quad[0], 1), (cub[-1], 2), (quart[-1], 1)],
+        [(quad[-1], 1), (cub[0], 1), (cub[-1], 1)],
+    ]
+
+
+def _unreduced(p, f, rng):
+    """f times a unit, each coefficient moved by a random multiple of p, some negative."""
+    unit = rng.randrange(1, p)
+    return [c * unit + p * rng.randrange(-3, 4) for c in f]
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES + CZ_PRIMES)
+@pytest.mark.parametrize("case", range(12))
+def test_factor_products_of_small_irreducibles_match_sympy(p, case):
+    field = GF(p)
+    pieces = _scan_cases(p)[case]
+    f = _unreduced(p, _product(field, *[_power(field, g, k) for g, k in pieces]), random.Random(case))
+    got = P.factor_poly(field, f)
+    assert got == _sympy_factors(field, f)
+    assert sorted(k for _, k in got) == sorted(k for _, k in pieces)
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES[1:] + CZ_PRIMES)
+def test_two_irreducible_quadratics_split(p):
+    """(x^2 + a)(x^2 + b) has no root, yet two factors."""
+    g, h = _quadratic_pair(p)
+    assert P.factor_poly(GF(p), _product(GF(p), g, h)) == sorted([(g, 1), (h, 1)], key=lambda fm: [str(c) for c in fm[0]])
+
+
+def _distinct_degree_calls(monkeypatch):
+    calls = []
+    real = P._gf_distinct_degree
+    monkeypatch.setattr(P, "_gf_distinct_degree", lambda f, p: calls.append(p) or real(f, p))
+    return calls
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES + CZ_PRIMES)
+def test_the_root_scan_runs_up_to_its_constant(p, monkeypatch):
+    """A split quadratic needs no distinct-degree step where the scan runs."""
+    calls = _distinct_degree_calls(monkeypatch)
+    assert len(P.factor_poly(GF(p), [2, 3, 1])) == 2  # (x + 1)(x + 2)
+    assert calls == ([] if p <= P._ROOT_SCAN_P else [p])
+
+
+def test_a_prime_at_the_constant_takes_the_scan(monkeypatch):
+    """With the constant set to the prime 101, GF(101) takes the scan and GF(103) does not."""
+    monkeypatch.setattr(P, "_ROOT_SCAN_P", 101)
+    calls = _distinct_degree_calls(monkeypatch)
+    for p in (101, 103):
+        assert P.factor_poly(GF(p), [2, 3, 1]) == [([1, 1], 1), ([2, 1], 1)]
+    assert calls == [103]
