@@ -67,9 +67,14 @@ its Summand (Module._leaf), and decompose on that module, with any seed,
 answers with the one summand (module, 1, 1, certificate, End) while the leaf
 is alive, with no Hom solve: End is the corner basis, bit for bit
 hom_space(X, X) (above), and a local End's certificate is dim_one at
-dimension one and field_quotient otherwise. The reference is weak, so a
-module does not keep its parent's decomposition alive; once the leaf is
-gone, the next decompose solves again.
+dimension one and field_quotient otherwise. A decomposed module also keeps
+a weak reference to its Decomposition and the seed it was made at
+(Module._decomposition), and decompose on that module at that seed returns
+it while it is alive: the decomposition is a function of the module and the
+seed, so a decomposable module, whose leaves live on submodules, is not
+solved again either. The references are weak, so a module does not keep its
+own or its parent's decomposition alive; once it is gone, the next
+decompose solves again.
 """
 
 import weakref
@@ -377,6 +382,7 @@ def decompose(m, seed=0):
     spawned SeedSequences. Raises Inconclusive when some piece can be neither
     split nor certified indecomposable within the search budget. A module
     that is the module of a live certified leaf is answered by that leaf,
+    and a module decomposed at the same seed by that live Decomposition,
     with no Hom solve (see the header).
     """
     field = m.field
@@ -385,6 +391,10 @@ def decompose(m, seed=0):
     held = m._leaf() if m._leaf is not None else None
     if held is not None:
         return Decomposition(m, [Summand(m, field.eye(m.dim), field.eye(m.dim), held.certificate, held._end)], [[0]])
+    if m._decomposition is not None and m._decomposition[0] == seed:
+        held = m._decomposition[1]()
+        if held is not None:
+            return held
     # a work list, not a nested function that calls itself: its closure would
     # be a reference cycle, keeping the leaves alive after the decomposition
     # is dropped until the cyclic collector runs. An entry (mod, incl, proj,
@@ -438,7 +448,9 @@ def decompose(m, seed=0):
                 break
         else:
             classes.append([idx])
-    return Decomposition(m, leaves, classes)
+    dec = Decomposition(m, leaves, classes)
+    m._decomposition = (seed, weakref.ref(dec))
+    return dec
 
 
 def _match_classes(dx, dy):

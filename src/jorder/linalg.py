@@ -1,14 +1,23 @@
 """Exact Gaussian elimination kernels shared by every higher layer.
 
-All routines are deterministic: pivoting always selects the first nonzero
-entry in scan order, so reduced forms, nullspace bases, and solutions are
-canonical for a given input. No floating point anywhere.
+All routines are deterministic: the reduced row echelon form of a matrix is
+unique, so reduced forms, nullspace bases, and solutions are canonical for a
+given input. No floating point anywhere.
 
 rref is the one elimination entry, written against the field interface. It
 canonicalises the matrix once (canon returns a fresh array, so the input is
-never written to) and then runs one of two Gauss-Jordan loops, chosen by the
-input alone. The reduced echelon form is unique, so both give the same
-output bit for bit; neither is an option a caller can pick.
+never written to) and then runs one of three Gauss-Jordan loops, chosen by
+the input alone. The reduced echelon form is unique, so all three give the
+same output bit for bit; none is an option a caller can pick.
+
+_rref_sparse keeps only the nonzeros: each nonzero row becomes a dict
+{column: value} read straight off r.nonzero(), so zero rows and zero
+entries never reach Python. Each row is reduced by the pivot row of its
+leading column until that column has no pivot yet; the row, normalised, is
+then the pivot row there. One back-substitution pass, from the last pivot
+up, clears the later pivot columns of each pivot row, and only the pivot
+rows are written back into r, every other entry being zero. The cost
+follows the nonzeros and their fill-in, not the cells.
 
 _rref_rows eliminates on the matrix's Python rows (tolist). At the pivot in
 column col it touches only the rows with a nonzero entry there, and in them
@@ -26,25 +35,34 @@ row. Over GF(p) the entries are canonical, so that product is below
 p^2 < 2^40 and exact in int64; sub's single reduction mod p then leaves every
 entry canonical again, with no further canon pass.
 
-Over Q every input takes the row loop: on object arrays numpy only wraps the
-same per-entry Fraction operations, and adds its dispatch per pivot. Over
-GF(p) an input with at most _ROW_KERNEL_NNZ = 128 nonzero entries (counted
-after canonicalising) takes the row loop, any other the array loop. Most
-eliminations are tiny or very sparse, and there the cost is numpy's
-dispatch per pivot, not arithmetic: on a dense 6x6 GF(101) matrix the
-array loop takes 67 us and the row loop 37 us. On dense systems of more
-than 512 cells the array loop is 3-4x faster. The constant comes from
-replaying the exact rref inputs of one seed-0 pass of each jbench workload
-(best of 5, three runs, one thread on a shared 2-vCPU Linux host):
-- verify-gf101, 2,309 calls, 1,698 of at most 64 cells, 3.8% nonzero:
-  0.111-0.131 s all on arrays, 0.070-0.079 s all on rows, 0.067-0.075 s
-  selected at 128;
-- lrproj-gf101, 1,414 calls, 56% nonzero: 0.080-0.093 s on arrays,
-  0.19 s on rows, 0.076-0.083 s selected;
-- verify-q, 183 calls: 0.026-0.029 s on arrays, 0.008-0.009 s on rows,
-  faster in every size bucket.
-Thresholds from 64 to 256 replay alike; at 512 lrproj-gf101 is 5-10% slower,
-at 1024 about 20%.
+The choice counts the nonzeros nnz of the canonical input. An input with
+nnz <= 2 max(rows, cols) and 8 nnz <= rows * cols, about two nonzeros a row
+or column and at most one cell in eight, takes the dict loop, over GF(p)
+and Q alike: Hom systems, commutation rows and radical stacks written in a
+quiver basis look like this. On a 576x324 GF(101) Hom system with 864
+nonzeros it takes 1.8 ms, where the array loop takes 5.9 ms and the list
+rows 12 ms; on a 384x16 radical stack with 40, 0.07 ms against 0.21 and
+0.40 ms. Dense inputs cost more in dicts than in lists: a dense 10x10
+takes 112 us on dicts and 70 us on list rows.
+
+Any other input over Q takes the list-row loop: on object arrays numpy only
+wraps the same per-entry Fraction operations, and adds its dispatch per
+pivot. Over GF(p) an input with at most _ROW_KERNEL_NNZ = 128 nonzero
+entries takes the list-row loop, any other the array loop. Small dense
+eliminations pay numpy's dispatch per pivot, not arithmetic: on a dense 6x6
+GF(101) matrix the array loop takes 67 us and the row loop 37 us. On dense
+systems of more than 512 cells the array loop is 3-4x faster. That constant
+came from replaying the exact rref inputs of one seed-0 pass of each jbench
+workload under the two loops (best of 5, one thread on a shared 2-vCPU
+Linux host); thresholds from 64 to 256 replayed alike, and at 512
+lrproj-gf101 was 5-10% slower. The same replay, best of 7-9 per input,
+gives the sparse rule's effect, all three loops against the two:
+- verify-gf101, 2,309 calls, 1,243 to the dict loop (by time hom_space's
+  nullspaces first, then radical_sub_rows and graded pieces): 63-72 ms a
+  pass with two loops, 38-46 ms with three;
+- lrproj-gf101, 1,414 calls, 260 to the dict loop, all small: 59-65 ms
+  and 60-62 ms;
+- verify-q, 183 calls, 60 to the dict loop: 6.9-7.3 ms and 6.3-6.5 ms.
 
 Every basis the library builds (row_basis, hom_space, radical_rows) is in
 reduced echelon form, and vectors are read against it without a second
@@ -64,7 +82,7 @@ import numpy as np
 
 from .errors import SingularMatrix
 
-# GF(p) inputs with at most this many nonzero entries take _rref_rows (see the header)
+# GF(p) inputs the sparse rule leaves take _rref_rows up to this many nonzero entries (see the header)
 _ROW_KERNEL_NNZ = 128
 
 
@@ -76,9 +94,60 @@ def rref(field, a):
     # canonicalize first: raw products (e.g. unreduced tensordot output) may
     # hold representatives like 2 over GF(2) that compare nonzero but are not
     r = field.canon(np.atleast_2d(a))
-    if field.char == 0 or np.count_nonzero(r) <= _ROW_KERNEL_NNZ:
+    nrows, ncols = r.shape
+    nnz = np.count_nonzero(r)
+    if nnz <= 2 * max(nrows, ncols) and 8 * nnz <= nrows * ncols:
+        return _rref_sparse(field, r)
+    if field.char == 0 or nnz <= _ROW_KERNEL_NNZ:
         return _rref_rows(field, r)
     return _rref_array(field, r)
+
+
+def _sub_row(p, row, c, pivot):
+    """row -= c * pivot on dict rows {column: value}, dropping the entries that cancel."""
+    for j, x in pivot.items():
+        v = row.get(j, 0) - c * x
+        if p:
+            v %= p
+        if v:
+            row[j] = v
+        else:  # c * x is nonzero, so row held column j
+            del row[j]
+
+
+def _rref_sparse(field, r):
+    """rref of a sparse canonical matrix on dict rows of its nonzeros, written back into r."""
+    p = field.char
+    ii, jj = r.nonzero()
+    rows = {}
+    for i, j, x in zip(ii.tolist(), jj.tolist(), r[ii, jj].tolist()):
+        rows.setdefault(i, {})[j] = x
+    # forward: each row is reduced by the pivot row of its leading column
+    # until its leading column is new; that row, normalised, is the pivot there
+    pivot_rows = {}
+    for row in rows.values():
+        while row:
+            lead = min(row)
+            pivot = pivot_rows.get(lead)
+            if pivot is None:
+                if row[lead] != 1:
+                    inv = field.inv_scalar(row[lead])
+                    row = {j: x * inv % p if p else x * inv for j, x in row.items()}
+                pivot_rows[lead] = row
+                break
+            _sub_row(p, row, row[lead], pivot)
+    # back: from the last pivot up, clear the later pivot columns of each row;
+    # those rows are already reduced, so no pivot column fills in again
+    pivots = sorted(pivot_rows)
+    for col in reversed(pivots):
+        row = pivot_rows[col]
+        for j in [j for j in row if j != col and j in pivot_rows]:
+            _sub_row(p, row, row[j], pivot_rows[j])
+    r[...] = field.zero
+    if pivots:
+        ii, jj, vals = zip(*[(i, j, x) for i, col in enumerate(pivots) for j, x in pivot_rows[col].items()])
+        r[list(ii), list(jj)] = vals
+    return r, pivots
 
 
 def _rref_rows(field, r):

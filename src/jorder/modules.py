@@ -80,14 +80,16 @@ array the builder would return again: no module's action matrices change
 after they are set, and an algebra replaces its generator or family list
 rather than editing it, so a changed list misses the key and rebuilds.
 _leaf is decomp's: a weak reference to the certified Summand a decomposition
-proved the module to be.
+proved the module to be. So is _decomposition: the seed and a weak reference
+to the last Decomposition of the module itself.
 
 regular_bimodule(a) hands out one module per algebra while anything uses it:
 a._regular_bimodule is a weak reference to the last one built, and a call
 while it is alive returns that object, with its held leaf and pieces. So a
 caller that decomposes A once and keeps the Decomposition (the witness
 search does) has every later decompose of the regular bimodule answered from
-the held leaf when A is connected. The reference is weak: no algebra keeps
+the held leaf when A is connected, and from the held Decomposition at the
+same seed when it is not. The reference is weak: no algebra keeps
 its regular bimodule, and once its last user drops it the next call builds a
 new one with equal matrices.
 """
@@ -128,6 +130,8 @@ class Module:
         self._piece_stacks = [None, None]
         # a weak reference to the certified Summand decomp.decompose proved this module to be, if any
         self._leaf = None
+        # (seed, weak reference to the Decomposition decomp.decompose made of this module at that seed)
+        self._decomposition = None
         if self.left_mats is not None and (
             self.left_mats.shape != (left_algebra.dim, self.dim, self.dim)
         ):

@@ -25,7 +25,8 @@ tensor at seed + 1 and matches it against the regular bimodule's
 decomposition. So an equal tensor would fail again in the same way, and the
 search verifies each distinct tensor once, keyed by the matrices' entries.
 It also keeps one decomposition of the regular bimodule for its whole run,
-so every attempt over a connected algebra reads the held leaf
+at the seed its attempts verify with, so every attempt reads the held leaf
+over a connected algebra and the held decomposition over a disconnected one
 (modules.regular_bimodule).
 """
 

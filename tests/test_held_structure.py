@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from jorder import catalog, decomp, linalg, modules, witnesses
-from jorder.algebras import Algebra, linear_quiver_algebra, tensor_algebra
+from jorder.algebras import Algebra, algebra_from_quiver, linear_quiver_algebra, tensor_algebra
 from jorder.decomp import (
     are_isomorphic,
     complete_primitive_idempotents,
@@ -33,6 +33,7 @@ from jorder.decomp import (
 from jorder.errors import NonSplitResidueField
 from jorder.fields import GF, QQ
 from jorder.groups import invariant_subalgebra, skew_group_algebra
+from jorder.quivers import parse_presentation
 from jorder.modules import (
     Module,
     direct_sum,
@@ -643,6 +644,58 @@ def test_a_dropped_decomposition_dies_without_the_cycle_collector(field):
             assert all(x._leaf() is None for x in xs)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_a_held_decomposition_answers_its_own_seed_only(field, solved_ends):
+    """decompose on a decomposed module, while that Decomposition is alive,
+    returns it at the seed it was made at, with no End solve; at another seed
+    it solves again and equals the decomposition of a fresh copy."""
+    for m in decomposition_inputs(field):
+        dec = decompose(m, seed=1)
+        assert len(dec.summands) > 1 and m._decomposition[1]() is dec
+        solved_ends.clear()
+        assert decompose(m, seed=1) is dec and solved_ends == []
+        other = decompose(m, seed=2)
+        assert solved_ends == [m] and other is not dec
+        assert same_decomposition(other, decompose(fresh_copy(m), seed=2))
+        assert decompose(m, seed=1) is not dec  # the last decomposition made is the one held
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_a_dropped_held_decomposition_dies_without_the_cycle_collector(field, solved_ends):
+    """The module holds its decomposition weakly: with the cyclic collector
+    off, dropping every user frees it, and the next decompose solves again."""
+    m = decomposition_inputs(field)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        dec = decompose(m, seed=1)
+        again = decompose(m, seed=1)
+        held = weakref.ref(dec)
+        assert again is dec
+        del dec, again
+        assert held() is None and m._decomposition[1]() is None
+        solved_ends.clear()
+        assert len(decompose(m, seed=1).summands) > 1 and solved_ends == [m]
+    finally:
+        gc.enable()
+
+
+def test_a_disconnected_search_solves_the_regular_bimodule_once(solved_ends, monkeypatch):
+    """Over the two-vertex semisimple algebra the regular bimodule has two
+    summands on submodules, so no leaf answers for it; the held decomposition
+    at the search's seed does. The seed-8 search solves End of it once over
+    its nine verify_j_geq calls."""
+    field, pres = parse_presentation("field GF(5)\nvertex 1\nvertex 2\n")
+    two = algebra_from_quiver(pres, field)
+    verified = []
+    verify = witnesses.verify_j_geq
+    monkeypatch.setattr(witnesses, "verify_j_geq", lambda w, **kw: verified.append(w) or verify(w, **kw))
+    with pytest.warns(UserWarning, match="disconnected"):
+        assert witnesses.witness_search(two, two, seed=8, budget=15) is None
+    assert len(verified) == 9
+    assert len([m for m in solved_ends if m.label == f"{two.label} (regular)"]) == 1
 
 
 def test_the_regular_bimodule_is_held_only_while_a_search_runs(solved_ends):

@@ -301,11 +301,14 @@ def _mentions_by_function(tree, names):
 
 
 def test_one_rref_entry_chooses_its_loop_by_the_input():
-    """linalg.rref is the only way into the two elimination loops: _rref_rows
-    and _rref_array are named nowhere else, and rref takes no option. The
-    row-loop threshold _ROW_KERNEL_NNZ is a literal module constant, read
-    only by rref: no environment variable, argument or caller can set it."""
-    loops = {"_rref_rows", "_rref_array"}
+    """linalg.rref is the only way into the three elimination loops:
+    _rref_sparse, _rref_rows and _rref_array are named nowhere else, and rref
+    takes no option. The row-loop threshold _ROW_KERNEL_NNZ is a literal
+    module constant, read only by rref, and the sparse rule's bounds are
+    literal ints in rref: rref reads no name but its input, its loops, that
+    constant and what it computes, so no environment variable, argument or
+    caller can set them."""
+    loops = {"_rref_sparse", "_rref_rows", "_rref_array"}
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -321,12 +324,18 @@ def test_one_rref_entry_chooses_its_loop_by_the_input():
             for arg in ast.walk(node.args) if isinstance(arg, ast.arg) and arg.arg == "_ROW_KERNEL_NNZ"
         ]
     assert sorted(found) == [
-        ("linalg.py", "rref", "_ROW_KERNEL_NNZ"), ("linalg.py", "rref", "_rref_array"), ("linalg.py", "rref", "_rref_rows"),
+        ("linalg.py", "rref", "_ROW_KERNEL_NNZ"), ("linalg.py", "rref", "_rref_array"),
+        ("linalg.py", "rref", "_rref_rows"), ("linalg.py", "rref", "_rref_sparse"),
     ]
     tree = ast.parse((SRC / "linalg.py").read_text())
     (rref,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "rref"]
     assert [arg.arg for arg in rref.args.args] == ["field", "a"] and not rref.args.kwonlyargs
     assert rref.args.vararg is None and rref.args.kwarg is None and not rref.args.defaults
+    body = rref.body[1:]  # after the docstring
+    read = {node.id for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+    assert read <= {"field", "a", "np", "max", "r", "nrows", "ncols", "nnz", "_ROW_KERNEL_NNZ", *loops}, read
+    constants = [node.value for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Constant)]
+    assert constants and all(type(c) is int for c in constants), constants
     (threshold,) = [
         node for node in tree.body
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
@@ -550,12 +559,15 @@ _UNDER_O = [
         "test_held_leaf_decomposes_as_a_fresh_copy",
         "test_a_dropped_decomposition_is_solved_again",
         "test_a_dropped_decomposition_dies_without_the_cycle_collector",
+        "test_a_held_decomposition_answers_its_own_seed_only",
+        "test_a_dropped_held_decomposition_dies_without_the_cycle_collector",
     )
     for field in _FIELD_IDS
 ] + [
     "test_hom_space_takes_the_stack_of_n_against_the_generators_of_m",
     "test_submodule_on_raises_on_a_basis_that_is_not_stable",
     "test_the_regular_bimodule_is_held_only_while_a_search_runs",
+    "test_a_disconnected_search_solves_the_regular_bimodule_once",
 ]
 
 

@@ -380,10 +380,12 @@ def test_kernel_matches_full_matrix_oracle(field, count, max_side):
 
 # ---- both elimination loops against the oracle --------------------------------
 #
-# rref runs one of two loops, chosen by the canonical input: Python rows over
-# Q and for sparse GF(p) inputs, numpy row blocks otherwise. Each loop must
-# give the oracle's reduced form on every input, on both sides of the
-# threshold, so neither can hide behind the selection.
+# rref runs one of three loops, chosen by the canonical input: dict rows of
+# the nonzeros for inputs with at most two nonzeros a row (or column) and at
+# most one cell in eight nonzero, then Python list rows over Q and for GF(p)
+# inputs with few nonzeros, numpy row blocks otherwise. Each loop must give
+# the oracle's reduced form on every input, on both sides of each boundary,
+# so none can hide behind the selection.
 
 
 def _with_nonzeros(field, gen, rows, cols, count):
@@ -433,6 +435,32 @@ def _loop_inputs(field, gen):
     m[:, 1::4] = field.zero
     yield m
     yield field.matmul(field.rand_mat(gen, 36, 5), field.rand_mat(gen, 5, 36))
+    # the sparse rule's edges: nnz = 2 max(rows, cols) and one more (40 x 40),
+    # and 8 nnz = rows * cols and one more (16 x 12)
+    for rows, cols, count in ((40, 40, 80), (40, 40, 81), (16, 12, 24), (16, 12, 25)):
+        m = _with_nonzeros(field, gen, rows, cols, count)
+        yield m
+        yield _unreduced(field, gen, m)
+    # shapes of the library's sparse systems: a radical stack, a commutation
+    # system, and a Hom system with 1.5 nonzeros a row (smaller over Q)
+    yield _with_nonzeros(field, gen, 384, 16, 40)
+    yield _with_nonzeros(field, gen, 12, 324, 27)
+    rows, cols = (576, 324) if large else (96, 54)
+    m = field.zeros((rows, cols))
+    for i in range(rows):
+        m[i] = _with_nonzeros(field, gen, 1, cols, 1 + i % 2)[0]
+    yield m
+    # a bidiagonal block leaves each pivot row with the next pivot column
+    # filled, so only the back-substitution reduces it; plus one dense row
+    m = field.zeros((31, 60))
+    for i in range(30):
+        m[i, i:i + 2] = _with_nonzeros(field, gen, 1, 2, 2)[0]
+    m[30, :31] = _with_nonzeros(field, gen, 1, 31, 31)[0]
+    yield m
+    yield m[::-1]
+    yield field.zeros((30, 24))
+    yield field.zeros((0, 40))
+    yield field.zeros((40, 0))
 
 
 _LOOP_FIELDS = [GF(2), GF(3), GF(101), GF(1048573), QQ]
@@ -445,6 +473,7 @@ def test_both_loops_match_the_full_matrix_oracle(field):
         "rref": linalg.rref,
         "rows": lambda f, a: linalg._rref_rows(f, f.canon(np.atleast_2d(a))),
         "array": lambda f, a: linalg._rref_array(f, f.canon(np.atleast_2d(a))),
+        "sparse": lambda f, a: linalg._rref_sparse(f, f.canon(np.atleast_2d(a))),
     }
     cases = 0
     for a in [*_kernel_inputs(field, gen, 60, 9), *_loop_inputs(field, gen)]:
@@ -456,25 +485,35 @@ def test_both_loops_match_the_full_matrix_oracle(field):
             _assert_same(field, r, r0)
         assert np.array_equal(_snapshot(a), before)
         cases += 1
-    assert cases == 67 + 18 + 4 + 3 + 2
+    assert cases == 67 + 18 + 4 + 3 + 2 + 8 + 3 + 2 + 3
 
 
 @pytest.mark.parametrize("field", _LOOP_FIELDS, ids=lambda f: f.name)
 def test_rref_takes_the_row_loop_over_q_and_for_sparse_prime_field_inputs(field, monkeypatch):
-    """The loop is chosen by the canonical input alone: over Q always the row
-    loop; over GF(p) the row loop up to _ROW_KERNEL_NNZ nonzero entries,
-    counted after reduction mod p."""
+    """The loop is chosen by the canonical input alone, its nonzeros counted
+    after reduction mod p: the dict-row loop when nnz <= 2 max(rows, cols)
+    and 8 nnz <= rows * cols, over GF(p) and Q alike; otherwise over Q the
+    list-row loop, and over GF(p) the list-row loop up to _ROW_KERNEL_NNZ
+    nonzeros and the array loop beyond. Each boundary is tried on both sides."""
     taken = []
-    for name in ("_rref_rows", "_rref_array"):
+    for name in ("_rref_sparse", "_rref_rows", "_rref_array"):
         monkeypatch.setattr(linalg, name, lambda f, r, loop=getattr(linalg, name), name=name: taken.append(name) or loop(f, r))
     gen = np.random.default_rng(9500 + field.char)
     n = linalg._ROW_KERNEL_NNZ
-    for count, prime_loop in ((0, "_rref_rows"), (n, "_rref_rows"), (n + 1, "_rref_array"), (20 * 24, "_rref_array")):
-        m = _with_nonzeros(field, gen, 20, 24, count)
+    sparse, rows, array = "_rref_sparse", "_rref_rows", "_rref_array"
+    for shape, count, prime_loop in (
+        ((20, 24), 0, sparse),
+        ((40, 40), 80, sparse), ((40, 40), 81, rows),  # nnz = 2 max(rows, cols), below 128
+        ((100, 100), 200, sparse), ((100, 100), 201, array),  # nnz = 2 max(rows, cols), above 128
+        ((8, 8), 8, sparse), ((8, 8), 9, rows),  # 8 nnz = rows * cols, below 128
+        ((8, 144), 144, sparse), ((8, 144), 145, array),  # 8 nnz = rows * cols, above 128
+        ((20, 24), n, rows), ((20, 24), n + 1, array), ((20, 24), 20 * 24, array),
+    ):
+        m = _with_nonzeros(field, gen, *shape, count)
         for a in (m, _unreduced(field, gen, m)):
             taken.clear()
             linalg.rref(field, a)
-            assert taken == ["_rref_rows" if field.char == 0 else prime_loop], count
+            assert taken == [rows if field.char == 0 and prime_loop == array else prime_loop], (shape, count)
 
 
 # ---- differential test of the echelon read ----------------------------------
