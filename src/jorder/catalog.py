@@ -264,14 +264,10 @@ def _skew_expected(params):
 # ---- registry ----------------------------------------------------------------
 
 
-def _entry(id, kind, params, description, builder, expected, **kw):
-    return CatalogEntry(id, kind, params, description, builder, expected, **kw)
-
-
 CATALOG = {}
 
 for e in [
-    _entry(
+    CatalogEntry(
         "A_n",
         "algebra",
         (("n", 1, 50),),
@@ -279,7 +275,7 @@ for e in [
         lambda field, n: _linear_mod_rk(field, n, 2),
         lambda p: _linear_mod_rk_fp(p["n"], 2),
     ),
-    _entry(
+    CatalogEntry(
         "kA_n_mod_Rk",
         "algebra",
         (("n", 1, 50), ("k", 2, 50)),
@@ -287,7 +283,7 @@ for e in [
         _linear_mod_rk,
         lambda p: _linear_mod_rk_fp(p["n"], p["k"]),
     ),
-    _entry(
+    CatalogEntry(
         "trunc_poly",
         "algebra",
         (("k", 1, 50),),
@@ -295,7 +291,7 @@ for e in [
         _trunc_poly,
         lambda p: (p["k"], tuple(range(p["k"], -1, -1)), 1, p["k"]),
     ),
-    _entry(
+    CatalogEntry(
         "lambda",
         "algebra",
         (("n", 1, 50), ("k", 2, 50)),
@@ -303,7 +299,7 @@ for e in [
         _lambda,
         lambda p: _lambda_fp(p["n"], p["k"]),
     ),
-    _entry(
+    CatalogEntry(
         "kronecker",
         "algebra",
         (),
@@ -311,7 +307,7 @@ for e in [
         _kronecker,
         lambda p: (4, (4, 2, 0), 2, 2),
     ),
-    _entry(
+    CatalogEntry(
         "A3prime",
         "algebra",
         (),
@@ -319,7 +315,7 @@ for e in [
         _a3prime,
         lambda p: (5, (5, 2, 0), 3, 2),
     ),
-    _entry(
+    CatalogEntry(
         "C4_algebra",
         "algebra",
         (),
@@ -327,7 +323,7 @@ for e in [
         _c4_algebra,
         lambda p: (8, (8, 4, 1, 0), 4, 3),
     ),
-    _entry(
+    CatalogEntry(
         "Qprime",
         "algebra",
         (("n", 2, 50),),
@@ -335,7 +331,7 @@ for e in [
         _qprime,
         lambda p: (4 * p["n"], (4 * p["n"], 2 * p["n"], 0), 2 * p["n"], 2),
     ),
-    _entry(
+    CatalogEntry(
         "zigzag_c2",
         "action",
         (),
@@ -344,7 +340,7 @@ for e in [
         lambda p: (4, (4, 2, 0), 2, 2),
         group_order=lambda p: 2,
     ),
-    _entry(
+    CatalogEntry(
         "lambda_rot",
         "action",
         (("n", 2, 50), ("k", 2, 50)),
@@ -353,7 +349,7 @@ for e in [
         lambda p: _lambda_fp(p["n"], p["k"]),
         group_order=lambda p: p["n"],
     ),
-    _entry(
+    CatalogEntry(
         "kronecker_witness",
         "witness",
         (),
@@ -367,7 +363,7 @@ for e in [
             "n_dim": 4,
         },
     ),
-    _entry(
+    CatalogEntry(
         "skew",
         "algebra",
         (),

@@ -5,13 +5,10 @@ the rationals are object arrays of Fraction. Both expose one small interface
 so every elimination kernel in linalg is written once and runs exactly on
 either field.
 
-Every product of field matrices goes through one of three methods: matmul,
+Every product of field matrices goes through one of two methods: matmul,
 with np.dot's semantics (the last axis of a against the second-to-last axis
-of b, or b's only axis), tensordot, with np.tensordot's, and bilinear_rows,
-which applies a bilinear map given by its matrix t to each pair of rows
-(u[n], v[n]): row n is the outer product u[n] (x) v[n], flattened, times t.
-Over GF(p) each is the int64 product reduced once mod p (bilinear_rows
-reduces the outer product first). Over Q each multiplies integers:
+of b, or b's only axis), and tensordot, with np.tensordot's. Over GF(p) each
+is the int64 product reduced once mod p. Over Q each multiplies integers:
 an operand a is N_a / d_a with d_a the lcm of its denominators and N_a an
 integer array, so a product is (N_a . N_b) / (d_a d_b), and every output
 entry is divided once, or not at all when d_a d_b = 1. Fraction normalises,
@@ -61,22 +58,6 @@ def _numerators(a):
     d = math.lcm(*[den for _, den in pairs])
     nums = [int(num) for num, _ in pairs] if d == 1 else [int(num) * (d // int(den)) for num, den in pairs]
     return nums, d, max(map(abs, nums), default=0)
-
-
-def _rational_bilinear_rows(u, v, t):
-    """bilinear_rows over Q: (Nu[n] (x) Nv[n]) . Nt / (du dv dt), all in integers."""
-    u, v, t = (np.asarray(x, dtype=object) for x in (u, v, t))
-    nu, du, top_u = _numerators(u)
-    nv, dv, top_v = _numerators(v)
-    nt, dt, top_t = _numerators(t)
-    bound = top_u * top_v * top_t * t.shape[0]
-    if bound == 0:  # nothing is contracted, or an operand is zero
-        nu, nv, nt = [0] * len(nu), [0] * len(nv), [0] * len(nt)
-    dtype = np.int64 if bound < _INT64_LIMIT else object
-    outer = np.array(nu, dtype=dtype).reshape(u.shape)[:, :, None] * np.array(nv, dtype=dtype).reshape(v.shape)[:, None, :]
-    num = np.dot(outer.reshape(u.shape[0], t.shape[0]), np.array(nt, dtype=dtype).reshape(t.shape))
-    d = du * dv * dt
-    return _over(num, d) if d != 1 else _to_fraction(num)
 
 
 def _rational_product(a, b, axes):
@@ -186,11 +167,6 @@ class GFField:
     def tensordot(self, a, b, axes):
         return np.tensordot(a, b, axes) % self.p
 
-    def bilinear_rows(self, u, v, t):
-        # the outer product of canonical rows is reduced before the contraction
-        outer = (np.asarray(u)[:, :, None] * np.asarray(v)[:, None, :]) % self.p
-        return self.matmul(outer.reshape(outer.shape[0], t.shape[0]), t)
-
     def kron(self, a, b):
         return np.kron(a, b) % self.p
 
@@ -286,9 +262,6 @@ class RationalField:
 
     def tensordot(self, a, b, axes):
         return _rational_product(a, b, axes)
-
-    def bilinear_rows(self, u, v, t):
-        return _rational_bilinear_rows(u, v, t)
 
     def kron(self, a, b):
         # np.kron flattens through multiply, which object dtype supports

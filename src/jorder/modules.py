@@ -4,9 +4,11 @@ Vectors are columns. A left action stores one matrix per algebra basis
 element with L(a*b) = L(a) L(b); a right action stores matrices with
 R(a*b) = R(b) R(a), so right modules are left modules over the opposite
 algebra without re-indexing. Action validity is checked on algebra
-generators only: multiplicativity against generators propagates to all
-products by linearity and induction, and a generator-pair commuting check
-is enough for bimodule compatibility because each commutant is a subalgebra.
+generators only. L(g x) = L(g) L(x) for every generator g and basis element
+x is enough, by the lemma in algebras.Algebra._check_associativity: the x
+whose action is multiplicative against every y form a subalgebra that holds
+the generators. A generator-pair commuting check is enough for bimodule
+compatibility because each commutant is a subalgebra.
 
 Modules are validated where they enter the library: a user's Module(...),
 the catalog's hand-entered modules and deserialised documents, with

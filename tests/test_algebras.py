@@ -255,7 +255,25 @@ class TestGroupAlgebras:
         assert a.loewy_layer_dims() == [4, 3, 2, 1, 0]
 
 
+def _full_sweep_associative(field, t):
+    """(x_i x_j) x_k == x_i (x_j x_k) for every basis triple, from two products of the table with itself."""
+    left = field.tensordot(t, t, axes=([2], [0]))  # (i, j, k, l)
+    right = field.tensordot(t, t, axes=([2], [1])).transpose(2, 0, 1, 3)
+    return field.eq(left, right)
+
+
 class TestValidation:
+    @pytest.mark.parametrize("field", ["GF(2)", "GF(101)", "Q"])
+    def test_zero_dimensional_table_rejected_before_any_other_check(self, field):
+        """An empty table is refused with the library's message, even with a
+        unit, labels and generators that every later check would also refuse."""
+        f = fields.field_from_name(field)
+        message = "an algebra has dimension at least 1; the table is empty"
+        with pytest.raises(ValueError, match=message):
+            Algebra(f, f.zeros((0, 0, 0)), [])
+        with pytest.raises(ValueError, match=message):
+            Algebra(f, f.zeros((0, 0, 0)), [1], labels=["x"], generators=[[1]])
+
     def test_broken_unit_rejected(self):
         f = GF(5)
         table = f.zeros((2, 2, 2))
@@ -277,23 +295,22 @@ class TestValidation:
 
     @staticmethod
     def _skew_rot_q():
-        """The dim-18 skew algebra of lambda_rot (3,2) over Q: above the exact
-        full-sweep cap of 12, so associativity is spot-checked."""
+        """The dim-18 skew algebra of lambda_rot (3,2) over Q, with 9 declared generators."""
         return skew_group_algebra(catalog.build("lambda_rot", field="Q", n=3, k=2))[0]
 
-    def test_q_associativity_spot_check_converts_the_table_a_constant_number_of_times(self, monkeypatch):
-        # the 200 spot checks are evaluated batched: four products, eight operand
-        # conversions; one mul per product converted the table 800 times
-        counts = []
+    def test_q_associativity_check_converts_the_table_per_generator(self, monkeypatch):
+        # the products of one generator with every basis element are two batched
+        # products; one mul per product converted the table once per product
+        checks = []  # [algebra, operand conversions] per associativity check
         numerators = fields._numerators
         check = Algebra._check_associativity
 
         def counted_numerators(a):
-            counts[-1] += 1
+            checks[-1][1] += 1
             return numerators(a)
 
         def counted_check(self):
-            counts.append(0)
+            checks.append([self, 0])
             monkeypatch.setattr(fields, "_numerators", counted_numerators)
             try:
                 check(self)
@@ -302,8 +319,9 @@ class TestValidation:
 
         monkeypatch.setattr(Algebra, "_check_associativity", counted_check)
         skew = self._skew_rot_q()
-        assert skew.dim == 18 and skew.field == QQ
-        assert counts and all(c <= 8 for c in counts), counts
+        assert skew.dim == 18 and skew.field == QQ and len(skew.generators) == 9
+        assert checks[-1] == [skew, 2 + 4 * 9]
+        assert all(c <= 2 + 4 * len(a.generators) for a, c in checks), checks
 
     def test_q_generator_check_converts_the_table_once_per_side(self, monkeypatch):
         # each generator's left and right multiplication matrices are built once,
@@ -330,7 +348,7 @@ class TestValidation:
         assert skew.dim == 18 and skew.field == QQ
         assert checks[-1][0] is skew and all(c <= 2 for _, c in checks), checks
 
-    def test_q_spot_check_rejects_one_perturbed_entry(self):
+    def test_q_associativity_check_rejects_one_perturbed_entry(self):
         skew = self._skew_rot_q()
         f = skew.field
         table = f.copy(skew.table)
@@ -342,15 +360,60 @@ class TestValidation:
         with pytest.raises(ValueError, match="associative"):
             Algebra(f, table, skew.unit)
 
-    def test_gf_spot_check_rejects_one_perturbed_entry(self):
-        """Above the GF(p) full-sweep cap of 40 the spot check still rejects a
-        table with one entry changed outside the unit's rows and columns."""
+    def test_gf_associativity_check_rejects_one_perturbed_entry(self):
+        """The dim-42 table of k[x]/x^42 over GF(101), taken with every basis
+        element as a generator, is rejected with one entry changed outside the
+        unit's rows and columns."""
         big = catalog.build("trunc_poly", field="GF(101)", k=42)
         f = big.field
         table = f.copy(big.table)
         table[1, big.dim - 1, 0] = 1  # x * x^41 = 1, while x^41 * x stays 0
         with pytest.raises(ValueError, match="associative"):
             Algebra(f, table, big.unit)
+
+    @pytest.mark.parametrize("field", ["GF(2)", "GF(3)", "GF(101)", "GF(1048573)", "Q"])
+    def test_associativity_check_rejects_what_the_full_sweep_rejects(self, field):
+        """Single-entry perturbations outside the unit's rows and columns of
+        catalog algebras with declared generators are rejected exactly when
+        (x y) z = x (y z) fails somewhere. In k[x]/x^3 some keep it: x * x
+        changed to x + x^2, say."""
+        skew = "skew?of=lambda_rot&n=3&k=2" if field == "GF(2)" else "skew?of=zigzag_c2"
+        refs = ("kronecker", "A_n?n=3", "trunc_poly?k=3", skew)
+        algebras = [catalog.resolve(f"catalog:{ref}", field=field) for ref in refs]
+        algebras.append(zigzag(field))
+        outcomes = set()
+        for a in algebras:
+            f = a.field
+            off_unit = [i for i in range(a.dim) if a.unit[i] == 0]
+            cells = [(i, j, k) for i in off_unit for j in off_unit for k in range(a.dim)]
+            for i, j, k in cells[:: max(1, len(cells) // 120)]:  # about 120 cells an algebra at most
+                table = f.copy(a.table)
+                table[i, j, k] = table[i, j, k] + 1
+                associative = _full_sweep_associative(f, f.canon(table))
+                try:
+                    Algebra(f, table, a.unit, generators=a.generators)
+                    rejected = None
+                except ValueError as exc:
+                    rejected = str(exc)
+                if associative:  # x * x = 2 x^2 over GF(2) is associative, but 1 and x no longer generate
+                    assert rejected is None or "generate" in rejected, (a.label, i, j, k, rejected)
+                else:
+                    assert rejected is not None, (a.label, i, j, k)
+                outcomes.add(associative)
+        assert outcomes == {True, False}
+
+    def test_a_product_of_two_non_generators_is_checked(self):
+        """k[x]/x^42 over GF(101) declares the generators 1 and x; changing
+        x^20 * x^21 alone, a product of two non-generators, is rejected."""
+        a = catalog.build("trunc_poly", field="GF(101)", k=42)
+        f = a.field
+        assert f.eq(np.array(a.generators), f.eye(a.dim)[:2])
+        table = f.copy(a.table)
+        table[20, 21, 0] = 1  # x^20 * x^21 = x^41 + 1
+        assert not _full_sweep_associative(f, table)
+        Algebra(f, a.table, a.unit, generators=a.generators)  # the unperturbed table passes
+        with pytest.raises(ValueError, match="associative"):
+            Algebra(f, table, a.unit, generators=a.generators)
 
     def test_insufficient_generators_rejected(self):
         a = dual_numbers("GF(5)")

@@ -192,6 +192,25 @@ def test_malformed_document_exits_4(capsys, tmp_path, command, make_doc, named):
     assert "Traceback" not in captured.err
 
 
+def test_zero_dimensional_algebra_exits_4(capsys, tmp_path):
+    """An embedded algebra of dimension 0 is refused by Algebra itself, before any check reads its table."""
+
+    def empty(doc):
+        doc["a"].update(dim=0, table=[], unit=[], labels=[])
+        del doc["a"]["idempotents"]
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_field_witness(empty)))
+    code = cli.main(["verify-jgeq", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert json.loads(captured.out)["error"] == {
+        "type": "ValueError",
+        "message": "an algebra has dimension at least 1; the table is empty",
+    }
+    assert "Traceback" not in captured.err
+
+
 def test_decompose_reads_the_tensor_output(capsys, witness_files, tmp_path):
     code, report = _run(capsys, "tensor", *map(str, witness_files))
     assert code == 0

@@ -112,10 +112,9 @@ def _raw_products(tree):
 
 
 def test_every_product_goes_through_the_field():
-    """Products of field data go through field.matmul, field.tensordot or
-    field.bilinear_rows, which reduce mod p or multiply integer numerators over
-    Q; fields.py alone holds
-    the raw numpy products, apart from the GF(p)-only functions above."""
+    """Products of field data go through field.matmul or field.tensordot,
+    which reduce mod p or multiply integer numerators over Q; fields.py alone
+    holds the raw numpy products, apart from the GF(p)-only functions above."""
     found, used = [], set()
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "fields.py":
@@ -460,6 +459,20 @@ def test_the_table_is_read_in_two_shapes():
                 found.append(f"{path.name}:{line}: {fn}")
     assert found == []
     assert used == _ONE_ELEMENT_READERS  # no stale entries
+
+
+# random sources: the field's sampler, numpy's generators, and "random" for np.random and the stdlib module
+_RANDOMNESS = {"rand_mat", "default_rng", "SeedSequence", "Generator", "random"}
+
+
+def test_algebra_validation_draws_no_randomness():
+    """algebras.py names no random source: every check on an algebra is exact, none is sampled."""
+    found = []
+    for node in ast.walk(ast.parse((SRC / "algebras.py").read_text())):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name.split(".")[-1] in _RANDOMNESS:
+            found.append(f"algebras.py:{node.lineno}: {name}")
+    assert found == []
 
 
 def test_no_library_module_imports_sympy():

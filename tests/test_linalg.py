@@ -746,39 +746,3 @@ def test_prime_field_products_reduce_the_integer_products(field):
         else:
             got, want = field.tensordot(a, b, axes), field.canon(np.tensordot(a, b, axes))
         assert got.dtype == np.int64 and got.shape == want.shape and (got == want).all()
-
-
-def _outer_then_matmul(field, u, v, t):
-    """The associativity spot check's row products before bilinear_rows: the
-    entrywise outer products of each pair of rows, then one matmul."""
-    outer = field.canon(u[:, :, None] * v[:, None, :]).reshape(u.shape[0], u.shape[1] * v.shape[1])
-    return field.matmul(outer, t)
-
-
-# (rows, length of a row of u, of v, columns of t)
-_BILINEAR_SHAPES = [(5, 3, 4, 2), (1, 1, 1, 1), (6, 4, 4, 4), (0, 3, 2, 4), (4, 0, 3, 2), (3, 2, 2, 0)]
-
-
-@pytest.mark.parametrize("kind", _KINDS)
-def test_rational_bilinear_rows_match_the_entrywise_outer_products(kind):
-    gen = np.random.default_rng(7400 + _KINDS.index(kind))
-    for _ in range(3):
-        for n, du, dv, c in _BILINEAR_SHAPES:
-            u, v = _rational_operand(gen, (n, du), kind), _rational_operand(gen, (n, dv), kind)
-            t = _rational_operand(gen, (du * dv, c), kind)
-            _assert_rational(QQ.bilinear_rows(u, v, t), _outer_then_matmul(QQ, u, v, t))
-
-
-@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), GF(1048573)], ids=lambda f: f.name)
-def test_prime_field_bilinear_rows_match_the_entrywise_outer_products(field):
-    gen = np.random.default_rng(7500 + field.p % 1000)
-    for n, du, dv, c in _BILINEAR_SHAPES:
-        u = gen.integers(0, field.p, size=(n, du), dtype=np.int64)
-        v = gen.integers(0, field.p, size=(n, dv), dtype=np.int64)
-        t = gen.integers(0, field.p, size=(du * dv, c), dtype=np.int64)
-        got, want = field.bilinear_rows(u, v, t), _outer_then_matmul(field, u, v, t)
-        assert got.dtype == np.int64 and got.shape == want.shape and (got == want).all()
-    # every entry p - 1 over 256 terms: the unreduced outer product would overflow int64 at the cap prime
-    top = np.full((2, 16), field.p - 1, dtype=np.int64)
-    t = np.full((256, 3), field.p - 1, dtype=np.int64)
-    assert (field.bilinear_rows(top, top, t) == field.canon(-256 * np.ones((2, 3), dtype=np.int64))).all()
