@@ -8,7 +8,9 @@ rref is the one elimination entry, written against the field interface. It
 canonicalises the matrix once (canon returns a fresh array, so the input is
 never written to) and then runs one of three Gauss-Jordan loops, chosen by
 the input alone. The reduced echelon form is unique, so all three give the
-same output bit for bit; none is an option a caller can pick.
+same output bit for bit; none is an option a caller can pick. An input with
+no nonzero entry, zero or empty, is its own reduced form: rref returns the
+fresh canonical array with no pivots and runs no loop.
 
 _rref_sparse keeps only the nonzeros: each nonzero row becomes a dict
 {column: value} read straight off r.nonzero(), so zero rows and zero
@@ -96,6 +98,8 @@ def rref(field, a):
     r = field.canon(np.atleast_2d(a))
     nrows, ncols = r.shape
     nnz = np.count_nonzero(r)
+    if nnz == 0:  # a zero or empty system: r is already its reduced form
+        return r, []
     if nnz <= 2 * max(nrows, ncols) and 8 * nnz <= nrows * ncols:
         return _rref_sparse(field, r)
     if field.char == 0 or nnz <= _ROW_KERNEL_NNZ:

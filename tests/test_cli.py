@@ -14,6 +14,8 @@ from jorder.fields import GF
 from jorder.modules import regular_bimodule
 from jorder.witnesses import JWitnessPair, verify_j_geq
 
+from json_oracle import oracle_canon_json
+
 A_REF = "catalog:trunc_poly?k=2"
 B_REF = "catalog:kronecker"
 
@@ -21,6 +23,34 @@ B_REF = "catalog:kronecker"
 def _run(capsys, *argv):
     code = cli.main([*argv, "--format", "json"])
     return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.fixture(autouse=True)
+def canon_json_checked(monkeypatch):
+    """Every document written during a CLI test, reports and error documents
+    included, is compared with json.dumps's bytes; a mismatch fails the test
+    at teardown. The value is the list of (text, matched) pairs."""
+    written, canon_json = [], serialize.canon_json
+
+    def checked(doc):
+        text = canon_json(doc)
+        written.append((text, text == oracle_canon_json(doc)))
+        return text
+
+    monkeypatch.setattr(serialize, "canon_json", checked)
+    yield written
+    assert [text for text, matched in written if not matched] == []
+
+
+def test_reports_dumps_and_error_documents_are_written_as_json_dumps_writes_them(capsys, canon_json_checked, tmp_path):
+    assert _run(capsys, "verify-jgeq", "catalog:kronecker_witness")[0] == 0
+    assert _run(capsys, "decompose", str(tmp_path / "missing.json"))[0] == 4
+    assert cli.main(["catalog", "dump", "lambda_rot?n=2&k=2", "--format", "json"]) == 0
+    assert cli.main(["catalog", "dump", "kronecker_witness", "--field", "Q", "--format", "json"]) == 0
+    capsys.readouterr()
+    kinds = [(doc.get("format"), "error" in doc) for doc in map(json.loads, (text for text, _ in canon_json_checked))]
+    # verify-jgeq hashes the canonical dump of its catalog witness for the report's inputs
+    assert kinds == [("witness", False), ("jorder-report", False), (None, True), ("action-bundle", False), ("witness", False)]
 
 
 @pytest.fixture

@@ -128,6 +128,31 @@ def test_every_product_goes_through_the_field():
     assert used == _RAW_PRODUCTS_ALLOWED  # no stale entries
 
 
+_BANNED_CALLS = {("tensordot", "np"), ("kron", "np"), ("dumps", "json")}
+
+
+def test_products_and_documents_go_through_the_lean_kernels():
+    """Every product goes through a field kernel and every document through
+    canon_json: src/jorder calls no np.tensordot, np.kron or json.dumps and
+    imports none of them by name, and the _jsonable pre-pass stays deleted.
+    At the library's sizes their argument handling costs more than the
+    arithmetic (see the fields and serialize headers)."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+                module = "np" if node.func.value.id == "numpy" else node.func.value.id
+                if (node.func.attr, module) in _BANNED_CALLS:
+                    found.append(f"{where}: {module}.{node.func.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "json"):
+                module = "np" if node.module == "numpy" else "json"
+                found += [f"{where}: imports {alias.name}" for alias in node.names if (alias.name, module) in _BANNED_CALLS]
+            if "_jsonable" in {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}:
+                found.append(f"{where}: _jsonable")
+    assert found == []
+
+
 # Callers that compare two modules by decomposing both: the lrproj check waits
 # for the benchmark to stop counting are_isomorphic on lrproj-gf101, and the
 # others compare modules for which no certified leaf is held. Every other

@@ -494,7 +494,8 @@ def test_rref_takes_the_row_loop_over_q_and_for_sparse_prime_field_inputs(field,
     after reduction mod p: the dict-row loop when nnz <= 2 max(rows, cols)
     and 8 nnz <= rows * cols, over GF(p) and Q alike; otherwise over Q the
     list-row loop, and over GF(p) the list-row loop up to _ROW_KERNEL_NNZ
-    nonzeros and the array loop beyond. Each boundary is tried on both sides."""
+    nonzeros and the array loop beyond. A matrix with no nonzero entry after
+    reduction takes no loop. Each boundary is tried on both sides."""
     taken = []
     for name in ("_rref_sparse", "_rref_rows", "_rref_array"):
         monkeypatch.setattr(linalg, name, lambda f, r, loop=getattr(linalg, name), name=name: taken.append(name) or loop(f, r))
@@ -502,7 +503,7 @@ def test_rref_takes_the_row_loop_over_q_and_for_sparse_prime_field_inputs(field,
     n = linalg._ROW_KERNEL_NNZ
     sparse, rows, array = "_rref_sparse", "_rref_rows", "_rref_array"
     for shape, count, prime_loop in (
-        ((20, 24), 0, sparse),
+        ((20, 24), 0, None), ((20, 24), 1, sparse),
         ((40, 40), 80, sparse), ((40, 40), 81, rows),  # nnz = 2 max(rows, cols), below 128
         ((100, 100), 200, sparse), ((100, 100), 201, array),  # nnz = 2 max(rows, cols), above 128
         ((8, 8), 8, sparse), ((8, 8), 9, rows),  # 8 nnz = rows * cols, below 128
@@ -513,7 +514,32 @@ def test_rref_takes_the_row_loop_over_q_and_for_sparse_prime_field_inputs(field,
         for a in (m, _unreduced(field, gen, m)):
             taken.clear()
             linalg.rref(field, a)
-            assert taken == [rows if field.char == 0 and prime_loop == array else prime_loop], (shape, count)
+            expected = [] if prime_loop is None else [rows if field.char == 0 and prime_loop == array else prime_loop]
+            assert taken == expected, (shape, count)
+
+
+@pytest.mark.parametrize("field", _LOOP_FIELDS, ids=lambda f: f.name)
+def test_zero_systems_take_no_loop_and_match_the_oracle(field, monkeypatch):
+    """A matrix with no nonzero entry after canon, empty or zero, is its own
+    reduced form: rref returns it with no pivots, as the oracle does, in a
+    fresh array, without entering an elimination loop."""
+    for name in ("_rref_sparse", "_rref_rows", "_rref_array"):
+        monkeypatch.setattr(linalg, name, lambda f, r, name=name: pytest.fail(f"{name} ran on a zero system"))
+    gen = np.random.default_rng(9600 + field.char)
+    zeros = [field.zeros(shape) for shape in [(0, 4), (4, 0), (0, 0), (1, 1), (3, 5), (6, 2)]]
+    for a in [*zeros, *(_unreduced(field, gen, z) for z in zeros[3:])]:
+        before = _snapshot(a)
+        r, pivots = linalg.rref(field, a)
+        r0, pivots0 = _oracle_rref(field, a)
+        assert pivots == pivots0 == []
+        _assert_same(field, r, r0)
+        assert not isinstance(a, np.ndarray) or not np.shares_memory(r, a)
+        r[...] = field.one
+        assert np.array_equal(_snapshot(a), before)
+    if field.char:  # every entry a nonzero multiple of p before canon
+        a = field.p * gen.integers(1, 4, size=(3, 4)) * gen.choice([-1, 1], size=(3, 4))
+        r, pivots = linalg.rref(field, a)
+        assert pivots == [] and not r.any() and np.count_nonzero(a) == 12
 
 
 # ---- differential test of the echelon read ----------------------------------

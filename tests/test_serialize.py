@@ -1,6 +1,7 @@
 """Canonical serialization: round trips, determinism, and tamper detection."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from jorder.fields import GF, QQ
 from jorder.modules import Module, left_regular_module, regular_bimodule
 from jorder.quivers import parse_presentation
 from jorder.witnesses import replay_certificate, verify_j_geq
+
+from json_oracle import oracle_canon_json
 
 
 def qa(text):
@@ -52,6 +55,73 @@ class TestCanonJson:
         assert serialize.canon_json(doc) == serialize.canon_json(
             serialize.algebra_doc(catalog.build("kronecker"))
         )
+
+
+# ---- canon_json against json.dumps, byte for byte ----------------------------
+#
+# canon_json writes the indent-2 text itself; the oracle is json.dumps of the
+# former _jsonable copy (tests/json_oracle.py). Certificate documents are
+# compared in tests/test_suite.py on the suite's own certificates, CLI
+# reports and error documents by an autouse fixture in tests/test_cli.py.
+
+
+def _catalog_algebras(field):
+    """Every algebra the catalog grid builds over field: entries, witness sides, acted-on algebras."""
+    for entry_id, params in catalog.SELF_TEST_GRID:
+        obj = catalog.build(entry_id, field=field, **params)
+        kind = catalog.CATALOG[entry_id].kind
+        yield from (obj.a, obj.b) if kind == "witness" else (obj.algebra,) if kind == "action" else (obj,)
+
+
+class TestCanonJsonBytes:
+    @pytest.mark.parametrize("field", [None, QQ], ids=["default", "Q"])
+    def test_every_catalog_algebra_doc(self, field):
+        assert {entry_id for entry_id, _ in catalog.SELF_TEST_GRID} == set(catalog.CATALOG)
+        docs = [serialize.algebra_doc(a) for a in _catalog_algebras(field)]
+        assert len(docs) == len(catalog.SELF_TEST_GRID) + 1
+        for doc in docs:
+            assert serialize.canon_json(doc) == oracle_canon_json(doc)
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda f: f.name)
+    def test_decomposition_and_witness_docs(self, field):
+        w = catalog.build("kronecker_witness", field=field)
+        reg = regular_bimodule(catalog.build("lambda", field=field, n=3, k=2))
+        for doc in (serialize.decomposition_doc(decompose(reg, seed=0)), serialize.witness_doc(w),
+                    serialize.witness_doc(w, "catalog:a", "catalog:b")):
+            assert serialize.canon_json(doc) == oracle_canon_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"s": "caf\u00e9 \u2603 \U0001f600", "t": "tab\tnew\nline\x00\x1f\"q\" \\ /"},
+            {3: "int key", 10: [1], "2": None, "b": {}, "a": [], True: "bool key"},
+            {"flags": [True, 1, False, 0, np.bool_(True), np.bool_(False), np.int64(7)]},
+            {"n": np.int64(-3), "m": np.int32(5), "big": 1 << 70, "neg": [-1, -(1 << 64)]},
+            {"none": None, "empty": {"d": {}, "l": [], "t": ()}, "nested": [[], [[]], [{}]]},
+            {"zero_rows": serialize.matrix_out(GF(7), np.zeros((0, 3), dtype=np.int64))},
+            {"mixed": [1, "1", [2, [3, "x"]], {"k": (4, 5)}], "floats": [0.5, -2.0, 1e300]},
+            {"q": serialize.matrix_out(QQ, QQ.canon(np.array([[Fraction(-2, 5), 3]], dtype=object)))},
+            [], {}, "top", 7, None, False, [1, 2, 3], [[1, 2], [3, 4]],
+        ],
+    )
+    def test_edge_cases(self, doc):
+        assert serialize.canon_json(doc) == oracle_canon_json(doc)
+
+    def test_unknown_objects_are_refused_like_json(self):
+        for bad in (Fraction(1, 2), np.zeros(2), {"x": {1, 2}}):
+            with pytest.raises(TypeError):
+                oracle_canon_json(bad)
+            with pytest.raises(TypeError):
+                serialize.canon_json(bad)
+
+    def test_matrix_and_vector_out_give_python_ints_over_gf(self):
+        f = GF(101)
+        rows = serialize.matrix_out(f, f.mat([[1, 100], [0, 7]]))
+        vec = serialize.vector_out(f, f.vec([5, 0, 100]))
+        assert rows == [[1, 100], [0, 7]] and vec == [5, 0, 100]
+        assert all(type(x) is int for x in [*rows[0], *rows[1], *vec])
+        assert serialize.matrix_out(f, f.vec([1, 2])) == [[1, 2]]
+        assert serialize.matrix_out(f, f.zeros((0, 3))) == []
 
 
 class TestScalars:
