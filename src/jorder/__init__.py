@@ -2,9 +2,9 @@
 
 Quiver-presented algebras over GF(p) and the rationals, bimodules with exact
 tensor/Hom/dual machinery, Krull-Schmidt decomposition with certified
-idempotent splitting, finite group actions (invariants, isotypic pieces, skew
-algebras), and replayable certificates for the two-sided divisibility order
-on algebras.
+idempotent splitting, finite group actions (invariants and skew algebras),
+and replayable certificates for the two-sided divisibility order on
+algebras.
 """
 
 from .errors import (
@@ -16,16 +16,13 @@ from .errors import (
     Inconclusive,
     InvalidInput,
     JorderError,
-    NonAbelianGroup,
     NonSplitResidueField,
     NotAdmissible,
     NotASummand,
     NotAutomorphism,
     NotFiniteDimensional,
-    NotQuiverCompatible,
     NotSurjective,
     RadicalUnavailable,
-    RootsOfUnityUnavailable,
     SingularMatrix,
     UnknownEntry,
     UnsupportedField,

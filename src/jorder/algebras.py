@@ -45,7 +45,7 @@ from .errors import (
     RadicalUnavailable,
 )
 from .polynomials import charpoly_coefficient
-from .quivers import Path, Quiver, QuiverPresentation, concat_paths, trivial_path
+from .quivers import Path, QuiverPresentation, concat_paths, trivial_path
 
 _DIM_CAP = 4096
 
@@ -627,33 +627,4 @@ def algebra_from_quiver(pres: QuiverPresentation, field, label=None):
             },
         ),
         label=label or "kQ/I",
-    )
-
-
-def linear_quiver_algebra(field, n, label=None):
-    """Path algebra of the linear quiver 1 -> 2 -> ... -> n (no relations)."""
-    quiver = Quiver([str(i) for i in range(1, n + 1)], [
-        (f"a{i}", str(i), str(i + 1)) for i in range(1, n)
-    ])
-    return algebra_from_quiver(QuiverPresentation(quiver, []), field, label=label or f"path_{n}")
-
-
-def triangular_matrix_algebra(a, n):
-    """Upper-triangular n x n matrices over a, realized as a (x) linear path algebra."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return tensor_algebra(a, linear_quiver_algebra(a.field, n), label=f"T{n}({a.label})")
-
-
-def center(algebra):
-    """The center as a commutative subalgebra, with inclusion rows attached."""
-    field = algebra.field
-    # block j sends z to x_j z - z x_j
-    stacked = field.sub(algebra.left_regular_mats(), algebra.right_regular_mats()).reshape(-1, algebra.dim)
-    _, ker = linalg.rank_nullspace(field, stacked)
-    return subalgebra_from_rows(
-        algebra,
-        ker.T,
-        label=f"Z({algebra.label})",
-        provenance=Provenance("center", {"parent": algebra}),
     )

@@ -10,7 +10,7 @@ Entries are addressable as ``catalog:`` URIs with query-string parameters,
 for example ``catalog:trunc_poly?k=3`` or ``catalog:lambda?n=2&k=2``.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from urllib.parse import parse_qsl
 
 from .algebras import algebra_from_quiver

@@ -34,8 +34,8 @@ as a greedy scan over the second decomposition's summands.
 split_maps assembles a split of X off Y from the matched pairs: summands r
 of X and s of Y with f: r -> s add i_s f p_r to the section and
 i_r f^-1 p_s to the retraction. The partners s are distinct, so
-retraction . section = sum of i_r p_r = 1. is_split checks the result, and
-explicit_isomorphism is the section when dim X = dim Y.
+retraction . section = sum of i_r p_r = 1. witnesses.verify_j_geq checks
+the result with modules.is_split before it certifies it.
 
 One decomposition solves one Hom system, End(M) at the root. Every other Hom
 it needs is a corner of that solve: for summands X, Y of M with inclusion
@@ -96,7 +96,6 @@ from .modules import (
     _submodule_on,
     dual_module,
     hom_space,
-    is_split,
     left_regular_module,
     projective_indecomposables,
     regular_bimodule,
@@ -518,50 +517,6 @@ def are_isomorphic(m, n, seed=0):
     if len(dm.summands) != len(dn.summands):
         return False
     return all(d is not None and len(dn.classes[d]) == len(cls) for cls, d, _ in _match_classes(dm, dn))
-
-
-def explicit_isomorphism(m, n, seed=0):
-    """Matrix of a module isomorphism m -> n, or None.
-
-    The section of split_maps on the two decompositions, checked by
-    is_split: with equal dimensions a split injection is invertible.
-    """
-    _check_compatible(m, n)
-    if m.dim != n.dim:
-        return None
-    dm = decompose(m, seed=seed)
-    dn = decompose(n, seed=seed + 1)
-    if len(dm.summands) != len(dn.summands):
-        return None
-    maps, _ = split_maps(dm, dn)
-    if maps is None:
-        return None
-    if not is_split(m, n, *maps):
-        raise AssertionError("matched summand maps do not split m off n")
-    return maps[0]
-
-
-def is_direct_summand(x, y, seed=0):
-    """(flag, evidence): whether x is a direct summand of y.
-
-    Krull-Schmidt uniqueness reduces the question to class multiplicities:
-    every isomorphism class of x must appear in y at least as often. The
-    evidence lists both class summaries and the first missing class, in
-    class order, if any.
-    """
-    _check_compatible(x, y)
-    evidence = {}
-    if x.dim == 0:
-        return True, evidence
-    dx = decompose(x, seed=seed)
-    dy = decompose(y, seed=seed + 1)
-    evidence["left_classes"] = dx.class_summary()
-    evidence["right_classes"] = dy.class_summary()
-    for cls, d, _ in _match_classes(dx, dy):
-        if d is None or len(dy.classes[d]) < len(cls):
-            evidence["missing_class"] = {"dim": dx.summands[cls[0]].module.dim, "multiplicity": len(cls)}
-            return False, evidence
-    return True, evidence
 
 
 def complete_primitive_idempotents(a, seed=0):

@@ -61,20 +61,8 @@ class NotAutomorphism(JorderError):
     """Matrix claimed to be an algebra automorphism fails the axioms."""
 
 
-class NonAbelianGroup(JorderError):
-    """Operation requires an abelian group."""
-
-
-class RootsOfUnityUnavailable(JorderError):
-    """Ground field lacks the roots of unity the decomposition needs."""
-
-
 class BadCharacteristic(JorderError):
     """Field characteristic divides the group order."""
-
-
-class NotQuiverCompatible(JorderError):
-    """Group action does not permute the quiver data freely."""
 
 
 class HypothesisViolated(JorderError):

@@ -233,11 +233,6 @@ def row_basis(field, a):
     return r[: len(pivots)]
 
 
-def column_basis(field, a):
-    """Canonical basis (as columns) of the column space of a."""
-    return row_basis(field, np.atleast_2d(a).T).T
-
-
 def rank_nullspace(field, a):
     """Rank and right nullspace.
 

@@ -15,9 +15,8 @@ the catalog's hand-entered modules and deserialised documents, with
 check=True. Every function that builds a module from library modules and
 checked algebra maps (sums, subquotients, tensor products, duals, twists, Hom
 into the regular module, re-readings over tensor algebras) passes
-check=False; its actions are modules by construction. quotient_module and
-twist_* still check what their caller hands them: the rows and the
-automorphism.
+check=False; its actions are modules by construction. twist_left and
+twist_right still check the automorphism their caller hands them.
 
 Every module-map check goes through is_module_map, one batched product of f
 against the basis action matrices of every side, stacked, and every split
@@ -66,21 +65,24 @@ dimensions with dim M and builds no cover (Assem, Simson and Skowronski,
 Elements of the Representation Theory of Associative Algebras, section I.5).
 
 A module holds its own solver structure the same way, each slot filled on
-first read. _generator_stack holds the action matrices of an algebra's
-generators on one side, keyed by the identity of the generator list they were
-taken against; hom_space takes n's stack against m's algebra, whose list may
-differ from n's own. _graded holds the pieces e.M.f of the grading by two
-idempotent families, keyed by the identity of both family lists, which are
-the acting algebras' installed families, and with them their frame (_frame):
-the bases side by side, B, and the coordinate rows stacked, C = B^-1.
-_piece_actions holds C X B for the generators X outside the family, keyed by
-the identity of the generator list, the family list and the frame.
-submodule and _assert_stable read the stacks through _all_generator_actions,
-and summand_isomorphism and are_isomorphic compare piece dimensions off the
-held frame before any Hom solve or decomposition. A held value is the exact
-array the builder would return again: no module's action matrices change
-after they are set, and an algebra replaces its generator or family list
-rather than editing it, so a changed list misses the key and rebuilds.
+first read. _graded holds the pieces e.M.f of the grading by two idempotent
+families, keyed by the identity of both family lists, which are the acting
+algebras' installed families, and with them their frame (_frame): the bases
+side by side, B, and the coordinate rows stacked, C = B^-1. _piece_actions
+holds C X B for the generators X outside the family, keyed by the identity
+of the generator list, the family list and the frame; hom_space reads n's
+against m's algebra, whose lists may differ from n's own. summand_isomorphism
+and are_isomorphic compare piece dimensions off the held frame before any Hom
+solve or decomposition. The generators' action matrices themselves
+(_generator_actions, one contraction of the generator rows with an action
+stack) are not held: on the benchmark workloads a held copy answered at most
+8% of its reads (none on lrproj-gf101), while building every stack costs
+1-5% of a pass. _validate reads them, _piece_actions reads them when it
+fills its slot, and submodule reads them through _all_generator_actions. A
+held value is the exact array the builder would return again: no module's
+action matrices change after they are set, and an algebra replaces its
+generator or family list rather than editing it, so a changed list misses
+the key and rebuilds.
 _leaf is decomp's: a weak reference to the certified Summand a decomposition
 proved the module to be. So is _decomposition: the seed and a weak reference
 to the last Decomposition of the module itself.
@@ -126,8 +128,7 @@ class Module:
         ref = self.left_mats if self.left_mats is not None else self.right_mats
         self.dim = ref.shape[1]
         self.label = label
-        # _generator_stack, _graded and _piece_actions fill these
-        self._generator_stacks = [None, None]
+        # _graded and _piece_actions fill these
         self._graded_pieces = None
         self._piece_stacks = [None, None]
         # a weak reference to the certified Summand decomp.decompose proved this module to be, if any
@@ -157,11 +158,13 @@ class Module:
         field, eye = self.field, self.field.eye(self.dim)
         # column j of left_mult_matrix(g) is g x_j, so its tensordot with the
         # action matrices is the stack of the actions of g x_j
+        lefts = rights = None
         if self.left_mats is not None:
             a, mats = self.left_algebra, self.left_mats
             if not field.eq(self.left_action(a.unit), eye):
                 raise ValueError("left action of the unit is not the identity")
-            for g, lg in zip(a.generators, _generator_stack(self, 0, a)):
+            lefts = _generator_actions(mats, a)
+            for g, lg in zip(a.generators, lefts):
                 products = linalg.stack_product(field, lg, mats)
                 if not field.eq(field.tensordot(a.left_mult_matrix(g), mats, axes=(0, 0)), products):
                     raise ValueError("left action is not multiplicative")
@@ -169,12 +172,12 @@ class Module:
             b, mats = self.right_algebra, self.right_mats
             if not field.eq(self.right_action(b.unit), eye):
                 raise ValueError("right action of the unit is not the identity")
-            for g, rg in zip(b.generators, _generator_stack(self, 1, b)):
+            rights = _generator_actions(mats, b)
+            for g, rg in zip(b.generators, rights):
                 if not field.eq(field.tensordot(b.left_mult_matrix(g), mats, axes=(0, 0)), field.matmul(mats, rg)):
                     raise ValueError("right action is not anti-multiplicative")
-        if self.left_mats is not None and self.right_mats is not None:
-            rights = _generator_stack(self, 1, self.right_algebra)
-            for lg in _generator_stack(self, 0, self.left_algebra):
+        if lefts is not None and rights is not None:
+            for lg in lefts:
                 if not intertwines(field, lg, rights, rights):
                     raise ValueError("left and right actions do not commute")
 
@@ -230,19 +233,6 @@ def _generator_actions(mats, algebra):
 def _sides(m):
     """(action matrices, algebra) for the left side, then the right; None where m has no such action."""
     return (m.left_mats, m.left_algebra), (m.right_mats, m.right_algebra)
-
-
-def _generator_stack(m, side, algebra):
-    """_generator_actions of algebra's generators on side 0 (left) or 1 (right) of m, held on m.
-
-    Keyed by the identity of algebra.generators, which need not be the list
-    of m's own algebra on that side (see hom_space).
-    """
-    gens = algebra.generators
-    held = m._generator_stacks[side]
-    if held is None or held[0] is not gens:
-        held = m._generator_stacks[side] = (gens, _generator_actions((m.left_mats, m.right_mats)[side], algebra))
-    return held[1]
 
 
 def _same_algebra(a, b):
@@ -344,7 +334,7 @@ def direct_sum(mods):
 def _all_generator_actions(m):
     """The generators' action matrices on every side m carries, stacked."""
     return np.concatenate([
-        _generator_stack(m, side, alg) for side, (mats, alg) in enumerate(_sides(m)) if mats is not None
+        _generator_actions(mats, alg) for mats, alg in _sides(m) if mats is not None
     ])
 
 
@@ -352,12 +342,6 @@ def _moved_rows(field, rows, mats):
     """The rows moved by every matrix of the stack, one block of rows per matrix."""
     moved = field.matmul(mats, rows.T).transpose(0, 2, 1)
     return moved.reshape(mats.shape[0] * rows.shape[0], rows.shape[1])
-
-
-def _assert_stable(m, rows):
-    moved = _moved_rows(m.field, rows, _all_generator_actions(m))
-    if linalg.coords_in_row_basis(m.field, rows, moved) is None:
-        raise ValueError("quotient_module: subspace is not action-stable")
 
 
 def submodule(m, rows, label=None):
@@ -395,16 +379,12 @@ def _submodule_on(m, basis, label=None):
     return sub, field.canon(basis.T)
 
 
-def quotient_module(m, rows, label=None):
-    """Quotient by an action-stable row span; returns (quotient, projection)."""
-    field = m.field
-    basis = linalg.row_basis(field, field.canon(np.atleast_2d(rows))) if np.atleast_2d(rows).size else field.zeros((0, m.dim))
-    _assert_stable(m, basis)
-    return _quotient(m, basis, label or f"{m.label}-quo")
-
-
 def _quotient(m, basis, label):
-    """quotient_module for a row basis that is action-stable by construction."""
+    """The quotient of m by an action-stable row basis; returns (quotient, projection).
+
+    Every caller hands it a span that is stable by construction (a radical
+    layer, a submodule's basis), so it checks nothing.
+    """
     proj, sect = linalg.complement_projection(m.field, basis, m.dim)
     free = sect.nonzero()[0]  # the section's ones sit at the free columns: X sect = X[:, free]
     # proj X sect for every action matrix X
@@ -423,35 +403,15 @@ def _radical_actions(m):
     ])
 
 
-def radical_sub_rows(m, rows=None):
-    """Rows of rad(A).X + X.rad(B) for the row span X (default: all of M)."""
+def radical_sub_rows(m):
+    """Rows of rad(A).M + M.rad(B)."""
     field = m.field
-    if rows is None:
-        rows = field.eye(m.dim)
-    return linalg.row_basis(field, _moved_rows(field, rows, _radical_actions(m)))
+    return linalg.row_basis(field, _moved_rows(field, field.eye(m.dim), _radical_actions(m)))
 
 
 def top_of(m, label=None):
     """M modulo rad(A).M + M.rad(B); returns (top, projection)."""
     return _quotient(m, radical_sub_rows(m), label or f"top({m.label})")
-
-
-def radical_series_dims(m):
-    """[dim M, dim rad M, dim rad^2 M, ...] down to 0."""
-    field = m.field
-    dims = [m.dim]
-    rows = field.eye(m.dim)
-    while True:
-        rows = radical_sub_rows(m, rows)
-        dims.append(rows.shape[0])
-        if rows.shape[0] == 0:
-            return dims
-
-
-def socle_rows(m):
-    """Rows killed by rad(A) on the left and rad(B) on the right."""
-    _, ker = linalg.rank_nullspace(m.field, _radical_actions(m).reshape(-1, m.dim))
-    return linalg.row_basis(m.field, ker.T)
 
 
 # ---- hom spaces ---------------------------------------------------------------
@@ -531,7 +491,7 @@ def _piece_actions(m, side, algebra, frame):
     held = m._piece_stacks[side]
     if held is None or any(x is not y for x, y in zip(held[0], key)):
         basis, coords, _ = frame
-        stack = _generator_stack(m, side, algebra)[_other_generators(algebra)]
+        stack = _generator_actions((m.left_mats, m.right_mats)[side], algebra)[_other_generators(algebra)]
         held = m._piece_stacks[side] = (key, linalg.stack_product(m.field, coords, m.field.matmul(stack, basis)))
     return held[1]
 

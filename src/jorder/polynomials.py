@@ -201,13 +201,6 @@ def minpoly_powers(field, one, times, bound):
             raise AssertionError("minimal polynomial search exceeded dimension bound")
 
 
-def minpoly_matrix(field, m):
-    """Monic minimal polynomial of a square matrix, by power stacking."""
-    m = np.atleast_2d(m)
-    n = m.shape[0]
-    return minpoly_powers(field, field.eye(n).reshape(-1), lambda v: field.matmul(v.reshape(n, n), m).reshape(-1), n)[0]
-
-
 def _powmod(a, e, f, p):
     """a^e mod f over GF(p), by repeated squaring."""
     out = [1]

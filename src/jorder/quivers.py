@@ -1,4 +1,4 @@
-"""Quivers, paths, presentations, and the lexer shared by every text format.
+"""Quivers, paths, presentations, and the lexer of the presentation text format.
 
 Paths are stored in traversal order: the first arrow of the tuple is walked
 first. The algebra product composes the other way around (right factor acts
@@ -8,10 +8,9 @@ length >= 2 with one common source and target; that is the shape the
 degree-by-degree basis algorithm relies on, and every relation appearing in
 practice (monomial or commutativity style) has it.
 
-Every text format (presentations here, action files in serialize) is a list
-of directive lines, read by `directive_lines`: `#` starts a comment, blank
-lines are skipped, and the first word is the keyword. A linear combination,
-as in `relation a*b - 2 c*d` or `auto g: x -> -x + 1/2 y`, is read by
+Presentation text is a list of directive lines, read by `directive_lines`:
+`#` starts a comment, blank lines are skipped, and the first word is the
+keyword. A linear combination, as in `relation a*b - 2 c*d`, is read by
 `signed_terms` with the one grammar
 
     combination := term (sign term)*
@@ -22,8 +21,7 @@ as in `relation a*b - 2 c*d` or `auto g: x -> -x + 1/2 y`, is read by
 A sign starts each term after the first and may start the first. Every
 character belongs to exactly one term: a dangling sign, two signs in a row
 and an empty combination are InvalidInput naming the line. The body is the
-text up to the next sign; for a relation it is a path of arrow labels joined
-by `*`, for an action file a basis label.
+text up to the next sign, a path of arrow labels joined by `*`.
 """
 
 from __future__ import annotations

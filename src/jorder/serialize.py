@@ -1,4 +1,4 @@
-"""Canonical text and JSON forms for algebras, bimodules, actions, and certificates.
+"""Canonical text and JSON forms for algebras, bimodules and certificates.
 
 All JSON emitted here is canonical: keys sorted, scalars in least-residue or
 lowest-terms form, fixed indentation, trailing newline.  Byte-identical
@@ -22,13 +22,14 @@ rationals ("4", "1/3").  Matrices are row-major nested lists.  A scalar
 read back must be a JSON integer or string with a value in the field;
 anything else is InvalidInput naming its key.
 
-Each text format has one reader and one writer, and both read lines and
-linear combinations through the lexer in quivers (directive_lines,
-signed_terms):
+Every reader checks a document's format and that its version is
+FORMAT_VERSION, the one this module writes, and a certificate's kind is
+j_geq or j_equiv: a document from another version or of an unknown kind is
+InvalidInput naming the key, never replayed as if it were this one.
 
-- presentation text: read by quivers.parse_presentation, written by
-  presentation_text;
-- action files: read by parse_action_text, written by action_text.
+Presentation text has one reader, quivers.parse_presentation, which reads
+lines and linear combinations through the lexer there (directive_lines,
+signed_terms), and one writer, presentation_text.
 
 Combinations are written by _combination_text: coefficients in least
 residue over GF(p), so every term after the first follows ` + `; over Q a
@@ -44,12 +45,11 @@ from . import linalg
 from .algebras import Algebra
 from .errors import InvalidInput
 from .fields import field_from_name
-from .groups import _ORDER_CAP, generated_action
 from .modules import Module, is_module_map
-from .quivers import directive_lines, signed_terms
 from .witnesses import JCertificate, JWitnessPair
 
 FORMAT_VERSION = 1
+_DIRECTIONS = {"j_geq": "geq", "j_equiv": "equiv"}  # a certificate's kind -> JCertificate.direction
 
 
 def _doc_value(doc, key, kind=str, required=True):
@@ -59,6 +59,12 @@ def _doc_value(doc, key, kind=str, required=True):
     if not isinstance(doc.get(key), kind) or (kind is int and isinstance(doc.get(key), bool)):
         raise InvalidInput(f"document key {key!r} is " + (f"not of type {kind.__name__}" if key in doc else "missing"))
     return doc[key]
+
+
+def _check_version(doc):
+    """InvalidInput naming 'version' unless the document is of FORMAT_VERSION, the one this module reads."""
+    if _doc_value(doc, "version", int) != FORMAT_VERSION:
+        raise InvalidInput(f"document key 'version' is {doc['version']}; this reader reads version {FORMAT_VERSION}")
 
 
 def _nested_list(value, shape, key):
@@ -126,12 +132,6 @@ def canon_json(doc):
 
 
 # ---- scalars and matrices ----------------------------------------------------
-
-
-def scalar_out(field, x):
-    if field.char:
-        return int(x)
-    return field.scalar_to_str(x)
 
 
 def scalar_in(field, v, key):
@@ -220,6 +220,7 @@ def algebra_doc(algebra):
 def algebra_from_doc(doc):
     if doc.get("format") != "algebra":
         raise InvalidInput("not an algebra document")
+    _check_version(doc)
     field = field_from_name(_doc_value(doc, "field"))
     dim = _doc_value(doc, "dim", int)
     table = matrix_in(field, _doc_value(doc, "table", list), (dim, dim, dim), "table")
@@ -271,6 +272,7 @@ def bimodule_doc(m, left_ref="", right_ref=""):
 def bimodule_from_doc(doc, left_algebra, right_algebra):
     if doc.get("format") != "bimodule":
         raise InvalidInput("not a bimodule document")
+    _check_version(doc)
     field = left_algebra.field
     if str(field) != _doc_value(doc, "field"):
         raise InvalidInput(f"document field {doc['field']} != algebra field {field}")
@@ -293,94 +295,6 @@ def bimodule_from_doc(doc, left_algebra, right_algebra):
         side_mats("right", right_algebra),
         doc.get("label", "bimodule"),
     )
-
-
-# ---- group actions -----------------------------------------------------------
-
-def parse_action_text(text, resolver, order_cap=_ORDER_CAP):
-    """Action file: an `algebra <ref>` line, then `auto g: b -> <combination>, ...` lines.
-
-    Clauses are separated by commas; lines sharing a generator name
-    accumulate into one map, and basis vectors without a stated image are
-    fixed.  The group is groups.generated_action of the generators, in the
-    order their names first appear.
-    """
-    algebra = algebra_ref = None
-    images = {}  # generator name -> {basis label: image vector}
-    for lineno, keyword, rest in directive_lines(text):
-        where = f"line {lineno}"
-        if keyword == "algebra":
-            if algebra is not None:
-                raise InvalidInput(f"{where}: duplicate algebra line")
-            algebra_ref, algebra = rest, resolver(rest)
-        elif keyword == "auto":
-            if algebra is None:
-                raise InvalidInput(f"{where}: auto before the algebra line")
-            name, colon, clauses = rest.partition(":")
-            name = name.strip()
-            if not colon or not name:
-                raise InvalidInput(f"{where}: expected `auto g: b -> <combination>, ...`")
-            image = images.setdefault(name, {})
-            for clause in clauses.split(","):
-                src, arrow, combination = clause.partition("->")
-                src = src.strip()
-                if not arrow:
-                    raise InvalidInput(f"{where}: cannot parse clause {clause.strip()!r}")
-                if src not in algebra.labels:
-                    raise InvalidInput(f"{where}: unknown basis label {src!r}")
-                if src in image:
-                    raise InvalidInput(f"{where}: duplicate image for {src!r} under {name!r}")
-                image[src] = _basis_combination(algebra, combination, where)
-        else:
-            raise InvalidInput(f"{where}: unknown keyword {keyword!r}")
-    if algebra is None:
-        raise InvalidInput("action file has no `algebra` line")
-    if not images:
-        raise InvalidInput("action file defines no generators")
-    field = algebra.field
-    gens = []
-    for name, image in images.items():
-        mat = field.eye(algebra.dim)
-        for src, vec in image.items():
-            mat[:, algebra.labels.index(src)] = vec
-        gens.append((name, mat))
-    action = generated_action(algebra, gens, order_cap)
-    action.source_ref = algebra_ref
-    return action
-
-
-def _basis_combination(algebra, text, where):
-    """Coordinate vector of a signed combination of basis labels."""
-    field = algebra.field
-    vec = field.zeros(algebra.dim)
-    for coeff, label in signed_terms(field, text, where):
-        if label not in algebra.labels:
-            raise InvalidInput(f"{where}: unknown basis label {label!r}")
-        idx = algebra.labels.index(label)
-        vec[idx] = field.scalar(vec[idx] + coeff)
-    return field.canon(vec)
-
-
-def action_text(action, algebra_ref):
-    """Writer for the action file format: non-identity images of the group elements.
-
-    Each non-identity element g<i> gets one `auto g<i>:` line per basis
-    vector it moves; the reader accumulates them into one map per element,
-    and its closure reconstructs the same group.
-    """
-    algebra, field = action.algebra, action.algebra.field
-    lines = [f"algebra {algebra_ref}"]
-    eye = field.eye(algebra.dim)
-    for g in range(action.group.order):
-        if g == action.group.identity_index:
-            continue
-        mat = action.matrices[g]
-        for i, lab in enumerate(algebra.labels):
-            if field.eq(mat[:, i], eye[:, i]):
-                continue
-            terms = [(c, algebra.labels[j]) for j, c in enumerate(mat[:, i]) if not field.is_zero(c)]
-            lines.append(f"auto g{g}: {lab} -> {_combination_text(field, terms)}")
-    return "\n".join(lines) + "\n"
 
 
 # ---- certificates ------------------------------------------------------------
@@ -436,6 +350,7 @@ def witness_from_doc(doc, resolver=None):
     """Rebuild a witness pair from its document."""
     if doc.get("format") != "witness":
         raise InvalidInput("not a witness document")
+    _check_version(doc)
     return _witness_from_doc(doc, resolver, "witness")
 
 
@@ -460,11 +375,15 @@ def certificate_from_doc(doc, resolver=None):
     """Rebuild the witness and certificate; verification is the caller's job."""
     if doc.get("format") != "certificate":
         raise InvalidInput("not a certificate document")
+    _check_version(doc)
+    kind = _doc_value(doc, "kind")
+    if kind not in _DIRECTIONS:
+        raise InvalidInput(f"document key 'kind' is {kind!r}, not one of {', '.join(_DIRECTIONS)}")
     w = _witness_from_doc(doc, resolver, "certificate")
     a, field = w.a, w.a.field
     tensor_dim = _doc_value(doc, "tensor_dim", int)
     return JCertificate(
-        direction="geq" if _doc_value(doc, "kind") == "j_geq" else "equiv",
+        direction=_DIRECTIONS[kind],
         witness=w,
         tensor_dim=tensor_dim,
         section=matrix_in(field, _doc_value(doc, "section", list), (tensor_dim, a.dim), "section"),
@@ -498,10 +417,14 @@ def decomposition_doc(dec):
 def verify_decomposition_doc(module, doc):
     """Replay a decomposition document against a module: multiplications only.
 
-    A missing or ill-typed value the replay reads is InvalidInput naming its key.
+    A missing or ill-typed value the replay reads, or a version other than
+    FORMAT_VERSION, is InvalidInput naming its key.
     """
     field = module.field
-    if doc.get("format") != "decomposition" or _doc_value(doc, "module_dim", int) != module.dim:
+    if doc.get("format") != "decomposition":
+        return False
+    _check_version(doc)
+    if _doc_value(doc, "module_dim", int) != module.dim:
         return False
     dims, idems = [], []
     for s in _doc_value(doc, "summands", list):

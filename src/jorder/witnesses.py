@@ -43,7 +43,6 @@ from .decomp import (
     decompose,
     projective_leaves,
     split_maps,
-    summand_isomorphism,
     summand_split_maps,
 )
 from .errors import HypothesisViolated, Inconclusive, NotASummand, NotSurjective
@@ -449,8 +448,8 @@ def is_adjoint_pair_witness(m, n, seed=0):
     Holds iff M is projective as a left module and Hom(M, A) is isomorphic
     to N as a (b, a)-bimodule. Only the answer is computed: are_isomorphic
     compares piece dimensions first and decomposes N only when Hom(M, A)
-    splits. decomp.explicit_isomorphism(hom_to_regular(m)[0], n) gives the
-    isomorphism when one is wanted.
+    splits. The section decomp.split_maps assembles from the two
+    decompositions is the isomorphism when one is wanted.
     """
     if not is_projective(m.restrict_left()):
         return False
@@ -545,33 +544,6 @@ def separable_quality(w, cert):
 def _op_left_as_right(mod, b):
     """A left B^op-module re-read as a right B-module (same matrices)."""
     return Module(None, b, None, mod.left_mats, f"{mod.label} as right", check=False)
-
-
-def is_k_split(m, seed=0):
-    """Whether every indecomposable summand is an outer product X (x)_k Y.
-
-    Each summand is tested against outer products of the indecomposable
-    summands of its own one-sided restrictions; that search is complete,
-    since X (x)_k Y restricts to dim Y copies of X on the left.
-    """
-    if m.left_mats is None or m.right_mats is None:
-        raise ValueError("k-split is a property of bimodules")
-    if m.dim == 0:
-        return True
-    b = m.right_algebra
-    dec = decompose(m, seed=seed)
-    for z in dec.summands:
-        zmod = z.module
-        lefts = decompose(zmod.restrict_left(), seed=seed + 1)
-        rights = decompose(module_over_opposite(zmod.restrict_right()), seed=seed + 2)
-        if not any(
-            summand_isomorphism(z, outer_tensor(x.module, _op_left_as_right(y.module, b))) is not None
-            for x in lefts.summands
-            for y in rights.summands
-            if x.module.dim * y.module.dim == zmod.dim
-        ):
-            return False
-    return True
 
 
 def lrproj_projectivity_check(a, b, m, seed=0):

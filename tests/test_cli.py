@@ -9,12 +9,12 @@ import json
 import pytest
 
 from jorder import catalog, cli, serialize
-from jorder.algebras import linear_quiver_algebra
 from jorder.fields import GF
 from jorder.modules import regular_bimodule
 from jorder.witnesses import JWitnessPair, verify_j_geq
 
 from json_oracle import oracle_canon_json
+from oracles import linear_quiver_algebra
 
 A_REF = "catalog:trunc_poly?k=2"
 B_REF = "catalog:kronecker"
@@ -204,6 +204,22 @@ _MALFORMED_DOCS = [
                  id="certificate-action-entry-1-over-p"),
     pytest.param("verify-cert", lambda: _certificate_entry("2/101", "a", "unit", 0), "'unit'",
                  id="certificate-unit-entry-2-over-p"),
+] + [
+    # a document of another version or kind is refused, never replayed as this one
+    pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d.update(version=99)), "'version'",
+                 id="certificate-version-99"),
+    pytest.param("verify-cert", lambda: _certificate(drop="version"), "'version'", id="certificate-without-version"),
+    pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d["m"].update(version=2)), "'version'",
+                 id="certificate-bimodule-version-2"),
+    pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d.update(kind="banana")), "'kind'",
+                 id="certificate-kind-banana"),
+    pytest.param("verify-cert", lambda: _certificate(drop="kind"), "'kind'", id="certificate-without-kind"),
+    pytest.param("decompose", lambda: _bimodule(change={"version": 99}), "'version'", id="bimodule-version-99"),
+    pytest.param("verify-jgeq", lambda: _witness(drop="version"), "'version'", id="witness-without-version"),
+    pytest.param("verify-jgeq", lambda: _field_witness(lambda d: d["a"].update(version=99)), "'version'",
+                 id="witness-algebra-version-99"),
+    pytest.param("verify-cert", lambda: _certificate(edit=lambda d: d["b"].pop("version")), "'version'",
+                 id="certificate-algebra-without-version"),
 ]
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from jorder import catalog, decomp, linalg
-from jorder.algebras import Algebra, _quotient_structure, linear_quiver_algebra, matrix_algebra_radical, quotient_algebra
+from jorder.algebras import Algebra, _quotient_structure, matrix_algebra_radical, quotient_algebra
 from jorder.decomp import (
     Decomposition,
     _match_classes,
@@ -21,10 +21,8 @@ from jorder.decomp import (
     complete_primitive_idempotents,
     decompose,
     endomorphism_algebra,
-    explicit_isomorphism,
     find_nontrivial_idempotent,
     is_connected,
-    is_direct_summand,
     is_symmetric,
     split_maps,
     summand_isomorphism,
@@ -49,12 +47,13 @@ from jorder.modules import (
     tensor_over,
     zero_module,
 )
-from jorder.polynomials import crt_split_poly, factor_poly, minpoly_matrix
-from jorder.witnesses import JWitnessPair, _op_left_as_right, embedding_witness_pairs, is_k_split, verify_j_geq
+from jorder.polynomials import crt_split_poly, factor_poly
+from jorder.witnesses import JWitnessPair, _op_left_as_right, embedding_witness_pairs, verify_j_geq
 from jorder.quivers import parse_presentation
 from jorder.algebras import algebra_from_quiver
 
 from fingerprints import fingerprint
+from oracles import explicit_isomorphism, linear_quiver_algebra, minpoly_matrix
 from test_algebras import conjugated_basis
 
 
@@ -394,17 +393,18 @@ class TestIsomorphismAndSummands:
     def test_projective_is_summand_of_regular(self):
         a = linear_quiver_algebra(GF(5), 2)
         p2 = projective_indecomposables(a)[1][0]
-        ok, evidence = is_direct_summand(p2, left_regular_module(a))
-        assert ok
-        assert evidence["left_classes"] == [(1, 1)]
+        dx = decompose(p2)
+        maps, unpaired = split_maps(dx, decompose(left_regular_module(a), seed=1))
+        assert maps is not None and unpaired is None
+        assert dx.class_summary() == [(1, 1)]
 
     def test_simple_is_not_summand_of_regular(self):
         a = linear_quiver_algebra(GF(5), 2)
         s1 = simple_modules(a)[0][0]
         assert s1.dim == 1
-        ok, evidence = is_direct_summand(s1, left_regular_module(a))
-        assert not ok
-        assert evidence["missing_class"] == {"dim": 1, "multiplicity": 1}
+        dx = decompose(s1)
+        maps, unpaired = split_maps(dx, decompose(left_regular_module(a), seed=1))
+        assert maps is None and unpaired is dx.summands[0]
 
     def test_multiplicity_bound(self):
         a = linear_quiver_algebra(GF(5), 2)
@@ -412,11 +412,10 @@ class TestIsomorphismAndSummands:
         p1, p2 = projs[0][0], projs[1][0]
         small, _, _ = direct_sum([p1, p2])
         big, _, _ = direct_sum([p1, p1, p2])
-        ok, _ = is_direct_summand(small, big)
-        assert ok
-        ok, evidence = is_direct_summand(big, small)
-        assert not ok
-        assert evidence["missing_class"] == {"dim": 2, "multiplicity": 2}
+        maps, _ = split_maps(decompose(small), decompose(big, seed=1))
+        assert maps is not None
+        maps, unpaired = split_maps(decompose(big), decompose(small, seed=1))
+        assert maps is None and unpaired.module.dim == 2
 
 
 class TestAlgebraLevel:
@@ -801,13 +800,13 @@ class TestMatcherAgainstGreedyLoops:
         for seed, (x, y) in enumerate(pairs):
             for a, b in ((x, y), (y, x)):
                 assert are_isomorphic(a, b, seed=seed) == _old_are_isomorphic(a, b, seed=seed)
-                summand = is_direct_summand(a, b, seed=seed)
-                assert summand == _old_is_direct_summand(a, b, seed=seed)
+                summand = split_maps(decompose(a, seed=seed), decompose(b, seed=seed + 1))[0] is not None
+                assert summand == _old_is_direct_summand(a, b, seed=seed)[0]
                 got, want = explicit_isomorphism(a, b, seed=seed), _old_explicit_isomorphism(a, b, seed=seed)
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert_same_array(got, want)
-                answers.append((want is not None, summand[0]))
+                answers.append((want is not None, summand))
         assert {(True, True), (False, True), (False, False)} <= set(answers)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -852,9 +851,10 @@ class TestMatcherAgainstGreedyLoops:
             else:
                 assert maps is None and unpaired is dx.summands[missing]
 
-    def test_class_order_decides_the_missing_class(self, monkeypatch):
+    def test_summand_order_decides_the_unpaired_summand(self):
         """Class C1 = {0, 5} is short and class C2 = {1} is absent: summand order
-        meets C2 first, class order C1, and is_direct_summand reports C1."""
+        meets C2 first, class order C1, and split_maps names C2's summand, as
+        the greedy scan does."""
         field = GF(3)
         gen = np.random.default_rng(14)
         (p0, p1, p2, s0), _ = summand_fixtures(field)
@@ -867,14 +867,7 @@ class TestMatcherAgainstGreedyLoops:
         (a0, a1), (b,), (c0, c1, c2) = by_dim[3], by_dim[1], by_dim[2]
         dx = reordered(dx, [a0, b, c0, c1, c2, a1])
         assert dx.classes == [[0, 5], [1], [2, 3, 4]]
-        real = decompose
-        fake = lambda m, seed=0: dx if m is x else real(m, seed=seed)
-        monkeypatch.setattr(decomp, "decompose", fake)
-        monkeypatch.setitem(globals(), "decompose", fake)
-        ok, evidence = is_direct_summand(x, y)
-        assert (ok, evidence) == _old_is_direct_summand(x, y)
-        assert evidence["missing_class"] == {"dim": 3, "multiplicity": 2}
-        dy = real(y, seed=1)
+        dy = decompose(y, seed=1)
         _, missing = _old_greedy_pairs(dx, dy)
         maps, unpaired = split_maps(dx, dy)
         assert missing == 1 and maps is None and unpaired is dx.summands[1]
@@ -905,8 +898,9 @@ class TestMatcherAgainstGreedyLoops:
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_leaf_test_on_k_split_candidates(self, field):
-        """is_k_split's leaf test answers as are_isomorphic did on every
-        candidate outer product, including same-dimensional non-isomorphic ones."""
+        """The leaf test answers as are_isomorphic did on every candidate outer
+        product X (x)_k Y of the one-sided summands of a k-split bimodule,
+        including same-dimensional non-isomorphic ones."""
         lam = truncated_cycle(field.name, 2, 3)  # Q0 -> Q1 -> Q0 is a nonzero radical composite
         d = truncated_cycle(field.name, 1, 2)
         d_right = _op_left_as_right(left_regular_module(d), d)  # d is commutative
@@ -926,7 +920,6 @@ class TestMatcherAgainstGreedyLoops:
                 assert leaf == _old_are_isomorphic(cand, z.module, seed=3)
                 answers.append((cand.dim == z.module.dim, leaf))
         assert {(True, True), (True, False)} <= set(answers)
-        assert is_k_split(m)
 
 
 class TestMatcherPreconditions:
@@ -943,7 +936,7 @@ class TestMatcherPreconditions:
     def test_zero_left_module_against_bimodule(self, no_decompose):
         a = linear_quiver_algebra(GF(5), 2)
         with pytest.raises(ValueError, match="identical sidedness and algebras"):
-            is_direct_summand(zero_module(a, None), regular_bimodule(a))
+            are_isomorphic(zero_module(a, None), regular_bimodule(a))
 
     def test_zero_bimodule_split_off_left_module(self, no_decompose):
         a = linear_quiver_algebra(GF(5), 2)

@@ -1,8 +1,8 @@
-"""Group actions: invariants, isotypic pieces, skew products, quiver freeness.
+"""Group actions: invariants and skew products.
 
 Fixture actions are the involution swapping the two branches of the zigzag
 algebra and the rotation of a truncated cycle algebra; expected dimensions
-and component bases are derived by hand next to each assertion.
+and bases are derived by hand next to each assertion.
 """
 
 import itertools
@@ -11,39 +11,12 @@ import numpy as np
 import pytest
 
 from jorder import linalg
-from jorder.algebras import Algebra, algebra_from_quiver
+from jorder.algebras import algebra_from_quiver
 from jorder.decomp import complete_primitive_idempotents
-from jorder.errors import (
-    BadCharacteristic,
-    InvalidInput,
-    NonAbelianGroup,
-    NotQuiverCompatible,
-    RootsOfUnityUnavailable,
-)
-from jorder.fields import GF, QQ
-from jorder.groups import (
-    AlgebraAction,
-    FiniteGroup,
-    group_algebra,
-    invariant_subalgebra,
-    isotypic_decomposition,
-    skew_group_algebra,
-    verify_free_quiver_action,
-)
+from jorder.groups import AlgebraAction, FiniteGroup, invariant_subalgebra, skew_group_algebra
 from jorder.quivers import parse_presentation
-from jorder.serialize import parse_action_text
 
 from fingerprints import fingerprint
-
-
-def parse_action(text, algebra, **kwargs):
-    """Read an action file whose algebra line names the given algebra."""
-    return parse_action_text(text, lambda ref: algebra, **kwargs)
-
-
-def qp(text):
-    field, pres = parse_presentation(text)
-    return field, pres
 
 
 def qa(text):
@@ -120,14 +93,11 @@ class TestFiniteGroup:
         assert g.order == 4
         assert g.identity_index == 0
         assert g.inv(1) == 3
-        assert g.element_order(1) == 4
-        assert g.element_order(2) == 2
-        assert g.is_abelian()
 
     def test_s3_is_a_group_but_not_abelian(self):
         g = FiniteGroup(s3_table())
         assert g.order == 6
-        assert not g.is_abelian()
+        assert not (g.multiplication_table == g.multiplication_table.T).all()
 
     def test_broken_tables_rejected(self):
         with pytest.raises(ValueError, match="associative"):
@@ -215,81 +185,28 @@ class TestInvariants:
         assert sub.loewy_layer_dims() == [3, 2, 1, 0]
         assert sub.is_commutative()
 
+    # GF(2) and GF(3) divide the orders of the swap and the rotation, where
+    # invariant_subalgebra skips its radical cross-check
+    @pytest.mark.parametrize("field_name", ["GF(2)", "GF(3)", "GF(101)", "Q"])
+    def test_invariants_are_the_orbit_sums(self, field_name):
+        for a, act in (zigzag_swap_action(field_name), rotation_action(field_name, 3, 2)):
+            f = a.field
+            orbits = {
+                frozenset(int(np.flatnonzero(np.asarray(m[:, i]) != 0)[0]) for m in act.matrices)
+                for i in range(a.dim)
+            }
+            sums = f.zeros((len(orbits), a.dim))
+            for r, orbit in enumerate(orbits):
+                sums[r, sorted(orbit)] = f.one
+            sub, incl = invariant_subalgebra(act)
+            assert sub.dim == len(orbits)
+            assert f.eq(incl, linalg.row_basis(f, sums))
 
-class TestIsotypic:
-    def test_trivial_group_single_component(self):
-        a = qa(ZIGZAG.format(f="GF(7)"))
-        comps = isotypic_decomposition(AlgebraAction.trivial(a))
-        assert len(comps) == 1
-        chi, rows = comps[0]
-        assert chi == (a.field.one,)
-        assert rows.shape[0] == a.dim
-
-    def test_zigzag_components_frozen(self):
-        a, act = zigzag_swap_action("GF(7)")
-        comps = isotypic_decomposition(act)
-        assert [rows.shape[0] for _, rows in comps] == [2, 2]
-        f = a.field
-        idx = {lab: i for i, lab in enumerate(a.labels)}
-        sign = [rows for chi, rows in comps if chi[1] != f.one][0]
-        diff_e = f.zeros(4)
-        diff_e[idx["e_1"]] = f.one
-        diff_e[idx["e_2"]] = f.scalar(-1)
-        diff_ab = f.zeros(4)
-        diff_ab[idx["a"]] = f.one
-        diff_ab[idx["b"]] = f.scalar(-1)
-        assert linalg.coords_in_row_basis(f, sign, diff_e) is not None
-        assert linalg.coords_in_row_basis(f, sign, diff_ab) is not None
-
-    def test_rotation_components_frozen(self):
-        a, act = rotation_action("GF(7)", 3, 2)
-        comps = isotypic_decomposition(act)
-        assert [rows.shape[0] for _, rows in comps] == [2, 2, 2]
-        chars = [chi[1] for chi, _ in comps]
-        assert sorted(int(c) for c in chars) == [1, 2, 4]  # cube roots of 1 mod 7
-
-    def test_components_multiply_along_characters(self):
-        a, act = rotation_action("GF(7)", 3, 2)
-        comps = isotypic_decomposition(act)
-        f = a.field
-        lookup = {chi: rows for chi, rows in comps}
-        for chi1, rows1 in comps:
-            for chi2, rows2 in comps:
-                target = tuple(f.scalar(c1 * c2) for c1, c2 in zip(chi1, chi2))
-                for r1 in rows1:
-                    for r2 in rows2:
-                        prod = a.mul(r1, r2)
-                        if target in lookup:
-                            assert linalg.coords_in_row_basis(f, lookup[target], prod) is not None
-                        else:
-                            assert f.is_zero(prod)
-
-    def test_missing_roots_of_unity(self):
-        _, act = rotation_action("GF(5)", 3, 2)  # 3 does not divide 5 - 1
-        with pytest.raises(RootsOfUnityUnavailable):
-            isotypic_decomposition(act)
-
-    def test_bad_characteristic(self):
-        _, act = zigzag_swap_action("GF(2)")
-        with pytest.raises(BadCharacteristic):
-            isotypic_decomposition(act)
-
-    def test_nonabelian_rejected(self):
-        table = s3_table()
-        g = FiniteGroup(table)
-        f = GF(7)
-        one = Algebra(f, f.zeros((1, 1, 1)) + f.one, [1], label="k")
-        act = AlgebraAction(g, one, [f.eye(1)] * 6)
-        with pytest.raises(NonAbelianGroup):
-            isotypic_decomposition(act)
-
-    def test_rationals_handle_order_two_only(self):
-        a, act = zigzag_swap_action("QQ")
-        comps = isotypic_decomposition(act)
-        assert [rows.shape[0] for _, rows in comps] == [2, 2]
-        _, act3 = rotation_action("QQ", 3, 2)
-        with pytest.raises(RootsOfUnityUnavailable):
-            isotypic_decomposition(act3)
+    @pytest.mark.parametrize("field_name", ["GF(2)", "GF(3)", "GF(101)", "Q"])
+    def test_zigzag_swap_invariants_are_dual_numbers_over_every_field(self, field_name):
+        _, act = zigzag_swap_action(field_name)
+        sub, _ = invariant_subalgebra(act)
+        assert fingerprint(sub) == fingerprint(qa(DUAL.format(f=field_name)))
 
 
 class TestSkew:
@@ -352,129 +269,3 @@ class TestSkew:
         # (A/J) * C2 for the swap is a full 2x2 matrix algebra: still semisimple,
         # so the radical is J tensor kG despite the bad characteristic
         assert skew.radical_rows().shape[0] == 4
-
-
-class TestFreeQuiverAction:
-    def test_trivial_action_is_vacuously_free(self):
-        field, pres = qp(ZIGZAG.format(f="GF(7)"))
-        a = algebra_from_quiver(pres, field)
-        assert verify_free_quiver_action(AlgebraAction.trivial(a), pres)
-
-    def test_rotation_is_free(self):
-        field, pres = qp(truncated_cycle_text("GF(7)", 3, 2))
-        a = algebra_from_quiver(pres, field)
-        f = a.field
-        idx = {lab: i for i, lab in enumerate(a.labels)}
-        mapping = {}
-        for i in range(1, 4):
-            mapping[idx[f"e_{i}"]] = idx[f"e_{i % 3 + 1}"]
-            mapping[idx[f"a{i}"]] = idx[f"a{i % 3 + 1}"]
-        r = perm_matrix(f, a.dim, mapping)
-        act = AlgebraAction(FiniteGroup.cyclic(3), a, [f.eye(6), r, f.canon(f.matmul(r, r))])
-        assert verify_free_quiver_action(act, pres)
-
-    def test_fixed_vertex_is_not_free(self):
-        field, pres = qp(DUAL.format(f="GF(7)"))
-        a = algebra_from_quiver(pres, field)
-        f = a.field
-        c = f.eye(2)
-        c[1, 1] = f.scalar(-1)
-        act = AlgebraAction(FiniteGroup.cyclic(2), a, [f.eye(2), c])
-        assert not verify_free_quiver_action(act, pres)
-
-    def test_zigzag_swap_is_free(self):
-        field, pres = qp(ZIGZAG.format(f="GF(7)"))
-        a = algebra_from_quiver(pres, field)
-        f = a.field
-        idx = {lab: i for i, lab in enumerate(a.labels)}
-        swap = perm_matrix(f, 4, {idx["e_1"]: idx["e_2"], idx["e_2"]: idx["e_1"],
-                                  idx["a"]: idx["b"], idx["b"]: idx["a"]})
-        act = AlgebraAction(FiniteGroup.cyclic(2), a, [f.eye(4), swap])
-        assert verify_free_quiver_action(act, pres)
-
-    def test_non_permuting_automorphism_rejected(self):
-        text = "field GF(2)\nvertex 1\narrow x: 1 -> 1\nrelation x*x*x\n"
-        field, pres = qp(text)
-        a = algebra_from_quiver(pres, field)
-        f = a.field
-        idx = {lab: i for i, lab in enumerate(a.labels)}
-        m = f.eye(3)
-        m[idx["x*x"], idx["x"]] = f.one  # x -> x + x^2 preserves x^3 = 0
-        act = AlgebraAction(FiniteGroup.cyclic(2), a, [f.eye(3), m])
-        with pytest.raises(NotQuiverCompatible):
-            verify_free_quiver_action(act, pres)
-
-    def test_wrong_presentation_rejected(self):
-        field, pres = qp(ZIGZAG.format(f="GF(7)"))
-        a = algebra_from_quiver(pres, field)
-        _, other = qp(ZIGZAG.format(f="GF(7)"))
-        with pytest.raises(NotQuiverCompatible):
-            verify_free_quiver_action(AlgebraAction.trivial(a), other)
-
-
-class TestActionFiles:
-    def test_reference_extraction(self):
-        a = qa(truncated_cycle_text("GF(7)", 3, 2))
-        text = "# rotation\nalgebra catalog:lambda(3,2)\nauto r: e_1 -> e_2, e_2 -> e_3, e_3 -> e_1, a1 -> a2, a2 -> a3, a3 -> a1\n"
-        refs = []
-        act = parse_action_text(text, lambda ref: refs.append(ref) or a)
-        assert refs == ["catalog:lambda(3,2)"] and act.source_ref == refs[0]
-        with pytest.raises(InvalidInput):
-            parse_action("auto r: e_1 -> e_2\n", a)
-
-    def test_zigzag_swap_file(self):
-        a = qa(ZIGZAG.format(f="GF(7)"))
-        text = (
-            "algebra zigzag\n"
-            "auto c: e_1 -> e_2, e_2 -> e_1, a -> b, b -> a\n"
-        )
-        act = parse_action(text, a)
-        assert act.group.order == 2
-        sub, _ = invariant_subalgebra(act)
-        assert sub.dim == 2
-
-    def test_scaling_generator_with_coefficients(self):
-        a = qa(DUAL.format(f="GF(7)"))
-        act = parse_action("algebra dual\nauto c: x -> -x\n", a)
-        assert act.group.order == 2
-        act6 = parse_action("algebra dual\nauto c: x -> 3 x\n", a)
-        assert act6.group.order == 6  # 3 has order 6 mod 7
-
-    def test_two_generators(self):
-        a = qa(truncated_cycle_text("GF(7)", 2, 2))
-        text = (
-            "algebra lam22\n"
-            "auto r: e_1 -> e_2, e_2 -> e_1, a1 -> a2, a2 -> a1\n"
-            "auto s: a1 -> -a1, a2 -> -a2\n"
-        )
-        act = parse_action(text, a)
-        assert act.group.order == 4  # commuting involutions: the Klein group
-        one_sided = (
-            "algebra lam22\n"
-            "auto r: e_1 -> e_2, e_2 -> e_1, a1 -> a2, a2 -> a1\n"
-            "auto s: a1 -> -a1, a2 -> a2\n"
-        )
-        act8 = parse_action(one_sided, a)
-        assert act8.group.order == 8  # r s r != s: closure finds the larger group
-        assert not act8.group.is_abelian()
-
-    def test_errors(self):
-        a = qa(DUAL.format(f="GF(7)"))
-        with pytest.raises(InvalidInput, match="algebra"):
-            parse_action("auto c: x -> -x\n", a)
-        with pytest.raises(InvalidInput, match="unknown basis label"):
-            parse_action("algebra d\nauto c: y -> x\n", a)
-        with pytest.raises(InvalidInput, match="duplicate image"):
-            parse_action("algebra d\nauto c: x -> -x, x -> x\n", a)
-        with pytest.raises(InvalidInput, match="generators"):
-            parse_action("algebra d\n", a)
-        with pytest.raises(InvalidInput, match="cap"):
-            parse_action("algebra d\nauto c: x -> 2 x\n", qa(DUAL.format(f="QQ")), order_cap=8)
-
-    def test_group_algebra_helper(self):
-        kg = group_algebra(FiniteGroup.cyclic(3), GF(2))
-        assert kg.dim == 3
-        assert kg.is_commutative()
-        assert kg.radical_rows().shape[0] == 0
-        kg3 = group_algebra(FiniteGroup.cyclic(3), GF(3))
-        assert kg3.loewy_layer_dims() == [3, 2, 1, 0]

@@ -2,9 +2,10 @@
 
 On the algebra: the primitive family, projectives, simples, projective
 leaves and the enveloping algebra A (x) B^op of witnesses._enveloping_algebra.
-On the module: its generator action stacks and its graded pieces, read by
-hom_space and by the dimension pre-filter of summand_isomorphism, and a weak
-reference to its certified leaf, read by decompose.
+On the module: its graded pieces and its generator matrices in piece
+coordinates, read by hom_space and by the dimension pre-filter of
+summand_isomorphism, and a weak reference to its certified leaf, read by
+decompose.
 
 projective_indecomposables, simple_modules and projective_leaves build once
 per algebra and hold the result, and projective_indecomposables installs the
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from jorder import catalog, decomp, linalg, modules, witnesses
-from jorder.algebras import Algebra, algebra_from_quiver, linear_quiver_algebra, tensor_algebra
+from jorder.algebras import Algebra, algebra_from_quiver, tensor_algebra
 from jorder.decomp import (
     are_isomorphic,
     complete_primitive_idempotents,
@@ -47,6 +48,8 @@ from jorder.modules import (
     simple_modules,
 )
 from jorder.witnesses import bimodule_as_env_module, faithful_projinj_check, generators_check, verify_j_geq
+
+from oracles import linear_quiver_algebra
 
 FIELDS = [GF(2), GF(3), GF(101), QQ]
 
@@ -291,9 +294,9 @@ def decomposition_inputs(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_held_pieces_and_stacks_equal_fresh_builds(field, monkeypatch):
-    """At every node of a decomposition, the held generator stacks, graded
-    pieces, frames and generator matrices in piece coordinates are the arrays
-    the builders return again, keyed by the lists they were taken against."""
+    """At every node of a decomposition, the held graded pieces, frames and
+    generator matrices in piece coordinates are the arrays the builders
+    return again, keyed by the lists they were taken against."""
     nodes = []
 
     class Recording(decomp.EndView):
@@ -308,16 +311,6 @@ def test_held_pieces_and_stacks_equal_fresh_builds(field, monkeypatch):
         decompose(m if field == QQ else conjugated(m, gen), seed=1)
         assert len(nodes) > 1
         for mod in nodes:
-            for side, (mats, alg) in enumerate(modules._sides(mod)):
-                if mats is None:
-                    assert mod._generator_stacks[side] is None
-                    continue
-                fresh = modules._generator_actions(mats, alg)
-                held = mod._generator_stacks[side]
-                if held is not None:
-                    assert held[0] is alg.generators and same_array(held[1], fresh)
-                assert same_array(modules._generator_stack(mod, side, alg), fresh)
-                assert mod._generator_stacks[side][0] is alg.generators
             families = modules._families(mod)
             fresh = modules._pieces(mod, families[0] or [], families[1] or [])
             held = mod._graded_pieces
@@ -343,14 +336,15 @@ def test_a_changed_list_misses_the_key():
     a = linear_quiver_algebra(GF(5), 3)
     complete_primitive_idempotents(a)
     m = direct_sum([p for p, _, _ in projective_indecomposables(a)])[0]
-    stack = modules._generator_stack(m, 0, a)
     pieces = modules._graded(m, *modules._families(m))
-    assert modules._generator_stack(m, 0, a) is stack
+    frame = modules._frame(m, *modules._families(m))
+    stack = modules._piece_actions(m, 0, a, frame)
+    assert modules._piece_actions(m, 0, a, frame) is stack
     assert modules._graded(m, *modules._families(m)) is pieces
     a.generators = list(a.generators)
     a.idempotents = list(a.idempotents)
-    assert modules._generator_stack(m, 0, a) is not stack
-    assert same_array(modules._generator_stack(m, 0, a), stack)
+    assert modules._piece_actions(m, 0, a, frame) is not stack
+    assert same_array(modules._piece_actions(m, 0, a, frame), stack)
     assert modules._graded(m, *modules._families(m)) is not pieces
     assert same_pieces(modules._graded(m, *modules._families(m)), pieces)
 
@@ -369,7 +363,7 @@ def test_hom_space_takes_the_stack_of_n_against_the_generators_of_m():
     want = modules.hom_space(m, same)
     assert len(got) == len(want) == len(modules.hom_space(m, m))
     assert all(same_array(g, w) for g, w in zip(got, want))
-    assert n._generator_stacks[0][0] is a.generators
+    assert n._piece_stacks[0][0][0] is a.generators
 
 
 def test_pieces_are_built_once_per_module(monkeypatch):

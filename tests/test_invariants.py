@@ -394,12 +394,11 @@ def test_one_polynomial_arithmetic_on_coefficient_lists():
 # projectives reaches the family through projective_indecomposables, which
 # installs it on first use; the enveloping-algebra builders install the
 # factors' families so that tensor_algebra copies them instead of decomposing
-# the larger regular module, and the group characters read the family of kG.
+# the larger regular module.
 _PRIMITIVE_FAMILY_INSTALLERS = {
     ("modules.py", "projective_indecomposables"),
     ("witnesses.py", "bimodule_as_env_module"),
     ("witnesses.py", "witness_search"),
-    ("groups.py", "_characters"),
 }
 
 
@@ -523,15 +522,17 @@ def test_importing_the_cli_loads_no_sympy():
 
 
 # builder -> the one held reader that may call it
-_HELD_READERS = {"_pieces": "_graded", "_generator_actions": "_generator_stack"}
+_HELD_READERS = {"_pieces": "_graded"}
 
 
 def test_module_structure_is_read_through_the_held_readers():
-    """A module's graded pieces and generator stacks are built only by their
-    held readers in modules.py; hom_space reads both held, through the frame
-    and the generator matrices in piece coordinates, and takes no action of a
-    single element and no Kronecker product, and the subquotient code reads
-    the stacks through _all_generator_actions."""
+    """A module's graded pieces are built only by their held reader in
+    modules.py; hom_space reads them held, through the frame and the
+    generator matrices in piece coordinates, and takes no action of a single
+    element and no Kronecker product. The generators' action matrices are
+    not held: Module._validate, _piece_actions and _all_generator_actions,
+    which submodule reads, take them from _generator_actions, and the
+    generator-stack slot stays deleted."""
     found, used = [], set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -540,18 +541,128 @@ def test_module_structure_is_read_through_the_held_readers():
                 used.add(fn)
             else:
                 found.append(f"{path.name}:{line}: {fn}")
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+            if names & {"_generator_stack", "_generator_stacks"}:
+                found.append(f"{path.name}:{node.lineno}: a held generator stack")
     assert found == []
     assert used == set(_HELD_READERS.values())
     tree = ast.parse((SRC / "modules.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (module,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Module"]
+    functions["_validate"] = next(fn for fn in module.body if getattr(fn, "name", None) == "_validate")
     hom = functions["hom_space"]
     assert _calls(hom, ("_frame",)) and _calls(hom, ("_piece_actions",))
     assert _calls(functions["_frame"], ("_graded",))
-    assert _calls(functions["_piece_actions"], ("_generator_stack",))
     assert _calls(hom, ("left_action", "right_action", "kron")) == []
-    for name in ("submodule", "_assert_stable"):
-        assert _calls(functions[name], ("_all_generator_actions",)), name
-    assert _calls(functions["_all_generator_actions"], ("_generator_stack",))
+    assert _calls(functions["submodule"], ("_all_generator_actions",))
+    for name in ("_validate", "_piece_actions", "_all_generator_actions"):
+        assert _calls(functions[name], ("_generator_actions",)), name
+
+
+# top-level public functions with no caller in src/jorder yet, each kept for the
+# ROADMAP item that will call it
+_UNCALLED_ALLOWED = {
+    ("algebras.py", "quotient_algebra"),  # item 2: A/J >_J A from the quotient map
+    ("witnesses.py", "compose_witnesses"),  # item 10: the J-order atlas composes witnesses
+    ("witnesses.py", "verify_j_equiv"),  # item 10: the atlas certifies J-equivalences
+    ("serialize.py", "verify_decomposition_doc"),  # item 11: replayable Krull-Schmidt certificates
+}
+
+
+def _uncalled_public_functions(trees):
+    """(module, name) of every top-level public function in trees ({module:
+    parsed source}) that no code in trees names outside its own body."""
+    referenced = {}  # name -> {(module, enclosing top-level definition)}
+    for name, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                if ref is not None:
+                    referenced.setdefault(ref, set()).add((name, owner))
+    return {
+        (name, fn.name)
+        for name, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and not referenced.get(fn.name, set()) - {(name, fn.name)}
+    }
+
+
+def _unused_imports(tree):
+    """(line, name) of every name the parsed module imports and never reads."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+    ]
+
+
+def test_every_public_function_has_a_caller_in_the_library():
+    """Every top-level public function under src/jorder is named in src/jorder
+    outside its own body, or is on the allowlist above; code that only tests
+    reach belongs in the tests. A stale allowlist entry fails, as the
+    product allowlist does."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))}
+    uncalled = _uncalled_public_functions(trees)
+    assert uncalled - _UNCALLED_ALLOWED == set()
+    assert _UNCALLED_ALLOWED - uncalled == set()  # no stale entries
+
+
+def test_the_caller_scan_finds_a_function_only_its_own_body_names():
+    """The scan behind the caller guard: a function that only calls itself is
+    uncalled; a call from another module, a read as an attribute, a private
+    name and a method are not reported."""
+    trees = {
+        "a.py": ast.parse(
+            "def used():\n    return 1\n\n\n"
+            "def as_attribute():\n    return 2\n\n\n"
+            "def dead(n):\n    return dead(n - 1) if n else 0\n\n\n"
+            "def _private():\n    return 3\n"
+        ),
+        "b.py": ast.parse(
+            "from . import a\nfrom .a import used\n\n\n"
+            "class C:\n    def method(self):\n        return used() + a.as_attribute()\n"
+        ),
+    }
+    assert _uncalled_public_functions(trees) == {("a.py", "dead")}
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    """Outside __init__.py, which re-exports, every name a module imports is
+    read in that module."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {name}" for line, name in _unused_imports(tree)]
+    assert found == []
+
+
+def test_the_import_scan_finds_names_read_nowhere():
+    """The scan behind the import guard: an unread plain, dotted, aliased or
+    from-import is reported under the name it binds; a read one, one read
+    only as the head of an attribute chain, and a __future__ import are not."""
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import numpy as np\n"
+        "import xml.dom\n"
+        "from .fields import GF, QQ as rationals\n"
+        "from . import linalg\n"
+        "\n"
+        "ZERO = np.zeros(GF(2).p)\n"
+        "\n\n"
+        "def f(x):\n"
+        "    return linalg.rank(x)\n"
+    )
+    assert _unused_imports(tree) == [(2, "os"), (3, "osp"), (5, "xml"), (6, "rationals")]
 
 
 def test_witnesses_build_an_enveloping_algebra_in_one_place():

@@ -148,14 +148,11 @@ def test_intersect_row_spaces():
     assert linalg.coords_in_row_basis(field, b, inter[0]) is not None
 
 
-def test_row_and_column_bases_are_canonical():
+def test_row_basis_is_canonical():
     field = GF(7)
     a = field.mat([[2, 4, 6], [1, 2, 3], [0, 0, 1]])
     rb = linalg.row_basis(field, a)
     assert rb.shape == (2, 3) and rb[0, 0] == 1
-    cb = linalg.column_basis(field, a)
-    assert cb.shape == (3, 2)
-    assert linalg.rank(field, cb.T) == 2
 
 
 def test_coords_in_row_basis_roundtrip():

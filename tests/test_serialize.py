@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jorder import catalog, serialize
-from jorder.algebras import Algebra, algebra_from_quiver, linear_quiver_algebra
+from jorder.algebras import Algebra, algebra_from_quiver
 from jorder.decomp import decompose
 from jorder.errors import InvalidInput
 from jorder.fields import GF, QQ
@@ -16,6 +16,7 @@ from jorder.quivers import parse_presentation
 from jorder.witnesses import replay_certificate, verify_j_geq
 
 from json_oracle import oracle_canon_json
+from oracles import linear_quiver_algebra
 
 
 def qa(text):
@@ -127,14 +128,13 @@ class TestCanonJsonBytes:
 class TestScalars:
     def test_gf_least_residue(self):
         f = GF(7)
-        assert serialize.scalar_out(f, f.scalar(9)) == 2
+        assert serialize.vector_out(f, [f.scalar(9)]) == [2]
         assert serialize.scalar_in(f, 9, "x") == f.scalar(2)
 
     def test_rational_strings(self):
         from fractions import Fraction
 
-        assert serialize.scalar_out(QQ, QQ.scalar(Fraction(2, 6))) == "1/3"
-        assert serialize.scalar_out(QQ, QQ.scalar(4)) == "4"
+        assert serialize.vector_out(QQ, [QQ.scalar(Fraction(2, 6)), QQ.scalar(4)]) == ["1/3", "4"]
         assert serialize.scalar_in(QQ, "1/3", "x") == Fraction(1, 3)
 
     def test_matrix_round_trip_rational(self):
@@ -271,47 +271,6 @@ class TestBimoduleDocs:
             serialize.bimodule_doc(w.m.restrict_left())
 
 
-class TestActionText:
-    def test_round_trip_swap(self):
-        act = catalog.build("zigzag_c2")
-        text = serialize.action_text(act, "zz")
-        back = serialize.parse_action_text(text, lambda ref: act.algebra)
-        assert back.group.order == 2
-        f = act.algebra.field
-        assert all(f.eq(back.matrices[i], act.matrices[i]) for i in range(2))
-        assert back.source_ref == "zz"
-
-    def test_round_trip_rotation_as_a_set(self):
-        act = catalog.build("lambda_rot", n=3, k=2)
-        back = serialize.parse_action_text(
-            serialize.action_text(act, "lam"), lambda ref: act.algebra
-        )
-        assert back.group.order == 3
-        f = act.algebra.field
-        fingerprints = lambda mats: {
-            tuple(serialize.scalar_out(f, x) for x in m.flat) for m in mats
-        }
-        assert fingerprints(back.matrices) == fingerprints(act.matrices)
-
-    def test_omitted_images_stay_fixed(self):
-        tp = catalog.build("trunc_poly", k=2, field="GF(5)")
-        act = serialize.parse_action_text(
-            "algebra demo\nauto s: x -> 4 x\n", lambda ref: tp
-        )
-        assert act.group.order == 2  # 4 squares to 1 mod 5; e_1 stays fixed
-
-    def test_closure_cap(self):
-        tp = catalog.build("trunc_poly", k=2)
-        # 2 generates the full multiplicative group mod 101, order 100 > 64
-        with pytest.raises(InvalidInput):
-            serialize.parse_action_text("algebra demo\nauto s: x -> 2 x\n", lambda ref: tp)
-
-    def test_unknown_label_refused(self):
-        tp = catalog.build("trunc_poly", k=2)
-        with pytest.raises(InvalidInput):
-            serialize.parse_action_text("algebra demo\nauto s: y -> x\n", lambda ref: tp)
-
-
 @pytest.fixture(scope="module")
 def cert():
     return verify_j_geq(catalog.build("kronecker_witness"), quality=False)
@@ -358,6 +317,67 @@ class TestCertificateDocs:
             witness = serialize.witness_doc(cert.witness, kw.get("a_ref", ""), kw.get("b_ref", ""))
             assert {k: doc[k] for k in witness if k != "format"} == {k: v for k, v in witness.items() if k != "format"}
             assert doc["format"] == "certificate"
+
+
+def documents(cert):
+    """{format: (document as JSON, its reader)} for every document the readers take."""
+    w = cert.witness
+    reg = regular_bimodule(w.a)
+    docs = {
+        "algebra": (serialize.algebra_doc(w.a), serialize.algebra_from_doc),
+        "bimodule": (serialize.bimodule_doc(w.m), lambda doc: serialize.bimodule_from_doc(doc, w.a, w.b)),
+        "witness": (serialize.witness_doc(w), serialize.witness_from_doc),
+        "certificate": (serialize.certificate_doc(cert), serialize.certificate_from_doc),
+        "decomposition": (serialize.decomposition_doc(decompose(reg)), lambda doc: serialize.verify_decomposition_doc(reg, doc)),
+    }
+    return {fmt: (json.loads(serialize.canon_json(doc)), read) for fmt, (doc, read) in docs.items()}
+
+
+FORMATS = ["algebra", "bimodule", "witness", "certificate", "decomposition"]
+
+
+class TestVersionAndKind:
+    """A reader reads only the version it writes and, for a certificate, a
+    kind it knows: anything else is InvalidInput naming the key, never a
+    document replayed as if it were of this version."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("version", [99, 0, "1", True, None], ids=["99", "0", "string", "true", "missing"])
+    def test_other_versions_refused(self, cert, fmt, version):
+        doc, read = documents(cert)[fmt]
+        assert read(doc) is not False  # the document as written reads
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        with pytest.raises(InvalidInput, match="'version'"):
+            read(doc)
+
+    @pytest.mark.parametrize("fmt, inner", [
+        ("witness", "m"), ("witness", "n"), ("witness", "a"), ("witness", "b"),
+        ("certificate", "m"), ("certificate", "n"), ("certificate", "a"), ("certificate", "b"),
+    ])
+    def test_embedded_documents_checked(self, cert, fmt, inner):
+        doc, read = documents(cert)[fmt]
+        doc[inner]["version"] = 99
+        with pytest.raises(InvalidInput, match="'version'"):
+            read(doc)
+
+    @pytest.mark.parametrize("kind", ["banana", "geq", 1, None], ids=["banana", "direction-name", "int", "missing"])
+    def test_unknown_kinds_refused(self, cert, kind):
+        doc, read = documents(cert)["certificate"]
+        if kind is None:
+            del doc["kind"]
+        else:
+            doc["kind"] = kind
+        with pytest.raises(InvalidInput, match="'kind'"):
+            read(doc)
+
+    def test_both_kinds_read(self, cert):
+        doc, read = documents(cert)["certificate"]
+        assert read(doc).direction == "geq"
+        doc["kind"] = "j_equiv"
+        assert read(doc).direction == "equiv"
 
 
 def old_certificate_doc(cert, a_ref="", b_ref="", witness_ref=""):
@@ -428,7 +448,7 @@ class TestDecompositionDocs:
         assert not serialize.verify_decomposition_doc(reg, doc)
 
     @pytest.mark.parametrize("edit, key", [
-        (lambda doc: {"format": "decomposition"}, "module_dim"),
+        (lambda doc: {"format": "decomposition", "version": 1}, "module_dim"),
         (lambda doc: {**doc, "module_dim": "3"}, "module_dim"),
         (lambda doc: {**doc, "module_dim": True}, "module_dim"),
         (lambda doc: {k: v for k, v in doc.items() if k != "summands"}, "summands"),

@@ -13,8 +13,6 @@ Kronecker and zigzag algebras in a random basis, where the table is dense and
 noncommutative.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -22,21 +20,11 @@ from jorder import catalog, linalg
 from jorder.algebras import (
     Algebra,
     Provenance,
-    center,
     check_algebra_hom,
     subalgebra_from_rows,
 )
-from jorder.decomp import complete_primitive_idempotents
-from jorder.errors import BadCharacteristic, NonAbelianGroup, RootsOfUnityUnavailable
 from jorder.fields import GF, QQ
-from jorder.groups import (
-    FiniteGroup,
-    _characters,
-    group_algebra,
-    invariant_subalgebra,
-    isotypic_decomposition,
-    skew_group_algebra,
-)
+from jorder.groups import invariant_subalgebra, skew_group_algebra
 from jorder.modules import (
     Module,
     direct_sum,
@@ -49,6 +37,7 @@ from jorder.modules import (
 )
 from jorder.witnesses import embedding_witness_pairs
 
+from oracles import center
 from test_algebras import conjugated_basis
 
 FIELDS = [GF(2), GF(3), GF(7), GF(101), QQ]
@@ -134,51 +123,6 @@ def _old_check_algebra_hom(source, target, phi):
     return phi
 
 
-def _old_group_algebra(group, field):
-    n = group.order
-    table = field.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            table[i, j, group.mul(i, j)] = field.one
-    unit = field.zeros(n)
-    unit[group.identity_index] = field.one
-    return Algebra(
-        field,
-        table,
-        unit,
-        list(group.labels),
-        generators=[field.eye(n)[i] for i in range(n)],
-        provenance=Provenance("group_algebra", {"group": group}),
-        label=f"k[{group.label}]",
-        check=False,
-    )
-
-
-def _old_characters(group, field):
-    kg = _old_group_algebra(group, field)
-    if kg.radical_rows().shape[0]:
-        raise BadCharacteristic("group algebra is not semisimple in this characteristic")
-    es = complete_primitive_idempotents(kg, seed=0)
-    if len(es) < group.order:
-        raise RootsOfUnityUnavailable(
-            f"{field.name} lacks a primitive root of unity for {group.label}"
-        )
-    chars = []
-    for e in es:
-        support = int(np.flatnonzero(np.asarray(e) != field.zero)[0])
-        denom = field.inv_scalar(e[support])
-        values = []
-        for g in range(group.order):
-            prod = kg.mul(field.eye(group.order)[g], e)
-            chi = field.scalar(prod[support] * denom)
-            if not field.eq(prod, field.smul(chi, e)):
-                raise AssertionError("group element does not act by a scalar")
-            values.append(chi)
-        chars.append(tuple(values))
-    chars.sort(key=lambda chi: [field.scalar_to_str(c) for c in chi])
-    return chars
-
-
 def _old_invariant_rows(act):
     a, field = act.algebra, act.algebra.field
     blocks = [
@@ -192,48 +136,6 @@ def _old_invariant_rows(act):
     else:
         rows = field.eye(a.dim)
     return rows
-
-
-def _old_isotypic_decomposition(act):
-    group, a, field = act.group, act.algebra, act.algebra.field
-    if not group.is_abelian():
-        raise NonAbelianGroup("isotypic decomposition needs an abelian group")
-    p = field.char
-    if p != 0 and group.order % p == 0:
-        raise BadCharacteristic(f"|{group.label}| vanishes in {field.name}")
-    chars = _old_characters(group, field)
-    components = []
-    total = 0
-    one = field.one
-    for chi in chars:
-        blocks = [
-            field.sub(act.matrices[g], field.smul(chi[g], field.eye(a.dim)))
-            for g in range(group.order)
-            if g != group.identity_index
-        ]
-        if not blocks:
-            rows = field.eye(a.dim)
-        else:
-            ns = linalg.nullspace(field, field.canon(np.concatenate(blocks, axis=0)))
-            rows = linalg.row_basis(field, ns.T)
-        if rows.shape[0] == 0:
-            continue
-        components.append((chi, rows))
-        total += rows.shape[0]
-    if total != a.dim:
-        raise AssertionError("isotypic components do not fill the algebra")
-    trivial = [rows for chi, rows in components if all(c == one for c in chi)]
-    inv_rows = _old_invariant_rows(act)
-    if len(trivial) != 1 or trivial[0].shape != inv_rows.shape or \
-            not field.eq(trivial[0], inv_rows):
-        raise AssertionError("trivial component differs from the invariant subalgebra")
-    for _, rows in components:
-        for u in inv_rows:
-            if linalg.coords_in_row_basis(field, rows, [a.mul(u, r) for r in rows]) is None:
-                raise AssertionError("component is not stable under left A^G")
-            if linalg.coords_in_row_basis(field, rows, [a.mul(r, u) for r in rows]) is None:
-                raise AssertionError("component is not stable under right A^G")
-    return components
 
 
 def _old_skew_table(act):
@@ -371,13 +273,6 @@ def actions(field):
     return [catalog.build(entry, field=field, **params) for entry, params in ACTIONS]
 
 
-def groups():
-    perms = sorted(itertools.permutations(range(3)))
-    s3 = [[perms.index(tuple(p[q[t]] for t in range(3))) for q in perms] for p in perms]
-    klein = [[i ^ j for j in range(4)] for i in range(4)]
-    return [FiniteGroup.cyclic(n) for n in (1, 2, 3, 4)] + [FiniteGroup(klein, label="V4"), FiniteGroup(s3, label="S3")]
-
-
 field_params = pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 
 
@@ -451,26 +346,9 @@ class TestAlgebraReads:
 # ---- groups -----------------------------------------------------------------------
 
 
-def same_characters(got, want):
-    return got == want and [[type(c) for c in chi] for chi in got] == [[type(c) for c in chi] for chi in want]
-
-
-def same_components(got, want):
-    return [chi for chi, _ in got] == [chi for chi, _ in want] and same_lists([r for _, r in got], [r for _, r in want])
-
-
 @field_params
 class TestGroupReads:
-    def test_group_algebra_matches(self, field):
-        for group in groups():
-            assert same_algebras(group_algebra(group, field), _old_group_algebra(group, field)), group.label
-
-    def test_characters_match_or_raise_alike(self, field):
-        """The abelian groups: C1 to C4 and the Klein four-group."""
-        for group in groups()[:5]:
-            assert_same_outcome(lambda: _characters(group, field), lambda: _old_characters(group, field), same_characters)
-
-    def test_invariants_and_isotypic_pieces_match(self, field):
+    def test_invariants_match(self, field):
         for act in actions(field):
             sub, rows = invariant_subalgebra(act)
             want = _old_subalgebra_from_rows(
@@ -478,9 +356,6 @@ class TestGroupReads:
                 label=f"{act.algebra.label}^{act.group.label}", provenance=Provenance("invariants", {}),
             )
             assert same_algebras(sub, want) and same_arrays(rows, want.inclusion_rows)
-            assert_same_outcome(
-                lambda: isotypic_decomposition(act), lambda: _old_isotypic_decomposition(act), same_components,
-            )
 
     def test_skew_group_algebra_matches(self, field):
         for act in actions(field)[:4]:  # the order-4 rotation's skew algebra, dimension 32, is slow over Q

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from jorder import catalog, decomp, linalg, serialize, witnesses
-from jorder.algebras import Algebra, algebra_from_quiver, linear_quiver_algebra, tensor_algebra
+from jorder.algebras import Algebra, algebra_from_quiver, tensor_algebra
 from jorder.decomp import (
     are_isomorphic,
     complete_primitive_idempotents,
     decompose,
-    explicit_isomorphism,
     projective_leaves,
     summand_split_maps,
 )
@@ -44,7 +43,6 @@ from jorder.modules import (
     outer_tensor,
     projective_cover,
     projective_indecomposables,
-    quotient_module,
     radical_sub_rows,
     random_left_module,
     regular_bimodule,
@@ -53,7 +51,6 @@ from jorder.modules import (
     tensor_over,
     top_of,
     twist_right,
-    zero_module,
 )
 from jorder.quivers import parse_presentation
 from jorder.witnesses import (
@@ -67,7 +64,6 @@ from jorder.witnesses import (
     faithful_projinj_check,
     generators_check,
     is_adjoint_pair_witness,
-    is_k_split,
     loewy_experiment,
     lrproj_projectivity_check,
     quotient_witness,
@@ -80,6 +76,8 @@ from jorder.witnesses import (
     verify_j_geq,
     witness_search,
 )
+
+from oracles import explicit_isomorphism, linear_quiver_algebra, quotient_module
 
 
 def qa(text):
@@ -665,24 +663,6 @@ class TestEnvConversions:
         m, n = restriction_bimodules(a3, a2, phi)
         assert m.left_algebra is a2 and m.right_algebra is a3
         assert n.left_algebra is a3 and n.right_algebra is a2
-
-
-class TestKSplit:
-    def test_outer_products_are_k_split(self):
-        a3 = linear_quiver_algebra(GF(101), 3)
-        d = trunc_poly(2)
-        complete_primitive_idempotents(a3)
-        dop = d.opposite()
-        complete_primitive_idempotents(dop)
-        p = projective_indecomposables(a3)[0][0]
-        q = _op_left_as_right(projective_indecomposables(dop)[0][0], d)
-        assert is_k_split(outer_tensor(p, q))
-
-    def test_regular_of_connected_nonsemisimple_is_not(self, zz):
-        assert not is_k_split(regular_bimodule(zz))
-
-    def test_zero_bimodule_vacuously_split(self, zz):
-        assert is_k_split(zero_module(zz, zz))
 
 
 @pytest.fixture(scope="module")
