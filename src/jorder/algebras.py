@@ -96,10 +96,9 @@ class Algebra:
         self._opposite = None
         self._radical_rows = None
         self._radical_powers = None
-        # modules.projective_indecomposables, simple_modules and decomp.projective_leaves fill these
+        # modules.projective_indecomposables and simple_modules fill these
         self._projectives = None
         self._simples = None
-        self._projective_leaves = None
         # witnesses._enveloping_algebra fills this with (B^op, both families, A (x) B^op)
         self._envelope = None
         # modules.regular_bimodule fills this with a weak reference to the module it built

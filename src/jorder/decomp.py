@@ -21,10 +21,7 @@ Every isomorphism, summand and split question goes through one leaf test:
 for Z with local End(Z), Z divides X exactly when some hom-basis composite
 g f (f: Z -> X, g: X -> Z) lies outside rad End(Z), and with equal dimensions
 Z is then isomorphic to X (Fitting's lemma; Anderson-Fuller, Rings and
-Categories of Modules, section 12). A split takes the same test on a
-certified leaf: g f is then invertible, and (f, (g f)^-1 g) splits Z off X.
-An algebra holds one certified leaf per indecomposable projective, so
-End(P_k) is solved once per algebra. Two decompositions are compared by one
+Categories of Modules, section 12). Two decompositions are compared by one
 class matcher: each class of the first takes the first class of the second
 whose representative is isomorphic to its own, and its k-th member the k-th
 member of that class. Greedy first fit is optimal because isomorphism is an
@@ -97,7 +94,6 @@ from .modules import (
     dual_module,
     hom_space,
     left_regular_module,
-    projective_indecomposables,
     regular_bimodule,
     same_piece_dims,
 )
@@ -358,22 +354,6 @@ def summand_isomorphism(leaf, n):
     return None if pair is None else pair[0]
 
 
-def summand_split_maps(leaf, y):
-    """(section, retraction) splitting a certified summand off y, or None.
-
-    End(leaf) is local, so the first pair (f, g) of the leaf test has g f
-    invertible and the retraction is (g f)^-1 g. Avoids decomposing y.
-    """
-    _check_compatible(leaf.module, y)
-    if leaf.module.dim > y.dim:
-        return None
-    pair = _leaf_pair(leaf, y)
-    if pair is None:
-        return None
-    f, g = pair
-    return f, y.field.matmul(linalg.invert(y.field, y.field.matmul(g, f)), g)
-
-
 def decompose(m, seed=0):
     """Full decomposition into indecomposables, verified and certified.
 
@@ -542,19 +522,6 @@ def complete_primitive_idempotents(a, seed=0):
     a.idempotents = [field.copy(e) for e in es]
     a.idempotents_primitive = True
     return es
-
-
-def projective_leaves(a):
-    """One certified leaf per held P_k of projective_indecomposables(a), in its order.
-
-    Held on a, so each End(P_k) is solved once; a leaf's module is P_k itself.
-    """
-    if a._projective_leaves is None:
-        decs = [decompose(p) for p, _, _ in projective_indecomposables(a)]
-        if any(len(dec.summands) != 1 for dec in decs):
-            raise AssertionError("an indecomposable projective decomposed")
-        a._projective_leaves = tuple(dec.summands[0] for dec in decs)
-    return a._projective_leaves
 
 
 def block_count(a, seed=0):

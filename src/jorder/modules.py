@@ -54,9 +54,7 @@ on it, and so is the primitive idempotent family they rest on.
 projective_indecomposables fills a._projectives on its first call, installing
 the family through decomp.complete_primitive_idempotents when a has none.
 simple_modules fills a._simples, with whether every simple has a
-one-dimensional endomorphism ring, and decomp.projective_leaves fills
-a._projective_leaves with one certified leaf, End(P_k) included, per P_k.
-opposite() never copies them: A^op builds its own, over A^op. Holding them
+one-dimensional endomorphism ring. opposite() never copies them: A^op builds its own, over A^op. Holding them
 is sound because no algebra's table, unit or installed primitive family and
 no module's action matrices change after they are set. For a split algebra
 the projective cover of M is the sum of dim(e_k.top M) copies of P_k = A e_k

@@ -14,9 +14,12 @@ one-sided projectivity of both bimodules, adjointness of the induced
 tensor functors (M left projective and Hom(M, A) isomorphic to N), the
 projective covers restricting to one-sided generators, and faithfulness
 plus projective-injective summands of the one-sided restrictions. Each flag
-computes only its boolean: adjointness asks are_isomorphic, which builds no
-isomorphism, and the generator test reads top multiplicities, solving no
-Hom (generators_check).
+computes only its boolean. Adjointness asks are_isomorphic, which builds no
+isomorphism. The generator test reads the multiplicities of the covers over
+the enveloping algebras, whose simples are pairs of the factors' simples,
+and solves no Hom (generators_check). The faithfulness test is two
+annihilator ranks: a faithful module already has every indecomposable
+projective-injective as a summand (faithful_projinj_check).
 
 The witness search draws pairs at random, and many draws give a tensor
 product it has already tried. verify_j_geq is a deterministic function of
@@ -41,30 +44,26 @@ from .decomp import (
     are_isomorphic,
     complete_primitive_idempotents,
     decompose,
-    projective_leaves,
     split_maps,
-    summand_split_maps,
 )
 from .errors import HypothesisViolated, Inconclusive, NotASummand, NotSurjective
 from .modules import (
     Module,
     _same_algebra,
-    _top_generators,
     direct_sum,
-    dual_module,
     hom_to_regular,
     is_left_right_projective,
     is_projective,
     is_self_injective,
     is_split,
     left_annihilator_rows,
-    module_over_opposite,
     outer_tensor,
     projective_cover,
     projective_indecomposables,
     random_left_module,
     regular_bimodule,
     right_annihilator_rows,
+    simple_modules,
     tensor_over,
 )
 
@@ -457,17 +456,27 @@ def is_adjoint_pair_witness(m, n, seed=0):
     return are_isomorphic(hom, n, seed=seed)
 
 
-def _has_every_projective(q):
-    """Whether every indecomposable projective divides the projective left module q.
+def _restricts_to_generator(env, cover, left, right, on_left):
+    """Whether a projective cover over env = left (x) right restricts to a
+    generator over left (on_left) or over right.
 
-    For projective Q = sum of P_k^(m_k) over a split algebra, top Q is the sum
-    of S_k^(m_k) and m_k = dim e_k.top Q (Assem, Simson and Skowronski,
-    Elements, section I.5), so P_k divides Q iff e_k.top Q is nonzero. The top
-    multiplicities are the ones projective_cover and is_projective read;
-    a non-split residue field raises NonSplitResidueField there.
+    env's family must be tensor_algebra's Kronecker family e_i (x) f_j, at
+    index k = i * n_right + j, of the families held on left and right, or
+    this raises AssertionError. Over a split field S_i (x) S_j is then
+    simple, and isomorphic to S_i' (x) S_j' exactly when S_i ~ S_i' and
+    S_j ~ S_j'; so each distinct simple of env, indexed by the first member
+    of its class, is a pair of distinct simples of the factors, read off k
+    as i = k // n_right and j = k % n_right.
     """
-    _, _, tops = _top_generators(q)
-    return all(t_rows.shape[0] > 0 for _, t_rows in tops)
+    field, n_right = env.field, len(right.idempotents)
+    family = field.kron(np.stack(left.idempotents), np.stack(right.idempotents))
+    if len(env.idempotents) != family.shape[0] or not field.eq(np.stack(env.idempotents), family):
+        raise AssertionError("the enveloping algebra's family is not the product of its factors' families")
+    simples = {k for _, k in simple_modules(left if on_left else right)}
+    tops = [(k // n_right if on_left else k % n_right, mult) for k, mult in cover.multiplicities]
+    if {i for i, _ in tops} != simples:
+        raise AssertionError("the enveloping algebra's simples are not pairs of its factors' simples")
+    return simples <= {i for i, mult in tops if mult}
 
 
 def generators_check(w, cert):
@@ -475,55 +484,49 @@ def generators_check(w, cert):
 
     P(M) taken in a-mod-b must contain every indecomposable projective left
     a-module, and P(N) taken in b-mod-a every indecomposable projective
-    right a-module. A projective over A (x) B^op is a summand of a free one,
-    and A (x) B^op is free as a left A-module, so the left restriction of
-    P(M) is a projective left a-module and the test is a read of its top
-    multiplicities (_has_every_projective); dually on the right over a^op.
-    The covers are taken over the enveloping algebras held on a and b, so a
-    second check over the same algebras builds no envelope, projective or
-    simple again.
+    right a-module. The test reads the covers' multiplicities over the
+    enveloping algebras and solves no Hom. Lemma: over A (x) B^op with the
+    Kronecker family, P(M) is the sum of the P_(i,j)^(m_ij), and
+    P_(i,j) = A e_i (x) B^op f_j restricts to A as dim(B^op f_j) > 0 copies
+    of A e_i. By Krull-Schmidt, P_i divides the restriction of P(M) exactly
+    when m_ij != 0 for some j; _restricts_to_generator says why the distinct
+    simples of A (x) B^op are the pairs (i, j). Dually, P(N) over B (x) A^op
+    restricts to a generator over a^op when every simple of a^op is the
+    second index of a simple in its top. projective_cover certifies the
+    multiplicities: its surjection is a module map of full rank whose kernel
+    lies in the radical. The covers are taken over the enveloping algebras
+    held on a and b, so a second check over the same algebras builds no
+    envelope, projective or simple again.
     """
     if cert is None or cert.section is None:
         raise ValueError("generators_check needs a verified certificate")
     a, b, seed = w.a, w.b, w.seed
-    _, m_env = bimodule_as_env_module(w.m, seed=seed)
-    cover_m = projective_cover(m_env).module
-    if not _has_every_projective(env_module_as_bimodule(cover_m, a, b).restrict_left()):
+    env, m_env = bimodule_as_env_module(w.m, seed=seed)
+    if not _restricts_to_generator(env, projective_cover(m_env), a, b.opposite(), on_left=True):
         return False
-    _, n_env = bimodule_as_env_module(w.n, seed=seed)
-    cover_n = projective_cover(n_env).module
-    return _has_every_projective(module_over_opposite(env_module_as_bimodule(cover_n, b, a).restrict_right()))
-
-
-def _projective_injectives(alg):
-    """The projective leaves of alg whose modules are also injective."""
-    return [
-        leaf for leaf in projective_leaves(alg) if is_projective(module_over_opposite(dual_module(leaf.module)))
-    ]
+    env, n_env = bimodule_as_env_module(w.n, seed=seed)
+    return _restricts_to_generator(env, projective_cover(n_env), b, a.opposite(), on_left=False)
 
 
 def faithful_projinj_check(w, cert):
     """The one-sided restrictions are faithful and absorb projective-injectives.
 
     Left side: ann(aM) = 0 and every projective-injective indecomposable
-    left a-module divides aM; dually for N as a right a-module.
+    left a-module divides aM; dually for N as a right a-module. The second
+    condition follows from the first, so only the two annihilators are
+    computed. Lemma: a faithful module X has every indecomposable
+    projective-injective P = A e as a summand. P is indecomposable
+    injective, so soc P is simple and essential; take 0 != s in soc P. X is
+    faithful, so s.x != 0 for some x in X, and the module map P -> X,
+    ae -> ae.x, does not vanish on soc P, so it is injective. P is
+    injective, so the map splits. The right side is the same lemma over a^op.
     """
     if cert is None or cert.section is None:
         raise ValueError("faithful_projinj_check needs a verified certificate")
-    a = w.a
-    left = w.m.restrict_left()
-    if left_annihilator_rows(left).shape[0] != 0:
-        return False
-    for leaf in _projective_injectives(a):
-        if summand_split_maps(leaf, left) is None:
-            return False
-    if right_annihilator_rows(w.n.restrict_right()).shape[0] != 0:
-        return False
-    right = module_over_opposite(w.n.restrict_right())
-    for leaf in _projective_injectives(a.opposite()):
-        if summand_split_maps(leaf, right) is None:
-            return False
-    return True
+    return (
+        left_annihilator_rows(w.m.restrict_left()).shape[0] == 0
+        and right_annihilator_rows(w.n.restrict_right()).shape[0] == 0
+    )
 
 
 def separable_quality(w, cert):

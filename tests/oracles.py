@@ -3,16 +3,25 @@
 Each was library code that only tests reached. The tests that use them
 keep their assertions: linear_quiver_algebra and group_algebra are
 fixtures, center feeds the fingerprint in fingerprints.py, and
-minpoly_matrix, explicit_isomorphism and quotient_module are independent
-routes to answers the library reaches another way (polynomials.minpoly_powers,
-the adjoint-pair flag, the quotients of _quotient).
+minpoly_matrix, explicit_isomorphism, quotient_module, projective_leaves
+and summand_split_maps are independent routes to answers the library
+reaches another way (polynomials.minpoly_powers, the adjoint-pair flag, the
+quotients of _quotient, and the generator and faithfulness flags, which
+read covers and annihilators where these split leaves off).
 """
 
 import numpy as np
 
 from jorder import decomp, linalg
 from jorder.algebras import Algebra, Provenance, algebra_from_quiver, subalgebra_from_rows
-from jorder.modules import _all_generator_actions, _check_compatible, _moved_rows, _quotient, is_split
+from jorder.modules import (
+    _all_generator_actions,
+    _check_compatible,
+    _moved_rows,
+    _quotient,
+    is_split,
+    projective_indecomposables,
+)
 from jorder.polynomials import minpoly_powers
 from jorder.quivers import Quiver, QuiverPresentation
 
@@ -94,3 +103,30 @@ def quotient_module(m, rows, label=None):
     if linalg.coords_in_row_basis(field, basis, moved) is None:
         raise ValueError("quotient_module: subspace is not action-stable")
     return _quotient(m, basis, label or f"{m.label}-quo")
+
+
+def projective_leaves(a):
+    """One certified leaf per P_k of projective_indecomposables(a), in its order.
+
+    A leaf's module is P_k itself.
+    """
+    decs = [decomp.decompose(p) for p, _, _ in projective_indecomposables(a)]
+    if any(len(dec.summands) != 1 for dec in decs):
+        raise AssertionError("an indecomposable projective decomposed")
+    return tuple(dec.summands[0] for dec in decs)
+
+
+def summand_split_maps(leaf, y):
+    """(section, retraction) splitting a certified summand off y, or None.
+
+    End(leaf) is local, so the first pair (f, g) of the leaf test has g f
+    invertible and the retraction is (g f)^-1 g. Avoids decomposing y.
+    """
+    _check_compatible(leaf.module, y)
+    if leaf.module.dim > y.dim:
+        return None
+    pair = decomp._leaf_pair(leaf, y)
+    if pair is None:
+        return None
+    f, g = pair
+    return f, y.field.matmul(linalg.invert(y.field, y.field.matmul(g, f)), g)

@@ -7,8 +7,9 @@ restriction bimodules built from multiplication matrices, and the tensor and
 skew group algebras assembled with np.multiply.outer, index loops and
 strided assignment. Each survivor must give the same arrays, dtypes, entry
 types and labels over GF(2), GF(3), GF(101) and Q, zero-dimensional
-modules included. The one exception is the label of a one-sided cover in
-generators_check, which only feeds a divisibility test.
+modules included. The one exception is the label of a one-sided
+restriction, which the generators_check oracle in test_witnesses.py only
+feeds to a divisibility test; generators_check itself restricts nothing.
 """
 
 import numpy as np
@@ -416,7 +417,7 @@ def test_env_modules_and_their_factor_restrictions(field):
         for mod in mods:
             bim = env_module_as_bimodule(mod, a, b)
             assert_same_module(bim, old_env_module_as_bimodule(mod, a, b))
-            # generators_check's one-sided covers; only their labels differ
+            # the one-sided covers of the generators_check oracle; only their labels differ
             assert_same_module(bim.restrict_left(), _factor_restriction(mod, a, b.opposite(), "left"), label=False)
             right = module_over_opposite(bim.restrict_right())
             assert_same_module(right, _factor_restriction(mod, a, b.opposite(), "right"), label=False)

@@ -26,7 +26,6 @@ from jorder.decomp import (
     is_symmetric,
     split_maps,
     summand_isomorphism,
-    summand_split_maps,
 )
 from jorder.errors import Inconclusive, NotASummand
 from jorder.fields import GF, QQ
@@ -53,7 +52,7 @@ from jorder.quivers import parse_presentation
 from jorder.algebras import algebra_from_quiver
 
 from fingerprints import fingerprint
-from oracles import explicit_isomorphism, linear_quiver_algebra, minpoly_matrix
+from oracles import explicit_isomorphism, linear_quiver_algebra, minpoly_matrix, summand_split_maps
 from test_algebras import conjugated_basis
 
 

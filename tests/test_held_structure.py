@@ -1,19 +1,20 @@
 """Structure held on an algebra or a module instead of being rebuilt.
 
-On the algebra: the primitive family, projectives, simples, projective
-leaves and the enveloping algebra A (x) B^op of witnesses._enveloping_algebra.
+On the algebra: the primitive family, projectives, simples and the
+enveloping algebra A (x) B^op of witnesses._enveloping_algebra.
 On the module: its graded pieces and its generator matrices in piece
 coordinates, read by hom_space and by the dimension pre-filter of
 summand_isomorphism, and a weak reference to its certified leaf, read by
 decompose.
 
-projective_indecomposables, simple_modules and projective_leaves build once
-per algebra and hold the result, and projective_indecomposables installs the
-primitive idempotent family when an algebra has none; is_projective reads dimensions off it
-instead of building a projective cover, and the quality checks split the
-held leaves off their covers without solving End(P_k) again. The cover-based test it replaced is kept below as the
-oracle and compared on random modules over basic, non-basic and enveloping
-algebras, over GF(2), GF(3), GF(101) and Q.
+projective_indecomposables and simple_modules build once per algebra and
+hold the result, and projective_indecomposables installs the primitive
+idempotent family when an algebra has none; is_projective reads dimensions
+off it instead of building a projective cover. The cover-based test it
+replaced is kept below as the oracle and compared on random modules over
+basic, non-basic and enveloping algebras, over GF(2), GF(3), GF(101) and Q.
+The quality checks read cover multiplicities and annihilators, so they
+solve no End at all.
 """
 
 import gc
@@ -28,7 +29,6 @@ from jorder.decomp import (
     are_isomorphic,
     complete_primitive_idempotents,
     decompose,
-    projective_leaves,
     summand_isomorphism,
 )
 from jorder.errors import NonSplitResidueField
@@ -49,7 +49,7 @@ from jorder.modules import (
 )
 from jorder.witnesses import bimodule_as_env_module, faithful_projinj_check, generators_check, verify_j_geq
 
-from oracles import linear_quiver_algebra
+from oracles import linear_quiver_algebra, projective_leaves
 
 FIELDS = [GF(2), GF(3), GF(101), QQ]
 
@@ -144,7 +144,6 @@ def test_projective_leaves_are_the_held_projectives(field):
     for a in algebras(field):
         complete_primitive_idempotents(a)
         leaves = projective_leaves(a)
-        assert projective_leaves(a) is leaves
         projs = projective_indecomposables(a)
         assert len(leaves) == len(projs)
         for k, leaf in enumerate(leaves):
@@ -153,7 +152,7 @@ def test_projective_leaves_are_the_held_projectives(field):
             assert leaf._end[0].dim == len(modules.hom_space(leaf.module, leaf.module))
 
 
-def test_quality_checks_solve_no_end_twice(monkeypatch):
+def test_quality_checks_solve_no_end(monkeypatch):
     w = catalog.resolve("catalog:kronecker_witness")
     cert = verify_j_geq(w, quality=False)
     solved = []
@@ -164,20 +163,17 @@ def test_quality_checks_solve_no_end_twice(monkeypatch):
         return endomorphism_algebra(m)
 
     monkeypatch.setattr(decomp, "endomorphism_algebra", counted)
-    assert generators_check(w, cert) and faithful_projinj_check(w, cert)
-    assert solved  # the first run fills the leaves
-    solved.clear()
-    assert generators_check(w, cert) and faithful_projinj_check(w, cert)
-    assert solved == []
+    for _ in range(2):
+        assert generators_check(w, cert) and faithful_projinj_check(w, cert)
+        assert solved == []
 
 
 def test_opposite_builds_its_own_projectives():
     a = linear_quiver_algebra(GF(5), 3)
     projs = projective_indecomposables(a)
     simple_modules(a)
-    projective_leaves(a)
     aop = a.opposite()
-    assert aop._projectives is None and aop._simples is None and aop._projective_leaves is None
+    assert aop._projectives is None and aop._simples is None
     projs_op = projective_indecomposables(aop)
     assert all(p.left_algebra is aop for p, _, _ in projs_op)
     assert all(p.left_algebra is a for p, _, _ in projs)

@@ -17,8 +17,6 @@ from jorder.decomp import (
     are_isomorphic,
     complete_primitive_idempotents,
     decompose,
-    projective_leaves,
-    summand_split_maps,
 )
 from jorder.errors import HypothesisViolated, Inconclusive, JorderError, NotASummand, NotSurjective
 from jorder.fields import GF, QQ
@@ -38,6 +36,7 @@ from jorder.modules import (
     is_module_map,
     is_projective,
     is_split,
+    left_annihilator_rows,
     left_regular_module,
     module_over_opposite,
     outer_tensor,
@@ -46,6 +45,7 @@ from jorder.modules import (
     radical_sub_rows,
     random_left_module,
     regular_bimodule,
+    right_annihilator_rows,
     right_regular_module,
     submodule,
     tensor_over,
@@ -77,7 +77,13 @@ from jorder.witnesses import (
     witness_search,
 )
 
-from oracles import explicit_isomorphism, linear_quiver_algebra, quotient_module
+from oracles import (
+    explicit_isomorphism,
+    linear_quiver_algebra,
+    projective_leaves,
+    quotient_module,
+    summand_split_maps,
+)
 
 
 def qa(text):
@@ -1042,6 +1048,33 @@ def _old_generators_check(w, cert):
     return True
 
 
+def _projective_injectives(alg):
+    """The projective leaves of alg whose modules are also injective."""
+    return [
+        leaf for leaf in projective_leaves(alg) if is_projective(module_over_opposite(dual_module(leaf.module)))
+    ]
+
+
+def _old_faithful_projinj_check(w, cert):
+    """faithful_projinj_check by one leaf split per projective-injective (the oracle)."""
+    if cert is None or cert.section is None:
+        raise ValueError("faithful_projinj_check needs a verified certificate")
+    a = w.a
+    left = w.m.restrict_left()
+    if left_annihilator_rows(left).shape[0] != 0:
+        return False
+    for leaf in _projective_injectives(a):
+        if summand_split_maps(leaf, left) is None:
+            return False
+    if right_annihilator_rows(w.n.restrict_right()).shape[0] != 0:
+        return False
+    right = module_over_opposite(w.n.restrict_right())
+    for leaf in _projective_injectives(a.opposite()):
+        if summand_split_maps(leaf, right) is None:
+            return False
+    return True
+
+
 class _Verified:
     """Stands in for a verified certificate: the quality checks only test that one is given."""
 
@@ -1102,6 +1135,54 @@ class TestQualityFlagsAgainstTheirOracles:
             assert got == _old_generators_check(w, _Verified()), w
             answers.append(got)
         assert True in answers and False in answers
+
+    @pytest.mark.parametrize("field", QUALITY_FIELDS, ids=lambda f: f.name)
+    def test_faithful_check_matches_the_leaf_splits(self, field):
+        answers = []
+        for w in _catalog_witnesses(field) + _random_witness_pairs(field):
+            got = faithful_projinj_check(w, _Verified())
+            assert got is _old_faithful_projinj_check(w, _Verified()), w
+            answers.append(got)
+        assert True in answers and False in answers
+
+    @pytest.mark.parametrize("field", [GF(3), GF(101), QQ], ids=lambda f: f.name)
+    def test_faithful_modules_split_off_every_projective_injective(self, field):
+        """The lemma behind faithful_projinj_check, on random left modules over
+        basic algebras with and without projective-injectives, a non-basic skew
+        algebra with an M_2 block, and their opposites."""
+        name = field.name
+        algs = [
+            catalog.build("kronecker", field=name),
+            catalog.build("trunc_poly", field=name, k=3),
+            catalog.build("A_n", field=name, n=3),
+            catalog.build("C4_algebra", field=name),
+            catalog.build("skew", field=name, of="zigzag_c2"),
+        ]
+        rng = np.random.default_rng(5)
+        faithful, unfaithful, splits = 0, 0, 0
+        for alg in algs + [x.opposite() for x in algs]:
+            leaves = _projective_injectives(alg)
+            for _ in range(40):
+                x = random_left_module(alg, rng)
+                if left_annihilator_rows(x).shape[0]:
+                    unfaithful += 1
+                    continue
+                faithful += 1
+                for leaf in leaves:
+                    assert summand_split_maps(leaf, x) is not None, (alg.label, x.dim)
+                    splits += 1
+        assert faithful >= 50 and unfaithful and splits >= 50, (faithful, unfaithful, splits)
+
+    def test_generators_check_refuses_an_envelope_without_the_product_family(self):
+        """The cover's multiplicities name factor simples only under the Kronecker
+        family; a reordered family on the held envelope is refused, not misread."""
+        w = catalog.build("kronecker_witness", field="GF(101)")
+        assert generators_check(w, _Verified())
+        env = w.a._envelope[3]
+        env.idempotents = env.idempotents[::-1]
+        env._projectives = env._simples = None
+        with pytest.raises(AssertionError, match="not the product"):
+            generators_check(w, _Verified())
 
     def test_non_split_residue_field_answers_as_the_leaf_splits(self):
         """Over GF(4) as a GF(2)-algebra the top read has no multiplicities to
