@@ -120,11 +120,6 @@ class Algebra:
 
     # ---- basic arithmetic -------------------------------------------------
 
-    def basis_vector(self, i):
-        v = self.field.zeros((self.dim,))
-        v[i] = self.field.one
-        return v
-
     def mul(self, x, y):
         """Product x*y (y acts first under the composition convention)."""
         tmp = self.field.tensordot(x, self.table, axes=(0, 0))
@@ -145,9 +140,6 @@ class Algebra:
 
     def right_regular_mats(self):
         return self.field.canon(self.table.transpose(1, 2, 0))
-
-    def is_commutative(self):
-        return self.field.eq(self.table, self.table.transpose(1, 0, 2))
 
     # ---- validation -------------------------------------------------------
 

@@ -28,7 +28,13 @@ multiply integers: an operand a is N_a / d_a with d_a the lcm of its
 denominators and N_a an integer array, so a product is
 (N_a . N_b) / (d_a d_b), computed by _contract, and every output
 entry is divided once, or not at all when d_a d_b = 1. Fraction normalises,
-so each entry equals the sum of Fraction products entry for entry. The
+so each entry equals the sum of Fraction products entry for entry.
+Building Fractions, not multiplying, dominates these products, most of
+whose entries are zero on the benchmark workloads: _numerators reads each
+entry's as_integer_ratio once and calls int only on a part that is not a
+Python int (a Fraction built from an np.int64 holds numpy integers), and the
+output is built from the integer product's tolist, so its entries hold
+Python ints and every zero entry is the one _ZERO, Fraction being immutable. The
 integer product runs in int64 when max|N_a| max|N_b| K < 2^63, K the
 contracted extent: no term and no partial sum then leaves the int64 range.
 Otherwise it runs on Python ints in object arrays. Every entry of a product
@@ -64,15 +70,20 @@ def _as_fraction(x):
 
 
 _to_fraction = np.frompyfunc(_as_fraction, 1, 1)
-_over = np.frompyfunc(Fraction, 2, 1)  # entrywise Fraction(numerator, denominator)
+_ZERO = Fraction(0)  # every zero entry of a product over Q (see the header)
 
 
 def _numerators(a):
-    """(N, d, top): a == N / d for the lcm d of a's denominators, N a flat list of ints, top = max |N|."""
-    # int() turns numpy integers, which a Fraction built from an np.int64 holds, into Python ints
-    pairs = [(x if type(x) is Fraction else Fraction(x)).as_integer_ratio() for x in a.ravel().tolist()]
-    d = math.lcm(*[den for _, den in pairs])
-    nums = [int(num) for num, _ in pairs] if d == 1 else [int(num) * (d // int(den)) for num, den in pairs]
+    """(N, d, top): a == N / d for the lcm d of a's denominators, N a flat list of Python ints, top = max |N|."""
+    nums, dens = [], []
+    for x in a.ravel().tolist():
+        num, den = (x if type(x) is Fraction else Fraction(x)).as_integer_ratio()
+        # a Fraction built from an np.int64 holds numpy integers
+        nums.append(num if type(num) is int else int(num))
+        dens.append(den if type(den) is int else int(den))
+    d = math.lcm(*dens)
+    if d != 1:
+        nums = [num * (d // den) for num, den in zip(nums, dens)]
     return nums, d, max(map(abs, nums), default=0)
 
 
@@ -133,7 +144,10 @@ def _rational_product(a, b, axes):
     dtype = np.int64 if bound < _INT64_LIMIT else object
     num = _contract(np.array(na, dtype=dtype).reshape(a.shape), np.array(nb, dtype=dtype).reshape(b.shape), (ax_a, ax_b))
     d = da * db
-    return _over(num, d) if d != 1 else _to_fraction(num)
+    flat = num.ravel().tolist()
+    out = np.empty(len(flat), dtype=object)
+    out[:] = [Fraction(v, d) if v else _ZERO for v in flat] if d != 1 else [Fraction(v) if v else _ZERO for v in flat]
+    return out.reshape(num.shape) if num.ndim else out[0]  # a full contraction gives a Fraction, as np.dot does
 
 
 def _is_prime(n: int) -> bool:
@@ -205,7 +219,8 @@ class GFField:
         return np.zeros(shape, dtype=np.int64)
 
     def eye(self, n):
-        return np.eye(n, dtype=np.int64) % self.p
+        # 0 and 1 are canonical for every prime
+        return np.eye(n, dtype=np.int64)
 
     def copy(self, a):
         return np.array(a, dtype=np.int64, copy=True)

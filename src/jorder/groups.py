@@ -71,10 +71,6 @@ class FiniteGroup:
         labels = ["e"] + [f"c^{k}" if k > 1 else "c" for k in range(1, n)]
         return FiniteGroup(table, labels, label=f"C{n}")
 
-    @staticmethod
-    def trivial():
-        return FiniteGroup([[0]], ["e"], label="C1")
-
 
 class AlgebraAction:
     """A finite group acting on an algebra by verified automorphisms."""
@@ -96,12 +92,6 @@ class AlgebraAction:
         for i in range(group.order):
             if not field.eq(linalg.stack_product(field, mats[i], mats), mats[group.multiplication_table[i]]):
                 raise ValueError("matrices do not compose along the group law")
-
-    @staticmethod
-    def trivial(algebra):
-        return AlgebraAction(
-            FiniteGroup.trivial(), algebra, [algebra.field.eye(algebra.dim)]
-        )
 
 
 def _fixed_rows(act):

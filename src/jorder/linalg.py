@@ -75,7 +75,10 @@ v[pivots], equal to what solve returns, and one product, v[pivots] . rows
 == v, decides whether v lies in the span. The complement of the span is
 read off the same rows: the free columns are its coordinates. echelon_pivots
 checks the form before anything is read, so an arbitrary basis raises
-instead of giving wrong coordinates.
+instead of giving wrong coordinates. The complement of a common kernel
+{w : H w = 0} needs no basis of the kernel: quotient_projection reads it off
+one elimination of H with its columns reversed (the lemma is in its
+docstring).
 """
 
 from __future__ import annotations
@@ -300,7 +303,7 @@ def echelon_pivots(field, rows):
     r, ncols = rows.shape
     # with no columns every row is zero, and no pivot is in range
     pivots = nonzero.argmax(axis=1) if ncols else np.full(r, ncols)
-    if not ((pivots < ncols).all() and (np.diff(pivots) > 0).all()
+    if not ((pivots < ncols).all() and (pivots[1:] > pivots[:-1]).all()
             and (rows[np.arange(r), pivots] == field.one).all()
             and np.count_nonzero(nonzero[:, pivots]) == r):
         raise AssertionError("basis rows are not in reduced echelon form")
@@ -345,6 +348,37 @@ def complement_projection(field, rows, dim):
     sect[free, np.arange(free.size)] = field.one
     proj[:, pivots] = field.neg(rows[:, free]).T
     return proj, sect
+
+
+def quotient_projection(field, rows):
+    """complement_projection of the common kernel of the rows, from one elimination.
+
+    Returns (proj t x n, section n x t), equal to
+    complement_projection(field, row_basis(field, nullspace(field, rows).T), n).
+
+    Lemma. Let H be the rows, W = {w : H w = 0}, t = rank H, J the reversal
+    of the n columns and R = rref(H J) with pivots p_1 < ... < p_t. Then the
+    free columns of rref(W) are the n-1-p_i, and the projection is R[:t]
+    with its rows and columns reversed.
+
+    Proof. R is reduced, so R[i, f] != 0 only when p_i < f. The canonical
+    nullspace vector of H J for a free column f is 1 at f, with its other
+    nonzeros at pivots p_i < f. Reversed, these n - t vectors lie in W; each
+    has a leading 1 at n-1-f and is zero at the others' leading columns, so
+    they are rref(W), and W's free columns are the n-1-p_i. The projection's
+    rows vanish on W and have rank t, so they span the annihilator of W, the
+    row space of H. They hold the identity at the free columns, and only one
+    basis of that row space does; the reversed rows of R lie in it and hold
+    exactly that identity.
+    """
+    rows = np.atleast_2d(rows)
+    n = rows.shape[1]
+    r, pivots = rref(field, rows[:, ::-1])
+    t = len(pivots)
+    free = n - 1 - np.array(pivots[::-1], dtype=int)
+    sect = field.zeros((n, t))
+    sect[free, np.arange(t)] = field.one
+    return np.ascontiguousarray(r[:t][::-1, ::-1]), sect
 
 
 def intersect_row_spaces(field, rows_a, rows_b):

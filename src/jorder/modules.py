@@ -45,8 +45,12 @@ Kronecker matrix and no residual products.
 
 Tensor products go through the same solver. By the tensor-Hom adjunction
 D(M (x)_B N) = Hom_B(N, DM) (Anderson-Fuller, Rings and Categories of
-Modules, sections 19-20), the balancing subspace of M (x)_k N is the
-annihilator of hom_space(N, DM). Actions induced on subquotients and tensor
+Modules, sections 19-20), the balancing subspace of M (x)_k N is the common
+kernel of the rows of Hom_B(N, DM), which _hom_rows returns unreduced.
+hom_space takes their canonical row basis; tensor_over instead eliminates
+them once with their columns reversed, and that one reduced form, reversed
+back, is the projection onto the tensor product
+(linalg.quotient_projection). Actions induced on subquotients and tensor
 products are batched products, with no Kronecker matrix.
 
 Projectives and simples are structure of the algebra, built once and held
@@ -68,7 +72,7 @@ families, keyed by the identity of both family lists, which are the acting
 algebras' installed families, and with them their frame (_frame): the bases
 side by side, B, and the coordinate rows stacked, C = B^-1. _piece_actions
 holds C X B for the generators X outside the family, keyed by the identity
-of the generator list, the family list and the frame; hom_space reads n's
+of the generator list, the family list and the frame; _hom_rows reads n's
 against m's algebra, whose lists may differ from n's own. summand_isomorphism
 and are_isomorphic compare piece dimensions off the held frame before any Hom
 solve or decomposition. The generators' action matrices themselves
@@ -506,7 +510,7 @@ def same_piece_dims(m, n):
     return _frame(m, *families)[2] == _frame(n, *families)[2]
 
 
-# hom_space replaces its stacked rows by their row basis, at most one row per
+# _hom_rows replaces its stacked rows by their row basis, at most one row per
 # unknown, once they outnumber the unknowns this many times: a dense module with
 # many generators, such as a regular group algebra, then never stacks every
 # generator's rows. The row space, and so the answer, stays the same.
@@ -532,7 +536,16 @@ def hom_space(m, n):
 
     Maps commute with the actions on every side both modules carry.
     Checking generators is enough: maps commuting with two elements
-    commute with their product.
+    commute with their product. _hom_rows solves the system; the row basis
+    of its maps is canonical, so the result does not depend on the
+    coordinates or on the order of the rows.
+    """
+    basis = linalg.row_basis(m.field, _hom_rows(m, n))
+    return [basis[k].reshape(n.dim, m.dim) for k in range(basis.shape[0])]
+
+
+def _hom_rows(m, n):
+    """Module maps M -> N, flattened to rows of length dN dM that span Hom(M, N), unreduced.
 
     The solve runs in piece coordinates. A module map commutes with L(e)
     and R(f) for the members of the acting algebras' complete orthogonal
@@ -551,15 +564,16 @@ def hom_space(m, n):
     (_piece_actions), and F X_M = X_N F becomes G X~_M = X~_N G, whose
     nonzero rows _commutation_rows writes. The rows are stacked one
     generator at a time, and a stack of more than _ROWS_PER_UNKNOWN rows per
-    unknown is cut to its row basis. One nullspace of the stack gives the
-    maps G. The final row basis of the maps B_N G C_M is canonical, so the
-    result does not depend on the coordinates or on the order of the rows.
+    unknown is cut to its row basis. One nullspace of the stack gives
+    independent maps G, and the maps B_N G C_M are the rows; with no map
+    there are none.
     """
     _check_compatible(m, n)
     field = m.field
     dm, dn = m.dim, n.dim
+    empty = field.zeros((0, dn * dm))
     if dm == 0 or dn == 0:
-        return []
+        return empty
     families = _families(m)
     frame_m = _frame(m, *families)
     frame_n = frame_m if n is m else _frame(n, *families)
@@ -567,7 +581,7 @@ def hom_space(m, n):
     piece_n, piece_m = (np.repeat(np.arange(len(dims)), dims) for dims in (frame_n[2], frame_m[2]))
     rows, cols = np.nonzero(piece_n[:, None] == piece_m[None, :])
     if not rows.size:
-        return []
+        return empty
     system = field.zeros((0, rows.size))
     for side, (mats, alg) in enumerate(_sides(m)):
         if mats is None:
@@ -578,12 +592,11 @@ def hom_space(m, n):
                 system = linalg.row_basis(field, system)
     solutions = linalg.nullspace(field, system)
     if not solutions.shape[1]:
-        return []
+        return empty
     g = field.zeros((solutions.shape[1], dn, dm))
     g[:, rows, cols] = solutions.T
     maps = linalg.stack_product(field, frame_n[0], field.matmul(g, frame_m[1]))
-    basis = linalg.row_basis(field, maps.reshape(maps.shape[0], dn * dm))
-    return [basis[k].reshape(dn, dm) for k in range(basis.shape[0])]
+    return maps.reshape(maps.shape[0], dn * dm)
 
 
 def _annihilator_rows(field, mats):
@@ -611,10 +624,6 @@ class TensorResult:
     projection: np.ndarray  # (dim result) x (dm * dn)
     section: np.ndarray
 
-    def pure_tensor(self, u, v):
-        field = self.module.field
-        return field.matmul(self.projection, field.kron(u, v))
-
 
 def tensor_over(m, n, label=None):
     """M (x)_B N for a right-B (or (A,B)-bi) module M and left-B (or (B,C)-bi) N.
@@ -623,9 +632,13 @@ def tensor_over(m, n, label=None):
     f(u (x) v) = u^T F v, kills every balancing element x.b (x) y - x (x) b.y
     exactly when F L_N(b) = R_M(b)^T F, that is when F lies in Hom_B(N, DM):
     the tensor-Hom adjunction D(M (x)_B N) = Hom_B(N, DM). So the balancing
-    subspace is the annihilator of the Hom space that hom_space solves; with
-    no such map every element balances and the tensor product is zero. Its
-    canonical row basis does not depend on how it was found.
+    subspace W is the common kernel of the Hom rows that _hom_rows solves;
+    with no such map every element balances and the tensor product is zero.
+    The coordinates are the free columns of W's canonical row basis, and
+    linalg.quotient_projection reads the projection onto them and its
+    section off one elimination of the Hom rows with their columns reversed
+    (the lemma is in its docstring). Both depend on W alone, not on how the
+    rows were found.
 
     With the projection reshaped to P (t, dm, dn), L (x) 1 and 1 (x) R act on
     vec_r(X) as L X and X R^T, so the rows of proj (L (x) 1) and proj (1 (x) R)
@@ -639,10 +652,7 @@ def tensor_over(m, n, label=None):
         raise ValueError("tensor_over: the shared algebra differs between factors")
     field = m.field
     dm, dn = m.dim, n.dim
-    homs = hom_space(n.restrict_left(), dual_module(m.restrict_right()))
-    flat = np.stack([h.reshape(-1) for h in homs]) if homs else field.zeros((0, dm * dn))
-    balancing = linalg.row_basis(field, linalg.nullspace(field, flat).T)
-    proj, sect = linalg.complement_projection(field, balancing, dm * dn)
+    proj, sect = linalg.quotient_projection(field, _hom_rows(n.restrict_left(), dual_module(m.restrict_right())))
     t, free = proj.shape[0], sect.nonzero()[0]
     p = proj.reshape(t, dm, dn)
 

@@ -3,22 +3,32 @@
 Each was library code that only tests reached. The tests that use them
 keep their assertions: linear_quiver_algebra and group_algebra are
 fixtures, center feeds the fingerprint in fingerprints.py, and
-minpoly_matrix, explicit_isomorphism, quotient_module, projective_leaves
-and summand_split_maps are independent routes to answers the library
-reaches another way (polynomials.minpoly_powers, the adjoint-pair flag, the
-quotients of _quotient, and the generator and faithfulness flags, which
-read covers and annihilators where these split leaves off).
+minpoly_matrix, explicit_isomorphism, quotient_module, projective_leaves,
+summand_split_maps and hom_tensor_over are independent routes to answers the
+library reaches another way (polynomials.minpoly_powers, the adjoint-pair
+flag, the quotients of _quotient, the generator and faithfulness flags, which
+read covers and annihilators where these split leaves off, and tensor_over,
+which reads its projection off one reversed elimination of the Hom rows).
+basis_vector, is_commutative, pure_tensor and trivial_action were methods
+of Algebra, TensorResult and groups.AlgebraAction (with
+groups.FiniteGroup.trivial) that only tests called.
 """
 
 import numpy as np
 
 from jorder import decomp, linalg
 from jorder.algebras import Algebra, Provenance, algebra_from_quiver, subalgebra_from_rows
+from jorder.groups import AlgebraAction, FiniteGroup
 from jorder.modules import (
+    Module,
+    TensorResult,
     _all_generator_actions,
     _check_compatible,
     _moved_rows,
     _quotient,
+    _same_algebra,
+    dual_module,
+    hom_space,
     is_split,
     projective_indecomposables,
 )
@@ -130,3 +140,60 @@ def summand_split_maps(leaf, y):
         return None
     f, g = pair
     return f, y.field.matmul(linalg.invert(y.field, y.field.matmul(g, f)), g)
+
+
+def basis_vector(algebra, i):
+    """The i-th basis element of the algebra, as a vector."""
+    v = algebra.field.zeros((algebra.dim,))
+    v[i] = algebra.field.one
+    return v
+
+
+def is_commutative(algebra):
+    return algebra.field.eq(algebra.table, algebra.table.transpose(1, 0, 2))
+
+
+def trivial_action(algebra):
+    """The trivial group C1 acting on the algebra by the identity."""
+    return AlgebraAction(FiniteGroup([[0]], ["e"], label="C1"), algebra, [algebra.field.eye(algebra.dim)])
+
+
+def pure_tensor(tr, u, v):
+    """The image of u (x) v in the tensor product tr (a TensorResult)."""
+    field = tr.module.field
+    return field.matmul(tr.projection, field.kron(u, v))
+
+
+def hom_tensor_over(m, n, label=None):
+    """tensor_over through hom_space, nullspace, row_basis and complement_projection.
+
+    The route linalg.quotient_projection replaced, kept verbatim: the
+    balancing subspace is the annihilator of the canonical Hom basis, taken
+    by a nullspace and reduced again before its complement is read.
+    """
+    if m.right_algebra is None or n.left_algebra is None:
+        raise ValueError("tensor_over needs a right action on the left factor and a left action on the right factor")
+    if not _same_algebra(m.right_algebra, n.left_algebra):
+        raise ValueError("tensor_over: the shared algebra differs between factors")
+    field = m.field
+    dm, dn = m.dim, n.dim
+    homs = hom_space(n.restrict_left(), dual_module(m.restrict_right()))
+    flat = np.stack([h.reshape(-1) for h in homs]) if homs else field.zeros((0, dm * dn))
+    balancing = linalg.row_basis(field, linalg.nullspace(field, flat).T)
+    proj, sect = linalg.complement_projection(field, balancing, dm * dn)
+    t, free = proj.shape[0], sect.nonzero()[0]
+    p = proj.reshape(t, dm, dn)
+
+    def induced(products):
+        # (algebra dim, t, dm, dn) -> proj X sect for each basis element
+        return products.reshape(products.shape[0], t, dm * dn)[:, :, free]
+
+    # L_i^T P_k and P_k R_j, stacked by (i, k) and (j, k)
+    lm = None if m.left_mats is None else induced(field.tensordot(m.left_mats, p, ([1], [1])).transpose(0, 2, 1, 3))
+    rm = None if n.right_mats is None else induced(field.matmul(p, n.right_mats).transpose(2, 0, 1, 3))
+    module = Module(
+        m.left_algebra, n.right_algebra, lm, rm,
+        label or f"{m.label} (x)_{m.right_algebra.label} {n.label}",
+        check=False,
+    )
+    return TensorResult(module, proj, sect)

@@ -40,6 +40,8 @@ from jorder.witnesses import (
     transport_tensor,
 )
 
+from oracles import basis_vector, pure_tensor
+
 FIELDS = [GF(2), GF(3), GF(101), QQ]
 
 
@@ -71,11 +73,11 @@ def old_env_module_as_bimodule(mod, a, b, label=None):
     bop = b.opposite()
     lm = field.zeros((a.dim, mod.dim, mod.dim))
     for i in range(a.dim):
-        vec = np.multiply.outer(a.basis_vector(i), bop.unit).reshape(-1)
+        vec = np.multiply.outer(basis_vector(a, i), bop.unit).reshape(-1)
         lm[i] = mod.left_action(field.canon(vec))
     rm = field.zeros((b.dim, mod.dim, mod.dim))
     for j in range(b.dim):
-        vec = np.multiply.outer(a.unit, bop.basis_vector(j)).reshape(-1)
+        vec = np.multiply.outer(a.unit, basis_vector(bop, j)).reshape(-1)
         rm[j] = mod.left_action(field.canon(vec))
     return Module(a, b, lm, rm, label or f"{mod.label} as bimodule", check=False)
 
@@ -84,10 +86,10 @@ def _factor_restriction(mod, left_factor, right_factor, which):
     field = mod.field
     if which == "left":
         alg = left_factor
-        embed = lambda i: np.multiply.outer(left_factor.basis_vector(i), right_factor.unit)
+        embed = lambda i: np.multiply.outer(basis_vector(left_factor, i), right_factor.unit)
     else:
         alg = right_factor
-        embed = lambda j: np.multiply.outer(left_factor.unit, right_factor.basis_vector(j))
+        embed = lambda j: np.multiply.outer(left_factor.unit, basis_vector(right_factor, j))
     mats = field.zeros((alg.dim, mod.dim, mod.dim))
     for i in range(alg.dim):
         mats[i] = mod.left_action(field.canon(embed(i).reshape(-1)))
@@ -460,4 +462,4 @@ def test_pure_tensor(field):
         for _ in range(3):
             u = field.rand_mat(gen, 1, m.dim).reshape(-1)
             v = field.rand_mat(gen, 1, n.dim).reshape(-1)
-            assert_same_array(tr.pure_tensor(u, v), old_pure_tensor(tr, u, v))
+            assert_same_array(pure_tensor(tr, u, v), old_pure_tensor(tr, u, v))

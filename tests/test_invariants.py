@@ -35,9 +35,10 @@ def test_library_has_no_assert_statements():
 
 
 def test_tensor_and_subquotients_build_no_kronecker_matrix():
-    """tensor_over reads its balancing subspace off hom_space, and it,
-    submodule, _submodule_on and _quotient induce actions by batched
-    products: none of them may fall back to a Kronecker matrix."""
+    """tensor_over reads its projection off one reversed elimination of the
+    Hom rows _hom_rows solves, and it, submodule, _submodule_on and _quotient
+    induce actions by batched products: none of them may fall back to a
+    Kronecker matrix."""
     names = ("tensor_over", "submodule", "_submodule_on", "_quotient")
     tree = ast.parse((SRC / "modules.py").read_text())
     functions = {
@@ -52,7 +53,9 @@ def test_tensor_and_subquotients_build_no_kronecker_matrix():
 def test_echelon_bases_are_read_without_a_second_elimination():
     """row_basis, radical_rows, radical_sub_rows and hom_space return reduced echelon bases:
     vectors are read against them with linalg.coords_in_row_basis and
-    linalg.complement_projection, never by eliminating them again. The
+    linalg.complement_projection, never by eliminating them again, and
+    linalg.quotient_projection, which eliminates its rows, takes the
+    unreduced _hom_rows in tensor_over, never an echelon basis. The
     solve-based span helpers stay deleted."""
     echelon_sources = ("row_basis", "radical_rows", "radical_sub_rows", "hom_space")
     removed = {"in_row_span", "span_dim_after_adding", "kronecker_product", "_complement_projection"}
@@ -73,13 +76,17 @@ def test_echelon_bases_are_read_without_a_second_elimination():
                 for assign in ast.walk(fn) if isinstance(assign, ast.Assign) and _calls(assign.value, echelon_sources)
                 for target in ast.walk(assign.targets[0]) if isinstance(target, ast.Name)
             }
-            for call in _calls(fn, ("solve", "rref", "rank")):
+            for call in _calls(fn, ("solve", "rref", "rank", "quotient_projection")):
                 for arg in call.args:
                     if _calls(arg, echelon_sources) or any(
                         isinstance(n, ast.Name) and n.id in echelon for n in ast.walk(arg)
                     ):
                         found.append(f"{path.name}:{call.lineno}: {fn.name} eliminates an echelon basis again")
     assert found == []
+    tree = ast.parse((SRC / "modules.py").read_text())
+    (tensor,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "tensor_over"]
+    (call,) = _calls(tensor, ("quotient_projection",))
+    assert [getattr(arg.func, "id", None) for arg in call.args[1:]] == ["_hom_rows"]
 
 
 # GF(p)-only code that needs an unreduced integer product and reduces mod p
@@ -240,9 +247,9 @@ def test_change_of_rings_goes_through_kron_and_one_restriction():
     """Tensor vectors, tables and action stacks are field.kron, whose axis
     order is the basis order of tensor_algebra, so no np.multiply.outer
     spells that order out again; restrictions are one tensordot along an
-    algebra map, so the per-factor helpers stay deleted. hom_space solves
-    every generator through the residual, with no Kronecker start: one
-    nullspace call."""
+    algebra map, so the per-factor helpers stay deleted. _hom_rows, the Hom
+    solve behind hom_space and tensor_over, solves every generator through
+    the residual, with no Kronecker start: one nullspace call."""
     outers, replaced = [], []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -254,8 +261,10 @@ def test_change_of_rings_goes_through_kron_and_one_restriction():
     assert outers == []
     assert replaced == []
     tree = ast.parse((SRC / "modules.py").read_text())
-    (hom,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "hom_space"]
-    assert len(_calls(hom, ("nullspace",))) == 1
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert len(_calls(functions["_hom_rows"], ("nullspace",))) == 1
+    for name in ("hom_space", "tensor_over"):
+        assert _calls(functions[name], ("_hom_rows",)) and not _calls(functions[name], ("nullspace",)), name
 
 
 # the split wrapper and three members nothing referenced; decomp.fingerprint and
@@ -527,9 +536,10 @@ _HELD_READERS = {"_pieces": "_graded"}
 
 def test_module_structure_is_read_through_the_held_readers():
     """A module's graded pieces are built only by their held reader in
-    modules.py; hom_space reads them held, through the frame and the
-    generator matrices in piece coordinates, and takes no action of a single
-    element and no Kronecker product. The generators' action matrices are
+    modules.py; _hom_rows, the Hom solve behind hom_space and tensor_over,
+    reads them held, through the frame and the generator matrices in piece
+    coordinates, and takes no action of a single element and no Kronecker
+    product. The generators' action matrices are
     not held: Module._validate, _piece_actions and _all_generator_actions,
     which submodule reads, take them from _generator_actions, and the
     generator-stack slot stays deleted."""
@@ -551,7 +561,8 @@ def test_module_structure_is_read_through_the_held_readers():
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     (module,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Module"]
     functions["_validate"] = next(fn for fn in module.body if getattr(fn, "name", None) == "_validate")
-    hom = functions["hom_space"]
+    hom = functions["_hom_rows"]
+    assert _calls(functions["hom_space"], ("_hom_rows",))
     assert _calls(hom, ("_frame",)) and _calls(hom, ("_piece_actions",))
     assert _calls(functions["_frame"], ("_graded",))
     assert _calls(hom, ("left_action", "right_action", "kron")) == []
@@ -560,8 +571,8 @@ def test_module_structure_is_read_through_the_held_readers():
         assert _calls(functions[name], ("_generator_actions",)), name
 
 
-# top-level public functions with no caller in src/jorder yet, each kept for the
-# ROADMAP item that will call it
+# top-level public functions and public methods (as "Class.method") with no
+# caller in src/jorder yet, each kept for the ROADMAP item that will call it
 _UNCALLED_ALLOWED = {
     ("algebras.py", "quotient_algebra"),  # item 2: A/J >_J A from the quotient map
     ("witnesses.py", "compose_witnesses"),  # item 10: the J-order atlas composes witnesses
@@ -571,23 +582,27 @@ _UNCALLED_ALLOWED = {
 
 
 def _uncalled_public_functions(trees):
-    """(module, name) of every top-level public function in trees ({module:
-    parsed source}) that no code in trees names outside its own body."""
-    referenced = {}  # name -> {(module, enclosing top-level definition)}
+    """(module, name) of every top-level public function, and (module,
+    "Class.method") of every public method of a top-level class, in trees
+    ({module: parsed source}) that no code in trees names outside its own
+    body."""
+    referenced = {}  # name -> {(module, enclosing function or "Class.method")}
+    defined = []  # (module, name read by callers, owner)
     for name, tree in trees.items():
         for top in tree.body:
-            owner = getattr(top, "name", None)
-            for node in ast.walk(top):
-                ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-                if ref is not None:
-                    referenced.setdefault(ref, set()).add((name, owner))
-    return {
-        (name, fn.name)
-        for name, tree in trees.items()
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-        and not referenced.get(fn.name, set()) - {(name, fn.name)}
-    }
+            classdef = isinstance(top, ast.ClassDef)
+            members = top.body + top.decorator_list + top.bases + top.keywords if classdef else [top]
+            for member in members:
+                owner = getattr(member, "name", None)
+                if classdef:
+                    owner = f"{top.name}.{owner}" if isinstance(member, ast.FunctionDef) else top.name
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    defined.append((name, member.name, owner))
+                for node in ast.walk(member):
+                    ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                    if ref is not None:
+                        referenced.setdefault(ref, set()).add((name, owner))
+    return {(name, owner) for name, fn, owner in defined if not referenced.get(fn, set()) - {(name, owner)}}
 
 
 def _unused_imports(tree):
@@ -603,10 +618,10 @@ def _unused_imports(tree):
 
 
 def test_every_public_function_has_a_caller_in_the_library():
-    """Every top-level public function under src/jorder is named in src/jorder
-    outside its own body, or is on the allowlist above; code that only tests
-    reach belongs in the tests. A stale allowlist entry fails, as the
-    product allowlist does."""
+    """Every top-level public function and every public method under
+    src/jorder is named in src/jorder outside its own body, or is on the
+    allowlist above; code that only tests reach belongs in the tests. A stale
+    allowlist entry fails, as the product allowlist does."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))}
     uncalled = _uncalled_public_functions(trees)
     assert uncalled - _UNCALLED_ALLOWED == set()
@@ -614,22 +629,34 @@ def test_every_public_function_has_a_caller_in_the_library():
 
 
 def test_the_caller_scan_finds_a_function_only_its_own_body_names():
-    """The scan behind the caller guard: a function that only calls itself is
-    uncalled; a call from another module, a read as an attribute, a private
-    name and a method are not reported."""
+    """The scan behind the caller guard: a function or a method that only
+    calls itself is uncalled; a call from another module, a read as an
+    attribute, a class decorator, a call from another method of the class, a
+    read in a class or module body, a private name and a dunder method are
+    not reported."""
     trees = {
         "a.py": ast.parse(
             "def used():\n    return 1\n\n\n"
             "def as_attribute():\n    return 2\n\n\n"
             "def dead(n):\n    return dead(n - 1) if n else 0\n\n\n"
-            "def _private():\n    return 3\n"
+            "def _private():\n    return 3\n\n\n"
+            "def register(cls):\n    return cls\n"
         ),
         "b.py": ast.parse(
             "from . import a\nfrom .a import used\n\n\n"
-            "class C:\n    def method(self):\n        return used() + a.as_attribute()\n"
+            "@a.register\n"
+            "class C:\n"
+            "    def method(self):\n        return used() + a.as_attribute() + self.helper()\n\n"
+            "    def helper(self):\n        return 4\n\n"
+            "    def loop(self, n):\n        return self.loop(n - 1) if n else 0\n\n"
+            "    def in_class_body(self):\n        return 5\n\n"
+            "    default = in_class_body\n\n"
+            "    def _private(self):\n        return 6\n\n"
+            "    def __len__(self):\n        return 7\n\n\n"
+            "VALUE = C().method()\n"
         ),
     }
-    assert _uncalled_public_functions(trees) == {("a.py", "dead")}
+    assert _uncalled_public_functions(trees) == {("a.py", "dead"), ("b.py", "C.loop")}
 
 
 def test_no_library_module_imports_a_name_it_never_uses():

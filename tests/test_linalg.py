@@ -769,3 +769,131 @@ def test_prime_field_products_reduce_the_integer_products(field):
         else:
             got, want = field.tensordot(a, b, axes), field.canon(np.tensordot(a, b, axes))
         assert got.dtype == np.int64 and got.shape == want.shape and (got == want).all()
+
+
+def _numpy_entry(gen):
+    """Entries whose parts are numpy integers: np.int64, and Fractions built from np.int64."""
+    value, den = np.int64(gen.integers(-9, 10)), np.int64(gen.integers(1, 4))
+    return [value, Fraction(value), Fraction(value, den), Fraction(int(value), int(den))][int(gen.integers(0, 4))]
+
+
+def _python_fraction(x):
+    x = Fraction(x)
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+@pytest.mark.parametrize("kind", _KINDS + ["numpy"])
+def test_rational_product_entries_are_fractions_of_python_ints(kind):
+    """Every entry of a product over Q is a Fraction whose parts are Python
+    ints, numpy-integer inputs included, and equals the entrywise Fraction
+    sum; a full contraction gives a Fraction, as np.dot gives a scalar."""
+    gen = np.random.default_rng(7400 + (_KINDS + ["numpy"]).index(kind))
+    exact = np.frompyfunc(_python_fraction, 1, 1)
+    for _ in range(3):
+        for shape_a, shape_b, axes in _PRODUCT_SHAPES:
+            a, b = np.empty(shape_a, dtype=object), np.empty(shape_b, dtype=object)
+            for out in (a, b):
+                for index in np.ndindex(*out.shape):
+                    out[index] = _numpy_entry(gen) if kind == "numpy" else _entry(gen, kind)
+            ea, eb = np.asarray(exact(a), dtype=object), np.asarray(exact(b), dtype=object)
+            if axes is None:
+                got, want = QQ.matmul(a, b), np.dot(ea, eb)
+            else:
+                got, want = QQ.tensordot(a, b, axes), np.tensordot(ea, eb, axes)
+            if np.ndim(want) == 0:
+                assert type(got) is Fraction
+            _assert_rational(got, want)
+            assert all(type(x.numerator) is int and type(x.denominator) is int for x in np.asarray(got).flat)
+
+
+# ---- the numpy helpers against the expressions they replaced --------------------
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), GF(1048573)], ids=lambda f: f.name)
+def test_prime_field_identity_is_np_eye_reduced(field):
+    for n in range(6):
+        got = field.eye(n)
+        assert got.dtype == np.int64 and np.array_equal(got, np.eye(n, dtype=np.int64) % field.p)
+        again = field.eye(n)
+        assert not np.shares_memory(got, again)
+        got[...] = 5  # a fresh array: the next identity is unchanged
+        assert np.array_equal(field.eye(n), again)
+
+
+def _old_echelon_pivots(field, rows):
+    """echelon_pivots with np.diff, as it was."""
+    rows = np.atleast_2d(rows)
+    nonzero = rows.astype(bool)
+    r, ncols = rows.shape
+    pivots = nonzero.argmax(axis=1) if ncols else np.full(r, ncols)
+    if not ((pivots < ncols).all() and (np.diff(pivots) > 0).all()
+            and (rows[np.arange(r), pivots] == field.one).all()
+            and np.count_nonzero(nonzero[:, pivots]) == r):
+        raise AssertionError("basis rows are not in reduced echelon form")
+    return pivots
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), QQ], ids=lambda f: f.name)
+def test_echelon_pivots_match_the_np_diff_expression(field):
+    gen = np.random.default_rng(7500 + field.char)
+    cases = [field.zeros((0, 0)), field.zeros((0, 3)), field.zeros((2, 0)), field.zeros((1, 3)),
+             field.mat([[1, 0, 2]]), field.mat([[0, 1, 1]]), field.mat([[1, 0], [1, 0]]), field.mat([[0, 1], [1, 0]])]
+    for a in _kernel_inputs(field, gen, 200, 7):
+        basis = linalg.row_basis(field, a)
+        cases += [basis, basis[::-1], basis[:1]]
+        if basis.shape[0]:
+            swapped = basis.copy()
+            swapped[0] = field.add(swapped[0], swapped[-1])
+            cases.append(swapped)
+    outcomes = set()
+    for rows in cases:
+        try:
+            want = _old_echelon_pivots(field, rows)
+        except AssertionError:
+            with pytest.raises(AssertionError):
+                linalg.echelon_pivots(field, rows)
+            outcomes.add(False)
+            continue
+        got = linalg.echelon_pivots(field, rows)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        outcomes.add(True)
+    assert outcomes == {True, False}
+
+
+# ---- the projection onto a quotient, from one reversed elimination ----------------
+
+
+def _row_set_kind(field, h):
+    rows, cols = h.shape
+    if not rows:
+        return "no rows"
+    if not cols:
+        return "no columns"
+    rank = linalg.rank(field, h)
+    return "zero" if rank == 0 else "full rank" if rank == rows else "rank-deficient"
+
+
+@pytest.mark.parametrize(
+    "field, count, max_side",
+    [(GF(2), 400, 9), (GF(3), 400, 9), (GF(101), 400, 9), (QQ, 150, 6)],
+    ids=["GF2", "GF3", "GF101", "Q"],
+)
+def test_quotient_projection_is_the_complement_of_the_common_kernel(field, count, max_side):
+    """The lemma in quotient_projection's docstring: the projection and
+    section equal complement_projection of the canonical basis of the common
+    kernel W of the rows, which takes a nullspace and a second elimination."""
+    gen = np.random.default_rng(7600 + field.char)
+    inputs = list(_kernel_inputs(field, gen, count, max_side))
+    inputs += [field.eye(k) for k in (1, 4)] + [field.zeros((3, 5)), field.zeros((0, 4)), field.zeros((4, 0))]
+    kinds = set()
+    for h in inputs:
+        h = field.canon(np.atleast_2d(h))
+        before = _snapshot(h)
+        proj, sect = linalg.quotient_projection(field, h)
+        n = h.shape[1]
+        want = linalg.complement_projection(field, linalg.row_basis(field, linalg.nullspace(field, h).T), n)
+        _assert_same(field, proj, want[0])
+        _assert_same(field, sect, want[1])
+        assert np.array_equal(_snapshot(h), before)
+        kinds.add(_row_set_kind(field, h))
+    assert kinds == {"no rows", "no columns", "zero", "full rank", "rank-deficient"}

@@ -14,7 +14,7 @@ from jorder import catalog, linalg, modules
 from jorder.algebras import Algebra
 from jorder.errors import NonSplitResidueField, NotAutomorphism
 from jorder.fields import GF, QQ
-from jorder.groups import FiniteGroup
+from jorder.groups import AlgebraAction, FiniteGroup, invariant_subalgebra, skew_group_algebra
 from jorder.modules import (
     _compatible,
     _quotient,
@@ -50,9 +50,21 @@ from jorder.modules import (
 )
 from jorder.quivers import parse_presentation
 from jorder.algebras import algebra_from_quiver, subalgebra_from_rows
-from jorder.witnesses import bimodule_as_env_module, env_module_as_bimodule, transport_opposite
+from jorder.witnesses import (
+    bimodule_as_env_module,
+    embedding_witness_pairs,
+    env_module_as_bimodule,
+    transport_opposite,
+)
 
-from oracles import group_algebra, linear_quiver_algebra, quotient_module
+from oracles import (
+    basis_vector,
+    group_algebra,
+    hom_tensor_over,
+    linear_quiver_algebra,
+    pure_tensor,
+    quotient_module,
+)
 
 
 def qa(text):
@@ -149,7 +161,7 @@ class TestSubQuotientTop:
     def test_submodule_closure(self, a2):
         reg = left_regular_module(a2)
         i_e1 = a2.labels.index("e_1")
-        seed = np.asarray(a2.basis_vector(i_e1)).reshape(1, -1)
+        seed = np.asarray(basis_vector(a2, i_e1)).reshape(1, -1)
         sub, incl = submodule(reg, a2.field.canon(seed))
         # A.e_1 = span{e_1, a1}
         assert sub.dim == 2
@@ -158,7 +170,7 @@ class TestSubQuotientTop:
     def test_quotient_requires_stability(self, a2):
         reg = left_regular_module(a2)
         i_e1 = a2.labels.index("e_1")
-        rows = np.asarray(a2.basis_vector(i_e1)).reshape(1, -1)
+        rows = np.asarray(basis_vector(a2, i_e1)).reshape(1, -1)
         with pytest.raises(ValueError, match="stable"):
             quotient_module(reg, a2.field.canon(rows))
 
@@ -210,7 +222,7 @@ class TestTensor:
         # x -> 1 (x) x is the inverse of multiplication
         s = a2.field.zeros((res.module.dim, a2.dim))
         for j in range(a2.dim):
-            s[:, j] = res.pure_tensor(a2.unit, a2.basis_vector(j))
+            s[:, j] = pure_tensor(res, a2.unit, basis_vector(a2, j))
         assert linalg.rank(a2.field, s) == a2.dim
         for g in a2.generators:
             lhs = a2.field.matmul(res.module.left_action(g), s)
@@ -226,7 +238,7 @@ class TestTensor:
 
     def test_tensor_over_subalgebra_counts(self, a2):
         # S = span{1, a1} inside kA2; A_S = S + k, so A (x)_S A has dim 5
-        rows = np.stack([np.asarray(a2.unit), np.asarray(a2.basis_vector(a2.labels.index("a1")))])
+        rows = np.stack([np.asarray(a2.unit), np.asarray(basis_vector(a2, a2.labels.index("a1")))])
         s = subalgebra_from_rows(a2, a2.field.canon(rows))
         incl = s.inclusion_rows
         right_mats = a2.field.canon(
@@ -240,7 +252,7 @@ class TestTensor:
         res = tensor_over(m, n)
         assert res.module.dim == 5
         assert res.module.sidedness() == "bimodule"
-        assert not res.module.field.is_zero(res.pure_tensor(a2.unit, a2.unit))
+        assert not res.module.field.is_zero(pure_tensor(res, a2.unit, a2.unit))
 
     def test_pure_tensor_is_exact_near_the_prime_cap(self):
         # x -> c x twists k[x]/x^12 on the right; x^i (x) x^j then sits at
@@ -252,7 +264,7 @@ class TestTensor:
         res = tensor_over(twist_right(regular_bimodule(a), twist), regular_bimodule(a))
         top = np.full(a.dim, field.p - 1, dtype=np.int64)
         exact = [sum(map(int, row)) * (field.p - 1) ** 2 % field.p for row in res.projection]
-        assert res.pure_tensor(top, top).tolist() == exact
+        assert pure_tensor(res, top, top).tolist() == exact
 
     def test_mismatched_tensor_rejected(self, a2):
         reg = regular_bimodule(a2)
@@ -767,6 +779,15 @@ def assert_same_arrays(got, want):
     assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
 
 
+def assert_same_tensor(got, want):
+    """Equal projections, sections, induced actions and labels of two TensorResults."""
+    assert_same_arrays(got.projection, want.projection)
+    assert_same_arrays(got.section, want.section)
+    assert_same_arrays(got.module.left_mats, want.module.left_mats)
+    assert_same_arrays(got.module.right_mats, want.module.right_mats)
+    assert got.module.label == want.module.label
+
+
 def random_bimodule(a, gen, copies_cap):
     """A random (a, a)-bimodule: a quotient of projectives over a (x) a^op."""
     env, _ = bimodule_as_env_module(regular_bimodule(a))
@@ -811,7 +832,7 @@ def tensor_cases(field_name, seed):
             cases.append(("simple" if i == j else "zero hom", m, n))
     # the subalgebra span{1, a1} of A_2, which carries no family
     a2 = linear_quiver_algebra(a3.field, 2)
-    s = subalgebra_from_rows(a2, a2.field.canon(np.stack([a2.unit, a2.basis_vector(a2.labels.index("a1"))])))
+    s = subalgebra_from_rows(a2, a2.field.canon(np.stack([a2.unit, basis_vector(a2, a2.labels.index("a1"))])))
     right = a2.field.canon(np.stack([a2.right_mult_matrix(r) for r in s.inclusion_rows]))
     left = a2.field.canon(np.stack([a2.left_mult_matrix(r) for r in s.inclusion_rows]))
     m = Module(a2, s, a2.left_regular_mats(), right, "A as (A,S)", check=False)
@@ -835,16 +856,54 @@ class TestTensorAgainstKronecker:
             for kind, m, n in tensor_cases(field_name, seed):
                 if max_unknowns is not None and m.dim * n.dim > max_unknowns:
                     continue
-                got, want = tensor_over(m, n), kronecker_tensor_over(m, n)
-                assert_same_arrays(got.projection, want.projection)
-                assert_same_arrays(got.section, want.section)
-                assert_same_arrays(got.module.left_mats, want.module.left_mats)
-                assert_same_arrays(got.module.right_mats, want.module.right_mats)
-                assert got.module.label == want.module.label
+                got = tensor_over(m, n)
+                assert_same_tensor(got, kronecker_tensor_over(m, n))
                 if kind == "zero hom":
                     assert got.module.dim == 0 < m.dim * n.dim
                 kinds[kind] = kinds.get(kind, 0) + 1
         assert set(kinds) == {"witness", "regular", "random", "simple", "zero hom", "no family", "zero factor"}
+
+
+def witness_families(field):
+    """Both witnesses of each family the verify benchmark checks: the Kronecker
+    witness, the skew extensions of the dual numbers and of zigzag under C_2,
+    and the rotation invariants of lambda_rot (2,2), (3,2) and (2,3)."""
+    w = catalog.build("kronecker_witness", field=field.name)
+    pairs = [w, transport_opposite(w)]
+    tp = catalog.build("trunc_poly", field=field.name, k=2)
+    sign = field.canon(np.array([[1, 0], [0, -1]], dtype=object))
+    for action in (AlgebraAction(FiniteGroup.cyclic(2), tp, [field.eye(2), sign]),
+                   catalog.build("zigzag_c2", field=field.name)):
+        skew, emb = skew_group_algebra(action)
+        pairs += embedding_witness_pairs(action.algebra, skew, rows=emb)
+    for n, k in ((2, 2), (3, 2), (2, 3)):
+        action = catalog.build("lambda_rot", field=field.name, n=n, k=k)
+        sub, rows = invariant_subalgebra(action)
+        pairs += embedding_witness_pairs(sub, action.algebra, rows=rows)
+    return pairs
+
+
+class TestTensorAgainstTheHomRoute:
+    """tensor_over against the route quotient_projection replaced (Hom basis,
+    nullspace, row basis, complement_projection), bit for bit. That oracle is
+    fast, so Q takes every case."""
+
+    @pytest.mark.parametrize("field_name", ["GF(2)", "GF(3)", "GF(101)", "Q"])
+    def test_tensor_cases(self, field_name):
+        kinds = set()
+        for seed in range(3):
+            for kind, m, n in tensor_cases(field_name, seed):
+                assert_same_tensor(tensor_over(m, n), hom_tensor_over(m, n))
+                kinds.add(kind)
+        assert kinds == {"witness", "regular", "random", "simple", "zero hom", "no family", "zero factor"}
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=lambda f: f.name)
+    def test_benchmark_witness_families(self, field):
+        pairs = witness_families(field)
+        assert len(pairs) == 12
+        for w in pairs:
+            for m, n in ((w.m, w.n), (w.n, w.m)):
+                assert_same_tensor(tensor_over(m, n), hom_tensor_over(m, n))
 
 
 def subquotient_cases(field_name, seed):

@@ -78,9 +78,11 @@ from jorder.witnesses import (
 )
 
 from oracles import (
+    basis_vector,
     explicit_isomorphism,
     linear_quiver_algebra,
     projective_leaves,
+    pure_tensor,
     quotient_module,
     summand_split_maps,
 )
@@ -337,11 +339,11 @@ class TestQuotientWitnesses:
         tr = cert.tensor
         eta = f.zeros((cert.tensor_dim, 2))
         for i in range(2):
-            eta[:, i] = tr.pure_tensor(a2.basis_vector(i), a2.unit)
+            eta[:, i] = pure_tensor(tr, basis_vector(a2, i), a2.unit)
         mul_big = f.zeros((2, 4))
         for i in range(2):
             for j in range(2):
-                mul_big[:, i * 2 + j] = a2.mul(a2.basis_vector(i), a2.basis_vector(j))
+                mul_big[:, i * 2 + j] = a2.mul(basis_vector(a2, i), basis_vector(a2, j))
         psi = f.matmul(mul_big, tr.section)
         assert f.eq(f.matmul(psi, f.canon(eta)), f.eye(2))
 
@@ -433,7 +435,7 @@ class TestKroneckerWitness:
         assert tr.module.dim == 2
 
         def pt(i, j):
-            return tr.pure_tensor(f.eye(4)[i], f.eye(4)[j])
+            return pure_tensor(tr, f.eye(4)[i], f.eye(4)[j])
 
         one, x = f.eye(2)[0], f.eye(2)[1]
         assert f.eq(pt(0, 0), one) and f.eq(pt(2, 2), one)
@@ -443,7 +445,7 @@ class TestKroneckerWitness:
         assert f.is_zero(pt(0, 2)) and f.is_zero(pt(1, 3))
         xm1 = f.matmul(m.left_mats[1], f.eye(4)[0])
         n1x = f.matmul(n.right_mats[1], f.eye(4)[0])
-        assert f.eq(tr.pure_tensor(xm1, f.eye(4)[0]), tr.pure_tensor(f.eye(4)[0], n1x))
+        assert f.eq(pure_tensor(tr, xm1, f.eye(4)[0]), pure_tensor(tr, f.eye(4)[0], n1x))
 
     @pytest.mark.parametrize("field_name", ["GF(101)", "Q"])
     def test_certificate_both_fields(self, field_name):
