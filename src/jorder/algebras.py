@@ -101,8 +101,6 @@ class Algebra:
         self._simples = None
         # witnesses._enveloping_algebra fills this with (B^op, both families, A (x) B^op)
         self._envelope = None
-        # modules.regular_bimodule fills this with a weak reference to the module it built
-        self._regular_bimodule = None
         self._check = check
         if check:
             self._check_unit()

@@ -10,6 +10,7 @@ Entries are addressable as ``catalog:`` URIs with query-string parameters,
 for example ``catalog:trunc_poly?k=3`` or ``catalog:lambda?n=2&k=2``.
 """
 
+import re
 from dataclasses import dataclass
 from urllib.parse import parse_qsl
 
@@ -454,7 +455,9 @@ def build(entry_id, field=None, **params):
 def resolve(uri, field=None):
     """Build a ``catalog:entry?name=value&...`` URI.
 
-    Integer-looking values are parsed as parameters; a ``field`` key
+    A value spelled in ASCII digits with an optional minus sign is an
+    integer parameter; any other value stays a string, which a parameter
+    that takes integers refuses as BadParams naming it. A ``field`` key
     overrides the default field, as does the ``field`` argument. A key
     given twice, or a ``field`` key naming another field than the ``field``
     argument, is BadParams.
@@ -476,8 +479,7 @@ def resolve(uri, field=None):
             elif (field_from_name(field) if isinstance(field, str) else field) != field_from_name(value):
                 raise BadParams(f"{entry_id}: the URI names field {value}, the caller field {field}")
             continue
-        stripped = value.lstrip("-")
-        params[key] = int(value) if stripped.isdigit() and stripped else value
+        params[key] = int(value) if re.fullmatch("-?[0-9]+", value) else value
     return build(entry_id, field=field, **params)
 
 

@@ -50,11 +50,10 @@ and the radical rows. A product is one composite read in the basis, and the
 search reads only the products it needs: those of the basis elements that
 span E/J, and a few for the Newton lift. Products are exact and coordinates
 in a reduced echelon basis unique, so each equals the table entry it
-replaces. EndView.algebra builds the full Algebra on request. dim E/J is
-rank J subtracted from dim E, so a node with dim E/J = 1 reads no product.
-The minimal polynomial of s in E/J is read off the powers of s, not off
-left_mult_matrix(s): L(v)1 = v, so L is injective on a unital algebra and
-the two minimal polynomials are equal.
+replaces. dim E/J is rank J subtracted from dim E, so a node with
+dim E/J = 1 reads no product. The minimal polynomial of s in E/J is read
+off the powers of s, not off left_mult_matrix(s): L(v)1 = v, so L is
+injective on a unital algebra and the two minimal polynomials are equal.
 
 Nothing a decomposition has proved is proved again. A node's module is the
 image of an idempotent module map, a submodule by construction, so its
@@ -64,14 +63,11 @@ its Summand (Module._leaf), and decompose on that module, with any seed,
 answers with the one summand (module, 1, 1, certificate, End) while the leaf
 is alive, with no Hom solve: End is the corner basis, bit for bit
 hom_space(X, X) (above), and a local End's certificate is dim_one at
-dimension one and field_quotient otherwise. A decomposed module also keeps
-a weak reference to its Decomposition and the seed it was made at
-(Module._decomposition), and decompose on that module at that seed returns
-it while it is alive: the decomposition is a function of the module and the
-seed, so a decomposable module, whose leaves live on submodules, is not
-solved again either. The references are weak, so a module does not keep its
-own or its parent's decomposition alive; once it is gone, the next
-decompose solves again.
+dimension one and field_quotient otherwise. The reference is weak, so a
+module does not keep its parent's decomposition alive; once it is gone, the
+next decompose solves again. A decomposable module holds nothing: a caller
+that decomposes one module many times keeps the Decomposition itself, as a
+witness pair keeps the regular bimodule's (witnesses.JWitnessPair.regular).
 """
 
 import weakref
@@ -82,7 +78,6 @@ import numpy as np
 from . import linalg
 from .algebras import (
     Algebra,
-    Provenance,
     _quotient_structure,
     idempotent_family_failure,
     matrix_algebra_radical,
@@ -106,8 +101,7 @@ def endomorphism_algebra(m):
     E's basis element i acts on the module as the matrix homs[i]. E provides
     what the idempotent search and the leaf test read: dim, unit, mul (the
     product convention of Algebra.mul, so mul(f, g) applies g first),
-    products, coords and radical_rows. The full Algebra is E.algebra, built
-    only when read.
+    products, coords and radical_rows.
     """
     homs = hom_space(m, m)
     return EndView(m, homs), homs
@@ -135,7 +129,6 @@ class EndView:
         self.unit = self.coords(field.eye(m.dim)[None])[0]
         self._radical_rows = matrix_algebra_radical(field, self.stack)
         self.rad_pivots = linalg.echelon_pivots(field, self._radical_rows)
-        self._algebra = None
 
     def coords(self, mats):
         """Coordinates of a stack of endomorphisms in the hom basis."""
@@ -163,22 +156,6 @@ class EndView:
 
     def radical_rows(self):
         return self._radical_rows
-
-    @property
-    def algebra(self):
-        """The full Algebra on the basis, with its r x r x r table; built on first read."""
-        if self._algebra is None:
-            self._algebra = Algebra(
-                self.field,
-                self.products(np.arange(self.dim)),
-                self.unit,
-                [f"f{i}" for i in range(self.dim)],
-                radical_rows=self._radical_rows,
-                provenance=Provenance("endomorphism", {"module": self.module}),
-                label=self.label,
-                check=False,
-            )
-        return self._algebra
 
 
 def _corner(field, homs, proj, incl):
@@ -361,8 +338,7 @@ def decompose(m, seed=0):
     spawned SeedSequences. Raises Inconclusive when some piece can be neither
     split nor certified indecomposable within the search budget. A module
     that is the module of a live certified leaf is answered by that leaf,
-    and a module decomposed at the same seed by that live Decomposition,
-    with no Hom solve (see the header).
+    with no Hom solve; any other module is solved afresh (see the header).
     """
     field = m.field
     if m.dim == 0:
@@ -370,10 +346,6 @@ def decompose(m, seed=0):
     held = m._leaf() if m._leaf is not None else None
     if held is not None:
         return Decomposition(m, [Summand(m, field.eye(m.dim), field.eye(m.dim), held.certificate, held._end)], [[0]])
-    if m._decomposition is not None and m._decomposition[0] == seed:
-        held = m._decomposition[1]()
-        if held is not None:
-            return held
     # a work list, not a nested function that calls itself: its closure would
     # be a reference cycle, keeping the leaves alive after the decomposition
     # is dropped until the cyclic collector runs. An entry (mod, incl, proj,
@@ -427,9 +399,7 @@ def decompose(m, seed=0):
                 break
         else:
             classes.append([idx])
-    dec = Decomposition(m, leaves, classes)
-    m._decomposition = (seed, weakref.ref(dec))
-    return dec
+    return Decomposition(m, leaves, classes)
 
 
 def _match_classes(dx, dy):

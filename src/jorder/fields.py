@@ -206,12 +206,6 @@ class GFField:
     def canon(self, a):
         return np.asarray(a, dtype=np.int64) % self.p
 
-    def mat(self, data):
-        m = self.canon(data)
-        if m.ndim == 1:
-            m = m.reshape(1, -1)
-        return m
-
     def vec(self, data):
         return self.canon(data).reshape(-1)
 
@@ -296,12 +290,6 @@ class RationalField:
 
     def canon(self, a):
         return _to_fraction(np.asarray(a, dtype=object))
-
-    def mat(self, data):
-        m = self.canon(data)
-        if m.ndim == 1:
-            m = m.reshape(1, -1)
-        return m
 
     def vec(self, data):
         return self.canon(data).reshape(-1)

@@ -41,16 +41,13 @@ class FiniteGroup:
                 break
         if identity is None:
             raise ValueError("table has no identity element")
-        inverse = np.full(n, -1, dtype=np.int64)
         for i in range(n):
             hits = np.nonzero(table[i] == identity)[0]
             if len(hits) != 1 or table[hits[0], i] != identity:
                 raise ValueError("table has a non-invertible element")
-            inverse[i] = hits[0]
         self.multiplication_table = table
         self.order = n
         self.identity_index = identity
-        self.inverse_table = inverse
         self.labels = list(labels) if labels else [f"g{i}" for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("label count must match the order")
@@ -58,9 +55,6 @@ class FiniteGroup:
 
     def mul(self, i, j):
         return int(self.multiplication_table[i, j])
-
-    def inv(self, i):
-        return int(self.inverse_table[i])
 
     def __repr__(self):
         return f"FiniteGroup({self.label}, order {self.order})"

@@ -86,23 +86,15 @@ action matrices change after they are set, and an algebra replaces its
 generator or family list rather than editing it, so a changed list misses
 the key and rebuilds.
 _leaf is decomp's: a weak reference to the certified Summand a decomposition
-proved the module to be. So is _decomposition: the seed and a weak reference
-to the last Decomposition of the module itself.
+proved the module to be.
 
-regular_bimodule(a) hands out one module per algebra while anything uses it:
-a._regular_bimodule is a weak reference to the last one built, and a call
-while it is alive returns that object, with its held leaf and pieces. So a
-caller that decomposes A once and keeps the Decomposition (the witness
-search does) has every later decompose of the regular bimodule answered from
-the held leaf when A is connected, and from the held Decomposition at the
-same seed when it is not. The reference is weak: no algebra keeps
-its regular bimodule, and once its last user drops it the next call builds a
-new one with equal matrices.
+regular_bimodule(a) builds a new module on every call; nothing holds it on
+a. The one holder of the regular bimodule is a witness pair, which keeps its
+decomposition beside its tensor product (witnesses.JWitnessPair.regular).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +127,6 @@ class Module:
         self._piece_stacks = [None, None]
         # a weak reference to the certified Summand decomp.decompose proved this module to be, if any
         self._leaf = None
-        # (seed, weak reference to the Decomposition decomp.decompose made of this module at that seed)
-        self._decomposition = None
         if self.left_mats is not None and (
             self.left_mats.shape != (left_algebra.dim, self.dim, self.dim)
         ):
@@ -272,16 +262,12 @@ def right_regular_module(a):
 
 
 def regular_bimodule(a):
-    """A as an A-A-bimodule: the one still alive from an earlier call, else a new one.
+    """A as an A-A-bimodule, a new module on each call.
 
-    Held weakly on a (see the header), so a caller that keeps it keeps its
-    held leaf, and nothing outlives its last user.
+    Nothing holds it on a: a witness pair holds its decomposition
+    (witnesses.JWitnessPair.regular).
     """
-    held = a._regular_bimodule() if a._regular_bimodule is not None else None
-    if held is None:
-        held = Module(a, a, a.left_regular_mats(), a.right_regular_mats(), f"{a.label} (regular)", check=False)
-        a._regular_bimodule = weakref.ref(held)
-    return held
+    return Module(a, a, a.left_regular_mats(), a.right_regular_mats(), f"{a.label} (regular)", check=False)
 
 
 def zero_module(left_algebra, right_algebra):

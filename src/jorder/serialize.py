@@ -43,9 +43,10 @@ import numpy as np
 
 from . import linalg
 from .algebras import Algebra
+from .decomp import decompose
 from .errors import InvalidInput
 from .fields import field_from_name
-from .modules import Module, is_module_map
+from .modules import Module, is_module_map, left_regular_module
 from .witnesses import JCertificate, JWitnessPair
 
 FORMAT_VERSION = 1
@@ -218,6 +219,17 @@ def algebra_doc(algebra):
 
 
 def algebra_from_doc(doc):
+    """The algebra of an algebra document; a family flagged primitive is checked.
+
+    A complete orthogonal family of nonzero idempotents e_1, ..., e_n splits
+    A = A e_1 (+) ... (+) A e_n into nonzero left ideals, so by Krull-Schmidt
+    the family has at most as many members as A has indecomposable summands,
+    with equality exactly when every A e_i is indecomposable, that is when
+    every e_i is primitive. So a true idempotents_primitive is InvalidInput
+    naming the key unless every member is nonzero and the left regular
+    module decomposes into len(family) summands. Inconclusive from that
+    decomposition propagates.
+    """
     if doc.get("format") != "algebra":
         raise InvalidInput("not an algebra document")
     _check_version(doc)
@@ -228,8 +240,8 @@ def algebra_from_doc(doc):
     primitive = False
     if "idempotents" in doc:
         idems = [matrix_in(field, e, (dim,), "idempotents") for e in _doc_value(doc, "idempotents", list)]
-        primitive = bool(doc.get("idempotents_primitive", False))
-    return Algebra(
+        primitive = bool(_doc_value(doc, "idempotents_primitive", bool, required=False))
+    algebra = Algebra(
         field,
         table,
         matrix_in(field, _doc_value(doc, "unit", list), (dim,), "unit"),
@@ -238,6 +250,11 @@ def algebra_from_doc(doc):
         idempotents_primitive=primitive,
         label=doc.get("label", "algebra"),
     )
+    if primitive and (
+        any(field.is_zero(e) for e in idems) or len(decompose(left_regular_module(algebra)).summands) != len(idems)
+    ):
+        raise InvalidInput("document key 'idempotents_primitive' is true of a family that is not primitive")
+    return algebra
 
 
 # ---- bimodules ---------------------------------------------------------------

@@ -27,10 +27,16 @@ the algebra, the seed and the tensor's action matrices: it decomposes the
 tensor at seed + 1 and matches it against the regular bimodule's
 decomposition. So an equal tensor would fail again in the same way, and the
 search verifies each distinct tensor once, keyed by the matrices' entries.
-It also keeps one decomposition of the regular bimodule for its whole run,
-at the seed its attempts verify with, so every attempt reads the held leaf
-over a connected algebra and the held decomposition over a disconnected one
-(modules.regular_bimodule).
+
+A witness pair holds what verifying it reads: its tensor product (tensor())
+and the decomposition of the regular a-a-bimodule at its seed (regular()),
+each built on the first call. The pair is the one holder of that
+decomposition; no algebra or module keeps it. The search decomposes the
+regular bimodule once, at the seed its attempts verify with, and hands that
+decomposition to every attempt's pair, so End of the regular bimodule is
+solved once per search over a connected or a disconnected algebra. The
+decomposition is a function of the algebra and the seed, so the handed one
+is the one each pair would build.
 """
 
 import warnings
@@ -86,12 +92,19 @@ class JWitnessPair:
         self.n = n
         self.seed = int(seed)
         self._tensor = None
+        self._regular = None
 
     def tensor(self):
         """M (x)_b N as modules.tensor_over returns it, built on the first call and held."""
         if self._tensor is None:
             self._tensor = tensor_over(self.m, self.n)
         return self._tensor
+
+    def regular(self):
+        """The decomposition of the regular a-a-bimodule at the pair's seed, built on the first call and held."""
+        if self._regular is None:
+            self._regular = decompose(regular_bimodule(self.a), seed=self.seed)
+        return self._regular
 
     def __repr__(self):
         return (
@@ -188,10 +201,12 @@ def verify_j_geq(w, *, quality=True):
 
     The regular a-a-bimodule must divide M (x)_b N. Raises NotASummand with
     both class summaries as evidence when it does not; Inconclusive from the
-    decomposition layer propagates untouched.
+    decomposition layer propagates untouched. The regular bimodule and its
+    decomposition are the pair's (JWitnessPair.regular); the tensor is
+    decomposed at w.seed + 1.
     """
-    reg = regular_bimodule(w.a)
-    d_reg = decompose(reg, seed=w.seed)
+    d_reg = w.regular()
+    reg = d_reg.module
     if len(d_reg.summands) > 1:
         warnings.warn(
             f"{w.a.label} is disconnected; the summand criterion is used as-is",
@@ -240,8 +255,9 @@ def replay_certificate(cert):
     """Re-check a certificate by multiplication only; True iff it replays.
 
     Recomputes the tensor product (its coordinates are deterministic) and
-    re-runs the exact split conditions. No decomposition machinery runs, and
-    the tensor the witness holds is not read: a replay trusts no held data.
+    re-runs the exact split conditions on a new regular bimodule. No
+    decomposition machinery runs, and neither the tensor nor the regular
+    decomposition the witness holds is read: a replay trusts no held data.
     """
     w = cert.witness
     tr = tensor_over(w.m, w.n)
@@ -401,17 +417,16 @@ def witness_search(a, b, seed=0, budget=20, max_dim=None):
     first certificate found, or None; None means "not found within budget",
     never "no witness exists".
 
-    The regular bimodule is decomposed once and kept for the whole search,
-    and a pair whose tensor has the action matrices of one already tried is
-    skipped; the module header says why both are exact. Skipping happens
-    after the draws, so the random stream, and the attempt a certificate
-    comes from, are unchanged.
+    The regular bimodule is decomposed once and handed to every attempt's
+    pair, and a pair whose tensor has the action matrices of one already
+    tried is skipped; the module header says why both are exact. Skipping
+    happens after the draws, so the random stream, and the attempt a
+    certificate comes from, are unchanged.
     """
     complete_primitive_idempotents(a, seed)
     complete_primitive_idempotents(b, seed + 1)
     env_ab = _enveloping_algebra(a, b.opposite())
     env_ba = _enveloping_algebra(b, a.opposite())
-    # held until the search returns: while it lives, regular_bimodule(a) is this module and its leaf
     held_reg = decompose(regular_bimodule(a), seed=seed)
     tried = set()
     rng = np.random.default_rng(seed)
@@ -431,6 +446,7 @@ def witness_search(a, b, seed=0, budget=20, max_dim=None):
         if key in tried:
             continue
         tried.add(key)
+        w._regular = held_reg
         try:
             return verify_j_geq(w, quality=False)
         except (NotASummand, Inconclusive):

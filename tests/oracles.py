@@ -11,7 +11,8 @@ read covers and annihilators where these split leaves off, and tensor_over,
 which reads its projection off one reversed elimination of the Hom rows).
 basis_vector, is_commutative, pure_tensor and trivial_action were methods
 of Algebra, TensorResult and groups.AlgebraAction (with
-groups.FiniteGroup.trivial) that only tests called.
+groups.FiniteGroup.trivial) that only tests called, and so were mat (of both
+fields), inv (of groups.FiniteGroup) and end_algebra (decomp.EndView.algebra).
 """
 
 import numpy as np
@@ -197,3 +198,28 @@ def hom_tensor_over(m, n, label=None):
         check=False,
     )
     return TensorResult(module, proj, sect)
+
+
+def mat(field, data):
+    """data as a canonical matrix over field; a flat list is one row."""
+    m = field.canon(data)
+    return m.reshape(1, -1) if m.ndim == 1 else m
+
+
+def inv(group, i):
+    """The index of the inverse of group element i, read off the multiplication table."""
+    return int(np.nonzero(group.multiplication_table[i] == group.identity_index)[0][0])
+
+
+def end_algebra(view):
+    """The full Algebra on the basis of a decomp.EndView, with its r x r x r table."""
+    return Algebra(
+        view.field,
+        view.products(np.arange(view.dim)),
+        view.unit,
+        [f"f{i}" for i in range(view.dim)],
+        radical_rows=view.radical_rows(),
+        provenance=Provenance("endomorphism", {"module": view.module}),
+        label=view.label,
+        check=False,
+    )

@@ -200,6 +200,21 @@ class TestUris:
         with pytest.raises(BadParams):
             catalog.resolve("catalog:trunc_poly?k=abc")
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("--3", "k='--3' is not an integer"),
+            ("%C2%B2", "k='\u00b2' is not an integer"),  # a superscript two, percent-encoded
+            ("\u0663", "k='\u0663' is not an integer"),  # an Arabic-Indic three
+            ("-3", "k=-3 outside"),
+        ],
+    )
+    def test_only_ascii_integers_are_integers(self, value, message):
+        """A value is an integer only when spelled -?[0-9]+; int() would take
+        the Arabic-Indic digit and raise a bare ValueError on the first two."""
+        with pytest.raises(BadParams, match=f"trunc_poly: parameter {message}"):
+            catalog.resolve(f"catalog:trunc_poly?k={value}")
+
 
 class TestSelfTest:
     def test_grid_is_green(self):

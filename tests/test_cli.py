@@ -257,6 +257,28 @@ def test_zero_dimensional_algebra_exits_4(capsys, tmp_path):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("lie", [False, True], ids=["honest", "unit-flagged-primitive"])
+def test_an_embedded_family_flagged_primitive_is_checked(capsys, tmp_path, lie):
+    """A_2 >=_J A_2 by the regular bimodule, A_2 embedded: verified with every
+    quality flag true, and refused as malformed input naming the flag when A_2's
+    family is replaced by the unit alone, still flagged primitive."""
+    a2 = linear_quiver_algebra(GF(101), 2)
+    doc = serialize.witness_doc(JWitnessPair(a2, a2, regular_bimodule(a2), regular_bimodule(a2)))
+    if lie:
+        doc["a"]["idempotents"] = [serialize.vector_out(a2.field, a2.unit)]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(capsys, "verify-jgeq", str(path))
+    if lie:
+        assert code == 4 and out["error"]["type"] == "InvalidInput"
+        assert "'idempotents_primitive'" in out["error"]["message"]
+    else:
+        assert code == 0 and out["results"]["verified"] is True
+        assert out["results"]["quality_flags"] == dict.fromkeys(
+            ("adjoint_pair", "faithful_check", "generators_check", "left_right_projective"), True
+        )
+
+
 def test_decompose_reads_the_tensor_output(capsys, witness_files, tmp_path):
     code, report = _run(capsys, "tensor", *map(str, witness_files))
     assert code == 0
@@ -354,6 +376,9 @@ def test_malformed_relation_exits_4(capsys, tmp_path, text):
         (["algebra-info", "catalog:A_n?n=2&n=3"], None, "BadParams"),
         (["algebra-info", "catalog:A_n?n=2&field=GF(3)&field=GF(5)"], None, "BadParams"),
         (["algebra-info", "catalog:A_n?n=2&field=GF(3)", "--field", "GF(5)"], None, "BadParams"),
+        (["algebra-info", "catalog:trunc_poly?k=--3"], None, "BadParams"),
+        (["algebra-info", "catalog:trunc_poly?k=%C2%B2"], None, "BadParams"),
+        (["algebra-info", "catalog:trunc_poly?k=\u0663"], None, "BadParams"),
     ],
 )
 def test_unusable_input_exits_4(capsys, tmp_path, argv, text, error):

@@ -52,7 +52,14 @@ from jorder.quivers import parse_presentation
 from jorder.algebras import algebra_from_quiver
 
 from fingerprints import fingerprint
-from oracles import basis_vector, explicit_isomorphism, linear_quiver_algebra, minpoly_matrix, summand_split_maps
+from oracles import (
+    basis_vector,
+    end_algebra,
+    explicit_isomorphism,
+    linear_quiver_algebra,
+    minpoly_matrix,
+    summand_split_maps,
+)
 from test_algebras import conjugated_basis
 
 
@@ -157,7 +164,7 @@ def primitive_family_by_enumeration(e_alg, idems):
 
 def oracle_check(m):
     view, homs = endomorphism_algebra(m)
-    e_alg = view.algebra
+    e_alg = end_algebra(view)
     assert e_alg.field.p ** e_alg.dim <= 20000, "oracle fixture grew too large"
     fam = primitive_family_by_enumeration(e_alg, all_idempotents(e_alg))
     dec = decompose(m, seed=0)
@@ -175,12 +182,12 @@ class TestEndomorphismAlgebra:
         a = linear_quiver_algebra(GF(5), 2)
         view, homs = endomorphism_algebra(left_regular_module(a))
         assert view.dim == a.dim == len(homs)
-        assert view.algebra.loewy_layer_dims() == a.loewy_layer_dims()
+        assert end_algebra(view).loewy_layer_dims() == a.loewy_layer_dims()
 
     def test_table_is_composition(self):
         a = linear_quiver_algebra(GF(5), 2)
         view, homs = endomorphism_algebra(left_regular_module(a))
-        e_alg = view.algebra
+        e_alg = end_algebra(view)
         f = a.field
         for i in range(e_alg.dim):
             for j in range(e_alg.dim):
@@ -201,7 +208,7 @@ class TestEndomorphismAlgebra:
 
     def test_each_basis_is_checked_once(self, monkeypatch):
         """End(M)'s hom basis and radical are checked once, when the view is
-        built: its unit, the table .algebra reads, and every composite
+        built: its unit, the table end_algebra reads, and every composite
         summand_isomorphism reads use those pivots and check none again."""
         checked = []
         real = linalg.echelon_pivots
@@ -213,7 +220,7 @@ class TestEndomorphismAlgebra:
         view = decomp.EndView(reg, homs)
         assert checked == [(6, 36), view.radical_rows().shape]
         checked.clear()
-        view.algebra
+        end_algebra(view)
         assert checked == []
         lam = truncated_cycle("GF(3)", 2, 5)
         dec = decompose(left_regular_module(lam), seed=0)
@@ -1160,7 +1167,7 @@ class TestEndView:
         for seed, m in enumerate(view_inputs(field, gen)):
             for view in decomposition_views(m, seed, monkeypatch):
                 r = view.dim
-                alg = view.algebra
+                alg = end_algebra(view)
                 table, unit = solved_end_structure(field, list(view.stack), view.module.dim)
                 assert_same_array(view.products(range(r)), table)
                 assert_same_array(alg.table, field.canon(table))
@@ -1193,8 +1200,8 @@ class TestEndView:
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_decompose_builds_no_structure_table(self, field, monkeypatch):
-        """No node reads EndView.algebra, and the only Algebras decompose builds
-        are semisimple quotients E/J, each of its node's dimension dim E - dim J."""
+        """No node builds End's table: the only Algebras decompose builds are
+        semisimple quotients E/J, each of its node's dimension dim E - dim J."""
         mods = view_inputs(field, np.random.default_rng(32))
         quotient_dims, built = [], []
         search = decomp.find_nontrivial_idempotent
@@ -1210,7 +1217,6 @@ class TestEndView:
 
         monkeypatch.setattr(decomp, "find_nontrivial_idempotent", counted_search)
         monkeypatch.setattr(Algebra, "__init__", counted_init)
-        monkeypatch.setattr(decomp.EndView, "algebra", property(lambda view: pytest.fail("End's table was built")))
         for seed, m in enumerate(mods):
             decompose(m, seed=seed)
         assert built and all(shape == (d, d, d) and d > 1 for shape, d in built)
@@ -1330,7 +1336,7 @@ class TestSearchAgainstTheOldSearch:
         outcomes = []
         for seed, m in enumerate(search_modules(field, gen)):
             for view in decomposition_views(m, seed, monkeypatch):
-                for e in (view, view.algebra):
+                for e in (view, end_algebra(view)):
                     outcomes += [assert_same_search(e, s) for s in (seed, seed + 100)]
         assert {"split", "dim_one", "field_quotient"} <= set(outcomes)
 
@@ -1360,7 +1366,7 @@ class TestSearchAgainstTheOldSearch:
         """dim S comes from rank J: S's table is built only when dim S > 1."""
         gen = np.random.default_rng(47)
         es = [e for seed, m in enumerate(search_modules(field, gen))
-              for view in decomposition_views(m, seed, monkeypatch) for e in (view, view.algebra)]
+              for view in decomposition_views(m, seed, monkeypatch) for e in (view, end_algebra(view))]
         dims = [e.dim - e.radical_rows().shape[0] for e in es]
         built = []
         real = decomp._quotient_structure

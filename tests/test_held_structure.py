@@ -5,7 +5,8 @@ enveloping algebra A (x) B^op of witnesses._enveloping_algebra.
 On the module: its graded pieces and its generator matrices in piece
 coordinates, read by hom_space and by the dimension pre-filter of
 summand_isomorphism, and a weak reference to its certified leaf, read by
-decompose.
+decompose. On a witness pair: its decomposition of the regular bimodule,
+which witness_search hands to each attempt's pair.
 
 projective_indecomposables and simple_modules build once per algebra and
 hold the result, and projective_indecomposables installs the primitive
@@ -18,12 +19,13 @@ solve no End at all.
 """
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from jorder import catalog, decomp, linalg, modules, witnesses
+from jorder import catalog, decomp, linalg, modules, serialize, witnesses
 from jorder.algebras import Algebra, algebra_from_quiver, tensor_algebra
 from jorder.decomp import (
     are_isomorphic,
@@ -32,7 +34,7 @@ from jorder.decomp import (
     summand_isomorphism,
 )
 from jorder.errors import NonSplitResidueField
-from jorder.fields import GF, QQ
+from jorder.fields import GF, QQ, field_from_name
 from jorder.groups import invariant_subalgebra, skew_group_algebra
 from jorder.quivers import parse_presentation
 from jorder.modules import (
@@ -47,7 +49,7 @@ from jorder.modules import (
     regular_bimodule,
     simple_modules,
 )
-from jorder.witnesses import bimodule_as_env_module, faithful_projinj_check, generators_check, verify_j_geq
+from jorder.witnesses import JWitnessPair, bimodule_as_env_module, faithful_projinj_check, generators_check, verify_j_geq
 
 from oracles import linear_quiver_algebra, projective_leaves
 
@@ -636,42 +638,6 @@ def test_a_dropped_decomposition_dies_without_the_cycle_collector(field):
         gc.enable()
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-def test_a_held_decomposition_answers_its_own_seed_only(field, solved_ends):
-    """decompose on a decomposed module, while that Decomposition is alive,
-    returns it at the seed it was made at, with no End solve; at another seed
-    it solves again and equals the decomposition of a fresh copy."""
-    for m in decomposition_inputs(field):
-        dec = decompose(m, seed=1)
-        assert len(dec.summands) > 1 and m._decomposition[1]() is dec
-        solved_ends.clear()
-        assert decompose(m, seed=1) is dec and solved_ends == []
-        other = decompose(m, seed=2)
-        assert solved_ends == [m] and other is not dec
-        assert same_decomposition(other, decompose(fresh_copy(m), seed=2))
-        assert decompose(m, seed=1) is not dec  # the last decomposition made is the one held
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-def test_a_dropped_held_decomposition_dies_without_the_cycle_collector(field, solved_ends):
-    """The module holds its decomposition weakly: with the cyclic collector
-    off, dropping every user frees it, and the next decompose solves again."""
-    m = decomposition_inputs(field)[0]
-    gc.collect()
-    gc.disable()
-    try:
-        dec = decompose(m, seed=1)
-        again = decompose(m, seed=1)
-        held = weakref.ref(dec)
-        assert again is dec
-        del dec, again
-        assert held() is None and m._decomposition[1]() is None
-        solved_ends.clear()
-        assert len(decompose(m, seed=1).summands) > 1 and solved_ends == [m]
-    finally:
-        gc.enable()
-
-
 def test_a_disconnected_search_solves_the_regular_bimodule_once(solved_ends, monkeypatch):
     """Over the two-vertex semisimple algebra the regular bimodule has two
     summands on submodules, so no leaf answers for it; the held decomposition
@@ -689,27 +655,67 @@ def test_a_disconnected_search_solves_the_regular_bimodule_once(solved_ends, mon
 
 
 def test_the_regular_bimodule_is_held_only_while_a_search_runs(solved_ends):
-    """witness_search keeps its decomposition of the regular bimodule, and with it
-    the module regular_bimodule hands out, only while it runs: afterwards the
-    weak slot is dead and the next verify solves End(reg) again, equal."""
+    """witness_search hands its decomposition of the regular bimodule to its own
+    attempts' pairs only: a pair made after the search solves End(reg) again,
+    on a new module, and gets an equal End."""
     w = catalog.build("kronecker_witness", field="GF(101)")
     a = w.a
     assert witnesses.witness_search(a, w.b, seed=0, budget=4) is None
     regular = f"{a.label} (regular)"
     (searched,) = [m for m in solved_ends if m.label == regular]
     searched_end = decomp.endomorphism_algebra(searched)[1]
-    del searched
     solved_ends.clear()
-    gc.collect()
-    assert a._regular_bimodule() is None
     verify_j_geq(w, quality=False)
     (again,) = [m for m in solved_ends if m.label == regular]
+    assert again is w.regular().module and again is not searched
     again_end = decomp.endomorphism_algebra(again)[1]
     assert len(again_end) == len(searched_end) and all(same_array(x, y) for x, y in zip(again_end, searched_end))
-    del again
-    solved_ends.clear()
-    gc.collect()
-    assert a._regular_bimodule() is None  # the verify's module died with its decomposition
+
+
+def semisimple(field, vertices):
+    """k^vertices as a quiver algebra with no arrows: connected for one vertex only."""
+    field, pres = parse_presentation(f"field {field}\n" + "".join(f"vertex {v}\n" for v in range(1, vertices + 1)))
+    return algebra_from_quiver(pres, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_a_pair_holds_the_decomposition_of_a_new_regular_bimodule(field, solved_ends):
+    """JWitnessPair.regular() solves End once, on its first call, and equals
+    decompose of a new regular bimodule at the pair's seed, over a connected A
+    and over the disconnected two-vertex semisimple algebra."""
+    for a, count in ((linear_quiver_algebra(field, 2), 1), (semisimple(field, 2), 2)):
+        for seed in (0, 3):
+            w = JWitnessPair(a, a, regular_bimodule(a), regular_bimodule(a), seed=seed)
+            solved_ends.clear()
+            held = w.regular()
+            assert w.regular() is held and solved_ends == [held.module]
+            assert held.module.label == f"{a.label} (regular)" and len(held.summands) == count
+            assert same_decomposition(held, decompose(regular_bimodule(a), seed=seed)), (a.label, seed)
+
+
+# (field, algebra, search seed): searches that find an a >=_J a witness, over a
+# connected algebra (A_2, a single vertex) and the disconnected two-vertex one
+FOUND = [
+    ("GF(5)", lambda f: linear_quiver_algebra(f, 2), 0),
+    ("GF(101)", lambda f: semisimple(f, 2), 1),
+    ("Q", lambda f: semisimple(f, 1), 0),
+    ("Q", lambda f: semisimple(f, 2), 2),
+]
+
+
+@pytest.mark.parametrize("name, build, seed", FOUND, ids=[f"{n}-{i}" for i, (n, _, _) in enumerate(FOUND)])
+def test_a_found_certificate_is_the_one_a_new_pair_verifies(name, build, seed):
+    """The certificate a search returns, verified with the decomposition the
+    search handed its pair, is byte for byte the one verify_j_geq gives on a
+    new pair of the same modules, which decomposes the regular bimodule itself."""
+    a = build(field_from_name(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the two-vertex algebra is disconnected
+        cert = witnesses.witness_search(a, a, seed=seed, budget=15)
+        assert cert is not None
+        w = cert.witness
+        fresh = verify_j_geq(JWitnessPair(w.a, w.b, w.m, w.n, seed=w.seed), quality=False)
+    assert serialize.canon_json(serialize.certificate_doc(cert)) == serialize.canon_json(serialize.certificate_doc(fresh))
 
 
 def test_submodule_on_raises_on_a_basis_that_is_not_stable():

@@ -16,6 +16,8 @@ from jorder.errors import SingularMatrix, UnsupportedField
 from jorder.fields import GF, QQ, field_from_name
 from jorder import linalg
 
+from oracles import mat
+
 
 def _det_int(rows):
     """Cofactor-expansion determinant of a list-of-lists of exact scalars."""
@@ -76,7 +78,7 @@ def test_solve_by_substitution_gf5(seed):
 
 def test_solve_reports_inconsistency():
     field = GF(5)
-    a = field.mat([[1, 2], [2, 4]])
+    a = mat(field, [[1, 2], [2, 4]])
     assert linalg.solve(field, a, field.vec([1, 3])) is None
     # and stays consistent when the rhs lies in the column space
     assert linalg.solve(field, a, field.vec([1, 2])) is not None
@@ -95,7 +97,7 @@ def test_nullspace_annihilates_and_has_complementary_dimension(seed):
 
 def test_nullspace_is_canonical_and_deterministic():
     field = GF(7)
-    a = field.mat([[1, 2, 3, 4], [2, 4, 6, 1], [1, 2, 3, 0]])
+    a = mat(field, [[1, 2, 3, 4], [2, 4, 6, 1], [1, 2, 3, 0]])
     r1, n1 = linalg.rank_nullspace(field, a)
     r2, n2 = linalg.rank_nullspace(field, field.copy(a))
     assert r1 == r2 and field.eq(n1, n2)
@@ -108,7 +110,7 @@ def test_nullspace_is_canonical_and_deterministic():
 
 def test_rational_arithmetic_is_exact():
     # a matrix float arithmetic cannot invert exactly
-    a = QQ.mat([[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)])
+    a = mat(QQ, [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)])
     inv = linalg.invert(QQ, a)
     assert QQ.eq(linalg.solve(QQ, a, QQ.eye(5)), inv)
     assert QQ.eq(QQ.matmul(a, inv), QQ.eye(5))
@@ -117,7 +119,7 @@ def test_rational_arithmetic_is_exact():
 def test_invert_rejects_singular():
     field = GF(3)
     with pytest.raises(SingularMatrix):
-        linalg.invert(field, field.mat([[1, 2], [2, 1 + 3]]))
+        linalg.invert(field, mat(field, [[1, 2], [2, 1 + 3]]))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -132,16 +134,16 @@ def test_kronecker_mixed_product_property(seed):
 
 
 def test_kronecker_rationals():
-    a = QQ.mat([[Fraction(1, 2), 1], [0, 2]])
-    b = QQ.mat([[Fraction(1, 3)]])
+    a = mat(QQ, [[Fraction(1, 2), 1], [0, 2]])
+    b = mat(QQ, [[Fraction(1, 3)]])
     k = QQ.kron(a, b)
     assert k[0, 0] == Fraction(1, 6) and k[0, 1] == Fraction(1, 3)
 
 
 def test_intersect_row_spaces():
     field = GF(5)
-    a = field.mat([[1, 0, 0], [0, 1, 0]])
-    b = field.mat([[0, 1, 0], [0, 0, 1]])
+    a = mat(field, [[1, 0, 0], [0, 1, 0]])
+    b = mat(field, [[0, 1, 0], [0, 0, 1]])
     inter = linalg.intersect_row_spaces(field, a, b)
     assert inter.shape[0] == 1
     assert linalg.coords_in_row_basis(field, a, inter[0]) is not None
@@ -150,21 +152,21 @@ def test_intersect_row_spaces():
 
 def test_row_basis_is_canonical():
     field = GF(7)
-    a = field.mat([[2, 4, 6], [1, 2, 3], [0, 0, 1]])
+    a = mat(field, [[2, 4, 6], [1, 2, 3], [0, 0, 1]])
     rb = linalg.row_basis(field, a)
     assert rb.shape == (2, 3) and rb[0, 0] == 1
 
 
 def test_coords_in_row_basis_roundtrip():
     field = GF(7)
-    basis = field.mat([[1, 0, 5], [0, 1, 1]])  # reduced echelon form of [[1, 2, 0], [0, 1, 1]]
-    v = field.matmul(field.mat([[3, 4]]), basis)
+    basis = mat(field, [[1, 0, 5], [0, 1, 1]])  # reduced echelon form of [[1, 2, 0], [0, 1, 1]]
+    v = field.matmul(mat(field, [[3, 4]]), basis)
     coords = linalg.coords_in_row_basis(field, basis, v)
-    assert field.eq(coords, field.mat([[3, 4]]))
-    assert linalg.coords_in_row_basis(field, basis, field.mat([[0, 0, 1]])) is None
+    assert field.eq(coords, mat(field, [[3, 4]]))
+    assert linalg.coords_in_row_basis(field, basis, mat(field, [[0, 0, 1]])) is None
     # coordinates are read off the pivot columns, so a basis not in reduced echelon form raises
     with pytest.raises(AssertionError):
-        linalg.coords_in_row_basis(field, field.mat([[1, 2, 0], [0, 1, 1]]), v)
+        linalg.coords_in_row_basis(field, mat(field, [[1, 2, 0], [0, 1, 1]]), v)
 
 
 def test_field_parsing_and_guards():
@@ -611,7 +613,7 @@ def test_echelon_read_matches_solve_oracle(field, count, max_side):
     ],
 )
 def test_echelon_read_rejects_non_echelon_basis(field, rows):
-    basis = field.mat(rows)
+    basis = mat(field, rows)
     with pytest.raises(AssertionError):
         linalg.echelon_pivots(field, basis)
     with pytest.raises(AssertionError):
@@ -837,7 +839,7 @@ def _old_echelon_pivots(field, rows):
 def test_echelon_pivots_match_the_np_diff_expression(field):
     gen = np.random.default_rng(7500 + field.char)
     cases = [field.zeros((0, 0)), field.zeros((0, 3)), field.zeros((2, 0)), field.zeros((1, 3)),
-             field.mat([[1, 0, 2]]), field.mat([[0, 1, 1]]), field.mat([[1, 0], [1, 0]]), field.mat([[0, 1], [1, 0]])]
+             mat(field, [[1, 0, 2]]), mat(field, [[0, 1, 1]]), mat(field, [[1, 0], [1, 0]]), mat(field, [[0, 1], [1, 0]])]
     for a in _kernel_inputs(field, gen, 200, 7):
         basis = linalg.row_basis(field, a)
         cases += [basis, basis[::-1], basis[:1]]

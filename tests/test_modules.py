@@ -62,6 +62,7 @@ from oracles import (
     group_algebra,
     hom_tensor_over,
     linear_quiver_algebra,
+    mat,
     pure_tensor,
     quotient_module,
 )
@@ -293,20 +294,20 @@ class TestDualAndTwist:
 
     def test_twist_by_scaling_automorphism(self):
         d = dual_numbers("GF(7)")
-        g = d.field.mat([[1, 0], [0, 3]])  # x -> 3x preserves x*x = 0
+        g = mat(d.field, [[1, 0], [0, 3]])  # x -> 3x preserves x*x = 0
         m = twist_left(left_regular_module(d), g)
         i_x = d.labels.index("x")
         assert d.field.eq(m.left_mats[i_x], d.field.smul(3, left_regular_module(d).left_mats[i_x]))
 
     def test_twist_rejects_non_automorphism(self):
         d = dual_numbers("GF(7)")
-        bad = d.field.mat([[1, 1], [0, 1]])  # x -> 1 + x breaks x*x = 0
+        bad = mat(d.field, [[1, 1], [0, 1]])  # x -> 1 + x breaks x*x = 0
         with pytest.raises(NotAutomorphism):
             twist_left(left_regular_module(d), bad)
         with pytest.raises(NotAutomorphism):
             twist_left(left_regular_module(d), d.field.zeros((2, 2)))
         with pytest.raises(NotAutomorphism):  # 1 -> 1, x -> 0: a unital endomorphism, not invertible
-            twist_left(left_regular_module(d), d.field.mat([[1, 0], [0, 0]]))
+            twist_left(left_regular_module(d), mat(d.field, [[1, 0], [0, 0]]))
 
 
 class TestProjectives:
