@@ -17,16 +17,23 @@ A local endomorphism algebra is exactly an indecomposable module, so these
 certificates are proofs. When the budgeted search neither splits nor
 certifies, Inconclusive is raised; the library never guesses.
 
-Every isomorphism, summand and split question goes through one leaf test:
-for Z with local End(Z), Z divides X exactly when some hom-basis composite
-g f (f: Z -> X, g: X -> Z) lies outside rad End(Z), and with equal dimensions
-Z is then isomorphic to X (Fitting's lemma; Anderson-Fuller, Rings and
-Categories of Modules, section 12). Two decompositions are compared by one
-class matcher: each class of the first takes the first class of the second
-whose representative is isomorphic to its own, and its k-th member the k-th
-member of that class. Greedy first fit is optimal because isomorphism is an
-equivalence relation, so at most one class fits; and it takes the same pairs
-as a greedy scan over the second decomposition's summands.
+Every isomorphism question goes through one leaf test, which solves one
+Hom: a certified leaf Z is isomorphic to X exactly when dim X = dim Z and
+some basis map of Hom(Z, X) has full rank; the first is the isomorphism.
+Lemma: with End(Z) local, dim X = dim Z and fs, gs bases of Hom(Z, X) and
+Hom(X, Z), some g in gs has g f outside rad End(Z) exactly when f in fs is
+bijective. (=>) g f is a unit of the local ring End(Z), so f is injective,
+and bijective as the dimensions are equal. (<=) f^-1 = sum c_g g, so
+1 = sum c_g (g f), which would lie in rad End(Z) were every g f there.
+So the first f of Fitting's two-Hom test (Anderson-Fuller, Rings and
+Categories of Modules, section 12) is the first f of full rank.
+
+Two decompositions are compared by one class matcher: each class of the
+first takes the first class of the second whose representative is
+isomorphic to its own, and its k-th member the k-th member of that class.
+Greedy first fit is optimal because isomorphism is an equivalence
+relation, so at most one class fits; and it takes the same pairs as a
+greedy scan over the second decomposition's summands.
 
 split_maps assembles a split of X off Y from the matched pairs: summands r
 of X and s of Y with f: r -> s add i_s f p_r to the section and
@@ -38,10 +45,10 @@ One decomposition solves one Hom system, End(M) at the root. Every other Hom
 it needs is a corner of that solve: for summands X, Y of M with inclusion
 i_X and projection p_Y, Hom(X, Y) = p_Y End(M) i_X (Anderson-Fuller). So a
 child's End(X) is the corner p_X End(M) i_X, read off its parent's basis,
-and the class grouping reads Hom(X, Y) and Hom(Y, X) between two leaves off
-the root's. A corner is the row basis of the products p_Y h i_X over the
-basis h of End(M); the reduced echelon basis of a subspace is unique, so it
-is bit for bit the basis hom_space(X, Y) solves. endomorphism_algebra solves
+and the class grouping reads Hom(X, Y) between two leaves off the root's.
+A corner is the row basis of the products p_Y h i_X over the basis h of
+End(M); the reduced echelon basis of a subspace is unique, so it is bit
+for bit the basis hom_space(X, Y) solves. endomorphism_algebra solves
 End(M) at the root, once per decomposition.
 
 No node builds End's structure table. Each node holds an EndView: its hom
@@ -99,9 +106,9 @@ def endomorphism_algebra(m):
     """(E, homs): E = End(m) as an EndView on the canonical basis homs of hom_space(m, m).
 
     E's basis element i acts on the module as the matrix homs[i]. E provides
-    what the idempotent search and the leaf test read: dim, unit, mul (the
-    product convention of Algebra.mul, so mul(f, g) applies g first),
-    products, coords and radical_rows.
+    what the idempotent search reads: dim, unit, mul (the product convention
+    of Algebra.mul, so mul(f, g) applies g first), products, coords and
+    radical_rows.
     """
     homs = hom_space(m, m)
     return EndView(m, homs), homs
@@ -112,9 +119,9 @@ class EndView:
 
     Holds the stack of basis matrices and its echelon pivots, the unit's
     coordinates, and the radical rows (computed on the faithful matrix
-    representation) with their pivots. A product is one composite and one
-    pivot read; coordinates in a reduced echelon basis are unique, so every
-    product equals the entry Algebra.mul reads off the full table.
+    representation). A product is one composite and one pivot read;
+    coordinates in a reduced echelon basis are unique, so every product
+    equals the entry Algebra.mul reads off the full table.
     """
 
     def __init__(self, m, homs):
@@ -128,7 +135,6 @@ class EndView:
         self.pivots = linalg.echelon_pivots(field, self.rows)
         self.unit = self.coords(field.eye(m.dim)[None])[0]
         self._radical_rows = matrix_algebra_radical(field, self.stack)
-        self.rad_pivots = linalg.echelon_pivots(field, self._radical_rows)
 
     def coords(self, mats):
         """Coordinates of a stack of endomorphisms in the hom basis."""
@@ -288,34 +294,9 @@ def _split_by_endomorphism(mod, part):
     return sub, incl, proj
 
 
-def _fitting_pair(end, fs, gs):
-    """First pair (f, g) of the hom bases fs of x -> n and gs of n -> x
-    with g f outside rad End(x), or None.
-
-    end is (E, homs) for x, with E local; E provides coords, radical_rows
-    and rad_pivots, as an EndView does, so no basis is re-checked here. If
-    every basis composite lies in the radical, bilinearity puts every
-    composite there.
-    """
-    if not (fs and gs):
-        return None
-    e_view, _ = end
-    field = e_view.field
-    rad = e_view.radical_rows()
-    for f in fs:
-        for g in gs:
-            comp = field.matmul(g, f)
-            if field.is_zero(comp):
-                continue
-            if linalg.coords_in_row_basis(field, rad, e_view.coords(comp[None]), e_view.rad_pivots) is None:
-                return f, g
-    return None
-
-
-def _leaf_pair(leaf, n):
-    """The leaf test against n; Hom(n, leaf) is not solved when Hom(leaf, n) is zero."""
-    fs = hom_space(leaf.module, n)
-    return _fitting_pair(leaf._end, fs, hom_space(n, leaf.module) if fs else [])
+def _first_bijection(field, maps, dim):
+    """The first of maps with full rank dim, or None: on Hom(Z, X), the leaf test of the header."""
+    return next((f for f in maps if linalg.rank(field, f) == dim), None)
 
 
 def summand_isomorphism(leaf, n):
@@ -323,12 +304,11 @@ def summand_isomorphism(leaf, n):
 
     Unequal dimensions, or unequal piece dimensions under the idempotent
     grading hom_space takes (modules.same_piece_dims), answer None before
-    any Hom solve.
+    any Hom solve; otherwise the leaf test of the header solves Hom(leaf, n).
     """
     if leaf.module.dim != n.dim or not same_piece_dims(leaf.module, n):
         return None
-    pair = _leaf_pair(leaf, n)
-    return None if pair is None else pair[0]
+    return _first_bijection(n.field, hom_space(leaf.module, n), n.dim)
 
 
 def decompose(m, seed=0):
@@ -386,15 +366,15 @@ def decompose(m, seed=0):
     if not field.eq(field.canon(total), field.eye(m.dim)):
         raise AssertionError("summand family does not resolve the identity")
 
-    def corner_pair(x, y):
-        fs = _corner(field, root[1], y.projection, x.inclusion)
-        return fs, (_corner(field, root[1], x.projection, y.inclusion) if fs else [])
-
+    # the leaf test of the header, on Hom(rep, s) read off the root's End(M)
     classes = []
     for idx, s in enumerate(leaves):
+        dim = s.module.dim
         for cls in classes:
             rep = leaves[cls[0]]
-            if rep.module.dim == s.module.dim and _fitting_pair(rep._end, *corner_pair(rep, s)) is not None:
+            if rep.module.dim != dim:
+                continue
+            if _first_bijection(field, _corner(field, root[1], s.projection, rep.inclusion), dim) is not None:
                 cls.append(idx)
                 break
         else:
@@ -454,8 +434,8 @@ def are_isomorphic(m, n, seed=0):
     grading hom_space takes (modules.same_piece_dims), answer False before
     either module is decomposed: an isomorphism maps each piece onto the
     same piece. An indecomposable m is compared by the leaf test alone,
-    without decomposing n: with equal dimensions, m divides n exactly when
-    the two are isomorphic.
+    without decomposing n: one Hom solve, Hom(m, n), answers whether one of
+    its basis maps is bijective.
     """
     _check_compatible(m, n)
     if m.dim != n.dim or not same_piece_dims(m, n):

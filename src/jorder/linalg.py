@@ -91,14 +91,20 @@ from .errors import SingularMatrix
 _ROW_KERNEL_NNZ = 128
 
 
+def _as_2d(a):
+    """np.atleast_2d(a), skipping the call on the matrices the elimination path passes."""
+    return a if getattr(a, "ndim", 0) >= 2 else np.atleast_2d(a)
+
+
 def rref(field, a):
     """Reduced row echelon form.
 
     Returns (r, pivots) where pivots lists the pivot column indices in order.
     """
     # canonicalize first: raw products (e.g. unreduced tensordot output) may
-    # hold representatives like 2 over GF(2) that compare nonzero but are not
-    r = field.canon(np.atleast_2d(a))
+    # hold representatives like 2 over GF(2) that compare nonzero but are not.
+    # as _as_2d, written with the names rref may read; canon takes a nested list too
+    r = field.canon(a if np.ndim(a) >= 2 else np.atleast_2d(a))
     nrows, ncols = r.shape
     nnz = np.count_nonzero(r)
     if nnz == 0:  # a zero or empty system: r is already its reduced form
@@ -243,7 +249,7 @@ def rank_nullspace(field, a):
     the canonical echelon basis of {x : a x = 0} read off the reduced form
     (one basis vector per free column, unit coordinate at that column).
     """
-    a = np.atleast_2d(a)
+    a = _as_2d(a)
     r, pivots = rref(field, a)
     ncols = a.shape[1]
     free = free_columns(ncols, pivots)
@@ -264,7 +270,7 @@ def solve(field, a, b):
     canonical: free variables are set to zero. When b is a vector the result
     is a vector.
     """
-    a = np.atleast_2d(a)
+    a = _as_2d(a)
     vector_rhs = np.asarray(b).ndim == 1
     bm = np.asarray(b).reshape(-1, 1) if vector_rhs else np.asarray(b)
     if bm.shape[0] != a.shape[0]:
@@ -280,7 +286,7 @@ def solve(field, a, b):
 
 
 def invert(field, a):
-    a = np.atleast_2d(a)
+    a = _as_2d(a)
     n, m = a.shape
     if n != m:
         raise SingularMatrix(f"cannot invert a {n}x{m} matrix")
@@ -298,7 +304,7 @@ def echelon_pivots(field, rows):
     every row is nonzero, the pivots increase and rows[:, pivots] is the
     identity: its diagonal is one and it has no other nonzero entry.
     """
-    rows = np.atleast_2d(rows)
+    rows = _as_2d(rows)
     nonzero = rows.astype(bool)
     r, ncols = rows.shape
     # with no columns every row is zero, and no pivot is in range
@@ -318,8 +324,8 @@ def coords_in_row_basis(field, rows, vectors, pivots=None):
     with a nonzero coordinate enter that product. A caller that reads many
     blocks against one basis checks it once and passes its echelon_pivots.
     """
-    rows = np.atleast_2d(rows)
-    vectors = field.canon(np.atleast_2d(vectors))
+    rows = _as_2d(rows)
+    vectors = field.canon(_as_2d(vectors))
     coords = vectors[:, echelon_pivots(field, rows) if pivots is None else pivots]
     used = coords.astype(bool).any(axis=0)
     if not (field.matmul(coords[:, used], rows[used]) == vectors).all():
@@ -339,7 +345,7 @@ def complement_projection(field, rows, dim):
     and proj vanishing on the row span: the free columns are the
     coordinates, and a pivot column carries minus the free entries of its row.
     """
-    rows = np.atleast_2d(rows)
+    rows = _as_2d(rows)
     pivots = echelon_pivots(field, rows)
     free = free_columns(dim, pivots)
     proj = field.zeros((free.size, dim))
@@ -371,7 +377,7 @@ def quotient_projection(field, rows):
     basis of that row space does; the reversed rows of R lie in it and hold
     exactly that identity.
     """
-    rows = np.atleast_2d(rows)
+    rows = _as_2d(rows)
     n = rows.shape[1]
     r, pivots = rref(field, rows[:, ::-1])
     t = len(pivots)
@@ -383,7 +389,7 @@ def quotient_projection(field, rows):
 
 def intersect_row_spaces(field, rows_a, rows_b):
     """Canonical row basis of the intersection of two row spaces."""
-    rows_a, rows_b = np.atleast_2d(rows_a), np.atleast_2d(rows_b)
+    rows_a, rows_b = _as_2d(rows_a), _as_2d(rows_b)
     if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
         return field.zeros((0, rows_a.shape[1]))
     # x = c_a . rows_a = c_b . rows_b; solve [rows_a^T | -rows_b^T] kernel

@@ -74,8 +74,8 @@ side by side, B, and the coordinate rows stacked, C = B^-1. _piece_actions
 holds C X B for the generators X outside the family, keyed by the identity
 of the generator list, the family list and the frame; _hom_rows reads n's
 against m's algebra, whose lists may differ from n's own. summand_isomorphism
-and are_isomorphic compare piece dimensions off the held frame before any Hom
-solve or decomposition. The generators' action matrices themselves
+and are_isomorphic compare piece dimensions off the held frame before their
+one Hom solve or decomposition. The generators' action matrices themselves
 (_generator_actions, one contraction of the generator rows with an action
 stack) are not held: on the benchmark workloads a held copy answered at most
 8% of its reads (none on lrproj-gf101), while building every stack costs

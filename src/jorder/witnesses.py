@@ -10,16 +10,17 @@ and both maps are bimodule maps), with none of the probabilistic
 decomposition machinery.
 
 Quality flags record how close a witness comes to separable division:
-one-sided projectivity of both bimodules, adjointness of the induced
-tensor functors (M left projective and Hom(M, A) isomorphic to N), the
-projective covers restricting to one-sided generators, and faithfulness
-plus projective-injective summands of the one-sided restrictions. Each flag
-computes only its boolean. Adjointness asks are_isomorphic, which builds no
-isomorphism. The generator test reads the multiplicities of the covers over
-the enveloping algebras, whose simples are pairs of the factors' simples,
-and solves no Hom (generators_check). The faithfulness test is two
-annihilator ranks: a faithful module already has every indecomposable
-projective-injective as a summand (faithful_projinj_check).
+one-sided projectivity of both bimodules, adjointness of the induced tensor
+functors (M left projective and Hom(M, A) isomorphic to N), the projective
+covers restricting to one-sided generators, and faithfulness plus
+projective-injective summands of the one-sided restrictions. Each flag
+computes only its boolean. Adjointness asks are_isomorphic, which solves one
+Hom when Hom(M, A) is indecomposable (decomp's leaf test). The generator
+test reads the multiplicities of the covers over the enveloping algebras,
+whose simples are pairs of the factors' simples, and solves no Hom
+(generators_check). The faithfulness test is two annihilator ranks: a
+faithful module already has every indecomposable projective-injective as a
+summand (faithful_projinj_check).
 
 The witness search draws pairs at random, and many draws give a tensor
 product it has already tried. verify_j_geq is a deterministic function of
@@ -462,9 +463,9 @@ def is_adjoint_pair_witness(m, n, seed=0):
 
     Holds iff M is projective as a left module and Hom(M, A) is isomorphic
     to N as a (b, a)-bimodule. Only the answer is computed: are_isomorphic
-    compares piece dimensions first and decomposes N only when Hom(M, A)
-    splits. The section decomp.split_maps assembles from the two
-    decompositions is the isomorphism when one is wanted.
+    compares piece dimensions, then solves one Hom when Hom(M, A) is
+    indecomposable (decomp's leaf test) and decomposes N only when it splits.
+    The section decomp.split_maps assembles is the isomorphism when one is wanted.
     """
     if not is_projective(m.restrict_left()):
         return False

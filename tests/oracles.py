@@ -4,11 +4,14 @@ Each was library code that only tests reached. The tests that use them
 keep their assertions: linear_quiver_algebra and group_algebra are
 fixtures, center feeds the fingerprint in fingerprints.py, and
 minpoly_matrix, explicit_isomorphism, quotient_module, projective_leaves,
-summand_split_maps and hom_tensor_over are independent routes to answers the
-library reaches another way (polynomials.minpoly_powers, the adjoint-pair
-flag, the quotients of _quotient, the generator and faithfulness flags, which
-read covers and annihilators where these split leaves off, and tensor_over,
-which reads its projection off one reversed elimination of the Hom rows).
+summand_split_maps, hom_tensor_over, fitting_pair and leaf_pair are
+independent routes to answers the library reaches another way
+(polynomials.minpoly_powers, the adjoint-pair flag, the quotients of
+_quotient, the generator and faithfulness flags, which read covers and
+annihilators where these split leaves off, tensor_over, which reads its
+projection off one reversed elimination of the Hom rows, and the leaf test
+of decomp, which reads an isomorphism off Hom(Z, X) alone where these two
+read the composites of Hom(Z, X) and Hom(X, Z) against rad End(Z)).
 basis_vector, is_commutative, pure_tensor and trivial_action were methods
 of Algebra, TensorResult and groups.AlgebraAction (with
 groups.FiniteGroup.trivial) that only tests called, and so were mat (of both
@@ -127,16 +130,50 @@ def projective_leaves(a):
     return tuple(dec.summands[0] for dec in decs)
 
 
+def fitting_pair(end, fs, gs):
+    """First pair (f, g) of the hom bases fs of x -> n and gs of n -> x
+    with g f outside rad End(x), or None.
+
+    end is (E, homs) for x, with E a local decomp.EndView. If every basis
+    composite lies in the radical, bilinearity puts every composite there.
+    This is the two-Hom test decomp's one-Hom leaf test replaced; it stays
+    for summand_split_maps, where dim n may exceed dim x and an injective f
+    need not split, and as the oracle the leaf test is compared against.
+    """
+    if not (fs and gs):
+        return None
+    e_view, _ = end
+    field = e_view.field
+    rad = e_view.radical_rows()
+    rad_pivots = linalg.echelon_pivots(field, rad)
+    for f in fs:
+        for g in gs:
+            comp = field.matmul(g, f)
+            if field.is_zero(comp):
+                continue
+            if linalg.coords_in_row_basis(field, rad, e_view.coords(comp[None]), rad_pivots) is None:
+                return f, g
+    return None
+
+
+def leaf_pair(leaf, n):
+    """fitting_pair against n; Hom(n, leaf) is not solved when Hom(leaf, n) is zero."""
+    fs = hom_space(leaf.module, n)
+    return fitting_pair(leaf._end, fs, hom_space(n, leaf.module) if fs else [])
+
+
 def summand_split_maps(leaf, y):
     """(section, retraction) splitting a certified summand off y, or None.
 
-    End(leaf) is local, so the first pair (f, g) of the leaf test has g f
-    invertible and the retraction is (g f)^-1 g. Avoids decomposing y.
+    End(leaf) is local, so the first pair (f, g) of the two-Hom Fitting test
+    (leaf_pair) has g f invertible and the retraction is (g f)^-1 g. Avoids
+    decomposing y. y may be larger than the leaf, so the one-Hom test of
+    decomp.summand_isomorphism does not apply: it needs dim y = dim leaf.
     """
     _check_compatible(leaf.module, y)
     if leaf.module.dim > y.dim:
         return None
-    pair = decomp._leaf_pair(leaf, y)
+    pair = leaf_pair(leaf, y)
     if pair is None:
         return None
     f, g = pair

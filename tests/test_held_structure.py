@@ -28,6 +28,7 @@ import pytest
 from jorder import catalog, decomp, linalg, modules, serialize, witnesses
 from jorder.algebras import Algebra, algebra_from_quiver, tensor_algebra
 from jorder.decomp import (
+    Summand,
     are_isomorphic,
     complete_primitive_idempotents,
     decompose,
@@ -51,7 +52,8 @@ from jorder.modules import (
 )
 from jorder.witnesses import JWitnessPair, bimodule_as_env_module, faithful_projinj_check, generators_check, verify_j_geq
 
-from oracles import linear_quiver_algebra, projective_leaves
+from oracles import leaf_pair, linear_quiver_algebra, projective_leaves
+from test_decomp import _old_summand_isomorphism
 
 FIELDS = [GF(2), GF(3), GF(101), QQ]
 
@@ -387,10 +389,10 @@ def test_pieces_are_built_once_per_module(monkeypatch):
 
 
 def unfiltered_summand_isomorphism(leaf, n):
-    """summand_isomorphism without the piece-dimension filter: the leaf test alone."""
+    """summand_isomorphism without the piece-dimension filter: the two-Hom Fitting test alone."""
     if leaf.module.dim != n.dim:
         return None
-    pair = decomp._leaf_pair(leaf, n)
+    pair = leaf_pair(leaf, n)
     return None if pair is None else pair[0]
 
 
@@ -486,6 +488,137 @@ def test_piece_filter_matches_the_unfiltered_leaf_test(field, monkeypatch):
                 else:
                     tally["passed_not_iso"] += 1
     assert all(tally.values()), tally
+
+
+# ---- the one-Hom leaf test against the two-Hom Fitting test ------------------------
+
+
+def fitting_classes(dec):
+    """decompose's class grouping with the two-Hom Fitting test (oracles.leaf_pair) on solved Homs."""
+    classes = []
+    for idx, s in enumerate(dec.summands):
+        for cls in classes:
+            rep = dec.summands[cls[0]]
+            if rep.module.dim == s.module.dim and leaf_pair(rep, s.module) is not None:
+                cls.append(idx)
+                break
+        else:
+            classes.append([idx])
+    return classes
+
+
+def reversed_basis(m):
+    """m in its basis taken in reverse order."""
+    f = m.field
+
+    def conj(mats):
+        return None if mats is None else f.canon(np.ascontiguousarray(mats[:, ::-1, ::-1]))
+
+    return Module(m.left_algebra, m.right_algebra, conj(m.left_mats), conj(m.right_mats), f"{m.label}^rev", check=False)
+
+
+def leaf_test_decompositions(field, gen):
+    """Decompositions of the catalog inputs, A_3 and Kronecker modules, sums of copies of
+    the Kronecker R2(2), whose End has a radical, and of a random conjugate of each.
+
+    Over Q a module with a repeated summand is not conjugated: the search does not
+    split M_2(Q) in a random basis within its budget (see test_decomp.conjugated).
+    The regular module Z of k[x]/x^3 is summed with Z in reversed basis, both ways
+    round: at every seed one of the two groups two leaves whose first Hom basis
+    map is not bijective (Hom(Z, Z^rev) = J End(Z) with J the reversal, and its
+    first echelon map is J x^2).
+    """
+    kron = kronecker_modules(field, gen)
+    jordan = [m for m in kron if m.label == "R2(2)"]
+    cubic = catalog.build("trunc_poly", field=field.name, k=3)
+    complete_primitive_idempotents(cubic)
+    z = left_regular_module(cubic)
+    mods = decomposition_inputs(field) + [m for m in a3_modules(field, gen) + kron if m.dim]
+    mods += [direct_sum(jordan * 2)[0], direct_sum(jordan * 3)[0]]
+    mods += [direct_sum([z, reversed_basis(z)])[0], direct_sum([reversed_basis(z), z])[0]]
+    decs = [decompose(m, seed=seed) for seed, m in enumerate(mods)]
+    again = [conjugated(d.module, gen) for d in decs if field != QQ or all(len(cls) == 1 for cls in d.classes)]
+    return decs + [decompose(m, seed=len(decs) + k) for k, m in enumerate(again)]
+
+
+def singular_first_map(field, x, y):
+    """Whether the first map of the canonical basis of Hom(x, y) is not bijective."""
+    return linalg.rank(field, modules.hom_space(x, y)[0]) < y.dim
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_one_hom_leaf_test_equals_the_fitting_test(field):
+    """summand_isomorphism returns the matrix the two-Hom Fitting test returned
+    (test_decomp._old_summand_isomorphism) on every pair of a leaf and a module
+    of its dimension, isomorphic or not, and decompose's classes equal the
+    grouping the Fitting test makes, on catalog decompositions and on random
+    conjugates. The tally shows every case met, among them isomorphic pairs
+    and class members whose first Hom basis map is not bijective."""
+    decs = leaf_test_decompositions(field, np.random.default_rng(35))
+    mods = [dec.module for dec in decs]
+    tally = {"iso": 0, "iso_first_map_singular": 0, "not_iso_nonzero_hom": 0, "class_first_map_singular": 0}
+    leaves = []
+    for dec in decs:
+        assert dec.classes == fitting_classes(dec), dec.module.label
+        tally["class_first_map_singular"] += sum(
+            singular_first_map(field, dec.summands[cls[0]].module, dec.summands[i].module)
+            for cls in dec.classes for i in cls[1:]
+        )
+        leaves += dec.summands
+    for leaf in leaves:
+        for n in mods + [z.module for z in leaves]:
+            if n.dim != leaf.module.dim or n is leaf.module or not modules._compatible(leaf.module, n):
+                continue
+            # the oracle reads only the module of its second summand
+            want = _old_summand_isomorphism(leaf, Summand(n, None, None, None))
+            got = summand_isomorphism(leaf, n)
+            assert (got is None) == (want is None), (leaf.module.label, n.label)
+            if got is not None:
+                assert same_array(got, want)
+                tally["iso"] += 1
+                tally["iso_first_map_singular"] += singular_first_map(field, leaf.module, n)
+            elif modules.same_piece_dims(leaf.module, n) and modules.hom_space(leaf.module, n):
+                tally["not_iso_nonzero_hom"] += 1
+    assert all(tally.values()), tally
+
+
+def test_a_leaf_test_solves_one_hom_and_the_grouping_reads_one_corner_a_pair(monkeypatch):
+    """One summand_isomorphism call that passes the piece filter runs one _hom_rows
+    solve, and one the filter rejects runs none. decompose's class grouping calls
+    _corner once for each leaf and each earlier class representative of its
+    dimension it compares, in order: Hom(rep, s) only, never Hom(s, rep)."""
+    field = GF(3)
+    solves, corners = [], []
+    hom_rows, corner = modules._hom_rows, decomp._corner
+    monkeypatch.setattr(modules, "_hom_rows", lambda m, n: solves.append((m, n)) or hom_rows(m, n))
+    monkeypatch.setattr(decomp, "_corner", lambda f, homs, proj, incl: corners.append((proj, incl)) or corner(f, homs, proj, incl))
+    decs = leaf_test_decompositions(field, np.random.default_rng(36))
+    # corners holds every map it was passed, so no two of them share an id; the
+    # node splits read their End off the parent's with maps no leaf holds
+    leaf_at = {id(s.projection): (d, j) for d, dec in enumerate(decs) for j, s in enumerate(dec.summands)}
+    incl_at = {id(s.inclusion): (d, j) for d, dec in enumerate(decs) for j, s in enumerate(dec.summands)}
+    read = [(*leaf_at[id(p)], incl_at[id(i)][1]) for p, i in corners if id(p) in leaf_at]
+    want = []
+    for d, dec in enumerate(decs):
+        ss, first = dec.summands, {i: cls[0] for cls in dec.classes for i in cls}
+        for j, s in enumerate(ss):
+            for cls in dec.classes:
+                r = cls[0]
+                if r >= j:
+                    break
+                if ss[r].module.dim == s.module.dim:
+                    want.append((d, j, r))
+                if r == first[j]:
+                    break
+    assert want and read == want
+    leaves = [s for dec in decs for s in dec.summands]
+    for leaf in leaves:
+        for n in (z.module for z in leaves):
+            if n.dim != leaf.module.dim or n is leaf.module or not modules._compatible(leaf.module, n):
+                continue
+            solves.clear()
+            summand_isomorphism(leaf, n)
+            assert solves == ([(leaf.module, n)] if modules.same_piece_dims(leaf.module, n) else [])
 
 
 def unfiltered_are_isomorphic(m, n, seed=0):

@@ -754,6 +754,7 @@ _UNDER_O = [
         "test_a_dropped_decomposition_is_solved_again",
         "test_a_dropped_decomposition_dies_without_the_cycle_collector",
         "test_a_pair_holds_the_decomposition_of_a_new_regular_bimodule",
+        "test_one_hom_leaf_test_equals_the_fitting_test",
     )
     for field in _FIELD_IDS
 ] + [
@@ -761,13 +762,14 @@ _UNDER_O = [
     "test_submodule_on_raises_on_a_basis_that_is_not_stable",
     "test_the_regular_bimodule_is_held_only_while_a_search_runs",
     "test_a_disconnected_search_solves_the_regular_bimodule_once",
+    "test_a_leaf_test_solves_one_hom_and_the_grouping_reads_one_corner_a_pair",
 ]
 
 
 def test_held_structure_differential_tests_pass_under_python_O():
-    """The held-structure keys and the stability check of _submodule_on are
-    if tests, not asserts: the differential tests pass with assert
-    statements compiled away in the library."""
+    """The held-structure keys, the stability check of _submodule_on and the
+    rank check of the leaf test are if tests, not asserts: the differential
+    tests pass with assert statements compiled away in the library."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     path = tests / "test_held_structure.py"
